@@ -146,12 +146,9 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(flag, env_name: str | None, file_cfg: dict, key: str, default, cast=None):
-    candidates = [flag]
-    if env_name:
-        candidates.append(os.environ.get(ENV_PREFIX + env_name))
-    candidates.append(file_cfg.get(key))
-    for candidate in candidates:
+def _resolve(flag, file_cfg: dict, key: str, default, cast=None):
+    """flag > BUGREPLAY_<KEY> environment variable > config file > default."""
+    for candidate in (flag, os.environ.get(ENV_PREFIX + key.upper()), file_cfg.get(key)):
         if candidate is not None:
             return cast(candidate) if cast else candidate
     return default
@@ -164,28 +161,28 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         report_path=g("report"),
         out_base=g("out_base"),
-        llm_backend=_resolve(g("llm_backend"), "LLM", file_cfg, "llm", "http"),
-        transcript_path=_resolve(g("transcript_path"), "TRANSCRIPT", file_cfg, "transcript", None),
-        endpoint=_resolve(g("endpoint"), "ENDPOINT", file_cfg, "endpoint", None),
-        model=_resolve(g("model"), "MODEL", file_cfg, "model", None),
-        api_key_env=_resolve(g("api_key_env"), None, file_cfg, "api_key_env", DEFAULT_API_KEY_ENV),
-        temperature=_resolve(g("temperature"), None, file_cfg, "temperature", 0.0, float),
-        corpus_path=_resolve(g("corpus_path"), "CORPUS", file_cfg, "corpus", None),
-        token_budget=_resolve(g("token_budget"), "TOKEN_BUDGET", file_cfg, "token_budget", 4096, int),
-        actions_budget=_resolve(g("actions_budget"), None, file_cfg, "actions_budget", 50, int),
-        backtracks_budget=_resolve(g("backtracks_budget"), None, file_cfg, "backtracks_budget", 10, int),
-        wall_budget=_resolve(g("wall_budget"), None, file_cfg, "wall_budget", 600.0, float),
-        max_missing_depth=_resolve(g("max_missing_depth"), None, file_cfg, "max_missing_depth", 2, int),
-        runs=_resolve(g("runs"), "RUNS", file_cfg, "runs", 3, int),
-        seed=_resolve(g("seed"), None, file_cfg, "seed", None, int),
-        device_backend=_resolve(g("device_backend"), "DEVICE", file_cfg, "device", "simulated"),
-        app_path=_resolve(g("app_path"), "APP", file_cfg, "app", None),
-        serial=_resolve(g("serial"), "SERIAL", file_cfg, "serial", None),
-        adb_path=_resolve(g("adb_path"), "ADB_PATH", file_cfg, "adb_path", "adb"),
-        package=_resolve(g("package"), None, file_cfg, "package", None),
-        launch_command=_resolve(g("launch_command"), None, file_cfg, "launch", None),
+        llm_backend=_resolve(g("llm_backend"), file_cfg, "llm", "http"),
+        transcript_path=_resolve(g("transcript_path"), file_cfg, "transcript", None),
+        endpoint=_resolve(g("endpoint"), file_cfg, "endpoint", None),
+        model=_resolve(g("model"), file_cfg, "model", None),
+        api_key_env=_resolve(g("api_key_env"), file_cfg, "api_key_env", DEFAULT_API_KEY_ENV),
+        temperature=_resolve(g("temperature"), file_cfg, "temperature", 0.0, float),
+        corpus_path=_resolve(g("corpus_path"), file_cfg, "corpus", None),
+        token_budget=_resolve(g("token_budget"), file_cfg, "token_budget", 4096, int),
+        actions_budget=_resolve(g("actions_budget"), file_cfg, "actions_budget", 50, int),
+        backtracks_budget=_resolve(g("backtracks_budget"), file_cfg, "backtracks_budget", 10, int),
+        wall_budget=_resolve(g("wall_budget"), file_cfg, "wall_budget", 600.0, float),
+        max_missing_depth=_resolve(g("max_missing_depth"), file_cfg, "max_missing_depth", 2, int),
+        runs=_resolve(g("runs"), file_cfg, "runs", 3, int),
+        seed=_resolve(g("seed"), file_cfg, "seed", None, int),
+        device_backend=_resolve(g("device_backend"), file_cfg, "device", "simulated"),
+        app_path=_resolve(g("app_path"), file_cfg, "app", None),
+        serial=_resolve(g("serial"), file_cfg, "serial", None),
+        adb_path=_resolve(g("adb_path"), file_cfg, "adb_path", "adb"),
+        package=_resolve(g("package"), file_cfg, "package", None),
+        launch_command=_resolve(g("launch_command"), file_cfg, "launch", None),
         parallel=bool(g("parallel")),
-        exclusion_clause=_resolve(g("exclusion_clause"), None, file_cfg, "exclusion_clause", EXCLUSION_CLAUSE),
+        exclusion_clause=_resolve(g("exclusion_clause"), file_cfg, "exclusion_clause", EXCLUSION_CLAUSE),
     )
     if cfg.runs < 1:
         raise _UsageError("--runs must be at least 1")
@@ -262,24 +259,42 @@ def _step_dict(step: Step) -> dict:
     }
 
 
+def _order_dependent(llm: LlmClient) -> bool:
+    """True when answers depend on request order, so requests must go out
+    one at a time through the one client."""
+    return isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
+
+
 def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
-    """All runs plus the majority pick. Ties go to the earliest run."""
-    results: list[dict] = []
-    parsed: list[list[Step]] = []
-    for run in range(cfg.runs):
+    """All runs plus the majority pick. Ties go to the earliest run.
+
+    Runs go out concurrently, each on its own client, unless the client
+    is order dependent; results keep run order either way.
+    """
+    def attempt(client: LlmClient) -> list[Step] | BugReplayError:
         try:
-            steps = extract_steps(report, llm, corpus, cfg.token_budget)
-            parsed.append(steps)
-            results.append({"ok": True, "steps": [_step_dict(s) for s in steps]})
+            return extract_steps(report, client, corpus, cfg.token_budget)
         except BugReplayError as exc:
-            parsed.append([])
-            results.append({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-            logger.warning("extraction run %d failed: %s", run + 1, exc)
-    ok_texts = [render_steps(steps) for steps in parsed if steps]
-    if not ok_texts:
+            return exc
+
+    if _order_dependent(llm):
+        outcomes = [attempt(llm) for _ in range(cfg.runs)]
+    else:
+        clients = [llm] + [_make_llm(cfg) for _ in range(cfg.runs - 1)]
+        with ThreadPoolExecutor(max_workers=cfg.runs) as pool:
+            outcomes = list(pool.map(attempt, clients))
+    results: list[dict] = []
+    for run, outcome in enumerate(outcomes, 1):
+        if isinstance(outcome, BugReplayError):
+            results.append({"ok": False, "error": f"{type(outcome).__name__}: {outcome}"})
+            logger.warning("extraction run %d failed: %s", run, outcome)
+        else:
+            results.append({"ok": True, "steps": [_step_dict(s) for s in outcome]})
+    ok = [steps for steps in outcomes if isinstance(steps, list) and steps]
+    if not ok:
         return None, results
-    winner_text, _ = Counter(ok_texts).most_common(1)[0]
-    winner = next(steps for steps in parsed if steps and render_steps(steps) == winner_text)
+    winner_text, _ = Counter(render_steps(steps) for steps in ok).most_common(1)[0]
+    winner = next(steps for steps in ok if render_steps(steps) == winner_text)
     return winner, results
 
 
@@ -366,8 +381,8 @@ def cmd_replay(cfg: RunConfig) -> int:
         if cfg.device_backend != "simulated":
             raise _UsageError("--parallel requires the simulated device backend")
         # each worker loads its own app instance and its own llm so no
-        # state is shared; strict-sequence transcripts cannot support this
-        if isinstance(llm, TranscriptLlm) and llm.mode == "sequence":
+        # state is shared; order-dependent clients cannot support this
+        if _order_dependent(llm):
             raise _UsageError("--parallel needs a keyed transcript or the http backend")
         with ThreadPoolExecutor(max_workers=cfg.runs) as pool:
             futures = [

@@ -12,7 +12,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import NoStepsFound
+from .errors import BudgetUnsatisfiable, NoStepsFound
 from .exemplars import ExemplarCorpus, ExtractionExemplar, select_exemplars
 from .llm import LlmClient, estimate_tokens
 from .steps import BugReport, Step, bind_tokens, bracket_tokens, render_steps, validate_step_list
@@ -87,7 +87,9 @@ def build_extraction_prompt(report: BugReport, corpus: ExemplarCorpus, budget: i
         segments.extend(_exemplar_segments(exemplar))
     segments.append(test)
     prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
-    assert estimate_tokens(prompt.rendered) <= budget
+    used = estimate_tokens(prompt.rendered)
+    if used > budget:
+        raise BudgetUnsatisfiable(f"prompt estimates {used} tokens of a {budget} budget")
     return prompt
 
 

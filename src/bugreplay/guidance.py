@@ -104,7 +104,9 @@ def build_guidance_prompt(
             segments.extend(_exemplar_segments(exemplar))
         segments.extend(test)
         prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
-        assert estimate_tokens(prompt.rendered) <= budget
+        used = estimate_tokens(prompt.rendered)
+        if used > budget:
+            raise BudgetUnsatisfiable(f"prompt estimates {used} tokens of a {budget} budget")
         return prompt
 
     try:

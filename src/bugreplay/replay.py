@@ -14,9 +14,12 @@ current step should land, and acts on the answer:
 Scroll steps execute directly; they target no component. App state is
 restored after a pop by pressing system back until the screen digest
 matches the snapshot, falling back to an app restart plus a verbatim
-replay of the recorded gesture prefix. Every run ends in one of four
-outcomes: the crash fired, the steps ran out without it, a budget ran
-out, or the pipeline itself failed.
+replay of the recorded gesture prefix. A restore starts from the dump the
+loop already holds, since no gesture has happened since it was taken, and
+hands the dump of the restored screen to the next iteration, so a screen
+is never dumped twice. Every run ends in one of four outcomes: the crash
+fired, the steps ran out without it, a budget ran out, or the pipeline
+itself failed.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .guidance import (
     build_guidance_prompt,
     parse_guidance_response,
 )
-from .gui import ViewNode, encode_gui, resolve_component, screen_digest
+from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, screen_digest
 from .llm import LlmClient
 from .steps import ActionType, Direction, Step, step_text, validate_step_list
 from .device import DeviceSession, apply_gestures
@@ -161,25 +164,35 @@ class _Snapshot:
     gesture_prefix: int
 
 
-def _current_digest(device: DeviceSession) -> str:
-    return screen_digest(encode_gui(device.dump_hierarchy()).html)
+# an encoded dump and its digest
+_Screen = tuple[EncodedGui, str]
 
 
-def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple]) -> None:
-    if _current_digest(device) == snap.digest:
-        return
+def _dump_screen(device: DeviceSession) -> _Screen:
+    encoded = encode_gui(device.dump_hierarchy())
+    return encoded, screen_digest(encoded.html)
+
+
+def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], screen: _Screen) -> _Screen:
+    """Bring back the snapshot's screen, starting from `screen`, the dump
+    of what the device shows now; returns the dump of the restored screen."""
+    if screen[1] == snap.digest:
+        return screen
     for _ in range(_BACK_ATTEMPTS):
         device.press_back()
         gestures.append(("back",))
-        if _current_digest(device) == snap.digest:
-            return
+        screen = _dump_screen(device)
+        if screen[1] == snap.digest:
+            return screen
     prefix = list(gestures[: snap.gesture_prefix])
     device.restart()
     gestures.append(("restart",))
     apply_gestures(device, prefix)
     gestures.extend(prefix)
-    if _current_digest(device) != snap.digest:
+    screen = _dump_screen(device)
+    if screen[1] != snap.digest:
         raise DeviceError("could not restore the prior screen after backtracking")
+    return screen
 
 
 def replay(
@@ -206,6 +219,8 @@ def replay(
     tried: dict[int, set[int]] = {}
     cursor = 0
     missing_depth = 0
+    # the dump of the current screen when no gesture has happened since
+    screen: _Screen | None = None
     started = time.monotonic()
 
     def finish(outcome: Outcome, detail: str | None = None) -> ReplayTrace:
@@ -214,16 +229,16 @@ def replay(
         trace.wall_time = time.monotonic() - started
         return trace
 
-    def backtrack() -> str | None:
+    def backtrack(current: _Screen) -> str | None:
         """Pop one snapshot and restore it; returns a stop reason or None."""
-        nonlocal cursor, missing_depth, tried
+        nonlocal cursor, missing_depth, tried, screen
         if not history:
             return "nowhere left to backtrack"
         if trace.backtracks_used >= budgets.backtracks:
             return "backtrack budget exhausted"
         snap = history.pop()
         trace.backtracks_used += 1
-        _restore(device, snap, trace.gestures)
+        screen = _restore(device, snap, trace.gestures, current)
         cursor = snap.cursor
         missing_depth = snap.missing_depth
         tried = {k: set(v) for k, v in snap.tried.items()}
@@ -240,8 +255,8 @@ def replay(
             if trace.actions_used >= budgets.actions:
                 return finish(Outcome.BUDGET_EXHAUSTED, "action budget exhausted")
 
-            encoded = encode_gui(device.dump_hierarchy())
-            digest = screen_digest(encoded.html)
+            encoded, digest = screen or _dump_screen(device)
+            screen = None
             step = steps[cursor]
 
             if step.action is ActionType.SCROLL:
@@ -281,7 +296,7 @@ def replay(
                 and not (result.missing and missing_depth >= budgets.max_missing_depth)
             )
             if not usable:
-                reason = backtrack()
+                reason = backtrack((encoded, digest))
                 if reason is not None:
                     return finish(Outcome.BUDGET_EXHAUSTED, reason)
                 continue

@@ -2,16 +2,18 @@
 import json
 import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+import bugreplay.cli as cli
 from bugreplay.cli import main
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt
 from bugreplay.gui import encode_gui, parse_dump
-from bugreplay.llm import prompt_digest
+from bugreplay.llm import LlmClient, LlmConfig, prompt_digest
 from bugreplay.steps import BugReport
 
 from helpers import scenario_single_step
@@ -230,6 +232,77 @@ class TestHttpThroughCli:
         assert capsys.readouterr().out == EXTRACTION + "\n"
 
 
+class _Gauge(_Pilot):
+    """Pilot that holds each request a moment and records the most
+    requests in flight at once. A request leaves the count before its
+    reply goes out, so one-at-a-time callers never overlap. The fixture
+    gives each server its own lock and counters."""
+
+    HOLD_S = 0.25
+
+    def do_POST(self):
+        gauge = type(self)
+        with gauge.lock:
+            gauge.in_flight += 1
+            gauge.peak = max(gauge.peak, gauge.in_flight)
+        time.sleep(gauge.HOLD_S)
+        with gauge.lock:
+            gauge.in_flight -= 1
+        super().do_POST()
+
+
+@pytest.fixture
+def gauge():
+    class Handler(_Gauge):
+        lock = threading.Lock()
+        in_flight = peak = 0
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    Handler.endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    yield Handler
+    server.shutdown()
+
+
+class _Staggered(LlmClient):
+    """Answers after a fixed delay and notes when it finished."""
+
+    def __init__(self, text, delay, finished):
+        super().__init__(LlmConfig(max_tokens=10 ** 6))
+        self.text, self.delay, self.finished = text, delay, finished
+
+    def _complete(self, prompt):
+        time.sleep(self.delay)
+        self.finished.append(self.text)
+        return self.text
+
+
+class TestConcurrentExtraction:
+    def test_http_runs_are_in_flight_together(self, ws, gauge, capsys):
+        args = ["extract", "crash.txt", "--llm", "http",
+                "--endpoint", gauge.endpoint, "--runs", "3"]
+        assert main(args) == 0
+        assert gauge.peak == 3
+        assert capsys.readouterr().out == EXTRACTION + "\n"
+        artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
+        assert [r["ok"] for r in artifact["runs"]] == [True, True, True]
+
+    def test_runs_keep_run_order_whatever_finishes_first(self, ws, monkeypatch, capsys):
+        # run k gets the k-th client made; later runs answer sooner
+        first, second, third = (f'1. [Tap] ["Run {k}"]' for k in (1, 2, 3))
+        finished = []
+        clients = iter([_Staggered(first, 0.4, finished), _Staggered(second, 0.2, finished),
+                        _Staggered(third, 0.0, finished)])
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: next(clients))
+        args = ["extract", "crash.txt", "--llm", "http", "--endpoint", "unused", "--runs", "3"]
+        assert main(args) == 0
+        assert finished == [third, second, first]
+        artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
+        assert [r["steps"][0]["component"] for r in artifact["runs"]] == ["Run 1", "Run 2", "Run 3"]
+        # a three-way tie still goes to the earliest run
+        assert capsys.readouterr().out == first + "\n"
+
+
 class TestEncode:
     DUMP = """<?xml version='1.0' encoding='UTF-8' standalone='yes' ?>
 <hierarchy rotation="0">
@@ -347,6 +420,48 @@ class TestPrecedence:
                "runs": 1}
         (ws / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["extract", "crash.txt", "--config", "cfg.json"]) == 0
+
+
+# (config key, RunConfig field, config value, environment value, flag value)
+# for every resolved setting. The flag is "--" plus the key with dashes, and
+# the environment variable is BUGREPLAY_ plus the key upper-cased.
+SETTINGS = [
+    ("llm", "llm_backend", "http", "transcript", "http"),
+    ("transcript", "transcript_path", "c.json", "e.json", "f.json"),
+    ("endpoint", "endpoint", "http://c.test", "http://e.test", "http://f.test"),
+    ("model", "model", "model-c", "model-e", "model-f"),
+    ("api_key_env", "api_key_env", "C_KEY", "E_KEY", "F_KEY"),
+    ("temperature", "temperature", 0.1, 0.2, 0.3),
+    ("corpus", "corpus_path", "c.json", "e.json", "f.json"),
+    ("token_budget", "token_budget", 1000, 2000, 3000),
+    ("actions_budget", "actions_budget", 5, 7, 9),
+    ("backtracks_budget", "backtracks_budget", 1, 2, 3),
+    ("wall_budget", "wall_budget", 1.5, 2.5, 3.5),
+    ("max_missing_depth", "max_missing_depth", 1, 3, 4),
+    ("runs", "runs", 5, 4, 2),
+    ("seed", "seed", 11, 12, 13),
+    ("device", "device_backend", "simulated", "adb", "simulated"),
+    ("app", "app_path", "c.json", "e.json", "f.json"),
+    ("serial", "serial", "serial-c", "serial-e", "serial-f"),
+    ("adb_path", "adb_path", "/c/adb", "/e/adb", "/f/adb"),
+    ("package", "package", "com.c", "com.e", "com.f"),
+    ("launch", "launch_command", "launch c", "launch e", "launch f"),
+    ("exclusion_clause", "exclusion_clause", ", not c {ids}", ", not e {ids}", ", not f {ids}"),
+]
+
+
+@pytest.mark.parametrize("key, field, in_file, in_env, on_flag", SETTINGS,
+                         ids=[row[0] for row in SETTINGS])
+def test_every_setting_honours_precedence(ws, monkeypatch, key, field, in_file, in_env, on_flag):
+    def resolved(*extra):
+        args = cli._build_parser().parse_args(["replay", "crash.txt", "--config", "cfg.json", *extra])
+        return getattr(cli._build_run_config(args), field)
+
+    (ws / "cfg.json").write_text(json.dumps({key: in_file}), encoding="utf-8")
+    assert resolved() == in_file
+    monkeypatch.setenv("BUGREPLAY_" + key.upper(), str(in_env))
+    assert resolved() == in_env
+    assert resolved("--" + key.replace("_", "-"), str(on_flag)) == on_flag
 
 
 class TestSecrets:

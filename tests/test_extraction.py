@@ -71,6 +71,13 @@ class TestPromptAssembly:
         with pytest.raises(BudgetUnsatisfiable):
             build_extraction_prompt(REPORT, corpus, 60)
 
+    def test_over_budget_prompt_raises_typed_error(self, corpus, monkeypatch):
+        # with every exemplar costed at nothing, selection overfills the
+        # prompt; the final check must hold under python -O as well
+        monkeypatch.setattr("bugreplay.extraction._exemplar_cost", lambda exemplar: 0)
+        with pytest.raises(BudgetUnsatisfiable):
+            build_extraction_prompt(REPORT, corpus, 700)
+
     def test_deterministic(self, corpus):
         a = build_extraction_prompt(REPORT, corpus, 4096)
         b = build_extraction_prompt(REPORT, corpus, 4096)

@@ -137,6 +137,14 @@ class TestPromptAssembly:
             build_guidance_prompt(parse_step_text("[Scroll] [down]"),
                                   encode_gui(SCREEN), corpus, 4096)
 
+    def test_over_budget_prompt_raises_typed_error(self, corpus, monkeypatch):
+        # with every exemplar costed at nothing, selection overfills the
+        # prompt; the final check must hold under python -O as well
+        monkeypatch.setattr("bugreplay.guidance._exemplar_cost", lambda exemplar: 0)
+        with pytest.raises(BudgetUnsatisfiable):
+            build_guidance_prompt(parse_step_text('[Tap] ["Log in"]'),
+                                  encode_gui(SCREEN), corpus, 200)
+
     def test_deterministic(self, corpus):
         step = parse_step_text('[Input] ["Username"] ["bob"]')
         a, _ = build_guidance_prompt(step, encode_gui(SCREEN), corpus, 4096)

@@ -217,6 +217,88 @@ class TestWrongIdRecovery:
         device.close()
 
 
+def scenario_double_trap():
+    """Decoys on two consecutive steps, into a dead end that ignores Back,
+    so the second restore replays a non-empty gesture prefix."""
+    def page(header, labels):
+        return stacked(header, [lambda y, t=label: button(t, y) for label in labels])
+
+    spec = _spec(
+        {"s0": {"tree": page("Start", ["Continue", "Skip setup"])},
+         "s1": {"tree": page("Middle", ["Next", "Quit"])},
+         "s2": {"tree": page("Last", ["Finish"])},
+         "dead": {"tree": page("Nothing here", [])}},
+        [{"from": "s0", "action": "tap", "id": 2, "to": "s1"},
+         {"from": "s0", "action": "tap", "id": 3, "to": "dead"},
+         {"from": "s1", "action": "tap", "id": 2, "to": "s2"},
+         {"from": "s1", "action": "tap", "id": 3, "to": "dead"},
+         {"from": "s2", "action": "tap", "id": 2, "to": CRASH_STATE}],
+        "s0")
+    return Scenario("double_trap", spec,
+                    ['[Tap] ["Continue"]', '[Tap] ["Next"]', '[Tap] ["Finish"]'],
+                    decoys={"Continue": [3], "Next": [3, 3]})
+
+
+class CallLog:
+    """Delegates to a device session and records each method called."""
+
+    GESTURES = {"tap", "double_tap", "long_tap", "swipe", "type_text", "press_back", "restart"}
+
+    def __init__(self, device):
+        self.device = device
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.device, name)
+        if not callable(attr):
+            return attr
+
+        def logged(*args):
+            self.calls.append(name)
+            return attr(*args)
+        return logged
+
+
+FIRST, SECOND = ("tap", 540, 245), ("tap", 540, 375)
+BACK3 = [("back",)] * 3
+RESTART = ("restart",)
+
+
+class TestDumpReuse:
+    """Restores reuse the dump in hand and hand theirs on, so the screen is
+    dumped only after a gesture; what the replay does stays the same."""
+
+    @pytest.mark.parametrize("build, gestures, events", [
+        # restored by one Back press
+        (scenario_two_branch, [SECOND, ("back",), FIRST, FIRST],
+         [(1, 3), (1, 2), (2, 2)]),
+        # restored by a restart with an empty prefix
+        (scenario_no_back_decoy, [SECOND, *BACK3, RESTART, FIRST, FIRST],
+         [(1, 3), (1, 2), (2, 2)]),
+        # restored by restarts, the second replaying a prefix
+        (scenario_double_trap,
+         [SECOND, *BACK3, RESTART, FIRST, SECOND, *BACK3, RESTART,
+          SECOND, *BACK3, RESTART, FIRST, FIRST, FIRST],
+         [(1, 3), (1, 2), (2, 3), (2, 2), (3, 2)]),
+    ])
+    def test_no_dump_without_a_gesture_between(self, build, gestures, events):
+        scenario = build()
+        device = CallLog(fresh_device(scenario))
+        try:
+            trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                           report_id=scenario.name)
+        finally:
+            device.close()
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.backtracks_used >= 1
+        assert trace.gestures == gestures
+        assert [(e.step.index, e.resolved_id) for e in trace.events] == events
+        assert not any(e.exploratory for e in trace.events)
+        seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
+        assert seen[0] == "dump_hierarchy"
+        assert all(not (a == b == "dump_hierarchy") for a, b in zip(seen, seen[1:]))
+
+
 class TestAdversarialGuidance:
     def test_always_missing_exhausts_and_terminates(self):
         scenario = scenario_single_step()
@@ -256,24 +338,7 @@ class TestBudgets:
 
     def test_backtrack_budget_exhausts_mid_recovery(self):
         # two navigating traps in a row; budget 1 covers only the first
-        def page(header, labels):
-            return stacked(header, [lambda y, t=label: button(t, y) for label in labels])
-
-        spec = _spec(
-            {"s0": {"tree": page("Start", ["Continue", "Skip setup"])},
-             "s1": {"tree": page("Middle", ["Next", "Quit"])},
-             "s2": {"tree": page("Last", ["Finish"])},
-             "dead": {"tree": page("Nothing here", [])}},
-            [{"from": "s0", "action": "tap", "id": 2, "to": "s1"},
-             {"from": "s0", "action": "tap", "id": 3, "to": "dead"},
-             {"from": "s1", "action": "tap", "id": 2, "to": "s2"},
-             {"from": "s1", "action": "tap", "id": 3, "to": "dead"},
-             {"from": "s2", "action": "tap", "id": 2, "to": CRASH_STATE}],
-            "s0")
-        scenario = Scenario("double_trap", spec,
-                            ['[Tap] ["Continue"]', '[Tap] ["Next"]', '[Tap] ["Finish"]'],
-                            decoys={"Continue": [3], "Next": [3, 3]})
-        trace = run(scenario, budgets=Budgets(backtracks=1))
+        trace = run(scenario_double_trap(), budgets=Budgets(backtracks=1))
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.error_detail == "backtrack budget exhausted"
         assert trace.backtracks_used == 1
