@@ -47,31 +47,32 @@ class _UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything one invocation resolved to, after precedence."""
+    """Everything one invocation resolved to, after precedence. Each
+    setting field is named after its flag's dest."""
 
     command: str
     report_path: str | None = None
-    out_base: str | None = None
-    llm_backend: str = "http"
-    transcript_path: str | None = None
+    out: str | None = None
+    llm: str = "http"
+    transcript: str | None = None
     endpoint: str | None = None
     model: str | None = None
     api_key_env: str = DEFAULT_API_KEY_ENV
     temperature: float = 0.0
-    corpus_path: str | None = None
-    token_budget: int = 4096
-    actions_budget: int = 50
-    backtracks_budget: int = 10
-    wall_budget: float = 600.0
-    max_missing_depth: int = 2
+    corpus: str | None = None
+    token_budget: int = Budgets.tokens
+    actions_budget: int = Budgets.actions
+    backtracks_budget: int = Budgets.backtracks
+    wall_budget: float = Budgets.wall_seconds
+    max_missing_depth: int = Budgets.max_missing_depth
     runs: int = 3
     seed: int | None = None
-    device_backend: str = "simulated"
-    app_path: str | None = None
+    device: str = "simulated"
+    app: str | None = None
     serial: str | None = None
     adb_path: str = "adb"
     package: str | None = None
-    launch_command: str | None = None
+    launch: str | None = None
     parallel: bool = False
     exclusion_clause: str = EXCLUSION_CLAUSE
 
@@ -87,6 +88,8 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser. Every value-taking option of a subcommand other than
+    --config is a setting; the namespace carries them as `settings`."""
     parser = argparse.ArgumentParser(
         prog="bugreplay",
         description="Extract reproduction steps from bug reports and replay them on a device.",
@@ -95,18 +98,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags and environment override it")
-    common.add_argument("--llm", choices=["http", "transcript"], dest="llm_backend")
-    common.add_argument("--transcript", dest="transcript_path", help="canned response file for --llm transcript")
+    common.add_argument("--llm", choices=["http", "transcript"])
+    common.add_argument("--transcript", help="canned response file for --llm transcript")
     common.add_argument("--endpoint", help="chat completion endpoint URL")
     common.add_argument("--model", help="model name sent to the endpoint")
-    common.add_argument("--api-key-env", dest="api_key_env",
+    common.add_argument("--api-key-env",
                         help=f"environment variable holding the API key (default {DEFAULT_API_KEY_ENV})")
     common.add_argument("--temperature", type=float)
-    common.add_argument("--corpus", dest="corpus_path", help="exemplar corpus file (default: built-in)")
-    common.add_argument("--token-budget", dest="token_budget", type=int)
+    common.add_argument("--corpus", help="exemplar corpus file (default: built-in)")
+    common.add_argument("--token-budget", type=int)
     common.add_argument("--runs", type=int, help="repeat runs to smooth model instability (default 3)")
     common.add_argument("--seed", type=int, help="recorded in output artifacts")
-    common.add_argument("--out", dest="out_base", help="output base path (default: report stem in cwd)")
+    common.add_argument("--out", help="output base path (default: report stem in cwd)")
     common.add_argument("-v", "--verbose", action="store_true")
 
     p_extract = sub.add_parser("extract", parents=[common], help="extract steps from a bug report")
@@ -114,23 +117,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", parents=[common], help="extract steps, then replay them")
     p_replay.add_argument("report")
-    p_replay.add_argument("--device", choices=["simulated", "adb"], dest="device_backend")
-    p_replay.add_argument("--app", dest="app_path", help="simulated app spec file")
+    p_replay.add_argument("--device", choices=["simulated", "adb"])
+    p_replay.add_argument("--app", help="simulated app spec file")
     p_replay.add_argument("--serial", help="adb device serial")
-    p_replay.add_argument("--adb-path", dest="adb_path")
+    p_replay.add_argument("--adb-path")
     p_replay.add_argument("--package", help="app package name, for crash and restart handling")
-    p_replay.add_argument("--launch", dest="launch_command", help="shell command that launches the app")
-    p_replay.add_argument("--actions-budget", dest="actions_budget", type=int)
-    p_replay.add_argument("--backtracks-budget", dest="backtracks_budget", type=int)
-    p_replay.add_argument("--wall-budget", dest="wall_budget", type=float)
-    p_replay.add_argument("--max-missing-depth", dest="max_missing_depth", type=int)
-    p_replay.add_argument("--exclusion-clause", dest="exclusion_clause",
+    p_replay.add_argument("--launch", help="shell command that launches the app")
+    p_replay.add_argument("--actions-budget", type=int)
+    p_replay.add_argument("--backtracks-budget", type=int)
+    p_replay.add_argument("--wall-budget", type=float)
+    p_replay.add_argument("--max-missing-depth", type=int)
+    p_replay.add_argument("--exclusion-clause",
                           help="template appended to guidance queries, with an {ids} placeholder")
     p_replay.add_argument("--parallel", action="store_true",
                           help="run replays concurrently (simulated devices only)")
 
     p_encode = sub.add_parser("encode", parents=[common], help="print the HTML encoding of a dump")
     p_encode.add_argument("dump", help="UIAutomator dump XML file")
+    for p in sub.choices.values():
+        p.set_defaults(settings=[a for a in p._actions
+                                 if a.option_strings and a.nargs != 0 and a.dest != "config"])
     return parser
 
 
@@ -146,43 +152,36 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve(flag, file_cfg: dict, key: str, default, cast=None):
-    """flag > BUGREPLAY_<KEY> environment variable > config file > default."""
-    for candidate in (flag, os.environ.get(ENV_PREFIX + key.upper()), file_cfg.get(key)):
-        if candidate is not None:
-            return cast(candidate) if cast else candidate
-    return default
+def _convert(action: argparse.Action, raw, source: str):
+    """raw as the flag would have taken it, through its type and choices."""
+    try:
+        value = action.type(str(raw)) if action.type else str(raw)
+    except ValueError:
+        raise _UsageError(f"{source}: invalid {action.type.__name__} value: {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(f"{source}: invalid choice {raw!r} (choose from {', '.join(action.choices)})")
+    return value
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    g = lambda name: getattr(args, name, None)
+    """Each setting the subcommand takes resolves as flag >
+    BUGREPLAY_<DEST> environment variable > config key <dest> > default."""
+    file_cfg = _load_config_file(args.config)
+    values = {}
+    for action in args.settings:
+        name, env = action.dest, ENV_PREFIX + action.dest.upper()
+        value = getattr(args, name)
+        if value is None and env in os.environ:
+            value = _convert(action, os.environ[env], env)
+        if value is None and file_cfg.get(name) is not None:
+            value = _convert(action, file_cfg[name], f"config file {args.config}: key {name!r}")
+        if value is not None:
+            values[name] = value
     cfg = RunConfig(
         command=args.command,
-        report_path=g("report"),
-        out_base=g("out_base"),
-        llm_backend=_resolve(g("llm_backend"), file_cfg, "llm", "http"),
-        transcript_path=_resolve(g("transcript_path"), file_cfg, "transcript", None),
-        endpoint=_resolve(g("endpoint"), file_cfg, "endpoint", None),
-        model=_resolve(g("model"), file_cfg, "model", None),
-        api_key_env=_resolve(g("api_key_env"), file_cfg, "api_key_env", DEFAULT_API_KEY_ENV),
-        temperature=_resolve(g("temperature"), file_cfg, "temperature", 0.0, float),
-        corpus_path=_resolve(g("corpus_path"), file_cfg, "corpus", None),
-        token_budget=_resolve(g("token_budget"), file_cfg, "token_budget", 4096, int),
-        actions_budget=_resolve(g("actions_budget"), file_cfg, "actions_budget", 50, int),
-        backtracks_budget=_resolve(g("backtracks_budget"), file_cfg, "backtracks_budget", 10, int),
-        wall_budget=_resolve(g("wall_budget"), file_cfg, "wall_budget", 600.0, float),
-        max_missing_depth=_resolve(g("max_missing_depth"), file_cfg, "max_missing_depth", 2, int),
-        runs=_resolve(g("runs"), file_cfg, "runs", 3, int),
-        seed=_resolve(g("seed"), file_cfg, "seed", None, int),
-        device_backend=_resolve(g("device_backend"), file_cfg, "device", "simulated"),
-        app_path=_resolve(g("app_path"), file_cfg, "app", None),
-        serial=_resolve(g("serial"), file_cfg, "serial", None),
-        adb_path=_resolve(g("adb_path"), file_cfg, "adb_path", "adb"),
-        package=_resolve(g("package"), file_cfg, "package", None),
-        launch_command=_resolve(g("launch_command"), file_cfg, "launch", None),
-        parallel=bool(g("parallel")),
-        exclusion_clause=_resolve(g("exclusion_clause"), file_cfg, "exclusion_clause", EXCLUSION_CLAUSE),
+        report_path=getattr(args, "report", None),
+        parallel=getattr(args, "parallel", False),
+        **values,
     )
     if cfg.runs < 1:
         raise _UsageError("--runs must be at least 1")
@@ -197,22 +196,22 @@ def _load_report(path: str) -> BugReport:
         raise _UsageError(f"cannot read report {path}: {exc}") from exc
     try:
         data = json.loads(text)
+    except json.JSONDecodeError:
+        data = None
+    try:
         if isinstance(data, dict) and "text" in data:
             return BugReport(id=str(data.get("id", p.stem)), raw_text=data["text"])
-    except ValueError:
-        pass
-    try:
         return BugReport(id=p.stem, raw_text=text)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(f"report {path}: {exc}") from exc
 
 
 def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
-    if cfg.corpus_path:
+    if cfg.corpus:
         try:
-            corpus = ExemplarCorpus.load(cfg.corpus_path)
+            corpus = ExemplarCorpus.load(cfg.corpus)
         except (OSError, ValueError, KeyError) as exc:
-            raise _UsageError(f"cannot load corpus {cfg.corpus_path}: {exc}") from exc
+            raise _UsageError(f"cannot load corpus {cfg.corpus}: {exc}") from exc
     else:
         corpus = ExemplarCorpus.builtin()
     if not corpus.extraction:
@@ -223,28 +222,31 @@ def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
 
 
 def _make_llm(cfg: RunConfig) -> LlmClient:
-    llm_config = LlmConfig(
-        endpoint=cfg.endpoint or "",
-        model=cfg.model or "",
-        api_key=os.environ.get(cfg.api_key_env),
-        max_tokens=cfg.token_budget,
-        temperature=cfg.temperature,
-    )
-    if cfg.llm_backend == "transcript":
-        if not cfg.transcript_path:
+    try:
+        llm_config = LlmConfig(
+            endpoint=cfg.endpoint or "",
+            model=cfg.model or "",
+            api_key=os.environ.get(cfg.api_key_env),
+            max_tokens=cfg.token_budget,
+            temperature=cfg.temperature,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"--token-budget: {exc}") from exc
+    if cfg.llm == "transcript":
+        if not cfg.transcript:
             raise _UsageError("--llm transcript requires --transcript")
         try:
-            return TranscriptLlm.from_file(cfg.transcript_path, config=llm_config)
+            return TranscriptLlm.from_file(cfg.transcript, config=llm_config)
         except (OSError, ValueError, KeyError) as exc:
-            raise _UsageError(f"cannot load transcript {cfg.transcript_path}: {exc}") from exc
+            raise _UsageError(f"cannot load transcript {cfg.transcript}: {exc}") from exc
     if not cfg.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
     return HttpLlm(llm_config)
 
 
 def _out_base(cfg: RunConfig) -> Path:
-    if cfg.out_base:
-        return Path(cfg.out_base)
+    if cfg.out:
+        return Path(cfg.out)
     return Path.cwd() / Path(cfg.report_path).stem
 
 
@@ -324,19 +326,19 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 
 def _make_device(cfg: RunConfig) -> DeviceSession:
-    if cfg.device_backend == "simulated":
-        if not cfg.app_path:
+    if cfg.device == "simulated":
+        if not cfg.app:
             raise _UsageError("--device simulated requires --app")
         try:
-            app = SimulatedApp.load(cfg.app_path)
+            app = SimulatedApp.load(cfg.app)
         except (OSError, ValueError, KeyError) as exc:
-            raise _UsageError(f"cannot load app spec {cfg.app_path}: {exc}") from exc
+            raise _UsageError(f"cannot load app spec {cfg.app}: {exc}") from exc
         return SimulatedDevice(app)
     return AdbDevice(AdbConfig(
         serial=cfg.serial,
         adb_path=cfg.adb_path,
         package=cfg.package,
-        launch_command=cfg.launch_command,
+        launch_command=cfg.launch,
     ))
 
 
@@ -344,7 +346,7 @@ def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient,
                  corpus: ExemplarCorpus, report_id: str) -> ReplayTrace:
     device = _make_device(cfg)
     try:
-        if cfg.device_backend == "adb":
+        if cfg.device == "adb":
             device.restart()
         return replay(
             steps, device, llm, corpus, cfg.budgets, report_id,
@@ -378,7 +380,7 @@ def cmd_replay(cfg: RunConfig) -> int:
 
     traces: list[ReplayTrace] = []
     if cfg.parallel:
-        if cfg.device_backend != "simulated":
+        if cfg.device != "simulated":
             raise _UsageError("--parallel requires the simulated device backend")
         # each worker loads its own app instance and its own llm so no
         # state is shared; order-dependent clients cannot support this

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import DeviceError
-from .gui import Bounds, ViewNode, parse_dump
+from .gui import Bounds, ViewNode, encode_gui, parse_dump
 from .steps import Direction, Step
 
 logger = logging.getLogger(__name__)
@@ -81,19 +81,6 @@ class DeviceSession(ABC):
         pass
 
 
-def preorder(root: ViewNode):
-    """Yield (preorder_id, node, depth) over a tree, matching the full
-    encoding's id assignment."""
-    stack = [(root, 0)]
-    nid = 0
-    while stack:
-        node, depth = stack.pop()
-        yield nid, node, depth
-        nid += 1
-        for child in reversed(node.children):
-            stack.append((child, depth + 1))
-
-
 def _tree_from_literal(data: dict) -> ViewNode:
     bounds = data.get("bounds")
     return ViewNode(
@@ -124,7 +111,7 @@ class SimulatedApp:
         for name in crash_states:
             if name not in states:
                 raise ValueError(f"crash state {name!r} is not defined")
-        counts = {name: sum(1 for _ in preorder(tree)) for name, tree in states.items()}
+        counts = {name: len(encode_gui(tree).index) for name, tree in states.items()}
         for key, target in transitions.items():
             state, kind, subject = key
             if state not in states:
@@ -148,7 +135,6 @@ class SimulatedApp:
         self.initial = initial
         self.crash_states = frozenset(crash_states)
         self.screen = screen
-        self._claimed = False
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulatedApp":
@@ -189,18 +175,16 @@ class SimulatedDevice(DeviceSession):
     Taps hit-test against the current tree: among nodes containing the
     point, the deepest one with a transition for the gesture wins, else
     the deepest plain node (which then just takes focus). Typed text goes
-    to the focused node. One live session per app instance.
+    to the focused node. All session state lives here, so any number of
+    sessions can share one app.
     """
 
     def __init__(self, app: SimulatedApp):
-        if app._claimed:
-            raise DeviceError("simulated app already has a live session")
-        app._claimed = True
         self.app = app
         self.current = app.initial
         self._focused: int | None = None
         self._closed = False
-        self._geometry: dict[str, list[tuple[int, ViewNode, int]]] = {}
+        self._geometry: dict[str, list[tuple[int, int, ViewNode]]] = {}
 
     @property
     def screen_size(self) -> tuple[int, int]:
@@ -210,15 +194,23 @@ class SimulatedDevice(DeviceSession):
         if self._closed:
             raise DeviceError("session is closed")
 
-    def _nodes(self) -> list[tuple[int, ViewNode, int]]:
+    def _nodes(self) -> list[tuple[int, int, ViewNode]]:
+        """(depth, id, node) for every node of the current screen's full
+        encoding; parents precede children in its index."""
         if self.current not in self._geometry:
-            self._geometry[self.current] = list(preorder(self.app.states[self.current]))
+            depths: dict[int, int] = {}
+            nodes = []
+            for nid, node in encode_gui(self.app.states[self.current]).index.items():
+                depth = depths.get(id(node), 0)
+                depths.update((id(child), depth + 1) for child in node.children)
+                nodes.append((depth, nid, node))
+            self._geometry[self.current] = nodes
         return self._geometry[self.current]
 
     def _hit(self, x: int, y: int, kind: str) -> int | None:
         containing = [
             (depth, nid)
-            for nid, node, depth in self._nodes()
+            for depth, nid, node in self._nodes()
             if node.bounds.left <= x < max(node.bounds.right, node.bounds.left + 1)
             and node.bounds.top <= y < max(node.bounds.bottom, node.bounds.top + 1)
         ]
@@ -288,9 +280,7 @@ class SimulatedDevice(DeviceSession):
         return self.current in self.app.crash_states
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.app._claimed = False
+        self._closed = True
 
 
 @dataclass

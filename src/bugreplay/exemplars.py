@@ -18,15 +18,35 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import BudgetUnsatisfiable
+from .llm import estimate_tokens
 from .steps import Step, parse_step_text, validate_step_list
 
 if TYPE_CHECKING:
     from .guidance import GuidanceResult
 
 MAX_EXEMPLARS = 3
+SEGMENT_SEP = "\n\n"
+
+
+@dataclass(frozen=True)
+class PromptSegment:
+    kind: str
+    text: str
+
+
+@dataclass(frozen=True)
+class Prompt:
+    """An ordered list of labeled text blocks; rendered is their join."""
+
+    segments: tuple[PromptSegment, ...]
+    exemplar_count: int
+
+    @property
+    def rendered(self) -> str:
+        return SEGMENT_SEP.join(s.text for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -140,3 +160,34 @@ def select_exemplars(
             f"({test_prompt_size} tokens) exceeds the {budget} token budget"
         )
     return chosen
+
+
+def exemplar_cost(segments: Iterable[PromptSegment]) -> int:
+    """Estimated tokens one exemplar's blocks add to a prompt, separator included."""
+    return estimate_tokens(SEGMENT_SEP.join(s.text for s in segments) + SEGMENT_SEP)
+
+
+def fit_prompt(
+    head: list[PromptSegment],
+    pool: Sequence,
+    segments_of: Callable[[object], list[PromptSegment]],
+    tail: list[PromptSegment],
+    budget: int,
+) -> Prompt:
+    """The few-shot prompt: head, then 1..3 exemplars from pool, then tail.
+
+    segments_of expands one exemplar into its blocks. Exemplars are chosen
+    by select_exemplars against the estimated size of head plus tail.
+    Raises BudgetUnsatisfiable when not even one exemplar fits, or when
+    the assembled prompt still estimates over budget.
+    """
+    fixed_size = estimate_tokens(SEGMENT_SEP.join(s.text for s in head + tail))
+    chosen = select_exemplars(
+        list(pool), budget, fixed_size, cost=lambda e: exemplar_cost(segments_of(e))
+    )
+    segments = head + [s for e in chosen for s in segments_of(e)] + tail
+    prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
+    used = estimate_tokens(prompt.rendered)
+    if used > budget:
+        raise BudgetUnsatisfiable(f"prompt estimates {used} tokens of a {budget} budget")
+    return prompt

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 
-from .errors import BudgetUnsatisfiable, NoStepsFound
-from .exemplars import ExemplarCorpus, ExtractionExemplar, select_exemplars
-from .llm import LlmClient, estimate_tokens
+from .errors import NoStepsFound
+from .exemplars import ExemplarCorpus, ExtractionExemplar, Prompt, PromptSegment, fit_prompt
+from .llm import LlmClient
 from .steps import BugReport, Step, bind_tokens, bracket_tokens, render_steps, validate_step_list
 
 logger = logging.getLogger(__name__)
@@ -25,26 +24,6 @@ PRIMITIVES_SPEC = (
     "[Double-tap] [Component], [Long-tap] [Component]"
 )
 OUTPUT_PREFACE = "Overall, the extracted S2R entities are:"
-
-_SEGMENT_SEP = "\n\n"
-
-
-@dataclass(frozen=True)
-class PromptSegment:
-    kind: str
-    text: str
-
-
-@dataclass(frozen=True)
-class Prompt:
-    """An ordered list of labeled text blocks; rendered is their join."""
-
-    segments: tuple[PromptSegment, ...]
-    exemplar_count: int
-
-    @property
-    def rendered(self) -> str:
-        return _SEGMENT_SEP.join(s.text for s in self.segments)
 
 
 def exemplar_output_block(exemplar: ExtractionExemplar) -> str:
@@ -59,38 +38,18 @@ def _exemplar_segments(exemplar: ExtractionExemplar) -> list[PromptSegment]:
     ]
 
 
-def _exemplar_cost(exemplar: ExtractionExemplar) -> int:
-    block = _SEGMENT_SEP.join(s.text for s in _exemplar_segments(exemplar))
-    return estimate_tokens(block + _SEGMENT_SEP)
-
-
 def build_extraction_prompt(report: BugReport, corpus: ExemplarCorpus, budget: int) -> Prompt:
     """Deterministic prompt for one report under a token budget.
 
     Greedy in-order exemplar selection; raises BudgetUnsatisfiable when
     not even one exemplar fits alongside the fixed blocks and the report.
     """
-    fixed = [
+    head = [
         PromptSegment("actions_spec", ACTIONS_SPEC),
         PromptSegment("primitives_spec", PRIMITIVES_SPEC),
     ]
-    test = PromptSegment("test_input", report.raw_text)
-    surround = _SEGMENT_SEP.join(s.text for s in fixed + [test])
-    chosen = select_exemplars(
-        list(corpus.extraction),
-        budget,
-        estimate_tokens(surround),
-        cost=_exemplar_cost,
-    )
-    segments = list(fixed)
-    for exemplar in chosen:
-        segments.extend(_exemplar_segments(exemplar))
-    segments.append(test)
-    prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
-    used = estimate_tokens(prompt.rendered)
-    if used > budget:
-        raise BudgetUnsatisfiable(f"prompt estimates {used} tokens of a {budget} budget")
-    return prompt
+    tail = [PromptSegment("test_input", report.raw_text)]
+    return fit_prompt(head, corpus.extraction, _exemplar_segments, tail, budget)
 
 
 _NUMBERED_LINE_RE = re.compile(r"\s*(\d+)\s*[.)]\s*(.*)$")

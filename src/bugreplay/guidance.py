@@ -15,10 +15,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import BudgetUnsatisfiable, NoActionableAnswer
-from .exemplars import ExemplarCorpus, GuidanceExemplar, select_exemplars
-from .extraction import Prompt, PromptSegment, _SEGMENT_SEP
+from .exemplars import ExemplarCorpus, GuidanceExemplar, Prompt, PromptSegment, fit_prompt
 from .gui import EncodedGui, encode_gui
-from .llm import estimate_tokens
 from .steps import ActionType, Step, step_text
 
 #: Actions that target a visible component and therefore need guidance.
@@ -67,11 +65,6 @@ def _exemplar_segments(exemplar: GuidanceExemplar) -> list[PromptSegment]:
     ]
 
 
-def _exemplar_cost(exemplar: GuidanceExemplar) -> int:
-    block = _SEGMENT_SEP.join(s.text for s in _exemplar_segments(exemplar))
-    return estimate_tokens(block + _SEGMENT_SEP)
-
-
 def build_guidance_prompt(
     step: Step,
     encoded: EncodedGui,
@@ -93,21 +86,11 @@ def build_guidance_prompt(
         raise ValueError(f"{step.action} steps do not take guidance")
 
     def attempt(enc: EncodedGui) -> Prompt:
-        test = [
+        tail = [
             PromptSegment("test_gui", enc.html),
             PromptSegment("test_query", format_guidance_query(step, excluded_ids, exclusion_clause)),
         ]
-        test_size = estimate_tokens(_SEGMENT_SEP.join(s.text for s in test))
-        chosen = select_exemplars(list(corpus.guidance), budget, test_size, cost=_exemplar_cost)
-        segments: list[PromptSegment] = []
-        for exemplar in chosen:
-            segments.extend(_exemplar_segments(exemplar))
-        segments.extend(test)
-        prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
-        used = estimate_tokens(prompt.rendered)
-        if used > budget:
-            raise BudgetUnsatisfiable(f"prompt estimates {used} tokens of a {budget} budget")
-        return prompt
+        return fit_prompt([], corpus.guidance, _exemplar_segments, tail, budget)
 
     try:
         return attempt(encoded), encoded

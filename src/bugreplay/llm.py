@@ -25,7 +25,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .extraction import Prompt
+    from .exemplars import Prompt
 
 logger = logging.getLogger(__name__)
 

@@ -150,7 +150,9 @@ class BugReport:
     def __post_init__(self):
         if not self.id:
             raise ValueError("bug report id must be non-empty")
-        if not self.raw_text or not self.raw_text.strip():
+        if not isinstance(self.raw_text, str):
+            raise ValueError("bug report text must be a string")
+        if not self.raw_text.strip():
             raise ValueError("bug report text must be non-empty")
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import bugreplay.cli as cli
 from bugreplay.cli import main
+from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt
 from bugreplay.gui import encode_gui, parse_dump
@@ -379,6 +380,55 @@ class TestUsageErrors:
         assert main(args) == 2
         assert "app spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, env, config, source", [
+        ("extract", {"BUGREPLAY_RUNS": "abc"}, {}, "BUGREPLAY_RUNS"),
+        ("extract", {"BUGREPLAY_LLM": "transcrpt"}, {}, "BUGREPLAY_LLM"),
+        ("replay", {"BUGREPLAY_DEVICE": "adbb"}, {}, "BUGREPLAY_DEVICE"),
+        ("extract", {}, {"runs": 2.7}, "'runs'"),
+    ], ids=["env-runs", "env-llm", "env-device", "config-runs"])
+    def test_bad_setting_value_names_its_source(self, ws, capsys, monkeypatch,
+                                                command, env, config, source):
+        # the same values given as flags are rejected by argparse with exit 2
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        setup = {"llm": "transcript", "transcript": transcript(ws, [EXTRACTION, GUIDANCE] * 3),
+                 "app": "app.json"}
+        (ws / "cfg.json").write_text(json.dumps(setup | config), encoding="utf-8")
+        assert main([command, "crash.txt", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert source in err
+        assert "Traceback" not in err
+
+    def test_zero_token_budget(self, ws, capsys):
+        assert main(["extract", "crash.txt", "--token-budget", "0", *targs(ws, [EXTRACTION])]) == 2
+        err = capsys.readouterr().err
+        assert "--token-budget" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("body", [{"id": "x", "text": "   "}, {"text": 5}],
+                             ids=["blank-text", "number-text"])
+    def test_json_report_with_bad_text(self, ws, capsys, body):
+        (ws / "filed.json").write_text(json.dumps(body), encoding="utf-8")
+        assert main(["extract", "filed.json", *targs(ws, [EXTRACTION])]) == 2
+        assert "bug report text" in capsys.readouterr().err
+        assert not (ws / "filed.steps.txt").exists()
+
+
+def test_adb_flags_reach_the_adb_config(ws, monkeypatch):
+    seen = []
+
+    def recorder(config):
+        seen.append(config)
+        return SimulatedDevice(SimulatedApp.load("app.json"))
+
+    monkeypatch.setattr(cli, "AdbDevice", recorder)
+    args = ["replay", "crash.txt", "--device", "adb", "--serial", "emulator-5554",
+            "--adb-path", "tools/adb", "--package", "com.demo",
+            "--launch", "am start -n com.demo/.Main", *targs(ws, [EXTRACTION, GUIDANCE])]
+    assert main(args) == 0
+    assert [(c.serial, c.adb_path, c.package, c.launch_command) for c in seen] == [
+        ("emulator-5554", "tools/adb", "com.demo", "am start -n com.demo/.Main")]
+
 
 class TestPrecedence:
     def six(self, ws):
@@ -422,40 +472,42 @@ class TestPrecedence:
         assert main(["extract", "crash.txt", "--config", "cfg.json"]) == 0
 
 
-# (config key, RunConfig field, config value, environment value, flag value)
-# for every resolved setting. The flag is "--" plus the key with dashes, and
-# the environment variable is BUGREPLAY_ plus the key upper-cased.
+# (config key, config value, environment value, flag value) for every
+# resolved setting. The key is also the RunConfig field, the flag is "--"
+# plus the key with dashes, and the environment variable is BUGREPLAY_ plus
+# the key upper-cased.
 SETTINGS = [
-    ("llm", "llm_backend", "http", "transcript", "http"),
-    ("transcript", "transcript_path", "c.json", "e.json", "f.json"),
-    ("endpoint", "endpoint", "http://c.test", "http://e.test", "http://f.test"),
-    ("model", "model", "model-c", "model-e", "model-f"),
-    ("api_key_env", "api_key_env", "C_KEY", "E_KEY", "F_KEY"),
-    ("temperature", "temperature", 0.1, 0.2, 0.3),
-    ("corpus", "corpus_path", "c.json", "e.json", "f.json"),
-    ("token_budget", "token_budget", 1000, 2000, 3000),
-    ("actions_budget", "actions_budget", 5, 7, 9),
-    ("backtracks_budget", "backtracks_budget", 1, 2, 3),
-    ("wall_budget", "wall_budget", 1.5, 2.5, 3.5),
-    ("max_missing_depth", "max_missing_depth", 1, 3, 4),
-    ("runs", "runs", 5, 4, 2),
-    ("seed", "seed", 11, 12, 13),
-    ("device", "device_backend", "simulated", "adb", "simulated"),
-    ("app", "app_path", "c.json", "e.json", "f.json"),
-    ("serial", "serial", "serial-c", "serial-e", "serial-f"),
-    ("adb_path", "adb_path", "/c/adb", "/e/adb", "/f/adb"),
-    ("package", "package", "com.c", "com.e", "com.f"),
-    ("launch", "launch_command", "launch c", "launch e", "launch f"),
-    ("exclusion_clause", "exclusion_clause", ", not c {ids}", ", not e {ids}", ", not f {ids}"),
+    ("llm", "http", "transcript", "http"),
+    ("transcript", "c.json", "e.json", "f.json"),
+    ("endpoint", "http://c.test", "http://e.test", "http://f.test"),
+    ("model", "model-c", "model-e", "model-f"),
+    ("api_key_env", "C_KEY", "E_KEY", "F_KEY"),
+    ("temperature", 0.1, 0.2, 0.3),
+    ("corpus", "c.json", "e.json", "f.json"),
+    ("token_budget", 1000, 2000, 3000),
+    ("actions_budget", 5, 7, 9),
+    ("backtracks_budget", 1, 2, 3),
+    ("wall_budget", 1.5, 2.5, 3.5),
+    ("max_missing_depth", 1, 3, 4),
+    ("runs", 5, 4, 2),
+    ("seed", 11, 12, 13),
+    ("out", "c/base", "e/base", "f/base"),
+    ("device", "simulated", "adb", "simulated"),
+    ("app", "c.json", "e.json", "f.json"),
+    ("serial", "serial-c", "serial-e", "serial-f"),
+    ("adb_path", "/c/adb", "/e/adb", "/f/adb"),
+    ("package", "com.c", "com.e", "com.f"),
+    ("launch", "launch c", "launch e", "launch f"),
+    ("exclusion_clause", ", not c {ids}", ", not e {ids}", ", not f {ids}"),
 ]
 
 
-@pytest.mark.parametrize("key, field, in_file, in_env, on_flag", SETTINGS,
+@pytest.mark.parametrize("key, in_file, in_env, on_flag", SETTINGS,
                          ids=[row[0] for row in SETTINGS])
-def test_every_setting_honours_precedence(ws, monkeypatch, key, field, in_file, in_env, on_flag):
+def test_every_setting_honours_precedence(ws, monkeypatch, key, in_file, in_env, on_flag):
     def resolved(*extra):
         args = cli._build_parser().parse_args(["replay", "crash.txt", "--config", "cfg.json", *extra])
-        return getattr(cli._build_run_config(args), field)
+        return getattr(cli._build_run_config(args), key)
 
     (ws / "cfg.json").write_text(json.dumps({key: in_file}), encoding="utf-8")
     assert resolved() == in_file

@@ -1,6 +1,4 @@
 """Device sessions: the simulated app, adb command wiring, omissions."""
-import random
-
 import pytest
 
 from bugreplay.device import (
@@ -9,7 +7,6 @@ from bugreplay.device import (
     SimulatedApp,
     SimulatedDevice,
     apply_gestures,
-    preorder,
     synthesize_omissions,
 )
 from bugreplay.errors import DeviceError
@@ -20,7 +17,6 @@ from helpers import (
     CRASH_STATE,
     all_scenarios,
     find_id_by_text,
-    random_view_tree,
     scenario_linear_taps_3,
     scenario_with_input,
     walk_steps,
@@ -32,27 +28,10 @@ def app_from(scenario):
 
 
 def center_of(device, component_text):
-    tree = device.dump_hierarchy()
-    for nid, node, _depth in preorder(tree):
+    for node in encode_gui(device.dump_hierarchy()).index.values():
         if node.text == component_text:
             return node.bounds.center()
     raise AssertionError(f"{component_text!r} not on screen")
-
-
-def test_preorder_matches_encoder_ids():
-    rng = random.Random(5)
-    for _ in range(30):
-        tree = random_view_tree(rng, max_nodes=80)
-        enc = encode_gui(tree)
-        walked = {nid: node for nid, node, _ in preorder(tree)}
-        assert walked == enc.index
-
-
-def test_preorder_reports_depth():
-    scenario = scenario_linear_taps_3()
-    app = app_from(scenario)
-    depths = [d for _, _, d in preorder(app.states["s0"])]
-    assert depths == [0, 1, 1]
 
 
 class TestSimulatedAppValidation:
@@ -101,13 +80,17 @@ class TestSimulatedAppValidation:
 
 
 class TestSimulatedDevice:
-    def test_one_session_per_app(self):
+    def test_sessions_on_one_app_are_independent(self):
         app = app_from(scenario_linear_taps_3())
-        first = SimulatedDevice(app)
-        with pytest.raises(DeviceError):
-            SimulatedDevice(app)
+        first, second = SimulatedDevice(app), SimulatedDevice(app)
+        first.tap(*center_of(first, "Alpha"))
+        assert (first.current, second.current) == ("s1", "s0")
+        second.tap(*center_of(second, "Alpha"))
+        second.tap(*center_of(second, "Bravo"))
+        assert (first.current, second.current) == ("s1", "s2")
         first.close()
-        SimulatedDevice(app).close()
+        assert second.crashed() is False
+        second.close()
 
     def test_closed_session_rejects_use(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
@@ -122,6 +105,23 @@ class TestSimulatedDevice:
         x, y = center_of(device, "Alpha")
         device.tap(x, y)
         assert device.current == "s1"
+        device.close()
+
+    def test_deeper_node_beats_a_later_shallower_sibling(self):
+        # ids: root 0, outer 1, inner 2, overlay 3; inner and overlay both
+        # hold the point, and depth, not id, decides
+        box = [0, 0, 1080, 500]
+        tree = {"bounds": [0, 0, 1080, 1920], "children": [
+            {"bounds": box, "children": [{"bounds": box, "text": "inner"}]},
+            {"bounds": box, "text": "overlay"}]}
+        device = SimulatedDevice(SimulatedApp.from_dict({
+            "initial": "s0",
+            "states": {name: {"tree": tree} for name in ("s0", "deep", "shallow")},
+            "transitions": [{"from": "s0", "action": "tap", "id": 2, "to": "deep"},
+                            {"from": "s0", "action": "tap", "id": 3, "to": "shallow"}],
+        }))
+        device.tap(540, 250)
+        assert device.current == "deep"
         device.close()
 
     def test_tap_on_plain_node_changes_nothing(self):

@@ -74,7 +74,7 @@ class TestPromptAssembly:
     def test_over_budget_prompt_raises_typed_error(self, corpus, monkeypatch):
         # with every exemplar costed at nothing, selection overfills the
         # prompt; the final check must hold under python -O as well
-        monkeypatch.setattr("bugreplay.extraction._exemplar_cost", lambda exemplar: 0)
+        monkeypatch.setattr("bugreplay.exemplars.exemplar_cost", lambda segments: 0)
         with pytest.raises(BudgetUnsatisfiable):
             build_extraction_prompt(REPORT, corpus, 700)
 

@@ -11,7 +11,7 @@ from bugreplay.errors import (
     TransportError,
     UnmatchedPrompt,
 )
-from bugreplay.extraction import Prompt, PromptSegment
+from bugreplay.exemplars import Prompt, PromptSegment
 from bugreplay.llm import (
     HttpLlm,
     LlmConfig,
