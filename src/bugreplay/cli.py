@@ -29,7 +29,6 @@ from .device import AdbConfig, AdbDevice, DeviceSession, SimulatedApp, Simulated
 from .errors import BugReplayError
 from .exemplars import ExemplarCorpus
 from .extraction import extract_steps
-from .guidance import EXCLUSION_CLAUSE
 from .gui import encode_gui, parse_dump
 from .llm import HttpLlm, LlmClient, LlmConfig, TranscriptLlm
 from .replay import Budgets, Outcome, ReplayTrace, replay
@@ -74,7 +73,6 @@ class RunConfig:
     package: str | None = None
     launch: str | None = None
     parallel: bool = False
-    exclusion_clause: str = EXCLUSION_CLAUSE
 
     @property
     def budgets(self) -> Budgets:
@@ -87,9 +85,22 @@ class RunConfig:
         )
 
 
+def _non_negative(cast):
+    """An option type: `cast`, refusing values below zero and NaN."""
+    def convert(raw: str):
+        value = cast(raw)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be a non-negative number, got {raw!r}")
+        return value
+    convert.__name__ = cast.__name__
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The parser. Every value-taking option of a subcommand other than
-    --config is a setting; the namespace carries them as `settings`."""
+    --config is a setting; the namespace carries them as `settings`, and
+    the dests of every subcommand's settings as `config_keys`, so one
+    config file serves all subcommands."""
     parser = argparse.ArgumentParser(
         prog="bugreplay",
         description="Extract reproduction steps from bug reports and replay them on a device.",
@@ -123,20 +134,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--adb-path")
     p_replay.add_argument("--package", help="app package name, for crash and restart handling")
     p_replay.add_argument("--launch", help="shell command that launches the app")
-    p_replay.add_argument("--actions-budget", type=int)
-    p_replay.add_argument("--backtracks-budget", type=int)
-    p_replay.add_argument("--wall-budget", type=float)
-    p_replay.add_argument("--max-missing-depth", type=int)
-    p_replay.add_argument("--exclusion-clause",
-                          help="template appended to guidance queries, with an {ids} placeholder")
+    p_replay.add_argument("--actions-budget", type=_non_negative(int))
+    p_replay.add_argument("--backtracks-budget", type=_non_negative(int))
+    p_replay.add_argument("--wall-budget", type=_non_negative(float))
+    p_replay.add_argument("--max-missing-depth", type=_non_negative(int))
     p_replay.add_argument("--parallel", action="store_true",
                           help="run replays concurrently (simulated devices only)")
 
     p_encode = sub.add_parser("encode", parents=[common], help="print the HTML encoding of a dump")
     p_encode.add_argument("dump", help="UIAutomator dump XML file")
-    for p in sub.choices.values():
-        p.set_defaults(settings=[a for a in p._actions
-                                 if a.option_strings and a.nargs != 0 and a.dest != "config"])
+    settings = {
+        name: [a for a in p._actions if a.option_strings and a.nargs != 0 and a.dest != "config"]
+        for name, p in sub.choices.items()
+    }
+    config_keys = {a.dest for actions in settings.values() for a in actions}
+    for name, p in sub.choices.items():
+        p.set_defaults(settings=settings[name], config_keys=config_keys)
     return parser
 
 
@@ -158,6 +171,8 @@ def _convert(action: argparse.Action, raw, source: str):
         value = action.type(str(raw)) if action.type else str(raw)
     except ValueError:
         raise _UsageError(f"{source}: invalid {action.type.__name__} value: {raw!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{source}: {exc}") from None
     if action.choices is not None and value not in action.choices:
         raise _UsageError(f"{source}: invalid choice {raw!r} (choose from {', '.join(action.choices)})")
     return value
@@ -167,6 +182,9 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Each setting the subcommand takes resolves as flag >
     BUGREPLAY_<DEST> environment variable > config key <dest> > default."""
     file_cfg = _load_config_file(args.config)
+    unknown = sorted(set(file_cfg) - args.config_keys)
+    if unknown:
+        raise _UsageError(f"config file {args.config}: not a setting: {', '.join(map(repr, unknown))}")
     values = {}
     for action in args.settings:
         name, env = action.dest, ENV_PREFIX + action.dest.upper()
@@ -348,10 +366,7 @@ def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient,
     try:
         if cfg.device == "adb":
             device.restart()
-        return replay(
-            steps, device, llm, corpus, cfg.budgets, report_id,
-            exclusion_clause=cfg.exclusion_clause,
-        )
+        return replay(steps, device, llm, corpus, cfg.budgets, report_id)
     finally:
         device.close()
 

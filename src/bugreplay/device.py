@@ -174,9 +174,9 @@ class SimulatedDevice(DeviceSession):
 
     Taps hit-test against the current tree: among nodes containing the
     point, the deepest one with a transition for the gesture wins, else
-    the deepest plain node (which then just takes focus). Typed text goes
-    to the focused node. All session state lives here, so any number of
-    sessions can share one app.
+    the deepest plain node. Typed text goes to the node the last plain
+    tap hit; double and long taps leave that focus alone. All session
+    state lives here, so any number of sessions can share one app.
     """
 
     def __init__(self, app: SimulatedApp):
@@ -233,24 +233,22 @@ class SimulatedDevice(DeviceSession):
         self._check_open()
         return self.app.states[self.current]
 
-    def tap(self, x: int, y: int) -> None:
+    def _press(self, kind: str, x: int, y: int) -> int | None:
+        """Hit-test for `kind` and apply the hit node's transition; returns the hit id."""
         self._check_open()
-        nid = self._hit(x, y, "tap")
-        self._focused = nid
+        nid = self._hit(x, y, kind)
         if nid is not None:
-            self._apply((self.current, "tap", nid))
+            self._apply((self.current, kind, nid))
+        return nid
+
+    def tap(self, x: int, y: int) -> None:
+        self._focused = self._press("tap", x, y)
 
     def double_tap(self, x: int, y: int) -> None:
-        self._check_open()
-        nid = self._hit(x, y, "double_tap")
-        if nid is not None:
-            self._apply((self.current, "double_tap", nid))
+        self._press("double_tap", x, y)
 
     def long_tap(self, x: int, y: int) -> None:
-        self._check_open()
-        nid = self._hit(x, y, "long_tap")
-        if nid is not None:
-            self._apply((self.current, "long_tap", nid))
+        self._press("long_tap", x, y)
 
     def swipe(self, x1: int, y1: int, x2: int, y2: int) -> None:
         self._check_open()
@@ -290,11 +288,13 @@ class AdbConfig:
     package: str | None = None
     launch_command: str | None = None
     screen_size: tuple[int, int] | None = None
-    dump_path: str = "/sdcard/window_dump.xml"
 
 
 def _run_subprocess(argv: list[str]) -> str:
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True)
+    except OSError as exc:
+        raise DeviceError(f"cannot run {argv[0]}: {exc}") from exc
     if proc.returncode != 0:
         raise DeviceError(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
     return proc.stdout
@@ -318,6 +318,7 @@ class AdbDevice(DeviceSession):
     DOUBLE_TAP_GAP_SECONDS = 0.05
     LONG_TAP_MS = 800
     SWIPE_MS = 300
+    DUMP_PATH = "/sdcard/window_dump.xml"
 
     def __init__(self, config: AdbConfig | None = None, runner=None):
         self.config = config or AdbConfig()
@@ -342,8 +343,8 @@ class AdbDevice(DeviceSession):
         return self._size
 
     def dump_hierarchy(self) -> ViewNode:
-        self._adb("shell", "uiautomator", "dump", self.config.dump_path)
-        xml = self._adb("shell", "cat", self.config.dump_path)
+        self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
+        xml = self._adb("shell", "cat", self.DUMP_PATH)
         return parse_dump(xml)
 
     def tap(self, x: int, y: int) -> None:

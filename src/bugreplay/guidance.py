@@ -44,15 +44,11 @@ class GuidanceResult:
             raise ValueError("guidance result must carry an id or the missing flag")
 
 
-def format_guidance_query(
-    step: Step,
-    excluded_ids=(),
-    exclusion_clause: str = EXCLUSION_CLAUSE,
-) -> str:
+def format_guidance_query(step: Step, excluded_ids=()) -> str:
     query = QUERY_STEM.format(step=step_text(step))
     if excluded_ids:
         listed = ", ".join(f"[id={i}]" for i in sorted(excluded_ids))
-        query += exclusion_clause.format(ids=listed)
+        query += EXCLUSION_CLAUSE.format(ids=listed)
     return query + "?"
 
 
@@ -71,8 +67,6 @@ def build_guidance_prompt(
     corpus: ExemplarCorpus,
     budget: int,
     excluded_ids=frozenset(),
-    *,
-    exclusion_clause: str = EXCLUSION_CLAUSE,
 ) -> tuple[Prompt, EncodedGui]:
     """Build the guidance prompt for one component-targeting step.
 
@@ -88,7 +82,7 @@ def build_guidance_prompt(
     def attempt(enc: EncodedGui) -> Prompt:
         tail = [
             PromptSegment("test_gui", enc.html),
-            PromptSegment("test_query", format_guidance_query(step, excluded_ids, exclusion_clause)),
+            PromptSegment("test_query", format_guidance_query(step, excluded_ids)),
         ]
         return fit_prompt([], corpus.guidance, _exemplar_segments, tail, budget)
 

@@ -50,8 +50,6 @@ class LlmConfig:
     temperature: float = 0.0
     retries: int = 2
     backoff_seconds: float = 1.0
-    # Whole prompt goes out as a single message under this role.
-    role: str = "user"
 
     def __post_init__(self):
         if self.max_tokens <= 0:
@@ -95,7 +93,7 @@ class HttpLlm(LlmClient):
     def _complete(self, prompt: "Prompt") -> str:
         payload = {
             "model": self.config.model,
-            "messages": [{"role": self.config.role, "content": prompt.rendered}],
+            "messages": [{"role": "user", "content": prompt.rendered}],
             "max_tokens": self.config.max_tokens,
             "temperature": self.config.temperature,
         }

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import (
@@ -36,12 +36,7 @@ from .errors import (
     UnknownId,
 )
 from .exemplars import ExemplarCorpus
-from .guidance import (
-    EXCLUSION_CLAUSE,
-    GUIDED_ACTIONS,
-    build_guidance_prompt,
-    parse_guidance_response,
-)
+from .guidance import GUIDED_ACTIONS, build_guidance_prompt, parse_guidance_response
 from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, screen_digest
 from .llm import LlmClient
 from .steps import ActionType, Direction, Step, step_text, validate_step_list
@@ -202,8 +197,6 @@ def replay(
     corpus: ExemplarCorpus,
     budgets: Budgets | None = None,
     report_id: str = "",
-    *,
-    exclusion_clause: str = EXCLUSION_CLAUSE,
 ) -> ReplayTrace:
     """Run the guided replay loop to one of the four outcomes.
 
@@ -215,7 +208,7 @@ def replay(
     validate_step_list(steps)
     budgets = budgets or Budgets()
     trace = ReplayTrace(report_id=report_id, steps=list(steps))
-    history: deque[_Snapshot] = deque(maxlen=max(budgets.backtracks, 0))
+    history: deque[_Snapshot] = deque(maxlen=budgets.backtracks)
     tried: dict[int, set[int]] = {}
     cursor = 0
     missing_depth = 0
@@ -259,74 +252,61 @@ def replay(
             screen = None
             step = steps[cursor]
 
-            if step.action is ActionType.SCROLL:
-                trace.gestures.extend(execute_step(device, step, None))
-                trace.actions_used += 1
-                trace.events.append(ReplayEvent(step, None, False, digest))
-                if device.crashed():
-                    return finish(Outcome.BUG_TRIGGERED)
-                cursor += 1
-                missing_depth = 0
-                continue
+            node, chosen, exploratory = None, None, False
+            if step.action is not ActionType.SCROLL:
+                excluded = tried.get(cursor, set())
+                prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
+                try:
+                    result = parse_guidance_response(llm.complete(prompt))
+                except NoActionableAnswer as exc:
+                    logger.debug("step %d: %s", step.index, exc)
+                    result = None
 
-            excluded = tried.get(cursor, set())
-            prompt, enc_used = build_guidance_prompt(
-                step, encoded, corpus, budgets.tokens, excluded,
-                exclusion_clause=exclusion_clause,
-            )
-            try:
-                result = parse_guidance_response(llm.complete(prompt))
-            except NoActionableAnswer as exc:
-                logger.debug("step %d: %s", step.index, exc)
-                result = None
+                if result is not None and result.component_id is not None:
+                    if result.component_id in excluded:
+                        logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                    else:
+                        try:
+                            node = resolve_component(enc_used, result.component_id)
+                        except UnknownId as exc:
+                            logger.debug("step %d: %s", step.index, exc)
 
-            node = None
-            if result is not None and result.component_id is not None:
-                if result.component_id in excluded:
-                    logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
-                else:
-                    try:
-                        node = resolve_component(enc_used, result.component_id)
-                    except UnknownId as exc:
-                        logger.debug("step %d: %s", step.index, exc)
-
-            usable = (
-                result is not None
-                and node is not None
-                and not (result.missing and missing_depth >= budgets.max_missing_depth)
-            )
-            if not usable:
-                reason = backtrack((encoded, digest))
-                if reason is not None:
-                    return finish(Outcome.BUDGET_EXHAUSTED, reason)
-                continue
-
-            history.append(
-                _Snapshot(
-                    cursor=cursor,
-                    missing_depth=missing_depth,
-                    digest=digest,
-                    tried={k: set(v) for k, v in tried.items()},
-                    departed_id=result.component_id,
-                    gesture_prefix=len(trace.gestures),
+                usable = (
+                    result is not None
+                    and node is not None
+                    and not (result.missing and missing_depth >= budgets.max_missing_depth)
                 )
-            )
-            if result.missing:
-                # exploratory hop toward where the missing step may hide
-                x, y = node.bounds.center()
-                device.tap(x, y)
-                trace.gestures.append(("tap", x, y))
-                trace.actions_used += 1
-                missing_depth += 1
-                trace.events.append(ReplayEvent(step, result.component_id, True, digest))
-            else:
-                trace.gestures.extend(execute_step(device, step, node))
-                trace.actions_used += 1
-                missing_depth = 0
-                trace.events.append(ReplayEvent(step, result.component_id, False, digest))
-                cursor += 1
+                if not usable:
+                    reason = backtrack((encoded, digest))
+                    if reason is not None:
+                        return finish(Outcome.BUDGET_EXHAUSTED, reason)
+                    continue
+
+                chosen, exploratory = result.component_id, result.missing
+                history.append(
+                    _Snapshot(
+                        cursor=cursor,
+                        missing_depth=missing_depth,
+                        digest=digest,
+                        tried={k: set(v) for k, v in tried.items()},
+                        departed_id=chosen,
+                        gesture_prefix=len(trace.gestures),
+                    )
+                )
+
+            # an exploratory hop is a plain tap toward where the missing
+            # step may hide; the step itself stays pending
+            action = replace(step, action=ActionType.TAP, value=None) if exploratory else step
+            trace.gestures.extend(execute_step(device, action, node))
+            trace.actions_used += 1
+            trace.events.append(ReplayEvent(step, chosen, exploratory, digest))
             if device.crashed():
                 return finish(Outcome.BUG_TRIGGERED)
+            if exploratory:
+                missing_depth += 1
+            else:
+                cursor += 1
+                missing_depth = 0
     except BugReplayError as exc:
         logger.warning("replay aborted: %s", exc)
         return finish(Outcome.ERROR, f"{type(exc).__name__}: {exc}")

@@ -177,6 +177,15 @@ class TestReplay:
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
         assert len(artifact["runs"]) == 1
 
+    def test_missing_adb_binary_exits_3(self, ws, capsys):
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
+                *targs(ws, [EXTRACTION, GUIDANCE])]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: DeviceError: ")
+        assert "no-adb" in err
+        assert err.count("\n") == 1
+
     def test_parallel_rejects_adb(self, ws, capsys):
         args = ["replay", "crash.txt", "--device", "adb", "--parallel",
                 *targs(ws, [EXTRACTION, GUIDANCE])]
@@ -385,7 +394,13 @@ class TestUsageErrors:
         ("extract", {"BUGREPLAY_LLM": "transcrpt"}, {}, "BUGREPLAY_LLM"),
         ("replay", {"BUGREPLAY_DEVICE": "adbb"}, {}, "BUGREPLAY_DEVICE"),
         ("extract", {}, {"runs": 2.7}, "'runs'"),
-    ], ids=["env-runs", "env-llm", "env-device", "config-runs"])
+        ("extract", {}, {"llm_backend": "transcript"}, "'llm_backend'"),
+        ("replay", {"BUGREPLAY_ACTIONS_BUDGET": "-1"}, {}, "BUGREPLAY_ACTIONS_BUDGET"),
+        ("replay", {}, {"backtracks_budget": -2}, "'backtracks_budget'"),
+        ("replay", {}, {"wall_budget": "nan"}, "'wall_budget'"),
+        ("replay", {"BUGREPLAY_MAX_MISSING_DEPTH": "-3"}, {}, "BUGREPLAY_MAX_MISSING_DEPTH"),
+    ], ids=["env-runs", "env-llm", "env-device", "config-runs", "config-unknown-key",
+            "env-actions", "config-backtracks", "config-wall-nan", "env-depth"])
     def test_bad_setting_value_names_its_source(self, ws, capsys, monkeypatch,
                                                 command, env, config, source):
         # the same values given as flags are rejected by argparse with exit 2
@@ -404,6 +419,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "--token-budget" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--actions-budget", "-1"),
+        ("--backtracks-budget", "-2"),
+        ("--wall-budget", "-1"),
+        ("--wall-budget", "nan"),
+        ("--max-missing-depth", "-3"),
+    ], ids=["actions", "backtracks", "wall", "wall-nan", "depth"])
+    def test_bad_budget_flag(self, ws, capsys, flag, value):
+        args = ["replay", "crash.txt", "--app", "app.json", flag, value,
+                *targs(ws, [EXTRACTION, GUIDANCE])]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+        assert not (ws / "crash.trace.json").exists()
 
     @pytest.mark.parametrize("body", [{"id": "x", "text": "   "}, {"text": 5}],
                              ids=["blank-text", "number-text"])
@@ -466,8 +497,9 @@ class TestPrecedence:
         assert main(["extract", "crash.txt"]) == 0
 
     def test_whole_setup_from_config_file(self, ws):
+        # replay-only keys are welcome too: one file serves every subcommand
         cfg = {"llm": "transcript", "transcript": transcript(ws, [EXTRACTION]),
-               "runs": 1}
+               "runs": 1, "device": "simulated", "actions_budget": 5}
         (ws / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["extract", "crash.txt", "--config", "cfg.json"]) == 0
 
@@ -498,7 +530,6 @@ SETTINGS = [
     ("adb_path", "/c/adb", "/e/adb", "/f/adb"),
     ("package", "com.c", "com.e", "com.f"),
     ("launch", "launch c", "launch e", "launch f"),
-    ("exclusion_clause", ", not c {ids}", ", not e {ids}", ", not f {ids}"),
 ]
 
 

@@ -161,6 +161,15 @@ class TestSimulatedDevice:
         assert device.current == "s1"
         device.close()
 
+    @pytest.mark.parametrize("gesture", ["double_tap", "long_tap"])
+    def test_double_and_long_taps_leave_focus_alone(self, gesture):
+        device = SimulatedDevice(app_from(scenario_with_input()))
+        device.tap(*center_of(device, "Title"))
+        getattr(device, gesture)(*center_of(device, "Create note"))
+        device.type_text("Hello")            # still lands in "Title"
+        assert device.current == "s1"
+        device.close()
+
     @pytest.mark.parametrize("start,end,expected", [
         ((540, 1500), (540, 400), "up"),
         ((540, 400), (540, 1500), "down"),
@@ -409,6 +418,11 @@ class TestAdbDevice:
             "logcat": "",
             "dumpsys": "  mResumedActivity: ActivityRecord{com.demo/.Main}\n"})
         assert self.make(runner, package="com.demo").crashed() is False
+
+    def test_missing_adb_binary_is_a_device_error(self, tmp_path):
+        device = self.make(None, adb_path=str(tmp_path / "no-adb"))
+        with pytest.raises(DeviceError, match="no-adb"):
+            device.tap(1, 1)
 
     def test_runner_failures_surface_as_device_errors(self):
         def broken(argv):

@@ -40,12 +40,6 @@ class TestQueryFormat:
             'If I need to [Tap] ["Sign in"], which component id should I operate '
             "on the GUI, excluding components [id=3], [id=5]?")
 
-    def test_custom_clause_template(self):
-        step = parse_step_text('[Tap] ["x"]')
-        query = format_guidance_query(step, excluded_ids={2},
-                                      exclusion_clause=" but never {ids}")
-        assert query.endswith(" but never [id=2]?")
-
 
 def test_result_must_be_informative():
     with pytest.raises(ValueError):
@@ -124,13 +118,6 @@ class TestPromptAssembly:
         prompt, _ = build_guidance_prompt(step, encode_gui(SCREEN), corpus, 4096,
                                           excluded_ids={4, 1})
         assert ", excluding components [id=1], [id=4]?" in prompt.rendered
-
-    def test_custom_clause_passes_through(self, corpus):
-        step = parse_step_text('[Tap] ["Log in"]')
-        prompt, _ = build_guidance_prompt(
-            step, encode_gui(SCREEN), corpus, 4096, excluded_ids={2},
-            exclusion_clause=", avoiding {ids}")
-        assert ", avoiding [id=2]?" in prompt.rendered
 
     def test_scroll_steps_are_rejected(self, corpus):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
 from bugreplay.errors import TransportError
 from bugreplay.exemplars import ExemplarCorpus
+from bugreplay.gui import encode_gui
 from bugreplay.llm import LlmClient, LlmConfig
 from bugreplay.replay import Budgets, Outcome, execute_step, replay
 from bugreplay.steps import parse_step_text
@@ -12,6 +13,7 @@ from helpers import (
     CRASH_STATE,
     AlwaysMissingLlm,
     Scenario,
+    ScriptedLlm,
     _spec,
     all_scenarios,
     button,
@@ -20,6 +22,7 @@ from helpers import (
     scenario_no_back_decoy,
     scenario_single_step,
     scenario_two_branch,
+    scenario_with_input,
     walk_steps,
 )
 from bugreplay.device import synthesize_omissions
@@ -318,6 +321,21 @@ class TestAdversarialGuidance:
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.error_detail == "nowhere left to backtrack"
 
+    def test_exploratory_hop_on_an_input_step_only_taps(self):
+        # id 3 is "Save", beside the "Title" field the step wants
+        scenario = scenario_with_input()
+        save = encode_gui(fresh_device(scenario).dump_hierarchy()).index[3]
+        device = CallLog(fresh_device(scenario))
+        try:
+            trace = replay(scenario.steps, device, ScriptedLlm(["[MISSING] [id=3]"]),
+                           CORPUS, Budgets(actions=1), scenario.name)
+        finally:
+            device.close()
+        assert trace.outcome is Outcome.BUDGET_EXHAUSTED
+        assert trace.gestures == [("tap", *save.bounds.center())]
+        assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [(1, 3, True)]
+        assert "type_text" not in device.calls
+
 
 class TestBudgets:
     def test_zero_wall_clock(self):
@@ -401,17 +419,6 @@ class TestTraceShape:
         trace = run(scenario, steps=[])
         assert trace.outcome is Outcome.STEPS_EXHAUSTED_NO_BUG
         assert trace.events == []
-
-
-def test_custom_exclusion_clause_flows_into_queries():
-    scenario = scenario_two_branch()
-    oracle = scenario.oracle()
-    device = fresh_device(scenario)
-    trace = replay(scenario.steps, device, oracle, CORPUS,
-                   exclusion_clause=", steering clear of {ids}")
-    device.close()
-    assert trace.outcome is Outcome.BUG_TRIGGERED
-    assert any("steering clear of [id=3]" in q for (_, _, q) in oracle.queries)
 
 
 def test_all_scenarios_again_with_tight_action_budget():
