@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .device import AdbConfig, AdbDevice, DeviceSession, SimulatedApp, SimulatedDevice
-from .errors import BugReplayError
+from .errors import BugReplayError, DeviceError
 from .exemplars import ExemplarCorpus
 from .extraction import extract_steps
 from .gui import encode_gui, parse_dump
@@ -367,6 +367,10 @@ def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient,
         if cfg.device == "adb":
             device.restart()
         return replay(steps, device, llm, corpus, cfg.budgets, report_id)
+    except DeviceError as exc:
+        # the fresh start failed before the replay began
+        return ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
+                           error_detail=f"{type(exc).__name__}: {exc}")
     finally:
         device.close()
 

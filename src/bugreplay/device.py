@@ -290,11 +290,17 @@ class AdbConfig:
     screen_size: tuple[int, int] | None = None
 
 
+# seconds one adb call may take before it counts as hung
+ADB_TIMEOUT_SECONDS = 120
+
+
 def _run_subprocess(argv: list[str]) -> str:
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=ADB_TIMEOUT_SECONDS)
     except OSError as exc:
         raise DeviceError(f"cannot run {argv[0]}: {exc}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise DeviceError(f"{' '.join(argv)} timed out after {exc.timeout} s") from exc
     if proc.returncode != 0:
         raise DeviceError(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
     return proc.stdout
@@ -381,15 +387,19 @@ class AdbDevice(DeviceSession):
             self._adb("shell", *shlex.split(self.config.launch_command))
 
     def crashed(self) -> bool:
+        """Whether the crash buffer holds a Java crash (a FATAL EXCEPTION
+        whose Process: line names the package) or a native one (a Fatal
+        signal line naming it), of the package or one of its :sub
+        processes; with no package configured, of any process. Another
+        app in front is not a crash."""
         log = self._adb("logcat", "-d", "-b", "crash")
-        if "FATAL EXCEPTION" in log:
-            return True
-        if self.config.package:
-            front = self._adb("shell", "dumpsys", "activity", "activities")
-            m = re.search(r"mResumedActivity.*", front)
-            if m and self.config.package not in m.group(0):
-                return True
-        return False
+        if not self.config.package:
+            return "FATAL EXCEPTION" in log or "Fatal signal" in log
+        ours = re.escape(self.config.package)
+        return bool(
+            re.search(rf"FATAL EXCEPTION.*\n.*Process: {ours}[,:\s]", log)
+            or re.search(rf"Fatal signal .*\({ours}[):]", log)
+        )
 
 
 def apply_gestures(device: DeviceSession, gestures) -> None:

@@ -12,21 +12,23 @@ current step should land, and acts on the answer:
   retries guidance there.
 
 Scroll steps execute directly; they target no component. App state is
-restored after a pop by pressing system back until the screen digest
-matches the snapshot, falling back to an app restart plus a verbatim
-replay of the recorded gesture prefix. A restore starts from the dump the
-loop already holds, since no gesture has happened since it was taken, and
-hands the dump of the restored screen to the next iteration, so a screen
-is never dumped twice. Every run ends in one of four outcomes: the crash
-fired, the steps ran out without it, a budget ran out, or the pipeline
-itself failed.
+restored after a pop by pressing system back, up to three times, until the
+screen digest matches the snapshot. A Back that leaves the digest
+unchanged ends the presses, since that screen ignores Back, except the
+first one after typed text, which may only have closed the keyboard. If
+Back does not get there, the app restarts and the recorded gesture prefix
+replays verbatim. A restore starts from the dump the loop already holds,
+since no gesture has happened since it was taken, and hands the dump of
+the restored screen to the next iteration, so a screen is never dumped
+twice. Every run ends in one of four outcomes: the crash fired, the steps
+ran out without it, a budget ran out, or the pipeline itself failed.
 """
 from __future__ import annotations
 
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from .errors import (
@@ -56,6 +58,12 @@ class Budgets:
     backtracks: int = 10
     wall_seconds: float = 600.0
     max_missing_depth: int = 2
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0:
+                raise ValueError(f"budget {f.name} must be a non-negative number, got {value!r}")
 
 
 class Outcome(Enum):
@@ -173,12 +181,18 @@ def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], scre
     of what the device shows now; returns the dump of the restored screen."""
     if screen[1] == snap.digest:
         return screen
-    for _ in range(_BACK_ATTEMPTS):
+    typed = bool(gestures) and gestures[-1][0] == "text"
+    for attempt in range(_BACK_ATTEMPTS):
+        before = screen[1]
         device.press_back()
         gestures.append(("back",))
         screen = _dump_screen(device)
         if screen[1] == snap.digest:
             return screen
+        # a screen that ignored Back will ignore it again; only the first
+        # Back after typing may have closed the keyboard and nothing else
+        if screen[1] == before and not (typed and attempt == 0):
+            break
     prefix = list(gestures[: snap.gesture_prefix])
     device.restart()
     gestures.append(("restart",))

@@ -181,10 +181,16 @@ class TestReplay:
         args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
                 *targs(ws, [EXTRACTION, GUIDANCE])]
         assert main(args) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: DeviceError: ")
-        assert "no-adb" in err
-        assert err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert err == f"replay failed; trace written to {ws / 'crash.trace.json'}\n"
+        assert "no-adb" in out
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert artifact["extraction_runs"] == [{"ok": True, "steps": artifact["steps"]}]
+        assert artifact["winner"] is None
+        [run] = artifact["runs"]
+        assert run["outcome"] == "error"
+        assert run["error_detail"].startswith("DeviceError: ")
+        assert "no-adb" in run["error_detail"]
 
     def test_parallel_rejects_adb(self, ws, capsys):
         args = ["replay", "crash.txt", "--device", "adb", "--parallel",

@@ -1,6 +1,9 @@
 """Device sessions: the simulated app, adb command wiring, omissions."""
+import time
+
 import pytest
 
+import bugreplay.device as device_module
 from bugreplay.device import (
     AdbConfig,
     AdbDevice,
@@ -301,6 +304,15 @@ class TestSynthesizeOmissions:
             synthesize_omissions(self.steps(2), 2, 1)
 
 
+FATAL = ("--------- beginning of crash\n"
+         "10-18 09:12:01.250  4242  4242 E AndroidRuntime: FATAL EXCEPTION: main\n"
+         "10-18 09:12:01.250  4242  4242 E AndroidRuntime: Process: {process}, PID: 4242\n"
+         "10-18 09:12:01.250  4242  4242 E AndroidRuntime: java.lang.IllegalStateException\n")
+SIGNAL = ("--------- beginning of crash\n"
+          "10-18 09:12:01.250  4242  4260 F libc    : Fatal signal 11 (SIGSEGV), code 1 "
+          "(SEGV_MAPERR), fault addr 0x0 in tid 4260 (RenderThread), pid 4242 ({process})\n")
+
+
 class RecordingRunner:
     def __init__(self, outputs=None):
         self.calls = []
@@ -407,11 +419,38 @@ class TestAdbDevice:
             "logcat": "08-22 10:00:00 E AndroidRuntime: FATAL EXCEPTION: main\n"})
         assert self.make(runner).crashed() is True
 
-    def test_crashed_when_app_left_foreground(self):
+    @pytest.mark.parametrize("front", ["com.android.launcher3/.Launcher",
+                                       "com.android.chrome/.Main"], ids=["launcher", "browser"])
+    def test_another_app_in_front_is_not_a_crash(self, front):
         runner = RecordingRunner(outputs={
             "logcat": "",
-            "dumpsys": "  mResumedActivity: ActivityRecord{com.android.launcher}\n"})
-        assert self.make(runner, package="com.demo").crashed() is True
+            "dumpsys": f"  mResumedActivity: ActivityRecord{{5e1c u0 {front} t17}}\n"})
+        assert self.make(runner, package="com.demo").crashed() is False
+
+    @pytest.mark.parametrize("process, crashed", [
+        ("com.demo", True), ("com.demo:sync", True),
+        ("com.other", False), ("com.demo2", False), ("com.demo.helper", False)])
+    def test_fatal_exception_counts_for_the_package_only(self, process, crashed):
+        runner = RecordingRunner(outputs={"logcat": FATAL.format(process=process)})
+        assert self.make(runner, package="com.demo").crashed() is crashed
+
+    @pytest.mark.parametrize("process, crashed", [
+        ("com.demo", True), ("com.demo:sync", True), ("com.other", False)])
+    def test_fatal_signal_counts_for_the_package_only(self, process, crashed):
+        runner = RecordingRunner(outputs={"logcat": SIGNAL.format(process=process)})
+        assert self.make(runner, package="com.demo").crashed() is crashed
+
+    @pytest.mark.parametrize("log", [FATAL.format(process="com.other"),
+                                     SIGNAL.format(process="com.other")], ids=["java", "native"])
+    def test_any_crash_counts_without_a_package(self, log):
+        assert self.make(RecordingRunner(outputs={"logcat": log})).crashed() is True
+
+    @pytest.mark.parametrize("log", ["", FATAL.format(process="com.demo")],
+                             ids=["clean", "crashed"])
+    def test_crash_check_is_one_adb_call(self, log):
+        runner = RecordingRunner(outputs={"logcat": log})
+        self.make(runner, package="com.demo").crashed()
+        assert runner.calls == [["adb", "logcat", "-d", "-b", "crash"]]
 
     def test_not_crashed_while_resumed(self):
         runner = RecordingRunner(outputs={
@@ -423,6 +462,16 @@ class TestAdbDevice:
         device = self.make(None, adb_path=str(tmp_path / "no-adb"))
         with pytest.raises(DeviceError, match="no-adb"):
             device.tap(1, 1)
+
+    def test_hung_adb_is_a_device_error(self, tmp_path, monkeypatch):
+        adb = tmp_path / "slow-adb"
+        adb.write_text("#!/bin/sh\nexec sleep 30\n", encoding="utf-8")
+        adb.chmod(0o755)
+        monkeypatch.setattr(device_module, "ADB_TIMEOUT_SECONDS", 0.2)
+        started = time.monotonic()
+        with pytest.raises(DeviceError, match="timed out"):
+            self.make(None, adb_path=str(adb)).tap(1, 1)
+        assert time.monotonic() - started < 10
 
     def test_runner_failures_surface_as_device_errors(self):
         def broken(argv):

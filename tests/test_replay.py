@@ -6,7 +6,15 @@ from bugreplay.errors import TransportError
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.gui import encode_gui
 from bugreplay.llm import LlmClient, LlmConfig
-from bugreplay.replay import Budgets, Outcome, execute_step, replay
+from bugreplay.replay import (
+    Budgets,
+    Outcome,
+    _dump_screen,
+    _restore,
+    _Snapshot,
+    execute_step,
+    replay,
+)
 from bugreplay.steps import parse_step_text
 
 from helpers import (
@@ -263,7 +271,7 @@ class CallLog:
 
 
 FIRST, SECOND = ("tap", 540, 245), ("tap", 540, 375)
-BACK3 = [("back",)] * 3
+BACK = ("back",)
 RESTART = ("restart",)
 
 
@@ -276,12 +284,12 @@ class TestDumpReuse:
         (scenario_two_branch, [SECOND, ("back",), FIRST, FIRST],
          [(1, 3), (1, 2), (2, 2)]),
         # restored by a restart with an empty prefix
-        (scenario_no_back_decoy, [SECOND, *BACK3, RESTART, FIRST, FIRST],
+        (scenario_no_back_decoy, [SECOND, BACK, RESTART, FIRST, FIRST],
          [(1, 3), (1, 2), (2, 2)]),
         # restored by restarts, the second replaying a prefix
         (scenario_double_trap,
-         [SECOND, *BACK3, RESTART, FIRST, SECOND, *BACK3, RESTART,
-          SECOND, *BACK3, RESTART, FIRST, FIRST, FIRST],
+         [SECOND, BACK, RESTART, FIRST, SECOND, BACK, RESTART,
+          SECOND, BACK, RESTART, FIRST, FIRST, FIRST],
          [(1, 3), (1, 2), (2, 3), (2, 2), (3, 2)]),
     ])
     def test_no_dump_without_a_gesture_between(self, build, gestures, events):
@@ -300,6 +308,33 @@ class TestDumpReuse:
         seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
         assert seen[0] == "dump_hierarchy"
         assert all(not (a == b == "dump_hierarchy") for a, b in zip(seen, seen[1:]))
+
+
+class TestRestore:
+    """Back presses stop once one changes nothing, then a restart takes over."""
+
+    @pytest.mark.parametrize("backs, log, added", [
+        # the dead end ignores Back: one press shows it, then restart
+        ([], [], [BACK, RESTART]),
+        # after typing, the first Back may only have closed the keyboard
+        ([], [FIRST, ("text", "hi")], [BACK, BACK, RESTART]),
+        # a press that moves elsewhere keeps the presses going
+        ([("dead", "mid")], [], [BACK, BACK, RESTART]),
+        ([("dead", "mid"), ("mid", "s0")], [], [BACK, BACK]),
+    ], ids=["ignored", "after-text", "moved-then-ignored", "moved-home"])
+    def test_presses_back_until_it_changes_nothing(self, backs, log, added):
+        spec = _spec({name: {"tree": stacked(name, [])} for name in ("s0", "mid", "dead")},
+                     [{"from": a, "action": "back", "to": b} for a, b in backs], "s0")
+        device = SimulatedDevice(SimulatedApp.from_dict(spec))
+        home = _dump_screen(device)
+        device.current = "dead"
+        gestures = list(log)
+        snap = _Snapshot(cursor=0, missing_depth=0, digest=home[1], tried={},
+                         departed_id=0, gesture_prefix=0)
+        screen = _restore(device, snap, gestures, _dump_screen(device))
+        assert gestures == log + added
+        assert screen[1] == home[1]
+        assert device.current == "s0"
 
 
 class TestAdversarialGuidance:
@@ -368,6 +403,13 @@ class TestBudgets:
                     budgets=Budgets(max_missing_depth=0))
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert not any(e.exploratory for e in trace.events)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tokens", -1), ("actions", -1), ("backtracks", -1),
+        ("max_missing_depth", -3), ("wall_seconds", -0.5), ("wall_seconds", float("nan"))])
+    def test_negative_or_nan_budget_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"budget {name} must be a non-negative number"):
+            Budgets(**{name: value})
 
     def test_token_budget_reaches_guidance_prompts(self):
         trace = run(scenario_single_step(), budgets=Budgets(tokens=40))
