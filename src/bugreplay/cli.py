@@ -16,12 +16,14 @@ environment only and never reach stdout, files, or logs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
+import shlex
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .device import AdbConfig, AdbDevice, DeviceSession, SimulatedApp, Simulated
 from .errors import BugReplayError, DeviceError
 from .exemplars import ExemplarCorpus
 from .extraction import extract_steps
-from .gui import encode_gui, parse_dump
+from .gui import ViewNode, encode_gui, parse_dump
 from .llm import HttpLlm, LlmClient, LlmConfig, TranscriptLlm
 from .replay import Budgets, Outcome, ReplayTrace, replay
 from .steps import BugReport, Step, render_steps, step_text
@@ -255,7 +257,7 @@ def _make_llm(cfg: RunConfig) -> LlmClient:
             raise _UsageError("--llm transcript requires --transcript")
         try:
             return TranscriptLlm.from_file(cfg.transcript, config=llm_config)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot load transcript {cfg.transcript}: {exc}") from exc
     if not cfg.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
@@ -352,6 +354,10 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
         except (OSError, ValueError, KeyError) as exc:
             raise _UsageError(f"cannot load app spec {cfg.app}: {exc}") from exc
         return SimulatedDevice(app)
+    try:
+        shlex.split(cfg.launch or "")
+    except ValueError as exc:
+        raise _UsageError(f"--launch: {exc}") from exc
     return AdbDevice(AdbConfig(
         serial=cfg.serial,
         adb_path=cfg.adb_path,
@@ -360,26 +366,77 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
     ))
 
 
-def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient,
-                 corpus: ExemplarCorpus, report_id: str) -> ReplayTrace:
-    device = _make_device(cfg)
+def _fresh_start(cfg: RunConfig, device: DeviceSession) -> ViewNode | None:
+    """Restart the app on an adb device and dump its first screen. A
+    simulated device starts fresh when built, and replay dumps it."""
+    if cfg.device != "adb":
+        return None
+    device.restart()
+    return device.dump_hierarchy()
+
+
+def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient, corpus: ExemplarCorpus,
+                 report_id: str, device: DeviceSession, first_screen: ViewNode | None = None) -> ReplayTrace:
     try:
-        if cfg.device == "adb":
-            device.restart()
-        return replay(steps, device, llm, corpus, cfg.budgets, report_id)
-    except DeviceError as exc:
-        # the fresh start failed before the replay began
-        return ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
-                           error_detail=f"{type(exc).__name__}: {exc}")
+        return replay(steps, device, llm, corpus, cfg.budgets, report_id, first_screen=first_screen)
     finally:
         device.close()
+
+
+def _replay_runs(cfg: RunConfig, steps: list[Step], llm: LlmClient, corpus: ExemplarCorpus,
+                 report_id: str, device: DeviceSession, started: Future) -> list[ReplayTrace]:
+    """Up to --runs replays, the first on `device`, whose fresh start
+    `started` is under way; each later run gets a new session."""
+    if cfg.parallel:
+        # each worker gets its own app instance and its own llm so no
+        # state is shared
+        devices = [device] + [_make_device(cfg) for _ in range(cfg.runs - 1)]
+        with ThreadPoolExecutor(max_workers=cfg.runs) as pool:
+            futures = [pool.submit(_replay_once, cfg, steps, _make_llm(cfg), corpus, report_id, d)
+                       for d in devices]
+            return [f.result() for f in futures]
+    traces: list[ReplayTrace] = []
+    for run in range(cfg.runs):
+        if run:
+            device = _make_device(cfg)
+        try:
+            first_screen = started.result() if run == 0 else _fresh_start(cfg, device)
+        except DeviceError as exc:
+            device.close()
+            # a device that cannot start would fail every later run the same way
+            traces.append(ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
+                                      error_detail=f"{type(exc).__name__}: {exc}"))
+            break
+        traces.append(_replay_once(cfg, steps, llm, corpus, report_id, device, first_screen))
+        if traces[-1].outcome is Outcome.BUG_TRIGGERED:
+            break
+    return traces
 
 
 def cmd_replay(cfg: RunConfig) -> int:
     report = _load_report(cfg.report_path)
     corpus = _load_corpus(cfg)
     llm = _make_llm(cfg)
-    steps, extraction_runs = _run_extraction(cfg, report, llm, corpus)
+    if cfg.parallel:
+        if cfg.device != "simulated":
+            raise _UsageError("--parallel requires the simulated device backend")
+        if _order_dependent(llm):
+            raise _UsageError("--parallel needs a keyed transcript or the http backend")
+    device = _make_device(cfg)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            # the device starts while the model extracts
+            started = pool.submit(_fresh_start, cfg, device)
+            steps, extraction_runs = _run_extraction(cfg, report, llm, corpus)
+        if steps is not None:
+            traces = _replay_runs(cfg, steps, llm, corpus, report.id, device, started)
+        else:
+            # nothing to replay, so a device that failed to start does not matter
+            with contextlib.suppress(DeviceError):
+                started.result()
+    finally:
+        # replaying closes it too; this closes it when nothing was replayed
+        device.close()
     base = _out_base(cfg)
     base.parent.mkdir(parents=True, exist_ok=True)
     artifact = {
@@ -396,27 +453,6 @@ def cmd_replay(cfg: RunConfig) -> int:
         print("extraction failed on every run; nothing to replay", file=sys.stderr)
         return 3
     artifact["steps"] = [_step_dict(s) for s in steps]
-
-    traces: list[ReplayTrace] = []
-    if cfg.parallel:
-        if cfg.device != "simulated":
-            raise _UsageError("--parallel requires the simulated device backend")
-        # each worker loads its own app instance and its own llm so no
-        # state is shared; order-dependent clients cannot support this
-        if _order_dependent(llm):
-            raise _UsageError("--parallel needs a keyed transcript or the http backend")
-        with ThreadPoolExecutor(max_workers=cfg.runs) as pool:
-            futures = [
-                pool.submit(_replay_once, cfg, steps, _make_llm(cfg), corpus, report.id)
-                for _ in range(cfg.runs)
-            ]
-            traces = [f.result() for f in futures]
-    else:
-        for _ in range(cfg.runs):
-            trace = _replay_once(cfg, steps, llm, corpus, report.id)
-            traces.append(trace)
-            if trace.outcome is Outcome.BUG_TRIGGERED:
-                break
 
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     artifact["runs"] = [t.to_dict() for t in traces]

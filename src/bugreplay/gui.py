@@ -128,6 +128,10 @@ class EncodedGui:
     html: str
     index: dict[int, ViewNode]
 
+    def id_of(self, node: ViewNode) -> int | None:
+        """The id this encoding gives node, None if it was not emitted."""
+        return next((nid for nid, n in self.index.items() if n is node), None)
+
 
 def resolve_component(encoded: EncodedGui, component_id) -> ViewNode:
     """Map a model-cited id back to its node; UnknownId outside 0..n-1."""

@@ -73,16 +73,21 @@ def build_guidance_prompt(
     Returns the prompt together with the encoding it embeds: when the
     screen is too large to fit the budget, wrapper divs are elided and the
     screen re-encoded, so ids in the prompt only make sense against the
-    returned encoding. Scroll steps never come here; they execute without
+    returned encoding. excluded_ids are ids of `encoded`; the prompt names
+    them in the ids of the encoding it embeds, leaving out any that
+    elision dropped. Scroll steps never come here; they execute without
     guidance.
     """
     if step.action not in GUIDED_ACTIONS:
         raise ValueError(f"{step.action} steps do not take guidance")
 
     def attempt(enc: EncodedGui) -> Prompt:
+        shown = excluded_ids
+        if enc is not encoded:
+            shown = {enc.id_of(encoded.index.get(i)) for i in excluded_ids} - {None}
         tail = [
             PromptSegment("test_gui", enc.html),
-            PromptSegment("test_query", format_guidance_query(step, excluded_ids)),
+            PromptSegment("test_query", format_guidance_query(step, shown)),
         ]
         return fit_prompt([], corpus.guidance, _exemplar_segments, tail, budget)
 

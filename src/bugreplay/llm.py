@@ -160,6 +160,8 @@ class TranscriptLlm(LlmClient):
     @classmethod
     def from_file(cls, path, config: LlmConfig | None = None) -> "TranscriptLlm":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict) or "responses" not in data:
+            raise ValueError('a transcript file must hold a JSON object with "responses"')
         return cls(data["responses"], mode=data.get("mode", "sequence"), config=config)
 
     def _complete(self, prompt: "Prompt") -> str:

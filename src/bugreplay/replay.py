@@ -1,7 +1,8 @@
 """Guided replay: drive extracted steps on a device until the bug fires.
 
-Each iteration dumps and encodes the screen, asks guidance where the
-current step should land, and acts on the answer:
+Each iteration of a guided step (one that targets a component) dumps and
+encodes the screen, asks guidance where the current step should land, and
+acts on the answer:
 
 * an id with no missing flag executes the step and advances;
 * [MISSING] plus an id is an exploratory hop: tap there, stay on the
@@ -11,7 +12,8 @@ current step should land, and acts on the answer:
   adds the id tried from that earlier screen to its exclusion set, and
   retries guidance there.
 
-Scroll steps execute directly; they target no component. App state is
+Scroll steps execute directly: they target no component, so no dump is
+taken for them, and the swipe lands on whatever is on screen. App state is
 restored after a pop by pressing system back, up to three times, until the
 screen digest matches the snapshot. A Back that leaves the digest
 unchanged ends the presses, since that screen ignores Back, except the
@@ -20,8 +22,11 @@ Back does not get there, the app restarts and the recorded gesture prefix
 replays verbatim. A restore starts from the dump the loop already holds,
 since no gesture has happened since it was taken, and hands the dump of
 the restored screen to the next iteration, so a screen is never dumped
-twice. Every run ends in one of four outcomes: the crash fired, the steps
-ran out without it, a budget ran out, or the pipeline itself failed.
+twice; the caller may hand over the first screen the same way. Excluded
+ids are kept in the screen's full encoding, whose ids are stable for its
+digest, even when a prompt embeds the encoding with wrapper divs elided.
+Every run ends in one of four outcomes: the crash fired, the steps ran
+out without it, a budget ran out, or the pipeline itself failed.
 """
 from __future__ import annotations
 
@@ -80,7 +85,8 @@ class ReplayEvent:
     step: Step
     resolved_id: int | None
     exploratory: bool
-    screen_digest: str
+    # None for a Scroll step that had no dump in hand
+    screen_digest: str | None
 
 
 @dataclass
@@ -171,9 +177,13 @@ class _Snapshot:
 _Screen = tuple[EncodedGui, str]
 
 
-def _dump_screen(device: DeviceSession) -> _Screen:
-    encoded = encode_gui(device.dump_hierarchy())
+def _encode_screen(tree: ViewNode) -> _Screen:
+    encoded = encode_gui(tree)
     return encoded, screen_digest(encoded.html)
+
+
+def _dump_screen(device: DeviceSession) -> _Screen:
+    return _encode_screen(device.dump_hierarchy())
 
 
 def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], screen: _Screen) -> _Screen:
@@ -211,8 +221,13 @@ def replay(
     corpus: ExemplarCorpus,
     budgets: Budgets | None = None,
     report_id: str = "",
+    *,
+    first_screen: ViewNode | None = None,
 ) -> ReplayTrace:
     """Run the guided replay loop to one of the four outcomes.
+
+    first_screen, if given, is the hierarchy the device shows now, dumped
+    with no gesture since; the first iteration uses it instead of a dump.
 
     Never raises for pipeline failures; they land in the trace as
     outcome=error. Termination is guaranteed: every iteration either
@@ -254,6 +269,8 @@ def replay(
         return None
 
     try:
+        if first_screen is not None:
+            screen = _encode_screen(first_screen)
         while True:
             if time.monotonic() - started > budgets.wall_seconds:
                 return finish(Outcome.BUDGET_EXHAUSTED, "wall clock budget exhausted")
@@ -262,12 +279,15 @@ def replay(
             if trace.actions_used >= budgets.actions:
                 return finish(Outcome.BUDGET_EXHAUSTED, "action budget exhausted")
 
-            encoded, digest = screen or _dump_screen(device)
-            screen = None
             step = steps[cursor]
-
             node, chosen, exploratory = None, None, False
-            if step.action is not ActionType.SCROLL:
+            if step.action is ActionType.SCROLL:
+                # a swipe needs no screen; it is logged against the dump in hand, if any
+                digest = screen[1] if screen else None
+            else:
+                encoded, digest = screen or _dump_screen(device)
+                # exclusions hold ids of the full encoding; the answer cites
+                # ids of the one the prompt embeds, which may elide wrappers
                 excluded = tried.get(cursor, set())
                 prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
                 try:
@@ -277,13 +297,15 @@ def replay(
                     result = None
 
                 if result is not None and result.component_id is not None:
-                    if result.component_id in excluded:
-                        logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                    try:
+                        node = resolve_component(enc_used, result.component_id)
+                    except UnknownId as exc:
+                        logger.debug("step %d: %s", step.index, exc)
                     else:
-                        try:
-                            node = resolve_component(enc_used, result.component_id)
-                        except UnknownId as exc:
-                            logger.debug("step %d: %s", step.index, exc)
+                        full_id = encoded.id_of(node)
+                        if full_id in excluded:
+                            logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                            node = None
 
                 usable = (
                     result is not None
@@ -303,11 +325,12 @@ def replay(
                         missing_depth=missing_depth,
                         digest=digest,
                         tried={k: set(v) for k, v in tried.items()},
-                        departed_id=chosen,
+                        departed_id=full_id,
                         gesture_prefix=len(trace.gestures),
                     )
                 )
 
+            screen = None
             # an exploratory hop is a plain tap toward where the missing
             # step may hide; the step itself stays pending
             action = replace(step, action=ActionType.TAP, value=None) if exploratory else step

@@ -169,6 +169,14 @@ class TestReplay:
         assert artifact["winner"] is None
         assert artifact["extraction_runs"][0]["ok"] is False
 
+    def test_failed_extraction_with_a_device_that_failed_to_start(self, ws, capsys):
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
+                *targs(ws, ["nope"])]
+        assert main(args) == 3
+        assert "nothing to replay" in capsys.readouterr().err
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert artifact["runs"] == []
+
     def test_sequential_runs_stop_at_first_bug(self, ws):
         responses = [EXTRACTION, EXTRACTION, EXTRACTION, GUIDANCE, GUIDANCE, GUIDANCE]
         args = ["replay", "crash.txt", "--app", "app.json",
@@ -176,6 +184,26 @@ class TestReplay:
         assert main(args) == 0
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
         assert len(artifact["runs"]) == 1
+
+    def test_failed_fresh_start_ends_the_runs(self, ws, capsys):
+        # a device that cannot start would fail every later run the same way
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
+                *targs(ws, [EXTRACTION] * 3, runs=3)]
+        assert main(args) == 3
+        out = capsys.readouterr().out
+        [run_line] = [line for line in out.splitlines() if line.startswith("run ")]
+        assert run_line.startswith("run 1: error (DeviceError: ")
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert len(artifact["extraction_runs"]) == 3
+        assert [r["outcome"] for r in artifact["runs"]] == ["error"]
+
+    def test_other_errors_keep_the_retries(self, ws):
+        # the transcript runs dry at each run's guidance query
+        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [EXTRACTION] * 2, runs=2)]
+        assert main(args) == 3
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert [r["error_detail"].split(":")[0] for r in artifact["runs"]] == [
+            "TranscriptExhausted", "TranscriptExhausted"]
 
     def test_missing_adb_binary_exits_3(self, ws, capsys):
         args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
@@ -373,6 +401,40 @@ class TestUsageErrors:
         assert main(["replay", "crash.txt", *targs(ws, [EXTRACTION, GUIDANCE])]) == 2
         assert "--app" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("device_args, message", [
+        (["--app", "nowhere/app.json"], "cannot load app spec"),
+        ([], "requires --app"),
+        (["--device", "adb", "--launch", 'am start -n "com.demo/.Main'], "--launch"),
+    ], ids=["unreadable-app", "no-app", "unbalanced-launch"])
+    def test_device_usage_errors_come_before_any_model_call(self, ws, capsys, monkeypatch,
+                                                            device_args, message):
+        prompts = []
+
+        class Counting(LlmClient):
+            def __init__(self):
+                super().__init__(LlmConfig(max_tokens=10 ** 6))
+
+            def _complete(self, prompt):
+                prompts.append(prompt)
+                return EXTRACTION
+
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: Counting())
+        args = ["replay", "crash.txt", *device_args,
+                "--llm", "http", "--endpoint", "unused", "--runs", "3"]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert prompts == []
+        assert not (ws / "crash.trace.json").exists()
+
+    @pytest.mark.parametrize("body", [[EXTRACTION], {"mode": "sequence"}], ids=["list", "no-responses"])
+    def test_transcript_without_responses(self, ws, capsys, body):
+        (ws / "bad.json").write_text(json.dumps(body), encoding="utf-8")
+        args = ["replay", "crash.txt", "--app", "app.json",
+                "--llm", "transcript", "--transcript", "bad.json"]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot load transcript bad.json")
+
     def test_unreadable_config(self, ws, capsys):
         assert main(["extract", "crash.txt", "--config", "nowhere.json"]) == 2
         assert "config" in capsys.readouterr().err
@@ -465,6 +527,50 @@ def test_adb_flags_reach_the_adb_config(ws, monkeypatch):
     assert main(args) == 0
     assert [(c.serial, c.adb_path, c.package, c.launch_command) for c in seen] == [
         ("emulator-5554", "tools/adb", "com.demo", "am start -n com.demo/.Main")]
+
+
+class _Timed:
+    """Delegates to a device session and notes when each call starts."""
+
+    def __init__(self, device, log):
+        self.device, self.log = device, log
+
+    def __getattr__(self, name):
+        attr = getattr(self.device, name)
+        if not callable(attr):
+            return attr
+
+        def timed(*args):
+            self.log.append((name, time.monotonic()))
+            return attr(*args)
+        return timed
+
+
+def test_fresh_start_overlaps_extraction(ws, monkeypatch):
+    log, answered = [], []
+
+    class SlowExtraction(LlmClient):
+        def __init__(self):
+            super().__init__(LlmConfig(max_tokens=10 ** 6))
+
+        def _complete(self, prompt):
+            if any(s.kind == "test_query" for s in prompt.segments):
+                return GUIDANCE
+            time.sleep(0.2)
+            answered.append(time.monotonic())
+            return EXTRACTION
+
+    monkeypatch.setattr(cli, "_make_llm", lambda cfg: SlowExtraction())
+    monkeypatch.setattr(cli, "AdbDevice",
+                        lambda config: _Timed(SimulatedDevice(SimulatedApp.load("app.json")), log))
+    args = ["replay", "crash.txt", "--device", "adb",
+            "--llm", "http", "--endpoint", "unused", "--runs", "1"]
+    assert main(args) == 0
+    [extracted] = answered
+    # the fresh start ran while the model extracted, and its dump is the
+    # only one before the first gesture
+    assert [name for name, _ in log][:3] == ["restart", "dump_hierarchy", "tap"]
+    assert all(started < extracted for _, started in log[:2])
 
 
 class TestPrecedence:

@@ -97,6 +97,14 @@ SCREEN = ViewNode("android.widget.FrameLayout", children=[
     ViewNode("android.widget.EditText", text="Username"),
 ])
 
+# row i's TextView is id 2 + 2i in full, and id i once the wrappers are elided
+ROWS = ViewNode("android.widget.FrameLayout", children=[
+    ViewNode("android.widget.LinearLayout", children=[
+        ViewNode("android.widget.TextView", text=f"Row number {i}")])
+    for i in range(30)])
+# the full encoding of ROWS fits, but not once an exclusion clause is added
+ROWS_BUDGET = 594
+
 
 class TestPromptAssembly:
     def test_segment_order_and_test_block(self, corpus):
@@ -118,6 +126,19 @@ class TestPromptAssembly:
         prompt, _ = build_guidance_prompt(step, encode_gui(SCREEN), corpus, 4096,
                                           excluded_ids={4, 1})
         assert ", excluding components [id=1], [id=4]?" in prompt.rendered
+
+    @pytest.mark.parametrize("excluded", [{16}, {15, 16}], ids=["row", "row-and-wrapper"])
+    def test_exclusions_name_the_embedded_ids(self, corpus, excluded):
+        # excluded ids are full-encoding ids; the clause follows elision,
+        # and the wrapper elision dropped is left out
+        step = parse_step_text('[Tap] ["Row number 7"]')
+        full = encode_gui(ROWS)
+        assert full.index[16].text == "Row number 7"
+        assert build_guidance_prompt(step, full, corpus, ROWS_BUDGET)[1] is full
+        prompt, used = build_guidance_prompt(step, full, corpus, ROWS_BUDGET, excluded)
+        assert used.html != full.html
+        assert used.index[7] is full.index[16]
+        assert prompt.segments[-1].text == format_guidance_query(step, {7})
 
     def test_scroll_steps_are_rejected(self, corpus):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
 from bugreplay.errors import TransportError
 from bugreplay.exemplars import ExemplarCorpus
-from bugreplay.gui import encode_gui
+from bugreplay.gui import encode_gui, screen_digest
 from bugreplay.llm import LlmClient, LlmConfig
 from bugreplay.replay import (
     Budgets,
@@ -15,7 +15,7 @@ from bugreplay.replay import (
     execute_step,
     replay,
 )
-from bugreplay.steps import parse_step_text
+from bugreplay.steps import ActionType, parse_step_text
 
 from helpers import (
     CRASH_STATE,
@@ -23,14 +23,18 @@ from helpers import (
     Scenario,
     ScriptedLlm,
     _spec,
+    _tap,
     all_scenarios,
     button,
+    screen_tree,
     stacked,
     scenario_linear_taps_5,
+    scenario_mixed_all,
     scenario_no_back_decoy,
     scenario_single_step,
     scenario_two_branch,
     scenario_with_input,
+    scenario_with_scroll,
     walk_steps,
 )
 from bugreplay.device import synthesize_omissions
@@ -308,6 +312,59 @@ class TestDumpReuse:
         seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
         assert seen[0] == "dump_hierarchy"
         assert all(not (a == b == "dump_hierarchy") for a, b in zip(seen, seen[1:]))
+
+
+class TestScrollWithoutDump:
+    """A Scroll step swipes whatever is on screen: no dump is taken for it,
+    and its event carries the digest of the dump in hand, if any."""
+
+    def test_no_dump_between_the_previous_gesture_and_the_swipe(self):
+        scenario = scenario_mixed_all()
+        device = CallLog(fresh_device(scenario))
+        try:
+            trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                           report_id=scenario.name)
+        finally:
+            device.close()
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
+        swipe = seen.index("swipe")
+        assert seen[swipe - 1] in CallLog.GESTURES
+        [scroll] = [e for e in trace.events if e.step.action is ActionType.SCROLL]
+        assert scroll.screen_digest is None
+
+    def test_first_screen_is_the_dump_in_hand(self):
+        scenario = scenario_with_scroll()
+        device = CallLog(fresh_device(scenario))
+        first = device.device.dump_hierarchy()
+        try:
+            trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                           report_id=scenario.name, first_screen=first)
+        finally:
+            device.close()
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
+        assert seen == ["swipe", "dump_hierarchy", "tap"]
+        assert trace.events[0].screen_digest == screen_digest(encode_gui(first).html)
+
+
+def test_exclusion_holds_when_the_retry_prompt_elides():
+    # the first prompt fits the full encoding, where row 7 is id 16; the
+    # retry's exclusion clause forces elision, where row 7 is id 7
+    rows = [{"class": "android.widget.LinearLayout", "bounds": [0, 60 * i, 1080, 60 * i + 60],
+             "children": [{"class": "android.widget.TextView", "text": f"Row number {i}",
+                           "bounds": [0, 60 * i, 1080, 60 * i + 60]}]}
+            for i in range(30)]
+    spec = _spec({"rows": {"tree": screen_tree(rows)}, "dead": {"tree": stacked("Nothing here", [])}},
+                 [_tap("rows", 16, "dead"), {"from": "dead", "action": "back", "to": "rows"}],
+                 "rows")
+    scenario = Scenario("elided_retry", spec, ['[Tap] ["Row number 7"]', '[Tap] ["Finish"]'])
+    llm = ScriptedLlm(["[id=16]", "I have no idea.", "[id=7]"])
+    trace = run(scenario, llm=llm, budgets=Budgets(tokens=594, backtracks=1))
+    assert "excluding components [id=7]?" in llm.prompts[2].segments[-1].text
+    assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 16)]
+    assert trace.outcome is Outcome.BUDGET_EXHAUSTED
+    assert trace.error_detail == "nowhere left to backtrack"
 
 
 class TestRestore:
