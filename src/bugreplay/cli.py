@@ -378,7 +378,8 @@ def _fresh_start(cfg: RunConfig, device: DeviceSession) -> ViewNode | None:
 def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient, corpus: ExemplarCorpus,
                  report_id: str, device: DeviceSession, first_screen: ViewNode | None = None) -> ReplayTrace:
     try:
-        return replay(steps, device, llm, corpus, cfg.budgets, report_id, first_screen=first_screen)
+        return replay(steps, device, llm, corpus, cfg.budgets, report_id,
+                      first_screen=first_screen, fast_path=True)
     finally:
         device.close()
 

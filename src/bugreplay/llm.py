@@ -147,15 +147,18 @@ class TranscriptLlm(LlmClient):
             raise ValueError(f"unknown transcript mode {mode!r}")
         self.mode = mode
         if mode == "sequence":
+            if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
+                raise ValueError("a sequence transcript's responses must be a list of strings")
             self._queue = deque(responses)
-        else:
-            if not isinstance(responses, dict):
-                pairs = list(responses)
-                keys = [k for k, _ in pairs]
-                if len(keys) != len(set(keys)):
-                    raise ValueError("keyed transcript has duplicate digests")
-                responses = dict(pairs)
-            self._table = dict(responses)
+            return
+        pairs = list(responses.items()) if isinstance(responses, dict) else responses
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(x, str) for x in p)
+                for p in pairs):
+            raise ValueError("a keyed transcript's responses must be an object, or a list of pairs, of strings")
+        if len({k for k, _ in pairs}) != len(pairs):
+            raise ValueError("keyed transcript has duplicate digests")
+        self._table = dict(pairs)
 
     @classmethod
     def from_file(cls, path, config: LlmConfig | None = None) -> "TranscriptLlm":

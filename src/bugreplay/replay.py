@@ -27,6 +27,19 @@ ids are kept in the screen's full encoding, whose ids are stable for its
 digest, even when a prompt embeds the encoding with wrapper divs elided.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
+
+With fast_path on, a guided step whose component, normalised (casefolded,
+`_` read as a space, whitespace collapsed), equals the normalised text,
+content-desc or resource-id leaf of exactly one node of the screen's full
+encoding, acts on that node with no model call. Two guards keep it
+honest. A dump right after such a lexical pick checks it, before a Scroll
+step swipes too: if the screen's digest is unchanged, the pick is undone
+(no backtrack counted, no exclusion added) and the model is asked on that
+screen, with the prompt the paper would have sent. And the fast path stays
+on only while it is right: it goes off for the rest of the run once the
+model is asked for any reason or a pick is undone. A wrong lexical pick
+that does change the screen, typed text included, is caught only by
+ordinary backtracking. With fast_path off, the loop is the paper's.
 """
 from __future__ import annotations
 
@@ -44,7 +57,7 @@ from .errors import (
 )
 from .exemplars import ExemplarCorpus
 from .guidance import GUIDED_ACTIONS, build_guidance_prompt, parse_guidance_response
-from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, screen_digest
+from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, resource_leaf, screen_digest
 from .llm import LlmClient
 from .steps import ActionType, Direction, Step, step_text, validate_step_list
 from .device import DeviceSession, apply_gestures
@@ -87,6 +100,8 @@ class ReplayEvent:
     exploratory: bool
     # None for a Scroll step that had no dump in hand
     screen_digest: str | None
+    # "lexical", "model", or None for a Scroll step
+    resolved_by: str | None
 
 
 @dataclass
@@ -114,6 +129,7 @@ class ReplayTrace:
                     "resolved_id": e.resolved_id,
                     "exploratory": e.exploratory,
                     "screen_digest": e.screen_digest,
+                    "resolved_by": e.resolved_by,
                 }
                 for e in self.events
             ],
@@ -186,6 +202,25 @@ def _dump_screen(device: DeviceSession) -> _Screen:
     return _encode_screen(device.dump_hierarchy())
 
 
+def _norm_label(text: str | None) -> str:
+    return " ".join((text or "").replace("_", " ").casefold().split())
+
+
+def _lexical_pick(component: str, encoded: EncodedGui) -> int | None:
+    """The full-encoding id of the one node whose text, content-desc or
+    resource-id leaf reads as component; None unless exactly one does."""
+    want = _norm_label(component)
+    hits = [
+        nid for nid, node in encoded.index.items()
+        if want and want in (
+            _norm_label(node.text),
+            _norm_label(node.content_desc),
+            _norm_label(node.resource_id and resource_leaf(node.resource_id)),
+        )
+    ]
+    return hits[0] if len(hits) == 1 else None
+
+
 def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], screen: _Screen) -> _Screen:
     """Bring back the snapshot's screen, starting from `screen`, the dump
     of what the device shows now; returns the dump of the restored screen."""
@@ -223,16 +258,20 @@ def replay(
     report_id: str = "",
     *,
     first_screen: ViewNode | None = None,
+    fast_path: bool = False,
 ) -> ReplayTrace:
     """Run the guided replay loop to one of the four outcomes.
 
     first_screen, if given, is the hierarchy the device shows now, dumped
     with no gesture since; the first iteration uses it instead of a dump.
+    fast_path lets a step's one verbatim on-screen label settle the step
+    with no model call, as the module docstring describes.
 
     Never raises for pipeline failures; they land in the trace as
     outcome=error. Termination is guaranteed: every iteration either
     executes an action, consumes a backtrack, or finishes, and both are
-    budgeted.
+    budgeted; the one undo of a lexical pick a run can make follows an
+    action.
     """
     validate_step_list(steps)
     budgets = budgets or Budgets()
@@ -243,6 +282,9 @@ def replay(
     missing_depth = 0
     # the dump of the current screen when no gesture has happened since
     screen: _Screen | None = None
+    # the snapshot of a lexical pick that no dump has checked yet; it
+    # joins history once a dump shows the pick changed the screen
+    pending: _Snapshot | None = None
     started = time.monotonic()
 
     def finish(outcome: Outcome, detail: str | None = None) -> ReplayTrace:
@@ -274,61 +316,83 @@ def replay(
         while True:
             if time.monotonic() - started > budgets.wall_seconds:
                 return finish(Outcome.BUDGET_EXHAUSTED, "wall clock budget exhausted")
+            # a dump checks a lexical pick before anything else happens, if
+            # an action is left to redo the step with; a swipe first could
+            # change the screen and hide a pick that changed nothing
+            if pending is not None and trace.actions_used < budgets.actions:
+                screen = _dump_screen(device)
+                if screen[1] == pending.digest:
+                    logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
+                    cursor, missing_depth, tried = pending.cursor, pending.missing_depth, pending.tried
+                    fast_path = False
+                else:
+                    history.append(pending)
+                pending = None
             if cursor >= len(steps):
                 return finish(Outcome.STEPS_EXHAUSTED_NO_BUG)
             if trace.actions_used >= budgets.actions:
                 return finish(Outcome.BUDGET_EXHAUSTED, "action budget exhausted")
 
             step = steps[cursor]
-            node, chosen, exploratory = None, None, False
+            node, chosen, exploratory, resolved_by = None, None, False, None
             if step.action is ActionType.SCROLL:
                 # a swipe needs no screen; it is logged against the dump in hand, if any
                 digest = screen[1] if screen else None
             else:
                 encoded, digest = screen or _dump_screen(device)
-                # exclusions hold ids of the full encoding; the answer cites
-                # ids of the one the prompt embeds, which may elide wrappers
-                excluded = tried.get(cursor, set())
-                prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
-                try:
-                    result = parse_guidance_response(llm.complete(prompt))
-                except NoActionableAnswer as exc:
-                    logger.debug("step %d: %s", step.index, exc)
-                    result = None
-
-                if result is not None and result.component_id is not None:
+                # every backtrack follows a model call, which has turned the
+                # fast path off, so a lexical pick never meets an exclusion
+                full_id = _lexical_pick(step.component, encoded) if fast_path else None
+                if full_id is not None:
+                    node, chosen, resolved_by = encoded.index[full_id], full_id, "lexical"
+                else:
+                    fast_path = False
+                    resolved_by = "model"
+                    # exclusions hold ids of the full encoding; the answer cites
+                    # ids of the one the prompt embeds, which may elide wrappers
+                    excluded = tried.get(cursor, set())
+                    prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
                     try:
-                        node = resolve_component(enc_used, result.component_id)
-                    except UnknownId as exc:
+                        result = parse_guidance_response(llm.complete(prompt))
+                    except NoActionableAnswer as exc:
                         logger.debug("step %d: %s", step.index, exc)
-                    else:
-                        full_id = encoded.id_of(node)
-                        if full_id in excluded:
-                            logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
-                            node = None
+                        result = None
 
-                usable = (
-                    result is not None
-                    and node is not None
-                    and not (result.missing and missing_depth >= budgets.max_missing_depth)
-                )
-                if not usable:
-                    reason = backtrack((encoded, digest))
-                    if reason is not None:
-                        return finish(Outcome.BUDGET_EXHAUSTED, reason)
-                    continue
+                    if result is not None and result.component_id is not None:
+                        try:
+                            node = resolve_component(enc_used, result.component_id)
+                        except UnknownId as exc:
+                            logger.debug("step %d: %s", step.index, exc)
+                        else:
+                            full_id = encoded.id_of(node)
+                            if full_id in excluded:
+                                logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                                node = None
 
-                chosen, exploratory = result.component_id, result.missing
-                history.append(
-                    _Snapshot(
-                        cursor=cursor,
-                        missing_depth=missing_depth,
-                        digest=digest,
-                        tried={k: set(v) for k, v in tried.items()},
-                        departed_id=full_id,
-                        gesture_prefix=len(trace.gestures),
+                    usable = (
+                        result is not None
+                        and node is not None
+                        and not (result.missing and missing_depth >= budgets.max_missing_depth)
                     )
+                    if not usable:
+                        reason = backtrack((encoded, digest))
+                        if reason is not None:
+                            return finish(Outcome.BUDGET_EXHAUSTED, reason)
+                        continue
+                    chosen, exploratory = result.component_id, result.missing
+
+                snap = _Snapshot(
+                    cursor=cursor,
+                    missing_depth=missing_depth,
+                    digest=digest,
+                    tried={k: set(v) for k, v in tried.items()},
+                    departed_id=full_id,
+                    gesture_prefix=len(trace.gestures),
                 )
+                if resolved_by == "lexical":
+                    pending = snap
+                else:
+                    history.append(snap)
 
             screen = None
             # an exploratory hop is a plain tap toward where the missing
@@ -336,7 +400,7 @@ def replay(
             action = replace(step, action=ActionType.TAP, value=None) if exploratory else step
             trace.gestures.extend(execute_step(device, action, node))
             trace.actions_used += 1
-            trace.events.append(ReplayEvent(step, chosen, exploratory, digest))
+            trace.events.append(ReplayEvent(step, chosen, exploratory, digest, resolved_by))
             if device.crashed():
                 return finish(Outcome.BUG_TRIGGERED)
             if exploratory:

@@ -21,6 +21,8 @@ from helpers import scenario_single_step
 
 REPORT = 'Tap "Crash me" on the main screen. The app crashes.'
 EXTRACTION = '1. [Tap] ["Crash me"]'
+# a label that names nothing on screen, so only the model can resolve it
+UNMATCHED = '1. [Tap] ["the crash button"]'
 GUIDANCE = "The component is visible, so I operate on [id=2] in the screen."
 
 
@@ -152,7 +154,7 @@ class TestReplay:
 
     def test_runtime_failure_exits_3(self, ws, capsys):
         # transcript runs dry before the guidance query
-        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [EXTRACTION])]
+        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [UNMATCHED])]
         assert main(args) == 3
         assert "replay failed" in capsys.readouterr().err
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
@@ -199,7 +201,7 @@ class TestReplay:
 
     def test_other_errors_keep_the_retries(self, ws):
         # the transcript runs dry at each run's guidance query
-        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [EXTRACTION] * 2, runs=2)]
+        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [UNMATCHED] * 2, runs=2)]
         assert main(args) == 3
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
         assert [r["error_detail"].split(":")[0] for r in artifact["runs"]] == [
@@ -231,6 +233,14 @@ class TestReplay:
                 *targs(ws, [EXTRACTION, GUIDANCE])]
         assert main(args) == 2
         assert "keyed transcript" in capsys.readouterr().err
+
+
+def test_replay_takes_the_fast_path(ws):
+    # "Crash me" is verbatim and unique on screen: no guidance query
+    args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [EXTRACTION])]
+    assert main(args) == 0
+    artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+    assert artifact["runs"][0]["events"][0]["resolved_by"] == "lexical"
 
 
 class _Pilot(BaseHTTPRequestHandler):
@@ -431,6 +441,22 @@ class TestUsageErrors:
         (ws / "bad.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["replay", "crash.txt", "--app", "app.json",
                 "--llm", "transcript", "--transcript", "bad.json"]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot load transcript bad.json")
+
+    @pytest.mark.parametrize("body", [
+        {"mode": "sequence", "responses": 5},
+        {"mode": "sequence", "responses": [EXTRACTION, 7]},
+        {"mode": "sequence", "responses": {"digest": EXTRACTION}},
+        {"mode": "keyed", "responses": [1, 2]},
+        {"mode": "keyed", "responses": {"digest": 3}},
+        {"mode": "keyed", "responses": "digest"},
+    ], ids=["sequence-int", "sequence-non-string", "sequence-object",
+            "keyed-ints", "keyed-non-string", "keyed-string"])
+    def test_transcript_responses_of_the_wrong_type(self, ws, capsys, body):
+        (ws / "bad.json").write_text(json.dumps(body), encoding="utf-8")
+        args = ["extract", "crash.txt", "--llm", "transcript", "--transcript", "bad.json"]
         assert main(args) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cannot load transcript bad.json")

@@ -4,12 +4,13 @@ import pytest
 from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
 from bugreplay.errors import TransportError
 from bugreplay.exemplars import ExemplarCorpus
-from bugreplay.gui import encode_gui, screen_digest
-from bugreplay.llm import LlmClient, LlmConfig
+from bugreplay.gui import ViewNode, encode_gui, screen_digest
+from bugreplay.llm import LlmClient, LlmConfig, prompt_digest
 from bugreplay.replay import (
     Budgets,
     Outcome,
     _dump_screen,
+    _lexical_pick,
     _restore,
     _Snapshot,
     execute_step,
@@ -20,6 +21,7 @@ from bugreplay.steps import ActionType, parse_step_text
 from helpers import (
     CRASH_STATE,
     AlwaysMissingLlm,
+    GuidanceOracle,
     Scenario,
     ScriptedLlm,
     _spec,
@@ -28,6 +30,7 @@ from helpers import (
     button,
     screen_tree,
     stacked,
+    text_view,
     scenario_linear_taps_5,
     scenario_mixed_all,
     scenario_no_back_decoy,
@@ -508,7 +511,7 @@ class TestTraceShape:
         assert len(parsed["events"]) == 5
         event = parsed["events"][0]
         assert set(event) == {"step_index", "step", "resolved_id",
-                              "exploratory", "screen_digest"}
+                              "exploratory", "screen_digest", "resolved_by"}
         assert parsed["actions_used"] == 5
         assert isinstance(parsed["wall_time"], float)
         assert all(isinstance(g, list) for g in parsed["gestures"])
@@ -525,3 +528,124 @@ def test_all_scenarios_again_with_tight_action_budget():
         budgets = Budgets(actions=len(scenario.steps) + 4)
         trace = run(scenario, budgets=budgets)
         assert trace.outcome is Outcome.BUG_TRIGGERED, scenario.name
+
+
+class TestLexicalPick:
+    """The fast path's rule: one node whose text, content-desc or
+    resource-id leaf reads as the step's component."""
+
+    def encoded(self):
+        return encode_gui(ViewNode("android.widget.FrameLayout", children=[
+            ViewNode("android.widget.Button", resource_id="app:id/sign_in_btn", text="Sign  In"),
+            ViewNode("android.widget.ImageView", content_desc="User Avatar"),
+            ViewNode("android.widget.Button", text="Delete"),
+            ViewNode("android.widget.Button", text="delete"),
+        ]))
+
+    @pytest.mark.parametrize("component, expected", [
+        ("sign in", 1),
+        ("SIGN_IN_BTN", 1),
+        ("user_avatar", 2),
+        ("Sign", None),
+        ("Delete", None),
+        ("Nowhere", None),
+    ], ids=["text", "resource-leaf", "content-desc", "partial", "two-matches", "absent"])
+    def test_one_normalised_match_or_none(self, component, expected):
+        assert _lexical_pick(component, self.encoded()) == expected
+
+
+class ButtonOracle(GuidanceOracle):
+    """Honest guidance that names only buttons, noting each prompt's digest."""
+
+    def __init__(self, bridges=None):
+        super().__init__(bridges=bridges)
+        self.digests = []
+
+    def _complete(self, prompt):
+        self.digests.append(prompt_digest(prompt.rendered))
+        return super()._complete(prompt)
+
+    def _answer(self, component, excluded, elems):
+        return super()._answer(component, excluded, [e for e in elems if e["tag"] == "button"])
+
+
+def _scroll(frm, to):
+    return {"from": frm, "action": "scroll", "direction": "down", "to": to}
+
+
+def scenario_filler_bridge(then):
+    """The first screen shows "Details" as filler text, and moves on only
+    through a "Next" button the report does not mention; the second screen
+    has the real "Details" button. then is the step after it: "tap" on
+    "Confirm", "none", or "scroll" down, which on the first screen would
+    move it to another screen and so hide a filler tap that did nothing."""
+    s0 = stacked("Start", [lambda y: text_view("Details", y), lambda y: button("Next", y)])
+    s1 = stacked("Middle", [lambda y: button("Details", y)])
+    s2 = stacked("Last", [lambda y: button("Confirm", y)])
+    elsewhere = stacked("Start, scrolled", [lambda y: text_view("The end", y)])
+    ends = {"tap": ("s2", ['[Tap] ["Confirm"]']), "none": (CRASH_STATE, []), "scroll": ("s2", ["[Scroll] [down]"])}
+    after_details, more = ends[then]
+    transitions = [_tap("s0", 3, "s1"), _tap("s1", 2, after_details), _scroll("s0", "elsewhere"),
+                   _tap("s2", 2, CRASH_STATE), _scroll("s2", CRASH_STATE)]
+    states = {"s0": {"tree": s0}, "s1": {"tree": s1}, "s2": {"tree": s2}, "elsewhere": {"tree": elsewhere}}
+    spec = _spec(states, transitions, "s0")
+    return Scenario("filler_bridge", spec, ['[Tap] ["Details"]'] + more, bridges={"Details": ["Next"]})
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("build", [scenario_linear_taps_5, scenario_mixed_all])
+    def test_verbatim_unique_labels_need_no_model(self, build):
+        scenario = build()
+        llm = ScriptedLlm([])
+        trace = run(scenario, llm=llm, fast_path=True)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert llm.prompts == []
+        assert [e.resolved_by for e in trace.events] == [
+            None if s.action is ActionType.SCROLL else "lexical" for s in scenario.steps]
+
+    def test_off_by_default(self):
+        llm = ScriptedLlm(["[id=2]"])
+        trace = run(scenario_single_step(), llm=llm)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert len(llm.prompts) == 1
+        assert trace.events[0].resolved_by == "model"
+
+    def test_two_matches_go_to_the_model_and_so_does_every_later_step(self):
+        # "Delete" names ids 2 and 3; "Confirm" is then verbatim and unique,
+        # but once the model has been asked, it is asked for the rest
+        s0 = stacked("Inbox", [lambda y: button("Delete", y), lambda y: button("Delete", y)])
+        s1 = stacked("Sure?", [lambda y: button("Confirm", y)])
+        spec = _spec({"s0": {"tree": s0}, "s1": {"tree": s1}},
+                     [_tap("s0", 3, "s1"), _tap("s1", 2, CRASH_STATE)], "s0")
+        scenario = Scenario("two_deletes", spec, ['[Tap] ["Delete"]', '[Tap] ["Confirm"]'])
+        llm = ScriptedLlm(["[id=3]", "[id=2]"])
+        trace = run(scenario, llm=llm, fast_path=True)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert len(llm.prompts) == 2
+        assert [(e.resolved_id, e.resolved_by) for e in trace.events] == [(3, "model"), (2, "model")]
+
+    @pytest.mark.parametrize("then", ["tap", "none", "scroll"], ids=["tap-next", "last-step", "scroll-next"])
+    def test_a_pick_that_changes_nothing_is_undone(self, then):
+        scenario = scenario_filler_bridge(then)
+        paper, fast = ButtonOracle(scenario.bridges), ButtonOracle(scenario.bridges)
+        expected = run(scenario, llm=paper)
+        trace = run(scenario, llm=fast, fast_path=True)
+        assert expected.outcome is trace.outcome is Outcome.BUG_TRIGGERED
+        # the filler tap stays in the trace; then the model is asked on the
+        # same screen, with the same prompts, as if it had never happened
+        assert (trace.events[0].resolved_id, trace.events[0].resolved_by) == (2, "lexical")
+        assert fast.digests == paper.digests
+        assert [(e.resolved_id, e.exploratory, e.resolved_by) for e in trace.events[1:]] == [
+            (e.resolved_id, e.exploratory, e.resolved_by) for e in expected.events]
+        assert trace.backtracks_used == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: scenario_filler_bridge("tap"), lambda: scenario_filler_bridge("none"),
+        lambda: scenario_filler_bridge("scroll"), scenario_two_branch],
+        ids=["filler-tap-next", "filler-last-step", "filler-scroll-next", "two-branch"])
+    def test_zero_backtracks(self, build):
+        scenario = build()
+        llm = ButtonOracle(scenario.bridges)
+        trace = run(scenario, llm=llm, budgets=Budgets(backtracks=0), fast_path=True)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.backtracks_used == 0
