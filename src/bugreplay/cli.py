@@ -212,7 +212,7 @@ def _load_report(path: str) -> BugReport:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read report {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -478,7 +478,7 @@ def cmd_replay(cfg: RunConfig) -> int:
 def cmd_encode(cfg: RunConfig, dump_path: str) -> int:
     try:
         xml = Path(dump_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read dump {dump_path}: {exc}") from exc
     encoded = encode_gui(parse_dump(xml))
     print(encoded.html)

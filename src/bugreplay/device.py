@@ -296,7 +296,8 @@ ADB_TIMEOUT_SECONDS = 120
 
 def _run_subprocess(argv: list[str]) -> str:
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=ADB_TIMEOUT_SECONDS)
+        proc = subprocess.run(argv, capture_output=True, encoding="utf-8", errors="replace",
+                              timeout=ADB_TIMEOUT_SECONDS)
     except OSError as exc:
         raise DeviceError(f"cannot run {argv[0]}: {exc}") from exc
     except subprocess.TimeoutExpired as exc:

@@ -126,11 +126,12 @@ class HttpLlm(LlmClient):
         try:
             data = resp.json()
             choice = data["choices"][0]
-            if "message" in choice:
-                return choice["message"]["content"]
-            return choice["text"]
+            text = choice["message"]["content"] if "message" in choice else choice["text"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected completion payload: {exc}") from exc
+        if not isinstance(text, str):
+            raise TransportError(f"unexpected completion payload: content is {type(text).__name__}, not text")
+        return text
 
 
 class TranscriptLlm(LlmClient):

@@ -28,6 +28,23 @@ digest, even when a prompt embeds the encoding with wrapper divs elided.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
 
+Guidance calls run on one worker thread, one at a time and in the order
+the loop needs them, while the calling thread, the only one that touches
+the device, does the device work the answer does not decide. A re-ask
+after a pop goes out as soon as the snapshot is popped, built from the
+snapshot's own dump, while the screen is restored: the restore ends on
+that very screen, so the prompt is the one the paper sends after it, and
+the cited node is acted on at the bounds of the restored dump. With the
+fast path off, a gesture that the model's answer for a guided step must
+follow gets its crash check after the next dump, while that call is out;
+the answer is acted on only once the check finds no crash. Every other
+gesture, the fast path's among them, is checked at once. A finish runs a
+check still owed first, so a crash outranks a budget or a failure after
+it. Two costs come with this: a gesture that crashes the app while steps
+remain (fast path off) costs one dump and one model call whose answer is
+dropped, and a re-ask already sent is dropped when the wall budget runs
+out during its restore or the restore fails.
+
 With fast_path on, a guided step whose component, normalised (casefolded,
 `_` read as a space, whitespace collapsed), equals the normalised text,
 content-desc or resource-id leaf of exactly one node of the screen's full
@@ -46,6 +63,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -183,6 +201,7 @@ def execute_step(device: DeviceSession, step: Step, node: ViewNode | None) -> li
 class _Snapshot:
     cursor: int
     missing_depth: int
+    encoded: EncodedGui
     digest: str
     tried: dict[int, set[int]]
     departed_id: int
@@ -267,6 +286,10 @@ def replay(
     fast_path lets a step's one verbatim on-screen label settle the step
     with no model call, as the module docstring describes.
 
+    Guidance calls run one at a time on a worker thread, in the order the
+    loop needs them; the device is touched only from the calling thread,
+    and the run returns only once no call is in flight.
+
     Never raises for pipeline failures; they land in the trace as
     outcome=error. Termination is guaranteed: every iteration either
     executes an action, consumes a backtrack, or finishes, and both are
@@ -285,9 +308,40 @@ def replay(
     # the snapshot of a lexical pick that no dump has checked yet; it
     # joins history once a dump shows the pick changed the screen
     pending: _Snapshot | None = None
+    # the guidance call in flight
+    asked: Future | None = None
+    # whether the last gesture still awaits its crash check
+    unchecked = False
+    pool = ThreadPoolExecutor(max_workers=1)
     started = time.monotonic()
 
+    def ask(step: Step, encoded: EncodedGui, excluded: set[int]) -> None:
+        """Send the guidance call for step on the screen encoded; it yields
+        that encoding, the one the prompt embeds, and the answer."""
+        nonlocal asked
+        excluded = frozenset(excluded)
+
+        def call() -> tuple[EncodedGui, EncodedGui, str]:
+            prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
+            return encoded, enc_used, llm.complete(prompt)
+
+        asked = pool.submit(call)
+
+    def check_crash() -> bool:
+        nonlocal unchecked
+        unchecked = False
+        return device.crashed()
+
     def finish(outcome: Outcome, detail: str | None = None) -> ReplayTrace:
+        # a crash the last gesture caused outranks what came after it
+        if unchecked:
+            try:
+                if check_crash():
+                    outcome, detail = Outcome.BUG_TRIGGERED, None
+            except BugReplayError as exc:
+                outcome, detail = Outcome.ERROR, f"{type(exc).__name__}: {exc}"
+        # the run outlives a call still in flight, whose answer is dropped
+        pool.shutdown()
         trace.outcome = outcome
         trace.error_detail = detail
         trace.wall_time = time.monotonic() - started
@@ -302,11 +356,15 @@ def replay(
             return "backtrack budget exhausted"
         snap = history.pop()
         trace.backtracks_used += 1
-        screen = _restore(device, snap, trace.gestures, current)
         cursor = snap.cursor
         missing_depth = snap.missing_depth
         tried = {k: set(v) for k, v in snap.tried.items()}
         tried.setdefault(cursor, set()).add(snap.departed_id)
+        # the restore must bring back the snapshot's very screen, so the
+        # re-ask goes out on its dump while the device gets there; no
+        # action has happened since the loop found one left
+        ask(steps[cursor], snap.encoded, tried[cursor])
+        screen = _restore(device, snap, trace.gestures, current)
         logger.debug("backtracked to step %d excluding %s", cursor + 1, tried[cursor])
         return None
 
@@ -351,9 +409,15 @@ def replay(
                     # exclusions hold ids of the full encoding; the answer cites
                     # ids of the one the prompt embeds, which may elide wrappers
                     excluded = tried.get(cursor, set())
-                    prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
+                    if asked is None:
+                        ask(step, encoded, excluded)
+                    # the last gesture's crash check runs while the model answers
+                    if unchecked and check_crash():
+                        return finish(Outcome.BUG_TRIGGERED)
+                    call, asked = asked, None
+                    asked_on, enc_used, answer = call.result()
                     try:
-                        result = parse_guidance_response(llm.complete(prompt))
+                        result = parse_guidance_response(answer)
                     except NoActionableAnswer as exc:
                         logger.debug("step %d: %s", step.index, exc)
                         result = None
@@ -364,7 +428,10 @@ def replay(
                         except UnknownId as exc:
                             logger.debug("step %d: %s", step.index, exc)
                         else:
-                            full_id = encoded.id_of(node)
+                            # a re-ask was built on the snapshot's dump of this
+                            # screen; the tap takes the live dump's bounds
+                            full_id = asked_on.id_of(node)
+                            node = encoded.index[full_id]
                             if full_id in excluded:
                                 logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
                                 node = None
@@ -384,6 +451,7 @@ def replay(
                 snap = _Snapshot(
                     cursor=cursor,
                     missing_depth=missing_depth,
+                    encoded=encoded,
                     digest=digest,
                     tried={k: set(v) for k, v in tried.items()},
                     departed_id=full_id,
@@ -401,13 +469,21 @@ def replay(
             trace.gestures.extend(execute_step(device, action, node))
             trace.actions_used += 1
             trace.events.append(ReplayEvent(step, chosen, exploratory, digest, resolved_by))
-            if device.crashed():
-                return finish(Outcome.BUG_TRIGGERED)
             if exploratory:
                 missing_depth += 1
             else:
                 cursor += 1
                 missing_depth = 0
+            # off the fast path, a gesture the model's next answer must
+            # follow has its crash check put off until that call is out
+            unchecked = True
+            overlap = (not fast_path and cursor < len(steps) and trace.actions_used < budgets.actions
+                       and steps[cursor].action is not ActionType.SCROLL)
+            if not overlap and check_crash():
+                return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:
         logger.warning("replay aborted: %s", exc)
         return finish(Outcome.ERROR, f"{type(exc).__name__}: {exc}")
+    finally:
+        # an exception that escapes waits for the call in flight too
+        pool.shutdown()

@@ -378,6 +378,13 @@ class TestEncode:
         assert main(["encode", "nowhere.xml"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_dump_that_is_not_utf8_exits_2(self, ws, capsys):
+        (ws / "bad.xml").write_bytes(self.DUMP.encode("utf-8").replace(b"Hello", b"H\xffllo"))
+        assert main(["encode", "bad.xml"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == len(err.splitlines()) == 1
+        assert "cannot read dump bad.xml" in err
+
 
 class TestUsageErrors:
     def test_no_arguments(self, ws, capsys):
@@ -389,6 +396,13 @@ class TestUsageErrors:
     def test_missing_report_file(self, ws, capsys):
         assert main(["extract", "nowhere.txt", *targs(ws, [EXTRACTION])]) == 2
         assert "cannot read report" in capsys.readouterr().err
+
+    def test_report_that_is_not_utf8(self, ws, capsys):
+        (ws / "bad.txt").write_bytes(b'Tap "Crash me" \xff\xfe and it crashes.')
+        assert main(["extract", "bad.txt", *targs(ws, [EXTRACTION])]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == len(err.splitlines()) == 1
+        assert "cannot read report bad.txt" in err
 
     def test_empty_report_file(self, ws, capsys):
         (ws / "empty.txt").write_text("   \n", encoding="utf-8")

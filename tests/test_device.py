@@ -473,6 +473,12 @@ class TestAdbDevice:
             self.make(None, adb_path=str(adb)).tap(1, 1)
         assert time.monotonic() - started < 10
 
+    def test_crash_log_that_is_not_utf8_still_counts(self, tmp_path):
+        adb = tmp_path / "fake-adb"
+        adb.write_text("#!/bin/sh\nprintf 'FATAL EXCEPTION \\377\\n'\n", encoding="utf-8")
+        adb.chmod(0o755)
+        assert self.make(None, adb_path=str(adb)).crashed() is True
+
     def test_runner_failures_surface_as_device_errors(self):
         def broken(argv):
             raise DeviceError("adb exited 1")

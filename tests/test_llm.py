@@ -233,6 +233,24 @@ class TestHttpLlm:
         with pytest.raises(TransportError):
             self._client(http_endpoint).complete(make_prompt("q"))
 
+    @pytest.mark.parametrize("payload", [
+        _chat_payload(None), _chat_payload(["a", "b"]), {"choices": [{"text": 7}]},
+    ], ids=["null-content", "list-content", "number-text"])
+    def test_content_that_is_not_text(self, payload):
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return payload
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return Response()
+
+        llm = HttpLlm(LlmConfig(endpoint="http://unused.invalid/v1"), session=Session())
+        with pytest.raises(TransportError, match="unexpected completion payload"):
+            llm.complete(make_prompt("q"))
+
     def test_connection_refused_exhausts_retries(self):
         llm = self._client("http://127.0.0.1:9/never", retries=1)
         with pytest.raises(TransportError):

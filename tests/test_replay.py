@@ -1,11 +1,15 @@
 """The guided replay loop: geometry, outcomes, backtracking, traces."""
+import sys
+import threading
+import time
+
 import pytest
 
 from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
-from bugreplay.errors import TransportError
+from bugreplay.errors import DeviceError, TransportError
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.gui import ViewNode, encode_gui, screen_digest
-from bugreplay.llm import LlmClient, LlmConfig, prompt_digest
+from bugreplay.llm import LlmClient, LlmConfig, TranscriptLlm, prompt_digest
 from bugreplay.replay import (
     Budgets,
     Outcome,
@@ -389,7 +393,7 @@ class TestRestore:
         home = _dump_screen(device)
         device.current = "dead"
         gestures = list(log)
-        snap = _Snapshot(cursor=0, missing_depth=0, digest=home[1], tried={},
+        snap = _Snapshot(cursor=0, missing_depth=0, encoded=home[0], digest=home[1], tried={},
                          departed_id=0, gesture_prefix=0)
         screen = _restore(device, snap, gestures, _dump_screen(device))
         assert gestures == log + added
@@ -649,3 +653,237 @@ class TestFastPath:
         trace = run(scenario, llm=llm, budgets=Budgets(backtracks=0), fast_path=True)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.backtracks_used == 0
+
+
+# seconds a probe waits for the other thread before it gives up
+WAIT_S = 2.0
+
+
+class HeldLlm(LlmClient):
+    """Delegates to `inner`; a call whose prompt `hold` selects waits,
+    a while at most, until `released` is set before it answers."""
+
+    def __init__(self, inner, hold=lambda rendered: True):
+        super().__init__(inner.config)
+        self.inner, self.hold = inner, hold
+        self.out = threading.Event()
+        self.released = threading.Event()
+
+    def _complete(self, prompt):
+        if self.hold(prompt.rendered) and not self.released.is_set():
+            self.out.set()
+            self.released.wait(WAIT_S)
+        return self.inner.complete(prompt)
+
+
+class Probe(CallLog):
+    """A CallLog that, at each call of `op`, notes whether the held
+    guidance call is out (waiting a while for it first), then lets it
+    answer; it also notes every thread that touches the device."""
+
+    def __init__(self, device, llm, op):
+        super().__init__(device)
+        self.llm, self.op = llm, op
+        self.seen = []
+        self.threads = set()
+
+    def __getattr__(self, name):
+        attr = super().__getattr__(name)
+        if not callable(attr):
+            return attr
+
+        def probed(*args):
+            self.threads.add(threading.get_ident())
+            if name == self.op:
+                self.llm.out.wait(WAIT_S)
+                self.seen.append(self.llm.out.is_set() and not self.llm.released.is_set())
+                self.llm.released.set()
+            return attr(*args)
+        return probed
+
+
+def scenario_crash_midway():
+    """Tapping "Crash me" crashes the app, though the report goes on."""
+    return Scenario("crash_midway", scenario_single_step().spec,
+                    ['[Tap] ["Crash me"]', '[Tap] ["Then this"]'])
+
+
+class SlowScriptedLlm(ScriptedLlm):
+    """Scripted answers, each after a delay; counts the answers given."""
+
+    def __init__(self, answers, delay):
+        super().__init__(answers)
+        self.delay = delay
+        self.answered = 0
+
+    def _complete(self, prompt):
+        answer = super()._complete(prompt)
+        time.sleep(self.delay)
+        self.answered += 1
+        return answer
+
+
+def replay_on(device, scenario, llm, budgets=None, **kw):
+    """Replay scenario on a logged device, closing it after."""
+    try:
+        return replay(scenario.steps, device, llm, CORPUS, budgets, scenario.name, **kw)
+    finally:
+        device.close()
+
+
+def ops(device):
+    """The device methods a run called, in order, less the closing one."""
+    return [c for c in device.calls if c != "close"]
+
+
+class TestOverlap:
+    """Guidance calls run on a worker thread: the re-ask goes out during
+    the restore, and a gesture's crash check runs while the next call is
+    out; what the run does stays the paper's."""
+
+    def test_reask_is_out_during_the_restore(self):
+        scenario = scenario_two_branch()
+        llm = HeldLlm(scenario.oracle(), hold=lambda rendered: "excluding components" in rendered)
+        device = Probe(fresh_device(scenario), llm, "press_back")
+        trace = replay_on(device, scenario, llm)
+        assert device.seen == [True]
+        assert device.threads == {threading.get_ident()}
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.gestures == [SECOND, BACK, FIRST, FIRST]
+        assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
+
+    def test_crash_check_runs_while_the_model_answers(self):
+        scenario = scenario_with_scroll()
+        llm = HeldLlm(scenario.oracle())
+        device = Probe(fresh_device(scenario), llm, "crashed")
+        trace = replay_on(device, scenario, llm)
+        # the swipe's check runs during the call; the last tap's at once
+        assert device.seen == [True, False]
+        assert ops(device) == ["swipe", "dump_hierarchy", "crashed", "tap", "crashed"]
+        assert device.threads == {threading.get_ident()}
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+
+    def test_fast_path_checks_for_the_crash_at_once(self):
+        scenario = scenario_mixed_all()
+        device = CallLog(fresh_device(scenario))
+        trace = replay_on(device, scenario, ScriptedLlm([]), fast_path=True)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        calls = ops(device)
+        # each action's check comes right after its gestures, before any dump
+        assert calls.count("crashed") == trace.actions_used
+        assert all(calls[i - 1] in CallLog.GESTURES for i, c in enumerate(calls) if c == "crashed")
+
+    def test_no_call_once_the_action_budget_is_spent(self):
+        # the decoy spends the one action; the step after it would need
+        # the model, and a backtrack a re-ask, but neither is sent
+        scenario = scenario_two_branch()
+        llm = ScriptedLlm(["[id=3]"])
+        device = CallLog(fresh_device(scenario))
+        trace = replay_on(device, scenario, llm, Budgets(actions=1))
+        assert trace.outcome is Outcome.BUDGET_EXHAUSTED
+        assert trace.error_detail == "action budget exhausted"
+        assert len(llm.prompts) == 1
+        assert trace.backtracks_used == 0
+        assert ops(device) == ["dump_hierarchy", "tap", "crashed"]
+
+    def test_crash_on_the_last_action_the_budget_allows(self):
+        scenario = scenario_crash_midway()
+        llm = ScriptedLlm(["[id=2]"])
+        device = CallLog(fresh_device(scenario))
+        trace = replay_on(device, scenario, llm, Budgets(actions=1))
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert len(llm.prompts) == 1
+        assert ops(device) == ["dump_hierarchy", "tap", "crashed"]
+
+    def test_mid_run_crash_drops_the_answer_it_overlapped(self):
+        scenario = scenario_crash_midway()
+        llm = SlowScriptedLlm(["[id=2]", "[id=0]"], delay=0.05)
+        device = CallLog(fresh_device(scenario))
+        trace = replay_on(device, scenario, llm)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 2)]
+        # the check waited for the call to go out on the crash screen,
+        # and the run waited for its answer before returning
+        assert ops(device) == ["dump_hierarchy", "tap", "dump_hierarchy", "crashed"]
+        assert len(llm.prompts) == llm.answered == 2
+
+    def test_crash_outranks_a_failed_dump_after_it(self):
+        class FailingDump(CallLog):
+            def __getattr__(self, name):
+                if name == "dump_hierarchy" and "tap" in self.calls:
+                    raise DeviceError("uiautomator dump failed")
+                return super().__getattr__(name)
+
+        scenario = scenario_crash_midway()
+        device = FailingDump(fresh_device(scenario))
+        trace = replay_on(device, scenario, ScriptedLlm(["[id=2]"]))
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.error_detail is None
+
+    def test_crash_outranks_the_wall_budget(self):
+        class SlowTap(CallLog):
+            def __getattr__(self, name):
+                attr = super().__getattr__(name)
+                if name != "tap":
+                    return attr
+
+                def slow_tap(*args):
+                    time.sleep(0.3)
+                    return attr(*args)
+                return slow_tap
+
+        scenario = scenario_crash_midway()
+        device = SlowTap(fresh_device(scenario))
+        trace = replay_on(device, scenario, ScriptedLlm(["[id=2]"]), Budgets(wall_seconds=0.2))
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert ops(device)[-2:] == ["tap", "crashed"]
+
+    def test_runs_stay_deterministic_under_rapid_thread_switching(self):
+        def once(scenario):
+            device = CallLog(fresh_device(scenario))
+            trace = replay_on(device, scenario, scenario.oracle())
+            data = trace.to_dict()
+            del data["wall_time"]
+            return data, ops(device)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            started = time.monotonic()
+            for scenario in all_scenarios() + [scenario_double_trap()]:
+                first = once(scenario)
+                assert first[0]["outcome"] == "bug_triggered", scenario.name
+                for _ in range(3):
+                    assert once(scenario) == first, scenario.name
+            assert time.monotonic() - started < 30
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sequence_transcript_keeps_its_order(self):
+        scenario = scenario_two_branch()
+        llm = TranscriptLlm(["[id=3]", "I have no idea.", "[id=2]", "[id=2]"],
+                            config=LlmConfig(max_tokens=10 ** 6))
+        trace = run(scenario, llm=llm)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
+        assert trace.backtracks_used == 1
+
+    def test_reask_taps_the_restored_screen_bounds(self):
+        # Back from the dead end lands on a screen that encodes like the
+        # first one, with its buttons lower down: same digest, so the
+        # restore is done, but the re-ask's tap must use the live bounds
+        def wizard(top):
+            return screen_tree([text_view("Wizard", 60), button("Continue", top), button("Skip setup", top + 130)])
+
+        spec = _spec(
+            {"s0": {"tree": wizard(200)}, "s0b": {"tree": wizard(900)},
+             "dead": {"tree": stacked("Nothing here", [])},
+             "s1": {"tree": stacked("Last page", [lambda y: button("Finish", y)])}},
+            [_tap("s0", 3, "dead"), {"from": "dead", "action": "back", "to": "s0b"},
+             _tap("s0b", 2, "s1"), _tap("s1", 2, CRASH_STATE)],
+            "s0")
+        scenario = Scenario("moved_wizard", spec, ['[Tap] ["Continue"]', '[Tap] ["Finish"]'],
+                            decoys={"Continue": [3]})
+        trace = run(scenario)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.gestures[:3] == [("tap", 540, 375), BACK, ("tap", 540, 945)]
