@@ -261,7 +261,10 @@ def _make_llm(cfg: RunConfig) -> LlmClient:
             raise _UsageError(f"cannot load transcript {cfg.transcript}: {exc}") from exc
     if not cfg.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
-    return HttpLlm(llm_config)
+    try:
+        return HttpLlm(llm_config)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _out_base(cfg: RunConfig) -> Path:

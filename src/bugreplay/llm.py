@@ -6,16 +6,22 @@ replay canned responses either in strict order or keyed by prompt digest.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import math
+import ssl
+import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
+from urllib.parse import SplitResult, unquote, urlsplit
+from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .errors import (
     TokenLimitExceeded,
@@ -77,61 +83,120 @@ class LlmClient(ABC):
 
 
 class HttpLlm(LlmClient):
-    """Chat-completion endpoint speaking the common JSON wire shape."""
+    """Chat-completion endpoint speaking the common JSON wire shape.
+
+    Each thread that calls a client keeps one HTTP/1.1 connection open
+    between calls: to the endpoint, or to the proxy the environment names
+    for it. An https endpoint is verified against the system trust store
+    and reached through a proxy by a CONNECT tunnel. A connection closes
+    when its thread ends or the client is dropped.
+    """
 
     _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+    _TIMEOUT_S = 120
 
-    def __init__(self, config: LlmConfig, session=None):
+    def __init__(self, config: LlmConfig):
         super().__init__(config)
-        if not config.endpoint:
-            raise ValueError("HttpLlm requires an endpoint")
-        import requests
-
-        self._session = session or requests.Session()
-        self._requests = requests
+        url = urlsplit(config.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("the endpoint must be an absolute http:// or https:// URL")
+        if url.username is not None:
+            raise ValueError("the endpoint must not carry credentials; the API key comes from the environment")
+        https = url.scheme == "https"
+        address = (url.hostname, url.port)  # None: the scheme's default port
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", "User-Agent": "bugreplay"}
+        if config.api_key:
+            if not (config.api_key.isascii() and config.api_key.isprintable()):
+                raise ValueError("the API key holds a character that cannot go in an HTTP header")
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        proxy, proxy_headers = _proxy_for(url)
+        self._address = proxy or address
+        self._tunnel = (*address, proxy_headers) if proxy and https else None
+        if proxy and not https:
+            self._target = f"http://{url.netloc}{self._target}"
+            self._headers.update(proxy_headers)
+        self._tls = ssl.create_default_context() if https else None
+        self._local = threading.local()
 
     def _complete(self, prompt: "Prompt") -> str:
-        payload = {
+        body = json.dumps({
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt.rendered}],
             "max_tokens": self.config.max_tokens,
             "temperature": self.config.temperature,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
+        }).encode("utf-8")
         last_error = "no attempt made"
         for attempt in range(self.config.retries + 1):
             if attempt:
                 time.sleep(self.config.backoff_seconds * attempt)
             try:
-                resp = self._session.post(
-                    self.config.endpoint, json=payload, headers=headers, timeout=120
-                )
-            except self._requests.RequestException as exc:
-                last_error = str(exc)
-                logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = f"{type(exc).__name__}: {exc}"
+                logger.warning("completion attempt %d failed: %s", attempt + 1, last_error)
                 continue
-            if resp.status_code in self._RETRYABLE_STATUS:
-                last_error = f"HTTP {resp.status_code}"
+            if status in self._RETRYABLE_STATUS:
+                last_error = f"HTTP {status}"
                 logger.warning("completion attempt %d got %s", attempt + 1, last_error)
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"completion endpoint returned HTTP {resp.status_code}")
-            return self._extract_text(resp)
+            if status != 200:
+                raise TransportError(f"completion endpoint returned HTTP {status}")
+            return self._extract_text(data)
         raise TransportError(f"completion failed after {self.config.retries + 1} attempts: {last_error}")
 
-    @staticmethod
-    def _extract_text(resp) -> str:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST on this thread's connection: (status, body). A kept-alive
+        connection the server dropped while it sat idle is reopened once,
+        and that costs no attempt."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._tls is None:
+                conn = http.client.HTTPConnection(*self._address, timeout=self._TIMEOUT_S)
+            else:
+                conn = http.client.HTTPSConnection(*self._address, timeout=self._TIMEOUT_S, context=self._tls)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+            self._local.conn = conn
+        reused = conn.sock is not None
         try:
-            data = resp.json()
-            choice = data["choices"][0]
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException as exc:
+            conn.close()
+            if reused and isinstance(exc, ConnectionError):
+                return self._post(body)
+            raise
+
+    @staticmethod
+    def _extract_text(data: bytes) -> str:
+        try:
+            choice = json.loads(data)["choices"][0]
             text = choice["message"]["content"] if "message" in choice else choice["text"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise TransportError(f"unexpected completion payload: content is {type(text).__name__}, not text")
         return text
+
+
+def _proxy_for(url: SplitResult) -> tuple[tuple[str, int] | None, dict[str, str]]:
+    """The (host, port) of the proxy the environment names for `url`, if
+    any, and the headers that carry its credentials. Error messages leave
+    the proxy URL out, since it may hold a password."""
+    proxies = getproxies_environment()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or proxy_bypass_environment(url.netloc, proxies):
+        return None, {}
+    parsed = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if parsed.scheme != "http" or not parsed.hostname:
+        raise ValueError(f"the proxy for {url.scheme} endpoints must be an http:// URL")
+    headers = {}
+    if parsed.username is not None:
+        user_pass = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}"
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(user_pass.encode("utf-8")).decode("ascii")
+    return (parsed.hostname, parsed.port or 80), headers
 
 
 class TranscriptLlm(LlmClient):
