@@ -12,6 +12,7 @@ import http.client
 import json
 import logging
 import math
+import select
 import ssl
 import threading
 import time
@@ -85,11 +86,13 @@ class LlmClient(ABC):
 class HttpLlm(LlmClient):
     """Chat-completion endpoint speaking the common JSON wire shape.
 
-    Each thread that calls a client keeps one HTTP/1.1 connection open
-    between calls: to the endpoint, or to the proxy the environment names
-    for it. An https endpoint is verified against the system trust store
-    and reached through a proxy by a CONNECT tunnel. A connection closes
-    when its thread ends or the client is dropped.
+    A client keeps the HTTP/1.1 connections its calls leave open, to the
+    endpoint or to the proxy the environment names for it, and sends each
+    call on one of them that is idle, or on a new one: a client that
+    several threads call at once holds one connection for each. An https
+    endpoint is verified against the system trust store and reached
+    through a proxy by a CONNECT tunnel. The connections close when the
+    client is dropped.
     """
 
     _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
@@ -117,7 +120,8 @@ class HttpLlm(LlmClient):
             self._target = f"http://{url.netloc}{self._target}"
             self._headers.update(proxy_headers)
         self._tls = ssl.create_default_context() if https else None
-        self._local = threading.local()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def _complete(self, prompt: "Prompt") -> str:
         body = json.dumps({
@@ -146,28 +150,36 @@ class HttpLlm(LlmClient):
         raise TransportError(f"completion failed after {self.config.retries + 1} attempts: {last_error}")
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """One POST on this thread's connection: (status, body). A kept-alive
-        connection the server dropped while it sat idle is reopened once,
-        and that costs no attempt."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            if self._tls is None:
-                conn = http.client.HTTPConnection(*self._address, timeout=self._TIMEOUT_S)
-            else:
-                conn = http.client.HTTPSConnection(*self._address, timeout=self._TIMEOUT_S, context=self._tls)
-            if self._tunnel:
-                conn.set_tunnel(*self._tunnel)
-            self._local.conn = conn
-        reused = conn.sock is not None
+        """One POST: (status, body). A connection the response leaves open
+        goes back to the idle list."""
+        conn = self._connection()
         try:
             conn.request("POST", self._target, body, self._headers)
             response = conn.getresponse()
-            return response.status, response.read()
-        except BaseException as exc:
+            data = response.read()
+        except BaseException:
             conn.close()
-            if reused and isinstance(exc, ConnectionError):
-                return self._post(body)
             raise
+        if conn.sock is not None:  # http.client drops it when the response closes it
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, data
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new one."""
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _readable(conn.sock):
+                    return conn
+                conn.close()
+        if self._tls is None:
+            conn = http.client.HTTPConnection(*self._address, timeout=self._TIMEOUT_S)
+        else:
+            conn = http.client.HTTPSConnection(*self._address, timeout=self._TIMEOUT_S, context=self._tls)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
 
     @staticmethod
     def _extract_text(data: bytes) -> str:
@@ -179,6 +191,16 @@ class HttpLlm(LlmClient):
         if not isinstance(text, str):
             raise TransportError(f"unexpected completion payload: content is {type(text).__name__}, not text")
         return text
+
+
+def _readable(sock) -> bool:
+    """Whether an idle connection's socket has something to read: the
+    server closed it, or sent what no request asked for. Either way it
+    must not carry another request."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # ValueError: a descriptor select cannot watch
+        return True
 
 
 def _proxy_for(url: SplitResult) -> tuple[tuple[str, int] | None, dict[str, str]]:

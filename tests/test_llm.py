@@ -2,6 +2,7 @@
 import base64
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -213,8 +214,6 @@ def _client(endpoint, **overrides):
 
 
 class TestHttpLlm:
-    _client = staticmethod(_client)
-
     def test_requires_endpoint(self):
         with pytest.raises(ValueError):
             HttpLlm(LlmConfig(endpoint=""))
@@ -236,7 +235,7 @@ class TestHttpLlm:
 
     def test_success_and_wire_shape(self, http_endpoint):
         _Script.script = [(200, _chat_payload("the answer"))]
-        llm = self._client(http_endpoint, api_key="sk-abc", temperature=0.5)
+        llm = _client(http_endpoint, api_key="sk-abc", temperature=0.5)
         assert llm.complete(make_prompt("the question")) == "the answer"
         sent = _Script.requests[0]
         assert sent["headers"]["Authorization"] == "Bearer sk-abc"
@@ -249,41 +248,41 @@ class TestHttpLlm:
 
     def test_no_key_means_no_auth_header(self, http_endpoint):
         _Script.script = [(200, _chat_payload("ok"))]
-        self._client(http_endpoint).complete(make_prompt("q"))
+        _client(http_endpoint).complete(make_prompt("q"))
         assert "Authorization" not in _Script.requests[0]["headers"]
 
     def test_completion_text_variant(self, http_endpoint):
         _Script.script = [(200, {"choices": [{"text": "plain"}]})]
-        assert self._client(http_endpoint).complete(make_prompt("q")) == "plain"
+        assert _client(http_endpoint).complete(make_prompt("q")) == "plain"
 
     def test_retries_transient_failures(self, http_endpoint):
         _Script.script = [(500, {}), (429, {}), (200, _chat_payload("finally"))]
-        assert self._client(http_endpoint).complete(make_prompt("q")) == "finally"
+        assert _client(http_endpoint).complete(make_prompt("q")) == "finally"
         assert len(_Script.requests) == 3
 
     def test_gives_up_after_retry_budget(self, http_endpoint):
         _Script.script = [(503, {})] * 3
         with pytest.raises(TransportError):
-            self._client(http_endpoint).complete(make_prompt("q"))
+            _client(http_endpoint).complete(make_prompt("q"))
         assert len(_Script.requests) == 3
 
     def test_non_retryable_status_fails_fast(self, http_endpoint):
         _Script.script = [(400, {"error": "bad request"})]
         with pytest.raises(TransportError):
-            self._client(http_endpoint).complete(make_prompt("q"))
+            _client(http_endpoint).complete(make_prompt("q"))
         assert len(_Script.requests) == 1
 
     @pytest.mark.parametrize("status", [301, 307])
     def test_redirects_are_not_followed(self, http_endpoint, status):
         _Script.script = [(status, {})]
         with pytest.raises(TransportError, match=f"HTTP {status}"):
-            self._client(http_endpoint).complete(make_prompt("q"))
+            _client(http_endpoint).complete(make_prompt("q"))
         assert len(_Script.requests) == 1
 
     def test_malformed_payload(self, http_endpoint):
         _Script.script = [(200, {"unexpected": True})]
         with pytest.raises(TransportError):
-            self._client(http_endpoint).complete(make_prompt("q"))
+            _client(http_endpoint).complete(make_prompt("q"))
 
     @pytest.mark.parametrize("payload", [
         _chat_payload(None), _chat_payload(["a", "b"]), {"choices": [{"text": 7}]},
@@ -291,10 +290,10 @@ class TestHttpLlm:
     def test_content_that_is_not_text(self, http_endpoint, payload):
         _Script.script = [(200, payload)]
         with pytest.raises(TransportError, match="unexpected completion payload"):
-            self._client(http_endpoint).complete(make_prompt("q"))
+            _client(http_endpoint).complete(make_prompt("q"))
 
     def test_connection_refused_exhausts_retries(self):
-        llm = self._client("http://127.0.0.1:9/never", retries=1)
+        llm = _client("http://127.0.0.1:9/never", retries=1)
         with pytest.raises(TransportError):
             llm.complete(make_prompt("q"))
 
@@ -312,19 +311,27 @@ class _KeepAlive(BaseHTTPRequestHandler):
     """HTTP/1.1 endpoint that answers "re: <prompt>" and records the client
     port of each request. With `drop` it closes each connection after one
     answer without saying so, as a server does when an idle kept-alive
-    connection times out."""
+    connection times out, and releases `dropped`. With `mute` it reads
+    every request after a connection's first and closes the connection
+    without an answer."""
 
     protocol_version = "HTTP/1.1"
     # headers and body go out in two writes; Nagle would hold the second
     # for the client's delayed ACK
     disable_nagle_algorithm = True
-    drop = False
+    drop = mute = False
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.ports.append(self.client_address[1])
+        if self.mute and self.ports.count(self.client_address[1]) > 1:
+            self.close_connection = True
+            return
         _reply(self, "re: " + body["messages"][0]["content"])
-        self.close_connection = self.drop
+        if self.drop:
+            self.connection.shutdown(socket.SHUT_RDWR)
+            self.close_connection = True
+            self.dropped.release()
 
     def log_message(self, *args):
         pass
@@ -351,10 +358,11 @@ class _Proxy(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def keep_alive(serve):
-    def start(drop=False):
+    def start(drop=False, mute=False):
         class Handler(_KeepAlive):
             ports = []
-        Handler.drop = drop
+            dropped = threading.Semaphore(0)
+        Handler.drop, Handler.mute = drop, mute
         Handler.endpoint = f"http://127.0.0.1:{serve(Handler)}/v1/chat/completions"
         return Handler
     return start
@@ -384,9 +392,33 @@ class TestTransport:
         # a counted attempt would sleep 30 s, or fail with no retries
         llm = _client(server.endpoint, retries=0, backoff_seconds=30)
         started = time.monotonic()
-        assert [llm.complete(make_prompt(q)) for q in "abc"] == ["re: a", "re: b", "re: c"]
+        for q in "abc":
+            assert llm.complete(make_prompt(q)) == f"re: {q}"
+            assert server.dropped.acquire(timeout=10)
         assert time.monotonic() - started < 10
         assert len(set(server.ports)) == 3
+
+    def test_a_connection_lost_after_the_request_is_a_counted_attempt(self, keep_alive):
+        """The server may have seen the request, so it is not sent again
+        for free."""
+        server = keep_alive(mute=True)
+        llm = _client(server.endpoint, retries=0)
+        assert llm.complete(make_prompt("a")) == "re: a"
+        with pytest.raises(TransportError, match="after 1 attempts"):
+            llm.complete(make_prompt("b"))
+        assert len(server.ports) == 2
+
+    def test_threads_one_after_another_share_one_connection(self, keep_alive):
+        server = keep_alive()
+        llm = _client(server.endpoint)
+        answers = []
+        for q in "ab":
+            thread = threading.Thread(target=lambda q=q: answers.append(llm.complete(make_prompt(q))))
+            thread.start()
+            thread.join(timeout=30)
+        assert answers == ["re: a", "re: b"]
+        assert len(server.ports) == 2
+        assert len(set(server.ports)) == 1
 
     def test_threads_sharing_a_client_get_their_own_answers(self, keep_alive):
         server = keep_alive()
@@ -410,8 +442,9 @@ class TestTransport:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert answers == {f"t{k}": [f"re: t{k}-{i}" for i in range(5)] for k in range(3)}
-        # one kept-alive connection per thread
-        assert len(set(server.ports)) == 3
+        # never more connections than threads calling at once
+        assert len(server.ports) == 15
+        assert len(set(server.ports)) <= 3
 
     @pytest.mark.parametrize("var, scheme", [
         ("HTTP_PROXY", "http://"), ("http_proxy", "http://"), ("ALL_PROXY", ""),
