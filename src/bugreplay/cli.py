@@ -4,8 +4,8 @@ Three subcommands:
 
 * extract: pull typed steps out of a bug report (multi-run with majority
   vote, since model output can vary between runs);
-* replay: extract, then drive the steps on a simulated app or an adb
-  device until the bug fires;
+* replay: extract, then drive each distinct step list once, in vote
+  order, on a simulated app or an adb device until the bug fires;
 * encode: print the HTML encoding of a hierarchy dump.
 
 Exit codes: 0 success (replay: bug triggered), 1 replay completed without
@@ -46,6 +46,10 @@ class _UsageError(Exception):
     pass
 
 
+# what the corpus and app spec loaders raise on a file of the wrong shape
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
 @dataclass
 class RunConfig:
     """Everything one invocation resolved to, after precedence. Each
@@ -74,7 +78,6 @@ class RunConfig:
     adb_path: str = "adb"
     package: str | None = None
     launch: str | None = None
-    parallel: bool = False
 
     @property
     def budgets(self) -> Budgets:
@@ -120,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--temperature", type=float)
     common.add_argument("--corpus", help="exemplar corpus file (default: built-in)")
     common.add_argument("--token-budget", type=int)
-    common.add_argument("--runs", type=int, help="repeat runs to smooth model instability (default 3)")
+    common.add_argument("--runs", type=int, help="extraction runs, to smooth model instability (default 3)")
     common.add_argument("--seed", type=int, help="recorded in output artifacts")
     common.add_argument("--out", help="output base path (default: report stem in cwd)")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -140,8 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--backtracks-budget", type=_non_negative(int))
     p_replay.add_argument("--wall-budget", type=_non_negative(float))
     p_replay.add_argument("--max-missing-depth", type=_non_negative(int))
-    p_replay.add_argument("--parallel", action="store_true",
-                          help="run replays concurrently (simulated devices only)")
 
     p_encode = sub.add_parser("encode", parents=[common], help="print the HTML encoding of a dump")
     p_encode.add_argument("dump", help="UIAutomator dump XML file")
@@ -197,12 +198,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             value = _convert(action, file_cfg[name], f"config file {args.config}: key {name!r}")
         if value is not None:
             values[name] = value
-    cfg = RunConfig(
-        command=args.command,
-        report_path=getattr(args, "report", None),
-        parallel=getattr(args, "parallel", False),
-        **values,
-    )
+    cfg = RunConfig(command=args.command, report_path=getattr(args, "report", None), **values)
     if cfg.runs < 1:
         raise _UsageError("--runs must be at least 1")
     return cfg
@@ -230,7 +226,7 @@ def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
     if cfg.corpus:
         try:
             corpus = ExemplarCorpus.load(cfg.corpus)
-        except (OSError, ValueError, KeyError) as exc:
+        except _MALFORMED as exc:
             raise _UsageError(f"cannot load corpus {cfg.corpus}: {exc}") from exc
     else:
         corpus = ExemplarCorpus.builtin()
@@ -291,7 +287,8 @@ def _order_dependent(llm: LlmClient) -> bool:
 
 
 def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
-    """All runs plus the majority pick. Ties go to the earliest run.
+    """The candidates, each distinct successful step list once, most
+    votes first and ties to the earliest run, plus every run's result.
 
     Runs go out concurrently, each on its own client, unless the client
     is order dependent; results keep run order either way.
@@ -316,23 +313,23 @@ def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: E
         else:
             results.append({"ok": True, "steps": [_step_dict(s) for s in outcome]})
     ok = [steps for steps in outcomes if isinstance(steps, list) and steps]
-    if not ok:
-        return None, results
-    winner_text, _ = Counter(render_steps(steps) for steps in ok).most_common(1)[0]
-    winner = next(steps for steps in ok if render_steps(steps) == winner_text)
-    return winner, results
+    texts = [render_steps(steps) for steps in ok]
+    by_text = dict(zip(texts, ok))
+    # most_common keeps first-seen order among equal counts
+    return [by_text[text] for text, _ in Counter(texts).most_common()], results
 
 
 def cmd_extract(cfg: RunConfig) -> int:
     report = _load_report(cfg.report_path)
     corpus = _load_corpus(cfg)
     llm = _make_llm(cfg)
-    steps, results = _run_extraction(cfg, report, llm, corpus)
-    if steps is None:
+    candidates, results = _run_extraction(cfg, report, llm, corpus)
+    if not candidates:
         print("extraction failed on every run:", file=sys.stderr)
         for i, r in enumerate(results, 1):
             print(f"  run {i}: {r.get('error', '?')}", file=sys.stderr)
         return 3
+    steps = candidates[0]
     base = _out_base(cfg)
     base.parent.mkdir(parents=True, exist_ok=True)
     text = render_steps(steps) + "\n"
@@ -354,7 +351,7 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
             raise _UsageError("--device simulated requires --app")
         try:
             app = SimulatedApp.load(cfg.app)
-        except (OSError, ValueError, KeyError) as exc:
+        except (*_MALFORMED, DeviceError) as exc:
             raise _UsageError(f"cannot load app spec {cfg.app}: {exc}") from exc
         return SimulatedDevice(app)
     try:
@@ -378,40 +375,27 @@ def _fresh_start(cfg: RunConfig, device: DeviceSession) -> ViewNode | None:
     return device.dump_hierarchy()
 
 
-def _replay_once(cfg: RunConfig, steps: list[Step], llm: LlmClient, corpus: ExemplarCorpus,
-                 report_id: str, device: DeviceSession, first_screen: ViewNode | None = None) -> ReplayTrace:
-    try:
-        return replay(steps, device, llm, corpus, cfg.budgets, report_id,
-                      first_screen=first_screen, fast_path=True)
-    finally:
-        device.close()
-
-
-def _replay_runs(cfg: RunConfig, steps: list[Step], llm: LlmClient, corpus: ExemplarCorpus,
+def _replay_runs(cfg: RunConfig, candidates: list[list[Step]], llm: LlmClient, corpus: ExemplarCorpus,
                  report_id: str, device: DeviceSession, started: Future) -> list[ReplayTrace]:
-    """Up to --runs replays, the first on `device`, whose fresh start
-    `started` is under way; each later run gets a new session."""
-    if cfg.parallel:
-        # each worker gets its own app instance and its own llm so no
-        # state is shared
-        devices = [device] + [_make_device(cfg) for _ in range(cfg.runs - 1)]
-        with ThreadPoolExecutor(max_workers=cfg.runs) as pool:
-            futures = [pool.submit(_replay_once, cfg, steps, _make_llm(cfg), corpus, report_id, d)
-                       for d in devices]
-            return [f.result() for f in futures]
+    """Each candidate once, in order, until one triggers the bug. The
+    first runs on `device`, whose fresh start `started` is under way; each
+    later one gets a new session."""
     traces: list[ReplayTrace] = []
-    for run in range(cfg.runs):
+    for run, steps in enumerate(candidates):
         if run:
             device = _make_device(cfg)
         try:
             first_screen = started.result() if run == 0 else _fresh_start(cfg, device)
         except DeviceError as exc:
-            device.close()
             # a device that cannot start would fail every later run the same way
             traces.append(ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
                                       error_detail=f"{type(exc).__name__}: {exc}"))
             break
-        traces.append(_replay_once(cfg, steps, llm, corpus, report_id, device, first_screen))
+        else:
+            traces.append(replay(steps, device, llm, corpus, cfg.budgets, report_id,
+                                 first_screen=first_screen, fast_path=True))
+        finally:
+            device.close()
         if traces[-1].outcome is Outcome.BUG_TRIGGERED:
             break
     return traces
@@ -421,19 +405,14 @@ def cmd_replay(cfg: RunConfig) -> int:
     report = _load_report(cfg.report_path)
     corpus = _load_corpus(cfg)
     llm = _make_llm(cfg)
-    if cfg.parallel:
-        if cfg.device != "simulated":
-            raise _UsageError("--parallel requires the simulated device backend")
-        if _order_dependent(llm):
-            raise _UsageError("--parallel needs a keyed transcript or the http backend")
     device = _make_device(cfg)
     try:
         with ThreadPoolExecutor(max_workers=1) as pool:
             # the device starts while the model extracts
             started = pool.submit(_fresh_start, cfg, device)
-            steps, extraction_runs = _run_extraction(cfg, report, llm, corpus)
-        if steps is not None:
-            traces = _replay_runs(cfg, steps, llm, corpus, report.id, device, started)
+            candidates, extraction_runs = _run_extraction(cfg, report, llm, corpus)
+        if candidates:
+            traces = _replay_runs(cfg, candidates, llm, corpus, report.id, device, started)
         else:
             # nothing to replay, so a device that failed to start does not matter
             with contextlib.suppress(DeviceError):
@@ -452,11 +431,11 @@ def cmd_replay(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     trace_path = Path(f"{base}.trace.json")
-    if steps is None:
+    if not candidates:
         trace_path.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
         print("extraction failed on every run; nothing to replay", file=sys.stderr)
         return 3
-    artifact["steps"] = [_step_dict(s) for s in steps]
+    artifact["steps"] = [_step_dict(s) for s in candidates[0]]
 
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     artifact["runs"] = [t.to_dict() for t in traces]

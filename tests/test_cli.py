@@ -26,6 +26,8 @@ REPORT = 'Tap "Crash me" on the main screen. The app crashes.'
 EXTRACTION = '1. [Tap] ["Crash me"]'
 # a label that names nothing on screen, so only the model can resolve it
 UNMATCHED = '1. [Tap] ["the crash button"]'
+# a step that needs no model and leaves the app alone
+SCROLL = '1. [Scroll] [down]'
 GUIDANCE = "The component is visible, so I operate on [id=2] in the screen."
 
 
@@ -44,6 +46,15 @@ def ws(tmp_path, monkeypatch):
     (tmp_path / "app.json").write_text(
         json.dumps(scenario_single_step().spec), encoding="utf-8")
     return tmp_path
+
+
+@pytest.fixture
+def calm(ws):
+    """The same app with no crash state, so no replay triggers the bug."""
+    spec = scenario_single_step().spec
+    spec["crash_states"] = []
+    (ws / "calm.json").write_text(json.dumps(spec), encoding="utf-8")
+    return "calm.json"
 
 
 def transcript(ws, responses, mode="sequence", name="t.json"):
@@ -143,11 +154,8 @@ class TestReplay:
         assert artifact["runs"][0]["outcome"] == "bug_triggered"
         assert artifact["runs"][0]["events"][0]["resolved_id"] == 2
 
-    def test_no_bug_exits_1(self, ws, capsys):
-        spec = scenario_single_step().spec
-        spec["crash_states"] = []
-        (ws / "calm.json").write_text(json.dumps(spec), encoding="utf-8")
-        args = ["replay", "crash.txt", "--app", "calm.json",
+    def test_no_bug_exits_1(self, ws, calm, capsys):
+        args = ["replay", "crash.txt", "--app", calm,
                 *targs(ws, [EXTRACTION, GUIDANCE])]
         assert main(args) == 1
         assert "bug not triggered" in capsys.readouterr().out
@@ -183,17 +191,16 @@ class TestReplay:
         assert artifact["runs"] == []
 
     def test_sequential_runs_stop_at_first_bug(self, ws):
-        responses = [EXTRACTION, EXTRACTION, EXTRACTION, GUIDANCE, GUIDANCE, GUIDANCE]
         args = ["replay", "crash.txt", "--app", "app.json",
-                *targs(ws, responses, runs=3)]
+                *targs(ws, [EXTRACTION, SCROLL], runs=2)]
         assert main(args) == 0
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
-        assert len(artifact["runs"]) == 1
+        assert [r["steps"] for r in artifact["runs"]] == [[EXTRACTION]]
 
     def test_failed_fresh_start_ends_the_runs(self, ws, capsys):
         # a device that cannot start would fail every later run the same way
         args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
-                *targs(ws, [EXTRACTION] * 3, runs=3)]
+                *targs(ws, [EXTRACTION, SCROLL, UNMATCHED], runs=3)]
         assert main(args) == 3
         out = capsys.readouterr().out
         [run_line] = [line for line in out.splitlines() if line.startswith("run ")]
@@ -203,12 +210,38 @@ class TestReplay:
         assert [r["outcome"] for r in artifact["runs"]] == ["error"]
 
     def test_other_errors_keep_the_retries(self, ws):
-        # the transcript runs dry at each run's guidance query
-        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [UNMATCHED] * 2, runs=2)]
+        # the transcript runs dry at each candidate's guidance query
+        other = '1. [Tap] ["the red button"]'
+        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [UNMATCHED, other], runs=2)]
         assert main(args) == 3
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
         assert [r["error_detail"].split(":")[0] for r in artifact["runs"]] == [
             "TranscriptExhausted", "TranscriptExhausted"]
+        assert [r["steps"] for r in artifact["runs"]] == [[UNMATCHED], [other]]
+
+    def test_a_later_candidate_can_trigger_the_bug(self, ws, capsys):
+        # a tie: the earlier run's list goes first, misses, and the other wins
+        args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [SCROLL, EXTRACTION], runs=2)]
+        assert main(args) == 0
+        assert "bug triggered (run 2)" in capsys.readouterr().out
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert artifact["winner"] == 1
+        assert [r["outcome"] for r in artifact["runs"]] == ["steps_exhausted_no_bug", "bug_triggered"]
+        assert [r["steps"] for r in artifact["runs"]] == [[SCROLL], [EXTRACTION]]
+
+    def test_identical_extractions_replay_once(self, ws, calm):
+        args = ["replay", "crash.txt", "--app", calm, *targs(ws, [EXTRACTION] * 3, runs=3)]
+        assert main(args) == 1
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert [r["outcome"] for r in artifact["runs"]] == ["steps_exhausted_no_bug"]
+        assert len(artifact["extraction_runs"]) == 3
+
+    def test_candidates_go_in_vote_order(self, ws, calm):
+        args = ["replay", "crash.txt", "--app", calm, *targs(ws, [SCROLL, EXTRACTION, EXTRACTION], runs=3)]
+        assert main(args) == 1
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert artifact["steps"][0]["text"] == '[Tap] ["Crash me"]'
+        assert [r["steps"] for r in artifact["runs"]] == [[EXTRACTION], [SCROLL]]
 
     def test_missing_adb_binary_exits_3(self, ws, capsys):
         args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
@@ -224,18 +257,6 @@ class TestReplay:
         assert run["outcome"] == "error"
         assert run["error_detail"].startswith("DeviceError: ")
         assert "no-adb" in run["error_detail"]
-
-    def test_parallel_rejects_adb(self, ws, capsys):
-        args = ["replay", "crash.txt", "--device", "adb", "--parallel",
-                *targs(ws, [EXTRACTION, GUIDANCE])]
-        assert main(args) == 2
-        assert "simulated" in capsys.readouterr().err
-
-    def test_parallel_rejects_sequence_transcripts(self, ws, capsys):
-        args = ["replay", "crash.txt", "--app", "app.json", "--parallel",
-                *targs(ws, [EXTRACTION, GUIDANCE])]
-        assert main(args) == 2
-        assert "keyed transcript" in capsys.readouterr().err
 
 
 def test_replay_takes_the_fast_path(ws):
@@ -273,15 +294,6 @@ def pilot_endpoint():
 
 
 class TestHttpThroughCli:
-    def test_parallel_replay_runs_everything(self, ws, pilot_endpoint):
-        args = ["replay", "crash.txt", "--app", "app.json", "--llm", "http",
-                "--endpoint", pilot_endpoint, "--runs", "2", "--parallel"]
-        assert main(args) == 0
-        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
-        assert len(artifact["runs"]) == 2  # parallel mode never stops early
-        assert all(r["outcome"] == "bug_triggered" for r in artifact["runs"])
-        assert artifact["winner"] == 0
-
     def test_http_extract(self, ws, pilot_endpoint, capsys):
         args = ["extract", "crash.txt", "--llm", "http",
                 "--endpoint", pilot_endpoint, "--runs", "1"]
@@ -521,6 +533,36 @@ class TestUsageErrors:
                 *targs(ws, [EXTRACTION, GUIDANCE])]
         assert main(args) == 2
         assert "app spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        [],
+        {"extraction": 5},
+        {"extraction": [{"input": REPORT, "cot": "c", "output": 5}]},
+        {"extraction": [{"input": 5, "cot": "c", "output": [EXTRACTION]}]},
+        {"extraction": [{"input": REPORT, "cot": "c", "output": [EXTRACTION]}],
+         "guidance": [{"gui_html": "<button id=1>Crash me</button>", "query": EXTRACTION,
+                       "cot": "c", "output": 5}]},
+    ], ids=["list", "extraction-number", "output-number", "input-number", "guidance-output-number"])
+    def test_malformed_corpus(self, ws, capsys, body):
+        (ws / "corpus.json").write_text(json.dumps(body), encoding="utf-8")
+        args = ["extract", "crash.txt", "--corpus", "corpus.json", *targs(ws, [EXTRACTION])]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot load corpus corpus.json: ")
+
+    @pytest.mark.parametrize("body", [
+        {"initial": "a", "states": {"a": {"tree": {"bounds": [1, 2]}}}},
+        {"initial": "a", "states": ["a"]},
+        {"initial": "a", "states": {"a": {"tree": {"children": 5}}}},
+        [],
+        {"initial": "a", "states": {"a": {"xml": "<nope"}}},
+    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml"])
+    def test_malformed_app_spec(self, ws, capsys, body):
+        (ws / "bad_app.json").write_text(json.dumps(body), encoding="utf-8")
+        args = ["replay", "crash.txt", "--app", "bad_app.json", *targs(ws, [EXTRACTION])]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot load app spec bad_app.json: ")
 
     @pytest.mark.parametrize("command, env, config, source", [
         ("extract", {"BUGREPLAY_RUNS": "abc"}, {}, "BUGREPLAY_RUNS"),
