@@ -16,9 +16,9 @@ environment only and never reach stdout, files, or logs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -44,6 +44,10 @@ DEFAULT_API_KEY_ENV = "BUGREPLAY_API_KEY"
 
 class _UsageError(Exception):
     pass
+
+
+class _OutputError(Exception):
+    """An artifact could not be written: a runtime failure."""
 
 
 # what the corpus and app spec loaders raise on a file of the wrong shape
@@ -90,15 +94,20 @@ class RunConfig:
         )
 
 
-def _non_negative(cast):
-    """An option type: `cast`, refusing values below zero and NaN."""
+def _checked(cast, requirement: str, ok):
+    """An option type: `cast`, refusing values `ok` turns down. Each `ok`
+    compares so that NaN, which fails every comparison, is refused."""
     def convert(raw: str):
         value = cast(raw)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"must be a non-negative number, got {raw!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {raw!r}")
         return value
     convert.__name__ = cast.__name__
     return convert
+
+
+def _non_negative(cast):
+    return _checked(cast, "a non-negative number", lambda value: value >= 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,9 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", help="model name sent to the endpoint")
     common.add_argument("--api-key-env",
                         help=f"environment variable holding the API key (default {DEFAULT_API_KEY_ENV})")
-    common.add_argument("--temperature", type=float)
+    common.add_argument("--temperature", type=_checked(float, "a finite non-negative number",
+                                                       lambda value: 0 <= value < math.inf))
     common.add_argument("--corpus", help="exemplar corpus file (default: built-in)")
-    common.add_argument("--token-budget", type=int)
+    common.add_argument("--token-budget", type=_checked(int, "a positive number", lambda value: value > 0))
     common.add_argument("--runs", type=int, help="extraction runs, to smooth model instability (default 3)")
     common.add_argument("--seed", type=int, help="recorded in output artifacts")
     common.add_argument("--out", help="output base path (default: report stem in cwd)")
@@ -238,16 +248,14 @@ def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
 
 
 def _make_llm(cfg: RunConfig) -> LlmClient:
-    try:
-        llm_config = LlmConfig(
-            endpoint=cfg.endpoint or "",
-            model=cfg.model or "",
-            api_key=os.environ.get(cfg.api_key_env),
-            max_tokens=cfg.token_budget,
-            temperature=cfg.temperature,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"--token-budget: {exc}") from exc
+    # the option types have refused every value LlmConfig would
+    llm_config = LlmConfig(
+        endpoint=cfg.endpoint or "",
+        model=cfg.model or "",
+        api_key=os.environ.get(cfg.api_key_env),
+        max_tokens=cfg.token_budget,
+        temperature=cfg.temperature,
+    )
     if cfg.llm == "transcript":
         if not cfg.transcript:
             raise _UsageError("--llm transcript requires --transcript")
@@ -264,9 +272,23 @@ def _make_llm(cfg: RunConfig) -> LlmClient:
 
 
 def _out_base(cfg: RunConfig) -> Path:
-    if cfg.out:
-        return Path(cfg.out)
-    return Path.cwd() / Path(cfg.report_path).stem
+    """The artifacts' base path. Its directory is made here, so that an
+    --out that cannot be used fails before any model call or device start."""
+    base = Path(cfg.out) if cfg.out else Path.cwd() / Path(cfg.report_path).stem
+    try:
+        base.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out: cannot create directory {base.parent}: {exc}") from exc
+    return base
+
+
+def _write(path: Path, artifact: str | dict) -> None:
+    """Write one artifact, a dict as indented JSON."""
+    text = artifact if isinstance(artifact, str) else json.dumps(artifact, indent=2) + "\n"
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def _step_dict(step: Step) -> dict:
@@ -280,31 +302,23 @@ def _step_dict(step: Step) -> dict:
     }
 
 
-def _order_dependent(llm: LlmClient) -> bool:
-    """True when answers depend on request order, so requests must go out
-    one at a time through the one client."""
-    return isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
-
-
 def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
     """The candidates, each distinct successful step list once, most
     votes first and ties to the earliest run, plus every run's result.
 
-    Runs go out concurrently, each on its own client, unless the client
-    is order dependent; results keep run order either way.
+    The runs share the one client and go out concurrently, or one at a
+    time for a strict-sequence transcript, whose answers follow request
+    order; results keep run order either way.
     """
-    def attempt(client: LlmClient) -> list[Step] | BugReplayError:
+    def attempt(_run: int) -> list[Step] | BugReplayError:
         try:
-            return extract_steps(report, client, corpus, cfg.token_budget)
+            return extract_steps(report, llm, corpus, cfg.token_budget)
         except BugReplayError as exc:
             return exc
 
-    if _order_dependent(llm):
-        outcomes = [attempt(llm) for _ in range(cfg.runs)]
-    else:
-        clients = [llm] + [_make_llm(cfg) for _ in range(cfg.runs - 1)]
-        with ThreadPoolExecutor(max_workers=cfg.runs) as pool:
-            outcomes = list(pool.map(attempt, clients))
+    in_order = isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
+    with ThreadPoolExecutor(max_workers=1 if in_order else cfg.runs) as pool:
+        outcomes = list(pool.map(attempt, range(cfg.runs)))
     results: list[dict] = []
     for run, outcome in enumerate(outcomes, 1):
         if isinstance(outcome, BugReplayError):
@@ -323,6 +337,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     report = _load_report(cfg.report_path)
     corpus = _load_corpus(cfg)
     llm = _make_llm(cfg)
+    base = _out_base(cfg)
     candidates, results = _run_extraction(cfg, report, llm, corpus)
     if not candidates:
         print("extraction failed on every run:", file=sys.stderr)
@@ -330,17 +345,14 @@ def cmd_extract(cfg: RunConfig) -> int:
             print(f"  run {i}: {r.get('error', '?')}", file=sys.stderr)
         return 3
     steps = candidates[0]
-    base = _out_base(cfg)
-    base.parent.mkdir(parents=True, exist_ok=True)
     text = render_steps(steps) + "\n"
-    Path(f"{base}.steps.txt").write_text(text, encoding="utf-8")
-    artifact = {
+    _write(Path(f"{base}.steps.txt"), text)
+    _write(Path(f"{base}.steps.json"), {
         "report_id": report.id,
         "majority": [_step_dict(s) for s in steps],
         "runs": results,
         "seed": cfg.seed,
-    }
-    Path(f"{base}.steps.json").write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
+    })
     sys.stdout.write(text)
     return 0
 
@@ -366,36 +378,28 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
     ))
 
 
-def _fresh_start(cfg: RunConfig, device: DeviceSession) -> ViewNode | None:
-    """Restart the app on an adb device and dump its first screen. A
-    simulated device starts fresh when built, and replay dumps it."""
-    if cfg.device != "adb":
-        return None
+def _fresh_start(device: DeviceSession) -> ViewNode:
+    """Restart the app and dump its first screen."""
     device.restart()
     return device.dump_hierarchy()
 
 
 def _replay_runs(cfg: RunConfig, candidates: list[list[Step]], llm: LlmClient, corpus: ExemplarCorpus,
                  report_id: str, device: DeviceSession, started: Future) -> list[ReplayTrace]:
-    """Each candidate once, in order, until one triggers the bug. The
-    first runs on `device`, whose fresh start `started` is under way; each
-    later one gets a new session."""
+    """Each candidate once, in order, on a fresh start of `device`, until
+    one triggers the bug. The first candidate's fresh start is `started`,
+    already under way."""
     traces: list[ReplayTrace] = []
     for run, steps in enumerate(candidates):
-        if run:
-            device = _make_device(cfg)
         try:
-            first_screen = started.result() if run == 0 else _fresh_start(cfg, device)
+            first_screen = started.result() if run == 0 else _fresh_start(device)
         except DeviceError as exc:
             # a device that cannot start would fail every later run the same way
             traces.append(ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
                                       error_detail=f"{type(exc).__name__}: {exc}"))
             break
-        else:
-            traces.append(replay(steps, device, llm, corpus, cfg.budgets, report_id,
-                                 first_screen=first_screen, fast_path=True))
-        finally:
-            device.close()
+        traces.append(replay(steps, device, llm, corpus, cfg.budgets, report_id,
+                             first_screen=first_screen, fast_path=True))
         if traces[-1].outcome is Outcome.BUG_TRIGGERED:
             break
     return traces
@@ -406,41 +410,31 @@ def cmd_replay(cfg: RunConfig) -> int:
     corpus = _load_corpus(cfg)
     llm = _make_llm(cfg)
     device = _make_device(cfg)
+    base = _out_base(cfg)
+    traces: list[ReplayTrace] = []
     try:
+        # the device starts while the model extracts; only a replay
+        # reads how that start went
         with ThreadPoolExecutor(max_workers=1) as pool:
-            # the device starts while the model extracts
-            started = pool.submit(_fresh_start, cfg, device)
+            started = pool.submit(_fresh_start, device)
             candidates, extraction_runs = _run_extraction(cfg, report, llm, corpus)
         if candidates:
             traces = _replay_runs(cfg, candidates, llm, corpus, report.id, device, started)
-        else:
-            # nothing to replay, so a device that failed to start does not matter
-            with contextlib.suppress(DeviceError):
-                started.result()
     finally:
-        # replaying closes it too; this closes it when nothing was replayed
         device.close()
-    base = _out_base(cfg)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    artifact = {
+    winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
+    trace_path = Path(f"{base}.trace.json")
+    _write(trace_path, {
         "report_id": report.id,
         "extraction_runs": extraction_runs,
-        "steps": None,
-        "runs": [],
-        "winner": None,
+        "steps": [_step_dict(s) for s in candidates[0]] if candidates else None,
+        "runs": [t.to_dict() for t in traces],
+        "winner": winner,
         "seed": cfg.seed,
-    }
-    trace_path = Path(f"{base}.trace.json")
+    })
     if not candidates:
-        trace_path.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
         print("extraction failed on every run; nothing to replay", file=sys.stderr)
         return 3
-    artifact["steps"] = [_step_dict(s) for s in candidates[0]]
-
-    winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
-    artifact["runs"] = [t.to_dict() for t in traces]
-    artifact["winner"] = winner
-    trace_path.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
 
     for i, t in enumerate(traces, 1):
         detail = f" ({t.error_detail})" if t.error_detail else ""
@@ -488,6 +482,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except BugReplayError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -63,6 +63,8 @@ class LlmConfig:
             raise ValueError("max_tokens must be positive")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite non-negative number, got {self.temperature!r}")
 
 
 class LlmClient(ABC):

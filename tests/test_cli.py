@@ -16,7 +16,7 @@ from bugreplay.cli import main
 from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt
-from bugreplay.gui import encode_gui, parse_dump
+from bugreplay.gui import encode_gui, parse_dump, screen_digest
 from bugreplay.llm import LlmClient, LlmConfig, prompt_digest
 from bugreplay.steps import BugReport
 
@@ -55,6 +55,14 @@ def calm(ws):
     spec["crash_states"] = []
     (ws / "calm.json").write_text(json.dumps(spec), encoding="utf-8")
     return "calm.json"
+
+
+def logging_adb(ws):
+    """An adb stand-in that notes each call in adb-calls.log."""
+    adb = ws / "adb"
+    adb.write_text('#!/bin/sh\necho "$@" >> "$(dirname "$0")/adb-calls.log"\n', encoding="utf-8")
+    adb.chmod(0o755)
+    return adb
 
 
 def transcript(ws, responses, mode="sequence", name="t.json"):
@@ -334,16 +342,24 @@ def gauge():
 
 
 class _Staggered(LlmClient):
-    """Answers after a fixed delay and notes when it finished."""
+    """One client whose k-th call answers "Run k" after (calls - k) delays,
+    so earlier calls answer later; it notes the order answers went back in."""
 
-    def __init__(self, text, delay, finished):
+    def __init__(self, calls, delay):
         super().__init__(LlmConfig(max_tokens=10 ** 6))
-        self.text, self.delay, self.finished = text, delay, finished
+        self.calls, self.delay = calls, delay
+        self.lock = threading.Lock()
+        self.arrived = 0
+        self.finished = []
 
     def _complete(self, prompt):
-        time.sleep(self.delay)
-        self.finished.append(self.text)
-        return self.text
+        with self.lock:
+            self.arrived += 1
+            k = self.arrived
+        time.sleep((self.calls - k) * self.delay)
+        text = f'1. [Tap] ["Run {k}"]'
+        self.finished.append(text)
+        return text
 
 
 class TestConcurrentExtraction:
@@ -357,19 +373,28 @@ class TestConcurrentExtraction:
         assert [r["ok"] for r in artifact["runs"]] == [True, True, True]
 
     def test_runs_keep_run_order_whatever_finishes_first(self, ws, monkeypatch, capsys):
-        # run k gets the k-th client made; later runs answer sooner
+        # all runs share one client, which answers run k's call after
+        # run k+1's: the answers coming back in reverse show the runs
+        # were in flight together
         first, second, third = (f'1. [Tap] ["Run {k}"]' for k in (1, 2, 3))
-        finished = []
-        clients = iter([_Staggered(first, 0.4, finished), _Staggered(second, 0.2, finished),
-                        _Staggered(third, 0.0, finished)])
-        monkeypatch.setattr(cli, "_make_llm", lambda cfg: next(clients))
+        llm = _Staggered(calls=3, delay=0.2)
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: llm)
         args = ["extract", "crash.txt", "--llm", "http", "--endpoint", "unused", "--runs", "3"]
         assert main(args) == 0
-        assert finished == [third, second, first]
+        assert llm.finished == [third, second, first]
         artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
         assert [r["steps"][0]["component"] for r in artifact["runs"]] == ["Run 1", "Run 2", "Run 3"]
         # a three-way tie still goes to the earliest run
         assert capsys.readouterr().out == first + "\n"
+
+    @pytest.mark.parametrize("command", ["extract", "replay"])
+    def test_one_client_per_invocation(self, ws, pilot_endpoint, monkeypatch, command):
+        made = []
+        make_llm = cli._make_llm
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: made.append(cfg) or make_llm(cfg))
+        device_args = ["--app", "app.json"] if command == "replay" else []
+        assert main([command, "crash.txt", *device_args, "--endpoint", pilot_endpoint, "--runs", "3"]) == 0
+        assert len(made) == 1
 
 
 class TestEncode:
@@ -447,16 +472,34 @@ class TestUsageErrors:
         assert not (ws / "crash.steps.json").exists()
 
     def test_bad_endpoint_comes_before_the_device_starts(self, ws, capsys):
-        adb = ws / "adb"
-        adb.write_text('#!/bin/sh\necho "$@" >> "$(dirname "$0")/adb-calls.log"\n', encoding="utf-8")
-        adb.chmod(0o755)
-        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(adb),
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(logging_adb(ws)),
                 "--endpoint", "localhost:9/v1"]
         assert main(args) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert not (ws / "adb-calls.log").exists()
         assert not (ws / "crash.trace.json").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "replay"])
+    def test_out_that_cannot_be_made_comes_before_any_call(self, ws, gauge, capsys, command):
+        (ws / "afile").write_text("", encoding="utf-8")
+        device_args = ["--device", "adb", "--adb-path", str(logging_adb(ws))] if command == "replay" else []
+        args = [command, "crash.txt", *device_args, "--endpoint", gauge.endpoint, "--out", "afile/x"]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: --out: cannot create directory afile: ")
+        assert gauge.peak == 0
+        assert not (ws / "adb-calls.log").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_temperature_makes_no_request(self, ws, gauge, capsys, value):
+        # NaN and infinity are not JSON; a strict endpoint would refuse the body
+        args = ["extract", "crash.txt", "--endpoint", gauge.endpoint, "--temperature", value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "--temperature" in err
+        assert "Traceback" not in err
+        assert gauge.peak == 0
 
     def test_simulated_device_needs_an_app(self, ws, capsys):
         assert main(["replay", "crash.txt", *targs(ws, [EXTRACTION, GUIDANCE])]) == 2
@@ -574,8 +617,12 @@ class TestUsageErrors:
         ("replay", {}, {"backtracks_budget": -2}, "'backtracks_budget'"),
         ("replay", {}, {"wall_budget": "nan"}, "'wall_budget'"),
         ("replay", {"BUGREPLAY_MAX_MISSING_DEPTH": "-3"}, {}, "BUGREPLAY_MAX_MISSING_DEPTH"),
+        ("extract", {"BUGREPLAY_TEMPERATURE": "nan"}, {}, "BUGREPLAY_TEMPERATURE"),
+        ("extract", {}, {"temperature": -1}, "'temperature'"),
+        ("extract", {"BUGREPLAY_TOKEN_BUDGET": "0"}, {}, "BUGREPLAY_TOKEN_BUDGET"),
     ], ids=["env-runs", "env-llm", "env-device", "config-runs", "config-unknown-key",
-            "env-actions", "config-backtracks", "config-wall-nan", "env-depth"])
+            "env-actions", "config-backtracks", "config-wall-nan", "env-depth",
+            "env-temperature-nan", "config-temperature-negative", "env-token-budget"])
     def test_bad_setting_value_names_its_source(self, ws, capsys, monkeypatch,
                                                 command, env, config, source):
         # the same values given as flags are rejected by argparse with exit 2
@@ -618,6 +665,16 @@ class TestUsageErrors:
         assert main(["extract", "filed.json", *targs(ws, [EXTRACTION])]) == 2
         assert "bug report text" in capsys.readouterr().err
         assert not (ws / "filed.steps.txt").exists()
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("extract", "crash.steps.json"), ("replay", "crash.trace.json")])
+def test_artifact_that_cannot_be_written_exits_3(ws, capsys, command, artifact):
+    (ws / artifact).mkdir()
+    device_args = ["--app", "app.json"] if command == "replay" else []
+    assert main([command, "crash.txt", *device_args, *targs(ws, [EXTRACTION])]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot write {ws / artifact}: ")
 
 
 def test_adb_flags_reach_the_adb_config(ws, monkeypatch):
@@ -678,6 +735,34 @@ def test_fresh_start_overlaps_extraction(ws, monkeypatch):
     # only one before the first gesture
     assert [name for name, _ in log][:3] == ["restart", "dump_hierarchy", "tap"]
     assert all(started < extracted for _, started in log[:2])
+
+
+def test_one_device_session_for_every_candidate(ws, monkeypatch):
+    log, made = [], []
+    make_device = cli._make_device
+
+    def timed_device(cfg):
+        made.append(cfg)
+        return _Timed(make_device(cfg), log)
+
+    monkeypatch.setattr(cli, "_make_device", timed_device)
+    # the Scroll candidate misses, so the Crash me candidate replays next
+    args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [SCROLL, EXTRACTION], runs=2)]
+    assert main(args) == 0
+    assert len(made) == 1
+    names = [name for name, _ in log]
+    second = names.index("restart", 1)
+    assert names[:2] == names[second:second + 2] == ["restart", "dump_hierarchy"]
+    assert names.count("close") == 1
+
+
+def test_scroll_first_candidate_logs_the_first_screen(ws, calm):
+    args = ["replay", "crash.txt", "--app", calm, *targs(ws, [SCROLL])]
+    assert main(args) == 1
+    app = SimulatedApp.load(calm)
+    artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+    [event] = artifact["runs"][0]["events"]
+    assert event["screen_digest"] == screen_digest(encode_gui(app.states[app.initial]).html)
 
 
 class TestPrecedence:

@@ -61,6 +61,11 @@ class TestLlmConfig:
         with pytest.raises(ValueError):
             LlmConfig(retries=-1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -0.5])
+    def test_rejects_a_temperature_json_cannot_carry_or_below_zero(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            LlmConfig(temperature=temperature)
+
     def test_api_key_hidden_from_repr(self):
         config = LlmConfig(endpoint="http://e", api_key="sk-sensitive-123")
         assert "sk-sensitive-123" not in repr(config)

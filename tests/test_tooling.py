@@ -1,4 +1,6 @@
-"""The scripts the README tells readers to run: the demos and the sweep."""
+"""The scripts the README tells readers to run: the demos, the sweep and
+the bench's tracer."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,3 +32,25 @@ def test_sweep_matches_itself(tmp_path):
     assert diff.returncode == 0, diff.stdout
     lines = diff.stdout.splitlines()
     assert lines and all(" 0 of " in line for line in lines), diff.stdout
+
+
+def test_bench_tracer_wraps_callables_that_exist(monkeypatch):
+    # the bench's tracer wraps bugreplay callables by name, so renaming
+    # one must fail here and not only in the bench
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+
+    def bound():
+        return [owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+                for owner, attr, _, _ in tracer.points()]
+
+    originals = bound()
+    tracer.install()
+    try:
+        assert all(now is not was for now, was in zip(bound(), originals))
+    finally:
+        tracer.uninstall()
+    assert all(now is was for now, was in zip(bound(), originals))
