@@ -40,6 +40,9 @@ logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "BUGREPLAY_"
 DEFAULT_API_KEY_ENV = "BUGREPLAY_API_KEY"
+# the most extraction runs in flight at once, so that a large --runs
+# does not start as many threads and concurrent requests
+EXTRACTION_WORKERS = 4
 
 
 class _UsageError(Exception):
@@ -110,11 +113,14 @@ def _non_negative(cast):
     return _checked(cast, "a non-negative number", lambda value: value >= 0)
 
 
+_positive = _checked(int, "a positive number", lambda value: value > 0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser. Every value-taking option of a subcommand other than
-    --config is a setting; the namespace carries them as `settings`, and
-    the dests of every subcommand's settings as `config_keys`, so one
-    config file serves all subcommands."""
+    """The parser. Every value-taking option of extract and replay other
+    than --config is a setting; the namespace carries them as `settings`,
+    and the dests of both subcommands' settings as `config_keys`, so one
+    config file serves both. encode takes a dump and -v only."""
     parser = argparse.ArgumentParser(
         prog="bugreplay",
         description="Extract reproduction steps from bug reports and replay them on a device.",
@@ -132,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--temperature", type=_checked(float, "a finite non-negative number",
                                                        lambda value: 0 <= value < math.inf))
     common.add_argument("--corpus", help="exemplar corpus file (default: built-in)")
-    common.add_argument("--token-budget", type=_checked(int, "a positive number", lambda value: value > 0))
-    common.add_argument("--runs", type=int, help="extraction runs, to smooth model instability (default 3)")
+    common.add_argument("--token-budget", type=_positive)
+    common.add_argument("--runs", type=_positive, help="extraction runs, to smooth model instability (default 3)")
     common.add_argument("--seed", type=int, help="recorded in output artifacts")
     common.add_argument("--out", help="output base path (default: report stem in cwd)")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -154,15 +160,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--wall-budget", type=_non_negative(float))
     p_replay.add_argument("--max-missing-depth", type=_non_negative(int))
 
-    p_encode = sub.add_parser("encode", parents=[common], help="print the HTML encoding of a dump")
-    p_encode.add_argument("dump", help="UIAutomator dump XML file")
     settings = {
-        name: [a for a in p._actions if a.option_strings and a.nargs != 0 and a.dest != "config"]
-        for name, p in sub.choices.items()
+        p: [a for a in p._actions if a.option_strings and a.nargs != 0 and a.dest != "config"]
+        for p in (p_extract, p_replay)
     }
     config_keys = {a.dest for actions in settings.values() for a in actions}
-    for name, p in sub.choices.items():
-        p.set_defaults(settings=settings[name], config_keys=config_keys)
+    for p, actions in settings.items():
+        p.set_defaults(settings=actions, config_keys=config_keys)
+
+    p_encode = sub.add_parser("encode", help="print the HTML encoding of a dump")
+    p_encode.add_argument("dump", help="UIAutomator dump XML file")
+    p_encode.add_argument("-v", "--verbose", action="store_true")
     return parser
 
 
@@ -208,10 +216,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             value = _convert(action, file_cfg[name], f"config file {args.config}: key {name!r}")
         if value is not None:
             values[name] = value
-    cfg = RunConfig(command=args.command, report_path=getattr(args, "report", None), **values)
-    if cfg.runs < 1:
-        raise _UsageError("--runs must be at least 1")
-    return cfg
+    return RunConfig(command=args.command, report_path=args.report, **values)
 
 
 def _load_report(path: str) -> BugReport:
@@ -306,9 +311,10 @@ def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: E
     """The candidates, each distinct successful step list once, most
     votes first and ties to the earliest run, plus every run's result.
 
-    The runs share the one client and go out concurrently, or one at a
-    time for a strict-sequence transcript, whose answers follow request
-    order; results keep run order either way.
+    The runs share the one client and go out concurrently, at most
+    EXTRACTION_WORKERS at once, or one at a time for a strict-sequence
+    transcript, whose answers follow request order; results keep run
+    order either way.
     """
     def attempt(_run: int) -> list[Step] | BugReplayError:
         try:
@@ -317,7 +323,7 @@ def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: E
             return exc
 
     in_order = isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
-    with ThreadPoolExecutor(max_workers=1 if in_order else cfg.runs) as pool:
+    with ThreadPoolExecutor(max_workers=1 if in_order else EXTRACTION_WORKERS) as pool:
         outcomes = list(pool.map(attempt, range(cfg.runs)))
     results: list[dict] = []
     for run, outcome in enumerate(outcomes, 1):
@@ -451,7 +457,7 @@ def cmd_replay(cfg: RunConfig) -> int:
     return 3
 
 
-def cmd_encode(cfg: RunConfig, dump_path: str) -> int:
+def cmd_encode(dump_path: str) -> int:
     try:
         xml = Path(dump_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -468,17 +474,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
     try:
+        if args.command == "encode":
+            return cmd_encode(args.dump)
         cfg = _build_run_config(args)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "replay":
-            return cmd_replay(cfg)
-        return cmd_encode(cfg, args.dump)
+        return cmd_extract(cfg) if args.command == "extract" else cmd_replay(cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -287,7 +287,6 @@ class AdbConfig:
     adb_path: str = "adb"
     package: str | None = None
     launch_command: str | None = None
-    screen_size: tuple[int, int] | None = None
 
 
 # seconds one adb call may take before it counts as hung
@@ -330,7 +329,7 @@ class AdbDevice(DeviceSession):
     def __init__(self, config: AdbConfig | None = None, runner=None):
         self.config = config or AdbConfig()
         self._runner = runner or _run_subprocess
-        self._size = self.config.screen_size
+        self._size: tuple[int, int] | None = None
 
     def _adb(self, *args: str) -> str:
         argv = [self.config.adb_path]
@@ -341,9 +340,10 @@ class AdbDevice(DeviceSession):
 
     @property
     def screen_size(self) -> tuple[int, int]:
+        # an "Override size:" line, when wm size prints one, is the size the display uses
         if self._size is None:
             out = self._adb("shell", "wm", "size")
-            m = re.search(r"(\d+)x(\d+)", out)
+            m = re.search(r"Override size: (\d+)x(\d+)", out) or re.search(r"(\d+)x(\d+)", out)
             if not m:
                 raise DeviceError(f"cannot read screen size from {out!r}")
             self._size = (int(m.group(1)), int(m.group(2)))

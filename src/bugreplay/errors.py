@@ -44,10 +44,6 @@ class DeviceError(BugReplayError):
     pass
 
 
-class TokenLimitExceeded(BugReplayError):
-    """Prompt estimate exceeds the model's token window; caller must shrink it."""
-
-
 class TransportError(BugReplayError):
     """Live completion endpoint unreachable or persistently failing."""
 

@@ -24,12 +24,7 @@ from typing import TYPE_CHECKING
 from urllib.parse import SplitResult, unquote, urlsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
 
-from .errors import (
-    TokenLimitExceeded,
-    TranscriptExhausted,
-    TransportError,
-    UnmatchedPrompt,
-)
+from .errors import TranscriptExhausted, TransportError, UnmatchedPrompt
 
 if TYPE_CHECKING:
     from .exemplars import Prompt
@@ -53,6 +48,8 @@ class LlmConfig:
     # Key material comes from the environment at CLI level and must never
     # reach logs, traces, or serialized output.
     api_key: str | None = field(default=None, repr=False)
+    # the cap on an answer's length, sent with each request; prompts are
+    # held to their budget where they are built
     max_tokens: int = 4096
     temperature: float = 0.0
     retries: int = 2
@@ -74,11 +71,6 @@ class LlmClient(ABC):
         self.config = config or LlmConfig()
 
     def complete(self, prompt: "Prompt") -> str:
-        used = estimate_tokens(prompt.rendered)
-        if used > self.config.max_tokens:
-            raise TokenLimitExceeded(
-                f"prompt estimates {used} tokens, limit is {self.config.max_tokens}"
-            )
         return self._complete(prompt)
 
     @abstractmethod
@@ -241,14 +233,10 @@ class TranscriptLlm(LlmClient):
                 raise ValueError("a sequence transcript's responses must be a list of strings")
             self._queue = deque(responses)
             return
-        pairs = list(responses.items()) if isinstance(responses, dict) else responses
-        if not isinstance(pairs, list) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(x, str) for x in p)
-                for p in pairs):
-            raise ValueError("a keyed transcript's responses must be an object, or a list of pairs, of strings")
-        if len({k for k, _ in pairs}) != len(pairs):
-            raise ValueError("keyed transcript has duplicate digests")
-        self._table = dict(pairs)
+        if not isinstance(responses, dict) or not all(
+                isinstance(x, str) for pair in responses.items() for x in pair):
+            raise ValueError("a keyed transcript's responses must be an object of strings")
+        self._table = dict(responses)
 
     @classmethod
     def from_file(cls, path, config: LlmConfig | None = None) -> "TranscriptLlm":

@@ -11,7 +11,7 @@ import html as html_mod
 import re
 from collections import deque
 
-from bugreplay.llm import LlmClient, LlmConfig
+from bugreplay.llm import LlmClient
 from bugreplay.steps import ActionType, bracket_tokens, parse_step_text, strip_quotes
 
 SCREEN = (1080, 1920)
@@ -400,7 +400,7 @@ class GuidanceOracle(LlmClient):
     """
 
     def __init__(self, bridges=None, config=None):
-        super().__init__(config or LlmConfig(max_tokens=1_000_000))
+        super().__init__(config)
         self.bridges = {k.strip().lower(): list(v) for k, v in (bridges or {}).items()}
         self.queries = []
 
@@ -439,7 +439,7 @@ class AlwaysMissingLlm(LlmClient):
     """Adversarial guidance: every answer is an exploratory nudge."""
 
     def __init__(self, config=None):
-        super().__init__(config or LlmConfig(max_tokens=1_000_000))
+        super().__init__(config)
 
     def _complete(self, prompt):
         return "[MISSING] [id=0]"
@@ -449,7 +449,7 @@ class ScriptedLlm(LlmClient):
     """Fixed answers in order, for tests that need exact control."""
 
     def __init__(self, answers, config=None):
-        super().__init__(config or LlmConfig(max_tokens=1_000_000))
+        super().__init__(config)
         self.answers = deque(answers)
         self.prompts = []
 

@@ -23,7 +23,7 @@ from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt, parse_extraction_response
 from bugreplay.guidance import parse_guidance_response
 from bugreplay.gui import Bounds, ViewNode, encode_gui, resolve_component
-from bugreplay.llm import LlmClient, LlmConfig, estimate_tokens
+from bugreplay.llm import LlmClient, estimate_tokens
 from bugreplay.replay import Budgets, Outcome, execute_step, replay
 from bugreplay.steps import (
     ActionType,
@@ -66,7 +66,7 @@ class PromptCollector(LlmClient):
     """Pass-through backend that keeps every prompt for criterion 7."""
 
     def __init__(self, inner):
-        super().__init__(LlmConfig(max_tokens=10 ** 6))
+        super().__init__()
         self.inner = inner
 
     def _complete(self, prompt):
@@ -299,8 +299,9 @@ def test_criterion_7_token_budget():
 @criterion(8, "adb gestures emit the documented command lines bit for bit")
 def test_criterion_8_adb_command_goldens():
     calls = []
-    device = AdbDevice(AdbConfig(screen_size=(1080, 1920)),
-                       runner=lambda argv: calls.append(list(argv)) or "")
+    device = AdbDevice(AdbConfig(),
+                       runner=lambda argv: calls.append(list(argv)) or "Physical size: 1080x1920\n")
+    assert device.screen_size == (1080, 1920)  # measured once, before the goldens
     node = ViewNode("android.widget.Button", bounds=Bounds(100, 200, 500, 1080))
 
     def last(step_text_form, with_node=True):

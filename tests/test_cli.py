@@ -17,7 +17,7 @@ from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt
 from bugreplay.gui import encode_gui, parse_dump, screen_digest
-from bugreplay.llm import LlmClient, LlmConfig, prompt_digest
+from bugreplay.llm import LlmClient, prompt_digest
 from bugreplay.steps import BugReport
 
 from helpers import scenario_single_step
@@ -346,7 +346,7 @@ class _Staggered(LlmClient):
     so earlier calls answer later; it notes the order answers went back in."""
 
     def __init__(self, calls, delay):
-        super().__init__(LlmConfig(max_tokens=10 ** 6))
+        super().__init__()
         self.calls, self.delay = calls, delay
         self.lock = threading.Lock()
         self.arrived = 0
@@ -387,6 +387,15 @@ class TestConcurrentExtraction:
         # a three-way tie still goes to the earliest run
         assert capsys.readouterr().out == first + "\n"
 
+    def test_runs_in_flight_are_capped(self, ws, gauge):
+        runs = 3 * cli.EXTRACTION_WORKERS
+        args = ["extract", "crash.txt", "--llm", "http",
+                "--endpoint", gauge.endpoint, "--runs", str(runs)]
+        assert main(args) == 0
+        assert gauge.peak == cli.EXTRACTION_WORKERS
+        artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
+        assert [r["ok"] for r in artifact["runs"]] == [True] * runs
+
     @pytest.mark.parametrize("command", ["extract", "replay"])
     def test_one_client_per_invocation(self, ws, pilot_endpoint, monkeypatch, command):
         made = []
@@ -413,6 +422,13 @@ class TestEncode:
         expected = encode_gui(parse_dump(self.DUMP)).html
         assert capsys.readouterr().out == expected + "\n"
         assert "<button id=2" in expected
+
+    def test_reads_no_setting(self, ws, capsys, monkeypatch):
+        (ws / "dump.xml").write_text(self.DUMP, encoding="utf-8")
+        monkeypatch.setenv("BUGREPLAY_RUNS", "abc")
+        assert main(["encode", "dump.xml"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["encode", "dump.xml", "--runs", "3"]) == 2
 
     def test_missing_dump_exits_2(self, ws, capsys):
         assert main(["encode", "nowhere.xml"]) == 2
@@ -515,9 +531,6 @@ class TestUsageErrors:
         prompts = []
 
         class Counting(LlmClient):
-            def __init__(self):
-                super().__init__(LlmConfig(max_tokens=10 ** 6))
-
             def _complete(self, prompt):
                 prompts.append(prompt)
                 return EXTRACTION
@@ -546,8 +559,9 @@ class TestUsageErrors:
         {"mode": "keyed", "responses": [1, 2]},
         {"mode": "keyed", "responses": {"digest": 3}},
         {"mode": "keyed", "responses": "digest"},
+        {"mode": "keyed", "responses": [["digest", EXTRACTION]]},
     ], ids=["sequence-int", "sequence-non-string", "sequence-object",
-            "keyed-ints", "keyed-non-string", "keyed-string"])
+            "keyed-ints", "keyed-non-string", "keyed-string", "keyed-pairs"])
     def test_transcript_responses_of_the_wrong_type(self, ws, capsys, body):
         (ws / "bad.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["extract", "crash.txt", "--llm", "transcript", "--transcript", "bad.json"]
@@ -620,9 +634,12 @@ class TestUsageErrors:
         ("extract", {"BUGREPLAY_TEMPERATURE": "nan"}, {}, "BUGREPLAY_TEMPERATURE"),
         ("extract", {}, {"temperature": -1}, "'temperature'"),
         ("extract", {"BUGREPLAY_TOKEN_BUDGET": "0"}, {}, "BUGREPLAY_TOKEN_BUDGET"),
+        ("extract", {"BUGREPLAY_RUNS": "0"}, {}, "BUGREPLAY_RUNS"),
+        ("extract", {}, {"runs": 0}, "'runs'"),
     ], ids=["env-runs", "env-llm", "env-device", "config-runs", "config-unknown-key",
             "env-actions", "config-backtracks", "config-wall-nan", "env-depth",
-            "env-temperature-nan", "config-temperature-negative", "env-token-budget"])
+            "env-temperature-nan", "config-temperature-negative", "env-token-budget",
+            "env-runs-zero", "config-runs-zero"])
     def test_bad_setting_value_names_its_source(self, ws, capsys, monkeypatch,
                                                 command, env, config, source):
         # the same values given as flags are rejected by argparse with exit 2
@@ -714,9 +731,6 @@ def test_fresh_start_overlaps_extraction(ws, monkeypatch):
     log, answered = [], []
 
     class SlowExtraction(LlmClient):
-        def __init__(self):
-            super().__init__(LlmConfig(max_tokens=10 ** 6))
-
         def _complete(self, prompt):
             if any(s.kind == "test_query" for s in prompt.segments):
                 return GUIDANCE

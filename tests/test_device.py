@@ -14,6 +14,7 @@ from bugreplay.device import (
 )
 from bugreplay.errors import DeviceError
 from bugreplay.gui import encode_gui
+from bugreplay.replay import execute_step
 from bugreplay.steps import ActionType, parse_step_text
 
 from helpers import (
@@ -397,11 +398,14 @@ class TestAdbDevice:
         with pytest.raises(DeviceError):
             _ = self.make(RecordingRunner()).screen_size
 
-    def test_configured_screen_size_skips_adb(self):
-        runner = RecordingRunner()
-        device = self.make(runner, screen_size=(720, 1280))
+    def test_screen_size_prefers_the_override(self):
+        # a Scroll must stay on the display the dump's bounds describe
+        runner = RecordingRunner(outputs={
+            "wm size": "Physical size: 1080x1920\nOverride size: 720x1280\n"})
+        device = self.make(runner)
         assert device.screen_size == (720, 1280)
-        assert runner.calls == []
+        execute_step(device, parse_step_text("[Scroll] [up]"), None)
+        assert runner.calls[-1] == ["adb", "shell", "input", "swipe", "360", "1024", "360", "256", "300"]
 
     def test_restart_sequence(self):
         runner = RecordingRunner()

@@ -9,7 +9,7 @@ from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
 from bugreplay.errors import DeviceError, TransportError
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.gui import ViewNode, encode_gui, screen_digest
-from bugreplay.llm import LlmClient, LlmConfig, TranscriptLlm, prompt_digest
+from bugreplay.llm import LlmClient, TranscriptLlm, prompt_digest
 from bugreplay.replay import (
     Budgets,
     Outcome,
@@ -410,9 +410,6 @@ class TestAdversarialGuidance:
 
     def test_unanswerable_with_no_history(self):
         class Mute(LlmClient):
-            def __init__(self):
-                super().__init__(LlmConfig(max_tokens=10 ** 6))
-
             def _complete(self, prompt):
                 return "I have no idea."
 
@@ -484,9 +481,6 @@ class TestBudgets:
 class TestErrorPath:
     def test_transport_errors_become_error_outcome(self):
         class Flaky(LlmClient):
-            def __init__(self):
-                super().__init__(LlmConfig(max_tokens=10 ** 6))
-
             def _complete(self, prompt):
                 raise TransportError("endpoint unreachable")
 
@@ -861,8 +855,7 @@ class TestOverlap:
 
     def test_sequence_transcript_keeps_its_order(self):
         scenario = scenario_two_branch()
-        llm = TranscriptLlm(["[id=3]", "I have no idea.", "[id=2]", "[id=2]"],
-                            config=LlmConfig(max_tokens=10 ** 6))
+        llm = TranscriptLlm(["[id=3]", "I have no idea.", "[id=2]", "[id=2]"])
         trace = run(scenario, llm=llm)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]

@@ -1,7 +1,9 @@
-"""The scripts the README tells readers to run: the demos, the sweep and
-the bench's tracer."""
+"""The scripts the README tells readers to run: the demos, the sweep, the
+bench and its tracer."""
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
 def run(*args):
@@ -54,3 +57,15 @@ def test_bench_tracer_wraps_callables_that_exist(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(now is was for now, was in zip(bound(), originals))
+
+
+@pytest.mark.skipif(not (shutil.which("make") and shutil.which("cc")),
+                    reason="the bench builds its fake adb with make and a C compiler")
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_runs_each_workload(workload):
+    done = run(ROOT / "perfbench" / "run.py", "--workload", workload, "--seed", "7",
+               "--seconds", "1", "--quick", "--trace", "0")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"], done.stderr
+    assert result["failed"] == 0
