@@ -459,11 +459,10 @@ def cmd_replay(cfg: RunConfig) -> int:
 
 def cmd_encode(dump_path: str) -> int:
     try:
-        xml = Path(dump_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        tree = parse_dump(Path(dump_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, DeviceError) as exc:
         raise _UsageError(f"cannot read dump {dump_path}: {exc}") from exc
-    encoded = encode_gui(parse_dump(xml))
-    print(encoded.html)
+    print(encode_gui(tree).html)
     return 0
 
 

@@ -312,11 +312,14 @@ class AdbDevice(DeviceSession):
     The exact command strings are part of this module's contract:
 
         tap         input tap X Y
-        double tap  input tap X Y            (twice, <150ms apart)
+        double tap  input tap X Y            (twice; see below)
         long tap    input swipe X Y X Y 800
         swipe       input swipe X1 Y1 X2 Y2 300
         text        input text VALUE         (spaces become %s)
         back        input keyevent KEYCODE_BACK
+
+    A double tap's second call starts DOUBLE_TAP_GAP_SECONDS after the
+    first returns, so its taps land that gap plus one adb call's latency apart.
 
     A runner callable can replace subprocess execution for tests.
     """
@@ -403,26 +406,31 @@ class AdbDevice(DeviceSession):
         )
 
 
+# each gesture-log kind and the DeviceSession method that performs it
+_GESTURE_CALLS = {
+    "tap": "tap",
+    "double_tap": "double_tap",
+    "long_tap": "long_tap",
+    "swipe": "swipe",
+    "text": "type_text",
+    "back": "press_back",
+    "restart": "restart",
+}
+
+
+def perform(device: DeviceSession, gesture: tuple) -> tuple:
+    """Make the device call one logged gesture names; returns the gesture."""
+    kind, *args = gesture
+    if kind not in _GESTURE_CALLS:
+        raise ValueError(f"unknown gesture {gesture!r}")
+    getattr(device, _GESTURE_CALLS[kind])(*args)
+    return gesture
+
+
 def apply_gestures(device: DeviceSession, gestures) -> None:
     """Replay a recorded raw gesture sequence verbatim."""
     for gesture in gestures:
-        kind, *args = gesture
-        if kind == "tap":
-            device.tap(*args)
-        elif kind == "double_tap":
-            device.double_tap(*args)
-        elif kind == "long_tap":
-            device.long_tap(*args)
-        elif kind == "swipe":
-            device.swipe(*args)
-        elif kind == "text":
-            device.type_text(*args)
-        elif kind == "back":
-            device.press_back()
-        elif kind == "restart":
-            device.restart()
-        else:
-            raise ValueError(f"unknown gesture {gesture!r}")
+        perform(device, gesture)
 
 
 def synthesize_omissions(steps: list[Step], k: int, seed: int) -> list[Step]:

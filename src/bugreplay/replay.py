@@ -8,9 +8,14 @@ acts on the answer:
 * [MISSING] plus an id is an exploratory hop: tap there, stay on the
   same step, and try again on the new screen (bounded depth);
 * an unusable answer (nothing actionable, a hallucinated or already
-  tried id, or exploration depth exhausted) pops the history stack,
+  excluded id, or exploration depth exhausted) pops the history stack,
   adds the id tried from that earlier screen to its exclusion set, and
   retries guidance there.
+
+An exclusion set belongs to the screen it was made on: a snapshot keeps
+the set it was taken with, a backtrack brings it back with the departed
+id added, and any executed action, an advance or an exploratory hop,
+starts the next screen with none.
 
 Scroll steps execute directly: they target no component, so no dump is
 taken for them, and the swipe lands on whatever is on screen. App state is
@@ -78,11 +83,18 @@ from .guidance import GUIDED_ACTIONS, build_guidance_prompt, parse_guidance_resp
 from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, resource_leaf, screen_digest
 from .llm import LlmClient
 from .steps import ActionType, Direction, Step, step_text, validate_step_list
-from .device import DeviceSession, apply_gestures
+from .device import DeviceSession, apply_gestures, perform
 
 logger = logging.getLogger(__name__)
 
 _BACK_ATTEMPTS = 3
+
+# the gesture-log kind of each tap-like guided action
+_TAP_KINDS = {
+    ActionType.TAP: "tap",
+    ActionType.DOUBLE_TAP: "double_tap",
+    ActionType.LONG_TAP: "long_tap",
+}
 
 
 @dataclass
@@ -98,8 +110,10 @@ class Budgets:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value >= 0:
-                raise ValueError(f"budget {f.name} must be a non-negative number, got {value!r}")
+            whole = f.type == "int"
+            if whole and not isinstance(value, int) or not value >= 0:
+                kind = " (an integer)" if whole else ""
+                raise ValueError(f"budget {f.name} must be a non-negative number{kind}, got {value!r}")
 
 
 class Outcome(Enum):
@@ -180,36 +194,27 @@ def execute_step(device: DeviceSession, step: Step, node: ViewNode | None) -> li
             Direction.LEFT: (cx + half_w, cy, cx - half_w, cy),
             Direction.RIGHT: (cx - half_w, cy, cx + half_w, cy),
         }[step.direction]
-        device.swipe(*ends)
-        return [("swipe", *ends)]
-    x, y = node.bounds.center()
-    if step.action is ActionType.TAP:
-        device.tap(x, y)
-        return [("tap", x, y)]
-    if step.action is ActionType.DOUBLE_TAP:
-        device.double_tap(x, y)
-        return [("double_tap", x, y)]
-    if step.action is ActionType.LONG_TAP:
-        device.long_tap(x, y)
-        return [("long_tap", x, y)]
-    device.tap(x, y)
-    device.type_text(step.value)
-    return [("tap", x, y), ("text", step.value)]
-
-
-@dataclass
-class _Snapshot:
-    cursor: int
-    missing_depth: int
-    encoded: EncodedGui
-    digest: str
-    tried: dict[int, set[int]]
-    departed_id: int
-    gesture_prefix: int
+        gestures = [("swipe", *ends)]
+    elif step.action is ActionType.INPUT:
+        gestures = [("tap", *node.bounds.center()), ("text", step.value)]
+    else:
+        gestures = [(_TAP_KINDS[step.action], *node.bounds.center())]
+    return [perform(device, g) for g in gestures]
 
 
 # an encoded dump and its digest
 _Screen = tuple[EncodedGui, str]
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    cursor: int
+    missing_depth: int
+    screen: _Screen
+    # the full-encoding ids excluded for the step on this screen
+    excluded: frozenset[int]
+    departed_id: int
+    gesture_prefix: int
 
 
 def _encode_screen(tree: ViewNode) -> _Screen:
@@ -243,27 +248,25 @@ def _lexical_pick(component: str, encoded: EncodedGui) -> int | None:
 def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], screen: _Screen) -> _Screen:
     """Bring back the snapshot's screen, starting from `screen`, the dump
     of what the device shows now; returns the dump of the restored screen."""
-    if screen[1] == snap.digest:
+    if screen[1] == snap.screen[1]:
         return screen
     typed = bool(gestures) and gestures[-1][0] == "text"
     for attempt in range(_BACK_ATTEMPTS):
         before = screen[1]
-        device.press_back()
-        gestures.append(("back",))
+        gestures.append(perform(device, ("back",)))
         screen = _dump_screen(device)
-        if screen[1] == snap.digest:
+        if screen[1] == snap.screen[1]:
             return screen
         # a screen that ignored Back will ignore it again; only the first
         # Back after typing may have closed the keyboard and nothing else
         if screen[1] == before and not (typed and attempt == 0):
             break
-    prefix = list(gestures[: snap.gesture_prefix])
-    device.restart()
-    gestures.append(("restart",))
+    prefix = gestures[: snap.gesture_prefix]
+    gestures.append(perform(device, ("restart",)))
     apply_gestures(device, prefix)
     gestures.extend(prefix)
     screen = _dump_screen(device)
-    if screen[1] != snap.digest:
+    if screen[1] != snap.screen[1]:
         raise DeviceError("could not restore the prior screen after backtracking")
     return screen
 
@@ -300,7 +303,10 @@ def replay(
     budgets = budgets or Budgets()
     trace = ReplayTrace(report_id=report_id, steps=list(steps))
     history: deque[_Snapshot] = deque(maxlen=budgets.backtracks)
-    tried: dict[int, set[int]] = {}
+    # the ids excluded for the current step on the current screen, in its
+    # full encoding: the prompt's may elide wrappers; any executed action
+    # starts the next screen with none
+    excluded: frozenset[int] = frozenset()
     cursor = 0
     missing_depth = 0
     # the dump of the current screen when no gesture has happened since
@@ -315,11 +321,10 @@ def replay(
     pool = ThreadPoolExecutor(max_workers=1)
     started = time.monotonic()
 
-    def ask(step: Step, encoded: EncodedGui, excluded: set[int]) -> None:
+    def ask(step: Step, encoded: EncodedGui, excluded: frozenset[int]) -> None:
         """Send the guidance call for step on the screen encoded; it yields
         that encoding, the one the prompt embeds, and the answer."""
         nonlocal asked
-        excluded = frozenset(excluded)
 
         def call() -> tuple[EncodedGui, EncodedGui, str]:
             prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
@@ -347,25 +352,24 @@ def replay(
         trace.wall_time = time.monotonic() - started
         return trace
 
-    def backtrack(current: _Screen) -> str | None:
-        """Pop one snapshot and restore it; returns a stop reason or None."""
-        nonlocal cursor, missing_depth, tried, screen
+    def backtrack() -> str | None:
+        """Pop one snapshot and restore it, starting from the screen in
+        hand; returns a stop reason or None."""
+        nonlocal cursor, missing_depth, excluded, screen
         if not history:
             return "nowhere left to backtrack"
         if trace.backtracks_used >= budgets.backtracks:
             return "backtrack budget exhausted"
         snap = history.pop()
         trace.backtracks_used += 1
-        cursor = snap.cursor
-        missing_depth = snap.missing_depth
-        tried = {k: set(v) for k, v in snap.tried.items()}
-        tried.setdefault(cursor, set()).add(snap.departed_id)
+        cursor, missing_depth = snap.cursor, snap.missing_depth
+        excluded = snap.excluded | {snap.departed_id}
         # the restore must bring back the snapshot's very screen, so the
         # re-ask goes out on its dump while the device gets there; no
         # action has happened since the loop found one left
-        ask(steps[cursor], snap.encoded, tried[cursor])
-        screen = _restore(device, snap, trace.gestures, current)
-        logger.debug("backtracked to step %d excluding %s", cursor + 1, tried[cursor])
+        ask(steps[cursor], snap.screen[0], excluded)
+        screen = _restore(device, snap, trace.gestures, screen)
+        logger.debug("backtracked to step %d excluding %s", cursor + 1, sorted(excluded))
         return None
 
     try:
@@ -379,9 +383,9 @@ def replay(
             # change the screen and hide a pick that changed nothing
             if pending is not None and trace.actions_used < budgets.actions:
                 screen = _dump_screen(device)
-                if screen[1] == pending.digest:
+                if screen[1] == pending.screen[1]:
                     logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
-                    cursor, missing_depth, tried = pending.cursor, pending.missing_depth, pending.tried
+                    cursor, missing_depth, excluded = pending.cursor, pending.missing_depth, pending.excluded
                     fast_path = False
                 else:
                     history.append(pending)
@@ -397,7 +401,8 @@ def replay(
                 # a swipe needs no screen; it is logged against the dump in hand, if any
                 digest = screen[1] if screen else None
             else:
-                encoded, digest = screen or _dump_screen(device)
+                screen = screen or _dump_screen(device)
+                encoded, digest = screen
                 # every backtrack follows a model call, which has turned the
                 # fast path off, so a lexical pick never meets an exclusion
                 full_id = _lexical_pick(step.component, encoded) if fast_path else None
@@ -406,9 +411,6 @@ def replay(
                 else:
                     fast_path = False
                     resolved_by = "model"
-                    # exclusions hold ids of the full encoding; the answer cites
-                    # ids of the one the prompt embeds, which may elide wrappers
-                    excluded = tried.get(cursor, set())
                     if asked is None:
                         ask(step, encoded, excluded)
                     # the last gesture's crash check runs while the model answers
@@ -418,51 +420,34 @@ def replay(
                     asked_on, enc_used, answer = call.result()
                     try:
                         result = parse_guidance_response(answer)
-                    except NoActionableAnswer as exc:
+                        # a bare [MISSING] cites no id, which resolves to none
+                        node = resolve_component(enc_used, result.component_id)
+                    except (NoActionableAnswer, UnknownId) as exc:
                         logger.debug("step %d: %s", step.index, exc)
-                        result = None
-
-                    if result is not None and result.component_id is not None:
-                        try:
-                            node = resolve_component(enc_used, result.component_id)
-                        except UnknownId as exc:
-                            logger.debug("step %d: %s", step.index, exc)
-                        else:
-                            # a re-ask was built on the snapshot's dump of this
-                            # screen; the tap takes the live dump's bounds
-                            full_id = asked_on.id_of(node)
-                            node = encoded.index[full_id]
-                            if full_id in excluded:
-                                logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
-                                node = None
-
-                    usable = (
-                        result is not None
-                        and node is not None
-                        and not (result.missing and missing_depth >= budgets.max_missing_depth)
-                    )
-                    if not usable:
-                        reason = backtrack((encoded, digest))
+                    else:
+                        # a re-ask was built on the snapshot's dump of this
+                        # screen; the tap takes the live dump's bounds
+                        full_id = asked_on.id_of(node)
+                        node = encoded.index[full_id]
+                        if full_id in excluded:
+                            logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                            node = None
+                    # node is set only once an answer parsed
+                    if node is None or result.missing and missing_depth >= budgets.max_missing_depth:
+                        reason = backtrack()
                         if reason is not None:
                             return finish(Outcome.BUDGET_EXHAUSTED, reason)
                         continue
                     chosen, exploratory = result.component_id, result.missing
 
-                snap = _Snapshot(
-                    cursor=cursor,
-                    missing_depth=missing_depth,
-                    encoded=encoded,
-                    digest=digest,
-                    tried={k: set(v) for k, v in tried.items()},
-                    departed_id=full_id,
-                    gesture_prefix=len(trace.gestures),
-                )
+                snap = _Snapshot(cursor=cursor, missing_depth=missing_depth, screen=screen, excluded=excluded,
+                                 departed_id=full_id, gesture_prefix=len(trace.gestures))
                 if resolved_by == "lexical":
                     pending = snap
                 else:
                     history.append(snap)
 
-            screen = None
+            screen, excluded = None, frozenset()
             # an exploratory hop is a plain tap toward where the missing
             # step may hide; the step itself stays pending
             action = replace(step, action=ActionType.TAP, value=None) if exploratory else step

@@ -441,6 +441,14 @@ class TestEncode:
         assert err.count("error:") == len(err.splitlines()) == 1
         assert "cannot read dump bad.xml" in err
 
+    @pytest.mark.parametrize("text", ["<nope", "<hierarchy></hierarchy>"], ids=["malformed", "no-nodes"])
+    def test_dump_that_does_not_parse_exits_2(self, ws, capsys, text):
+        (ws / "bad.xml").write_text(text, encoding="utf-8")
+        assert main(["encode", "bad.xml"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == len(err.splitlines()) == 1
+        assert "cannot read dump bad.xml" in err
+
 
 class TestUsageErrors:
     def test_no_arguments(self, ws, capsys):

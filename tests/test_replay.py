@@ -393,12 +393,68 @@ class TestRestore:
         home = _dump_screen(device)
         device.current = "dead"
         gestures = list(log)
-        snap = _Snapshot(cursor=0, missing_depth=0, encoded=home[0], digest=home[1], tried={},
+        snap = _Snapshot(cursor=0, missing_depth=0, screen=home, excluded=frozenset(),
                          departed_id=0, gesture_prefix=0)
         screen = _restore(device, snap, gestures, _dump_screen(device))
         assert gestures == log + added
         assert screen[1] == home[1]
         assert device.current == "s0"
+
+
+class TestRestorePrefix:
+    """replay.apply_gestures is called for restore prefixes only, so a
+    wrapper around that name counts exactly the gestures they replay."""
+
+    @pytest.fixture
+    def prefixes(self, monkeypatch):
+        import bugreplay.replay as replay_module
+        calls = []
+
+        def recorder(device, gestures):
+            calls.append(list(gestures))
+            apply_gestures(device, gestures)
+
+        monkeypatch.setattr(replay_module, "apply_gestures", recorder)
+        return calls
+
+    def test_a_run_with_no_backtrack_never_calls_it(self, prefixes):
+        trace = run(scenario_linear_taps_5())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.backtracks_used == 0
+        assert prefixes == []
+
+    def test_a_restart_replays_the_snapshots_prefix(self, prefixes):
+        # two restores, each by restart; the second trap's snapshot was
+        # taken after four logged gestures, the first restart among them
+        trace = run(scenario_double_trap())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert prefixes == [[], [SECOND, BACK, RESTART, FIRST]]
+        assert trace.gestures[6:11] == [RESTART, *prefixes[1]]
+
+
+def test_exclusions_stay_on_the_screen_they_were_made_on():
+    # Home's Decoy (id 2) leads to a dead end; More (id 3) opens Menu,
+    # whose Target is id 2 again: excluding Home's id 2 there would refuse
+    # the right answer
+    spec = _spec(
+        {"home": {"tree": stacked("Home", [lambda y: button("Decoy", y), lambda y: button("More", y)])},
+         "dead": {"tree": stacked("Nothing here", [])},
+         "menu": {"tree": stacked("Menu", [lambda y: button("Target", y)])},
+         "last": {"tree": stacked("Last", [lambda y: button("Boom", y)])}},
+        [_tap("home", 2, "dead"), {"from": "dead", "action": "back", "to": "home"},
+         _tap("home", 3, "menu"), _tap("menu", 2, "last"), _tap("last", 2, CRASH_STATE)],
+        "home")
+    scenario = Scenario("hop_after_backtrack", spec, ['[Tap] ["Target"]', '[Tap] ["Boom"]'])
+    llm = ScriptedLlm(["[id=2]", "no idea", "[MISSING] [id=3]"] + ["[id=2]"] * 5)
+    trace = run(scenario, llm=llm)
+    queries = [p.segments[-1].text for p in llm.prompts]
+    assert "excluding components [id=2]?" in queries[2]
+    assert ">Menu<" in llm.prompts[3].segments[-2].text
+    assert "excluding" not in queries[3]
+    assert trace.outcome is Outcome.BUG_TRIGGERED
+    assert len(llm.prompts) == 5
+    assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [
+        (1, 2, False), (1, 3, True), (1, 2, False), (2, 2, False)]
 
 
 class TestAdversarialGuidance:
@@ -467,7 +523,8 @@ class TestBudgets:
 
     @pytest.mark.parametrize("name, value", [
         ("tokens", -1), ("actions", -1), ("backtracks", -1),
-        ("max_missing_depth", -3), ("wall_seconds", -0.5), ("wall_seconds", float("nan"))])
+        ("max_missing_depth", -3), ("wall_seconds", -0.5), ("wall_seconds", float("nan")),
+        ("backtracks", 2.5), ("actions", 3.0), ("tokens", "4096"), ("max_missing_depth", None)])
     def test_negative_or_nan_budget_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=f"budget {name} must be a non-negative number"):
             Budgets(**{name: value})
