@@ -111,7 +111,8 @@ class Budgets:
         for f in fields(self):
             value = getattr(self, f.name)
             whole = f.type == "int"
-            if whole and not isinstance(value, int) or not value >= 0:
+            number = isinstance(value, int if whole else (int, float)) and not isinstance(value, bool)
+            if not number or not value >= 0:
                 kind = " (an integer)" if whole else ""
                 raise ValueError(f"budget {f.name} must be a non-negative number{kind}, got {value!r}")
 

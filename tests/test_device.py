@@ -1,4 +1,6 @@
 """Device sessions: the simulated app, adb command wiring, omissions."""
+import os
+import sys
 import time
 
 import pytest
@@ -488,6 +490,64 @@ class TestAdbDevice:
             raise DeviceError("adb exited 1")
         with pytest.raises(DeviceError):
             self.make(broken).tap(1, 1)
+
+
+def _refuse_pidfd(pid):
+    raise OSError(38, "Function not implemented")
+
+
+class TestRunSubprocess:
+    """The default runner against real child processes, with a pidfd of the
+    child, with os.pidfd_open missing, and with it failing."""
+
+    @pytest.fixture(autouse=True, params=["pidfd", "no-pidfd", "pidfd-fails"])
+    def pidfd(self, request, monkeypatch):
+        if request.param == "no-pidfd":
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        elif request.param == "pidfd-fails":
+            monkeypatch.setattr(os, "pidfd_open", _refuse_pidfd, raising=False)
+
+    def script(self, tmp_path, body):
+        path = tmp_path / "fake-adb"
+        path.write_text(body, encoding="utf-8")
+        path.chmod(0o755)
+        return str(path)
+
+    @pytest.mark.parametrize("code", [0, 5])
+    def test_large_stdout_and_stderr_are_read_in_full(self, tmp_path, code):
+        # stderr first: a reader that drains stdout alone would wait forever
+        size = 300 * 1024
+        adb = self.script(tmp_path, f"#!{sys.executable}\nimport sys\n"
+                                    f"sys.stderr.write('e' * {size}); sys.stderr.flush()\n"
+                                    f"sys.stdout.write('o' * {size}); sys.exit({code})\n")
+        if code == 0:
+            assert device_module._run_subprocess([adb]) == "o" * size
+        else:
+            with pytest.raises(DeviceError) as caught:
+                device_module._run_subprocess([adb])
+            assert str(caught.value) == f"{adb} exited 5: {'e' * size}"
+
+    def test_output_keeps_its_text_form(self, tmp_path):
+        adb = self.script(tmp_path, "#!/bin/sh\nprintf 'a\\r\\nb\\rc \\377\\n'\n")
+        assert device_module._run_subprocess([adb, "shell"]) == "a\nb\nc �\n"
+
+    def test_nonzero_exit_names_the_code_and_stderr(self, tmp_path):
+        adb = self.script(tmp_path, "#!/bin/sh\necho partial\necho 'error: device offline' >&2\nexit 7\n")
+        with pytest.raises(DeviceError, match=r"^\S+ shell exited 7: error: device offline$"):
+            device_module._run_subprocess([adb, "shell"])
+
+    @pytest.mark.parametrize("closes_pipes", [False, True], ids=["hangs", "closes-pipes-then-hangs"])
+    def test_timeout_kills_and_reaps_the_child(self, tmp_path, monkeypatch, closes_pipes):
+        pid_file = tmp_path / "pid"
+        adb = self.script(tmp_path, "#!/bin/sh\n" + ("exec >&- 2>&-\n" if closes_pipes else "")
+                          + f"echo $$ > '{pid_file}'\nexec sleep 30\n")
+        monkeypatch.setattr(device_module, "ADB_TIMEOUT_SECONDS", 0.3)
+        started = time.monotonic()
+        with pytest.raises(DeviceError, match=r"timed out after 0\.3 s"):
+            device_module._run_subprocess([adb])
+        assert time.monotonic() - started < 10
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
 
 
 def test_apply_gestures_round_trip():

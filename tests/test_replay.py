@@ -524,7 +524,9 @@ class TestBudgets:
     @pytest.mark.parametrize("name, value", [
         ("tokens", -1), ("actions", -1), ("backtracks", -1),
         ("max_missing_depth", -3), ("wall_seconds", -0.5), ("wall_seconds", float("nan")),
-        ("backtracks", 2.5), ("actions", 3.0), ("tokens", "4096"), ("max_missing_depth", None)])
+        ("backtracks", 2.5), ("actions", 3.0), ("tokens", "4096"), ("max_missing_depth", None),
+        ("wall_seconds", "5"), ("wall_seconds", None), ("wall_seconds", True),
+        ("actions", True), ("tokens", False), ("backtracks", True), ("max_missing_depth", False)])
     def test_negative_or_nan_budget_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=f"budget {name} must be a non-negative number"):
             Budgets(**{name: value})

@@ -63,9 +63,14 @@ def test_bench_tracer_wraps_callables_that_exist(monkeypatch):
                     reason="the bench builds its fake adb with make and a C compiler")
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_runs_each_workload(workload):
+    # --quick runs at zero latency; the replay workloads run the program's
+    # adb runner against the bench's native client
     done = run(ROOT / "perfbench" / "run.py", "--workload", workload, "--seed", "7",
                "--seconds", "1", "--quick", "--trace", "0")
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"], done.stderr
     assert result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    adb_calls = metrics["round_trips_per_report"] - metrics["model_calls_per_report"]
+    assert (adb_calls > 0) == workload.startswith("replay-")
