@@ -8,7 +8,7 @@ Responses are canned, so this runs offline:
 
     python3 demos/replay_simulated.py
 """
-from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
+from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.llm import TranscriptLlm
 from bugreplay.replay import replay
@@ -69,7 +69,7 @@ def main():
 
     # the raw gesture log replays verbatim, no model in the loop
     fresh = SimulatedDevice(SimulatedApp.from_dict(APP))
-    apply_gestures(fresh, trace.gestures)
+    fresh.perform(trace.gestures)
     print(f"gesture log replayed on a fresh session: crashed={fresh.crashed()}")
     fresh.close()
 

@@ -4,17 +4,25 @@ Runs every scenario in `tests/helpers.all_scenarios()` under five budgets
 and several guidance backends, with the lexical fast path off and on, and
 prints one JSON line per run: the trace (less `wall_time`), its outcome,
 the model-call count, a hash of the ordered prompt digests, the dump and
-crash-check counts, and hashes of the device call sequence, in order and
-sorted. Two checkouts that should behave alike print the same lines.
+crash-check counts, and hashes of the device calls, in order and sorted.
+`tests/helpers.CallLog` logs the device calls, each gesture as the trace's
+tuple whatever methods the session has. Two checkouts that should behave
+alike print the same lines.
 
     python3 scripts/sweep.py > change.jsonl
     python3 scripts/sweep.py --repo ../parent > parent.jsonl
     python3 scripts/sweep.py --diff parent.jsonl change.jsonl
 
---repo runs the sweep against another checkout's `src/` and `tests/`, so
-a parent commit needs no copy of this script. --diff prints, for each
-field, how many runs differ, and exits 1 if any field other than
-`device_order` does.
+--repo runs the sweep against another checkout's `src/`, with this
+checkout's scenarios and helpers, so a parent commit needs a copy of
+neither. --compact prints each field but the run's name as a short
+digest; `tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with
+
+    python3 scripts/sweep.py --compact > tests/data/sweep.jsonl
+
+--diff takes full or compact sweeps, prints for each field how many runs
+differ and names them, and exits 1 if any field other than
+`device_order` differs.
 """
 from __future__ import annotations
 
@@ -37,16 +45,16 @@ BUDGETS = {
 
 
 def _digest(items) -> str:
-    return hashlib.sha256(json.dumps(items).encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(items, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def sweep():
     """One record per run, in a fixed order."""
-    from bugreplay.device import SimulatedApp, SimulatedDevice, synthesize_omissions
+    from bugreplay.device import SimulatedApp, SimulatedDevice
     from bugreplay.exemplars import ExemplarCorpus
     from bugreplay.llm import LlmClient, prompt_digest
     from bugreplay.replay import Budgets, replay
-    from helpers import AlwaysMissingLlm, GuidanceOracle, all_scenarios
+    from helpers import AlwaysMissingLlm, CallLog, GuidanceOracle, all_scenarios, synthesize_omissions
 
     corpus = ExemplarCorpus.builtin()
 
@@ -62,25 +70,6 @@ def sweep():
             self.digests.append(prompt_digest(prompt.rendered))
             return self.inner.complete(prompt)
 
-    class Logged:
-        """Delegates to a device session and notes each call with its arguments."""
-
-        def __init__(self, device):
-            self.device = device
-            self.calls = []
-            self.thread = threading.get_ident()
-
-        def __getattr__(self, name):
-            attr = getattr(self.device, name)
-            if not callable(attr):
-                return attr
-
-            def logged(*args):
-                assert threading.get_ident() == self.thread, f"{name} called off the replay thread"
-                self.calls.append([name, *args])
-                return attr(*args)
-            return logged
-
     def backends(scenario):
         yield "scenario", scenario.steps, scenario.oracle
         yield "honest", scenario.steps, lambda: GuidanceOracle(bridges=scenario.bridges)
@@ -95,50 +84,59 @@ def sweep():
             for backend, steps, make_llm in backends(scenario):
                 for fast_path in (False, True):
                     llm = Counted(make_llm())
-                    device = Logged(SimulatedDevice(SimulatedApp.from_dict(scenario.spec)))
+                    device = CallLog(SimulatedDevice(SimulatedApp.from_dict(scenario.spec)))
                     trace = replay(steps, device, llm, corpus, Budgets(**budget), scenario.name,
                                    fast_path=fast_path)
+                    assert device.threads <= {threading.get_ident()}, "a device call ran off the replay thread"
                     data = trace.to_dict()
                     del data["wall_time"]
-                    names = [c[0] for c in device.calls]
                     yield {
                         "run": f"{scenario.name}/{budget_name}/{backend}/fast={fast_path}",
                         "trace": data,
                         "outcome": data["outcome"],
                         "model_calls": len(llm.digests),
                         "prompts": _digest(llm.digests),
-                        "dumps": names.count("dump_hierarchy"),
-                        "crash_checks": names.count("crashed"),
+                        "dumps": device.calls.count("dump_hierarchy"),
+                        "crash_checks": device.calls.count("crashed"),
                         "device_order": _digest(device.calls),
                         "device_calls": _digest(sorted(map(json.dumps, device.calls))),
                     }
 
 
+def compact(record: dict) -> dict:
+    """The record with each field but the run's name as a short digest;
+    a compact record stays as it is."""
+    if not isinstance(record["trace"], dict):
+        return record
+    return {name: value if name == "run" else _digest(value)[:8] for name, value in record.items()}
+
+
 def diff(a_path: str, b_path: str) -> int:
-    a = [json.loads(line) for line in Path(a_path).read_text(encoding="utf-8").splitlines()]
-    b = [json.loads(line) for line in Path(b_path).read_text(encoding="utf-8").splitlines()]
+    a, b = ([compact(json.loads(line)) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+            for path in (a_path, b_path))
     if [r["run"] for r in a] != [r["run"] for r in b]:
         print("the two sweeps cover different runs")
         return 1
     failed = False
     for field in a[0]:
-        differ = [x["run"] for x, y in zip(a, b) if x[field] != y[field]]
-        print(f"{field}: {len(differ)} of {len(a)} runs differ" + (f", e.g. {differ[0]}" if differ else ""))
+        differ = [x["run"] for x, y in zip(a, b) if x[field] != y.get(field)]
+        named = ", ".join(differ[:5]) + (f" and {len(differ) - 5} more" if len(differ) > 5 else "")
+        print(f"{field}: {len(differ)} of {len(a)} runs differ" + (f": {named}" if differ else ""))
         failed |= bool(differ) and field != "device_order"
     return 1 if failed else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repo", default=str(ROOT), help="checkout whose src/ and tests/ to sweep")
+    parser.add_argument("--repo", default=str(ROOT), help="checkout whose src/ to sweep")
+    parser.add_argument("--compact", action="store_true", help="print each field as a short digest")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two sweep outputs")
     args = parser.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
-    repo = Path(args.repo).resolve()
-    sys.path[:0] = [str(repo / "src"), str(repo / "tests")]
+    sys.path[:0] = [str(Path(args.repo).resolve() / "src"), str(ROOT / "tests")]
     for record in sweep():
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(compact(record) if args.compact else record, sort_keys=True))
     return 0
 
 

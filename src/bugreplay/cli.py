@@ -386,7 +386,7 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
 
 def _fresh_start(device: DeviceSession) -> ViewNode:
     """Restart the app and dump its first screen."""
-    device.restart()
+    device.perform([("restart",)])
     return device.dump_hierarchy()
 
 

@@ -1,5 +1,12 @@
 """Device sessions: a real device over adb, or a simulated app.
 
+A session makes gestures given as the tuples a replay trace logs, in a
+list that `perform` runs in order: ("tap", x, y), ("double_tap", x, y),
+("long_tap", x, y), ("swipe", x1, y1, x2, y2), ("text", value), ("back",)
+and ("restart",); a gesture of another kind raises ValueError. A session
+also measures the screen, dumps the view hierarchy, and says whether the
+app has crashed.
+
 The simulated app is a finite state machine: named states each hold a
 view tree, and transitions map (state, gesture, subject) to a successor
 state. Gestures address components by the preorder id of the source
@@ -26,19 +33,18 @@ from __future__ import annotations
 import json
 import logging
 import os
-import random
 import re
 import select
 import shlex
 import subprocess
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DeviceError
 from .gui import Bounds, ViewNode, encode_gui, parse_dump
-from .steps import Direction, Step
+from .steps import Direction
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +52,7 @@ _GESTURE_KINDS = {"tap", "double_tap", "long_tap", "input", "scroll", "back"}
 
 
 class DeviceSession(ABC):
-    """Gesture-level surface shared by real and simulated devices."""
+    """The surface shared by real and simulated devices."""
 
     @property
     @abstractmethod
@@ -56,25 +62,7 @@ class DeviceSession(ABC):
     def dump_hierarchy(self) -> ViewNode: ...
 
     @abstractmethod
-    def tap(self, x: int, y: int) -> None: ...
-
-    @abstractmethod
-    def double_tap(self, x: int, y: int) -> None: ...
-
-    @abstractmethod
-    def long_tap(self, x: int, y: int) -> None: ...
-
-    @abstractmethod
-    def swipe(self, x1: int, y1: int, x2: int, y2: int) -> None: ...
-
-    @abstractmethod
-    def type_text(self, text: str) -> None: ...
-
-    @abstractmethod
-    def press_back(self) -> None: ...
-
-    @abstractmethod
-    def restart(self) -> None: ...
+    def perform(self, gestures: list[tuple]) -> None: ...
 
     @abstractmethod
     def crashed(self) -> bool: ...
@@ -177,8 +165,9 @@ class SimulatedDevice(DeviceSession):
     Taps hit-test against the current tree: among nodes containing the
     point, the deepest one with a transition for the gesture wins, else
     the deepest plain node. Typed text goes to the node the last plain
-    tap hit; double and long taps leave that focus alone. All session
-    state lives here, so any number of sessions can share one app.
+    tap hit; double and long taps leave that focus alone. A swipe is a
+    scroll in the direction its larger leg moves, vertical on a tie. All
+    session state lives here, so any number of sessions can share one app.
     """
 
     def __init__(self, app: SimulatedApp):
@@ -225,55 +214,40 @@ class SimulatedDevice(DeviceSession):
         ]
         return max(keyed or containing)[1]
 
-    def _apply(self, key: tuple) -> None:
-        target = self.app.transitions.get(key)
-        if target is not None:
-            logger.debug("transition %s -> %s", key, target)
-            self.current = target
-
     def dump_hierarchy(self) -> ViewNode:
         self._check_open()
         return self.app.states[self.current]
 
-    def _press(self, kind: str, x: int, y: int) -> int | None:
-        """Hit-test for `kind` and apply the hit node's transition; returns the hit id."""
-        self._check_open()
-        nid = self._hit(x, y, kind)
-        if nid is not None:
-            self._apply((self.current, kind, nid))
-        return nid
-
-    def tap(self, x: int, y: int) -> None:
-        self._focused = self._press("tap", x, y)
-
-    def double_tap(self, x: int, y: int) -> None:
-        self._press("double_tap", x, y)
-
-    def long_tap(self, x: int, y: int) -> None:
-        self._press("long_tap", x, y)
-
-    def swipe(self, x1: int, y1: int, x2: int, y2: int) -> None:
-        self._check_open()
-        dx, dy = x2 - x1, y2 - y1
-        if abs(dy) >= abs(dx):
-            direction = "up" if dy < 0 else "down"
-        else:
-            direction = "left" if dx < 0 else "right"
-        self._apply((self.current, "scroll", direction))
-
-    def type_text(self, text: str) -> None:
-        self._check_open()
-        if self._focused is not None:
-            self._apply((self.current, "input", self._focused))
-
-    def press_back(self) -> None:
-        self._check_open()
-        self._apply((self.current, "back", None))
-
-    def restart(self) -> None:
-        self._check_open()
-        self.current = self.app.initial
-        self._focused = None
+    def perform(self, gestures: list[tuple]) -> None:
+        for gesture in gestures:
+            self._check_open()
+            kind, *args = gesture
+            if kind == "restart":
+                self.current, self._focused = self.app.initial, None
+                continue
+            # a tap that hits nothing, or text with nothing focused, has
+            # subject None, which no such transition has
+            if kind in ("tap", "double_tap", "long_tap"):
+                subject = self._hit(*args, kind)
+                if kind == "tap":
+                    self._focused = subject
+            elif kind == "swipe":
+                x1, y1, x2, y2 = args
+                dx, dy = x2 - x1, y2 - y1
+                if abs(dy) >= abs(dx):
+                    kind, subject = "scroll", "up" if dy < 0 else "down"
+                else:
+                    kind, subject = "scroll", "left" if dx < 0 else "right"
+            elif kind == "text":
+                kind, subject = "input", self._focused
+            elif kind == "back":
+                subject = None
+            else:
+                raise ValueError(f"unknown gesture {gesture!r}")
+            target = self.app.transitions.get((self.current, kind, subject))
+            if target is not None:
+                logger.debug("%s on %s -> %s", gesture, self.current, target)
+                self.current = target
 
     def crashed(self) -> bool:
         self._check_open()
@@ -367,6 +341,8 @@ class AdbDevice(DeviceSession):
 
     A double tap's second call starts DOUBLE_TAP_GAP_SECONDS after the
     first returns, so its taps land that gap plus one adb call's latency apart.
+    `perform` sends each gesture through the method below that makes its
+    command, one adb call per `input` command.
 
     A runner callable can replace subprocess execution for tests.
     """
@@ -375,6 +351,9 @@ class AdbDevice(DeviceSession):
     LONG_TAP_MS = 800
     SWIPE_MS = 300
     DUMP_PATH = "/sdcard/window_dump.xml"
+    # each gesture kind and the method that sends its command
+    _METHODS = {"tap": "tap", "double_tap": "double_tap", "long_tap": "long_tap", "swipe": "swipe",
+                "text": "type_text", "back": "press_back", "restart": "restart"}
 
     def __init__(self, config: AdbConfig | None = None, runner=None):
         self.config = config or AdbConfig()
@@ -403,6 +382,13 @@ class AdbDevice(DeviceSession):
         self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
         xml = self._adb("shell", "cat", self.DUMP_PATH)
         return parse_dump(xml)
+
+    def perform(self, gestures: list[tuple]) -> None:
+        for gesture in gestures:
+            kind, *args = gesture
+            if kind not in self._METHODS:
+                raise ValueError(f"unknown gesture {gesture!r}")
+            getattr(self, self._METHODS[kind])(*args)
 
     def tap(self, x: int, y: int) -> None:
         self._adb("shell", "input", "tap", str(x), str(y))
@@ -451,43 +437,3 @@ class AdbDevice(DeviceSession):
             re.search(rf"FATAL EXCEPTION.*\n.*Process: {ours}[,:\s]", log)
             or re.search(rf"Fatal signal .*\({ours}[):]", log)
         )
-
-
-# each gesture-log kind and the DeviceSession method that performs it
-_GESTURE_CALLS = {
-    "tap": "tap",
-    "double_tap": "double_tap",
-    "long_tap": "long_tap",
-    "swipe": "swipe",
-    "text": "type_text",
-    "back": "press_back",
-    "restart": "restart",
-}
-
-
-def perform(device: DeviceSession, gesture: tuple) -> tuple:
-    """Make the device call one logged gesture names; returns the gesture."""
-    kind, *args = gesture
-    if kind not in _GESTURE_CALLS:
-        raise ValueError(f"unknown gesture {gesture!r}")
-    getattr(device, _GESTURE_CALLS[kind])(*args)
-    return gesture
-
-
-def apply_gestures(device: DeviceSession, gestures) -> None:
-    """Replay a recorded raw gesture sequence verbatim."""
-    for gesture in gestures:
-        perform(device, gesture)
-
-
-def synthesize_omissions(steps: list[Step], k: int, seed: int) -> list[Step]:
-    """Drop k of the steps uniformly at random (seeded), never the final
-    one, and renumber. Models the incomplete reports users actually file."""
-    if not 0 <= k <= 2:
-        raise ValueError("k must be between 0 and 2")
-    if k >= len(steps):
-        raise ValueError("cannot omit that many steps")
-    rng = random.Random(seed)
-    dropped = set(rng.sample(range(len(steps) - 1), k))
-    kept = [s for i, s in enumerate(steps) if i not in dropped]
-    return [replace(s, index=i) for i, s in enumerate(kept, start=1)]

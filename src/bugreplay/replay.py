@@ -83,11 +83,12 @@ from .guidance import GUIDED_ACTIONS, build_guidance_prompt, parse_guidance_resp
 from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, resource_leaf, screen_digest
 from .llm import LlmClient
 from .steps import ActionType, Direction, Step, step_text, validate_step_list
-from .device import DeviceSession, apply_gestures, perform
+from .device import DeviceSession
 
 logger = logging.getLogger(__name__)
 
 _BACK_ATTEMPTS = 3
+_BACK, _RESTART = ("back",), ("restart",)
 
 # the gesture-log kind of each tap-like guided action
 _TAP_KINDS = {
@@ -200,7 +201,14 @@ def execute_step(device: DeviceSession, step: Step, node: ViewNode | None) -> li
         gestures = [("tap", *node.bounds.center()), ("text", step.value)]
     else:
         gestures = [(_TAP_KINDS[step.action], *node.bounds.center())]
-    return [perform(device, g) for g in gestures]
+    device.perform(gestures)
+    return gestures
+
+
+def apply_gestures(device: DeviceSession, gestures: list[tuple]) -> None:
+    """Replay a restore's recorded gesture prefix verbatim. Restores call
+    nothing else by this name, so a wrapper around it sees each prefix."""
+    device.perform(gestures)
 
 
 # an encoded dump and its digest
@@ -254,7 +262,8 @@ def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], scre
     typed = bool(gestures) and gestures[-1][0] == "text"
     for attempt in range(_BACK_ATTEMPTS):
         before = screen[1]
-        gestures.append(perform(device, ("back",)))
+        device.perform([_BACK])
+        gestures.append(_BACK)
         screen = _dump_screen(device)
         if screen[1] == snap.screen[1]:
             return screen
@@ -263,7 +272,8 @@ def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], scre
         if screen[1] == before and not (typed and attempt == 0):
             break
     prefix = gestures[: snap.gesture_prefix]
-    gestures.append(perform(device, ("restart",)))
+    device.perform([_RESTART])
+    gestures.append(_RESTART)
     apply_gestures(device, prefix)
     gestures.extend(prefix)
     screen = _dump_screen(device)

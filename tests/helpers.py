@@ -1,4 +1,5 @@
-"""Shared test infrastructure: scenario apps, oracle backends, walkers.
+"""Shared test infrastructure: scenario apps, oracle backends, walkers, a
+device call log, and synthesized omissions.
 
 Scenarios are JSON-ready app specs paired with the step list that reaches
 their crash state. The oracle backends answer guidance queries by actually
@@ -8,8 +9,12 @@ nothing here peeks at device internals.
 from __future__ import annotations
 
 import html as html_mod
+import random
 import re
+import threading
+import time
 from collections import deque
+from dataclasses import replace
 
 from bugreplay.llm import LlmClient
 from bugreplay.steps import ActionType, bracket_tokens, parse_step_text, strip_quotes
@@ -218,6 +223,22 @@ def scenario_no_back_decoy():
                     decoys={"Continue": [3]})
 
 
+def scenario_three_backs():
+    # the decoy opens three stacked screens at once and Back closes one at
+    # a time, so restoring the choice point takes exactly three presses
+    s0, s1, _ = _branch_states()
+    layers = {f"layer{i}": {"tree": stacked(f"Layer {i}", [])} for i in (1, 2, 3)}
+    spec = _spec(
+        {"s0": {"tree": s0}, "s1": {"tree": s1}, **layers},
+        [_tap("s0", 2, "s1"), _tap("s0", 3, "layer3"), _tap("s1", 2, CRASH_STATE),
+         {"from": "layer3", "action": "back", "to": "layer2"},
+         {"from": "layer2", "action": "back", "to": "layer1"},
+         {"from": "layer1", "action": "back", "to": "s0"}],
+        "s0")
+    return Scenario("three_backs", spec, ['[Tap] ["Continue"]', '[Tap] ["Finish"]'],
+                    decoys={"Continue": [3]})
+
+
 def scenario_mixed_all():
     m0 = stacked("Connection setup", [lambda y: edit_text("Server", y, rid="app:id/server"),
                                       lambda y: button("Connect", y)])
@@ -267,6 +288,7 @@ SCENARIO_BUILDERS = [
     scenario_deep_tree,
     scenario_two_branch,
     scenario_no_back_decoy,
+    scenario_three_backs,
     scenario_mixed_all,
     scenario_unicode_texts,
 ]
@@ -274,6 +296,19 @@ SCENARIO_BUILDERS = [
 
 def all_scenarios():
     return [build() for build in SCENARIO_BUILDERS]
+
+
+def synthesize_omissions(steps, k, seed):
+    """Drop k of the steps uniformly at random (seeded), never the final
+    one, and renumber. Models the incomplete reports users actually file."""
+    if not 0 <= k <= 2:
+        raise ValueError("k must be between 0 and 2")
+    if k >= len(steps):
+        raise ValueError("cannot omit that many steps")
+    rng = random.Random(seed)
+    dropped = set(rng.sample(range(len(steps) - 1), k))
+    kept = [s for i, s in enumerate(steps) if i not in dropped]
+    return [replace(s, index=i) for i, s in enumerate(kept, start=1)]
 
 
 # ------------------------------------------------- independent walker
@@ -458,6 +493,52 @@ class ScriptedLlm(LlmClient):
         if not self.answers:
             raise AssertionError("scripted llm ran out of answers")
         return self.answers.popleft()
+
+
+class CallLog:
+    """Delegates to a device session and logs each call just before it is
+    made: a gesture as the trace's tuple, and any other call by name.
+
+    A gesture is logged the same whether the session takes it in a list
+    through `perform`, one gesture at a time here, or through a method of
+    its own, such as `tap(x, y)` or `press_back()`. Subclasses hook `note`.
+    """
+
+    # per-gesture session methods and the trace kind of each
+    KINDS = {"tap": "tap", "double_tap": "double_tap", "long_tap": "long_tap", "swipe": "swipe",
+             "type_text": "text", "press_back": "back", "restart": "restart"}
+
+    def __init__(self, device):
+        self.device = device
+        self.calls = []
+        # when each call started, by time.monotonic
+        self.times = []
+        self.threads = set()
+
+    def note(self, call):
+        self.calls.append(call)
+        self.times.append(time.monotonic())
+        self.threads.add(threading.get_ident())
+
+    def kinds(self):
+        """Each call's name, or its gesture's kind."""
+        return [c if isinstance(c, str) else c[0] for c in self.calls]
+
+    def __getattr__(self, name):
+        attr = getattr(self.device, name)
+        if not callable(attr):
+            return attr
+        if name == "perform":
+            def perform(gestures):
+                for gesture in gestures:
+                    self.note(tuple(gesture))
+                    attr([gesture])
+            return perform
+
+        def logged(*args):
+            self.note((self.KINDS[name], *args) if name in self.KINDS else name)
+            return attr(*args)
+        return logged
 
 
 def guided_components(steps):

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from bugreplay.cli import main
-from bugreplay.device import AdbConfig, AdbDevice, SimulatedApp, SimulatedDevice, synthesize_omissions
+from bugreplay.device import AdbConfig, AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import BugReplayError
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt, parse_extraction_response
@@ -42,6 +42,7 @@ from helpers import (
     scenario_no_back_decoy,
     scenario_single_step,
     scenario_two_branch,
+    synthesize_omissions,
 )
 
 CORPUS = ExemplarCorpus.builtin()

@@ -20,7 +20,7 @@ from bugreplay.gui import encode_gui, parse_dump, screen_digest
 from bugreplay.llm import LlmClient, prompt_digest
 from bugreplay.steps import BugReport
 
-from helpers import scenario_single_step
+from helpers import CallLog, scenario_single_step
 
 REPORT = 'Tap "Crash me" on the main screen. The app crashes.'
 EXTRACTION = '1. [Tap] ["Crash me"]'
@@ -718,25 +718,8 @@ def test_adb_flags_reach_the_adb_config(ws, monkeypatch):
         ("emulator-5554", "tools/adb", "com.demo", "am start -n com.demo/.Main")]
 
 
-class _Timed:
-    """Delegates to a device session and notes when each call starts."""
-
-    def __init__(self, device, log):
-        self.device, self.log = device, log
-
-    def __getattr__(self, name):
-        attr = getattr(self.device, name)
-        if not callable(attr):
-            return attr
-
-        def timed(*args):
-            self.log.append((name, time.monotonic()))
-            return attr(*args)
-        return timed
-
-
 def test_fresh_start_overlaps_extraction(ws, monkeypatch):
-    log, answered = [], []
+    logs, answered = [], []
 
     class SlowExtraction(LlmClient):
         def _complete(self, prompt):
@@ -746,33 +729,37 @@ def test_fresh_start_overlaps_extraction(ws, monkeypatch):
             answered.append(time.monotonic())
             return EXTRACTION
 
+    def logged_device(config):
+        logs.append(CallLog(SimulatedDevice(SimulatedApp.load("app.json"))))
+        return logs[-1]
+
     monkeypatch.setattr(cli, "_make_llm", lambda cfg: SlowExtraction())
-    monkeypatch.setattr(cli, "AdbDevice",
-                        lambda config: _Timed(SimulatedDevice(SimulatedApp.load("app.json")), log))
+    monkeypatch.setattr(cli, "AdbDevice", logged_device)
     args = ["replay", "crash.txt", "--device", "adb",
             "--llm", "http", "--endpoint", "unused", "--runs", "1"]
     assert main(args) == 0
     [extracted] = answered
+    [log] = logs
     # the fresh start ran while the model extracted, and its dump is the
     # only one before the first gesture
-    assert [name for name, _ in log][:3] == ["restart", "dump_hierarchy", "tap"]
-    assert all(started < extracted for _, started in log[:2])
+    assert log.kinds()[:3] == ["restart", "dump_hierarchy", "tap"]
+    assert all(started < extracted for started in log.times[:2])
 
 
 def test_one_device_session_for_every_candidate(ws, monkeypatch):
-    log, made = [], []
+    made = []
     make_device = cli._make_device
 
-    def timed_device(cfg):
-        made.append(cfg)
-        return _Timed(make_device(cfg), log)
+    def logged_device(cfg):
+        made.append(CallLog(make_device(cfg)))
+        return made[-1]
 
-    monkeypatch.setattr(cli, "_make_device", timed_device)
+    monkeypatch.setattr(cli, "_make_device", logged_device)
     # the Scroll candidate misses, so the Crash me candidate replays next
     args = ["replay", "crash.txt", "--app", "app.json", *targs(ws, [SCROLL, EXTRACTION], runs=2)]
     assert main(args) == 0
-    assert len(made) == 1
-    names = [name for name, _ in log]
+    [log] = made
+    names = log.kinds()
     second = names.index("restart", 1)
     assert names[:2] == names[second:second + 2] == ["restart", "dump_hierarchy"]
     assert names.count("close") == 1

@@ -6,17 +6,10 @@ import time
 import pytest
 
 import bugreplay.device as device_module
-from bugreplay.device import (
-    AdbConfig,
-    AdbDevice,
-    SimulatedApp,
-    SimulatedDevice,
-    apply_gestures,
-    synthesize_omissions,
-)
+from bugreplay.device import AdbConfig, AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
 from bugreplay.gui import encode_gui
-from bugreplay.replay import execute_step
+from bugreplay.replay import apply_gestures, execute_step
 from bugreplay.steps import ActionType, parse_step_text
 
 from helpers import (
@@ -25,6 +18,7 @@ from helpers import (
     find_id_by_text,
     scenario_linear_taps_3,
     scenario_with_input,
+    synthesize_omissions,
     walk_steps,
 )
 
@@ -89,10 +83,10 @@ class TestSimulatedDevice:
     def test_sessions_on_one_app_are_independent(self):
         app = app_from(scenario_linear_taps_3())
         first, second = SimulatedDevice(app), SimulatedDevice(app)
-        first.tap(*center_of(first, "Alpha"))
+        first.perform([("tap", *center_of(first, "Alpha"))])
         assert (first.current, second.current) == ("s1", "s0")
-        second.tap(*center_of(second, "Alpha"))
-        second.tap(*center_of(second, "Bravo"))
+        second.perform([("tap", *center_of(second, "Alpha"))])
+        second.perform([("tap", *center_of(second, "Bravo"))])
         assert (first.current, second.current) == ("s1", "s2")
         first.close()
         assert second.crashed() is False
@@ -102,14 +96,16 @@ class TestSimulatedDevice:
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
         device.close()
         with pytest.raises(DeviceError):
-            device.tap(1, 1)
+            device.perform([("tap", 1, 1)])
         with pytest.raises(DeviceError):
             device.dump_hierarchy()
+        with pytest.raises(DeviceError):
+            device.crashed()
 
     def test_tap_prefers_transition_bearing_node(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
         x, y = center_of(device, "Alpha")
-        device.tap(x, y)
+        device.perform([("tap", x, y)])
         assert device.current == "s1"
         device.close()
 
@@ -126,14 +122,14 @@ class TestSimulatedDevice:
             "transitions": [{"from": "s0", "action": "tap", "id": 2, "to": "deep"},
                             {"from": "s0", "action": "tap", "id": 3, "to": "shallow"}],
         }))
-        device.tap(540, 250)
+        device.perform([("tap", 540, 250)])
         assert device.current == "deep"
         device.close()
 
     def test_tap_on_plain_node_changes_nothing(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
         x, y = center_of(device, "Screen 0")
-        device.tap(x, y)
+        device.perform([("tap", x, y)])
         assert device.current == "s0"
         device.close()
 
@@ -144,35 +140,34 @@ class TestSimulatedDevice:
         for child in spec["states"]["s0"]["tree"]["children"]:
             child["bounds"] = [0, 0, 100, 100]
         device = SimulatedDevice(SimulatedApp.from_dict(spec))
-        device.tap(400, 900)
+        device.perform([("tap", 400, 900)])
         assert device.current == "s0"
         device.close()
 
     def test_right_and_bottom_edges_are_exclusive(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
         # Alpha occupies [40,200][1040,290]; its right/bottom edge misses
-        device.tap(1040, 250)
+        device.perform([("tap", 1040, 250)])
         assert device.current == "s0"
-        device.tap(1039, 289)
+        device.perform([("tap", 1039, 289)])
         assert device.current == "s1"
         device.close()
 
     def test_input_needs_focus(self):
         device = SimulatedDevice(app_from(scenario_with_input()))
-        device.type_text("ignored")          # nothing focused yet
+        device.perform([("text", "ignored")])    # nothing focused yet
         assert device.current == "s0"
         x, y = center_of(device, "Title")
-        device.tap(x, y)
-        device.type_text("Hello")
+        device.perform([("tap", x, y), ("text", "Hello")])
         assert device.current == "s1"
         device.close()
 
     @pytest.mark.parametrize("gesture", ["double_tap", "long_tap"])
     def test_double_and_long_taps_leave_focus_alone(self, gesture):
         device = SimulatedDevice(app_from(scenario_with_input()))
-        device.tap(*center_of(device, "Title"))
-        getattr(device, gesture)(*center_of(device, "Create note"))
-        device.type_text("Hello")            # still lands in "Title"
+        device.perform([("tap", *center_of(device, "Title")),
+                        (gesture, *center_of(device, "Create note")),
+                        ("text", "Hello")])      # still lands in "Title"
         assert device.current == "s1"
         device.close()
 
@@ -184,29 +179,27 @@ class TestSimulatedDevice:
         ((100, 100), (400, 400), "down"),    # tie goes vertical
     ])
     def test_swipe_direction_inference(self, start, end, expected):
-        seen = []
-
-        class Probe(SimulatedDevice):
-            def _apply(self, key):
-                seen.append(key)
-
-        device = Probe(app_from(scenario_linear_taps_3()))
-        device.swipe(*start, *end)
-        assert seen == [("s0", "scroll", expected)]
+        # each direction scrolls to the state named after it
+        spec = scenario_linear_taps_3().spec
+        for direction in ("up", "down", "left", "right"):
+            spec["states"][direction] = spec["states"]["s1"]
+            spec["transitions"].append({"from": "s0", "action": "scroll", "direction": direction, "to": direction})
+        device = SimulatedDevice(SimulatedApp.from_dict(spec))
+        device.perform([("swipe", *start, *end)])
+        assert device.current == expected
         device.close()
 
     def test_back_restart_crash(self):
         scenario = scenario_linear_taps_3()
         device = SimulatedDevice(app_from(scenario))
-        device.tap(*center_of(device, "Alpha"))
-        device.press_back()                  # no back transition: stays put
+        device.perform([("tap", *center_of(device, "Alpha")),
+                        ("back",)])              # no back transition: stays put
         assert device.current == "s1"
-        device.restart()
+        device.perform([("restart",)])
         assert device.current == "s0"
         assert not device.crashed()
-        device.tap(*center_of(device, "Alpha"))
-        device.tap(*center_of(device, "Bravo"))
-        device.tap(*center_of(device, "Charlie"))
+        for label in ("Alpha", "Bravo", "Charlie"):
+            device.perform([("tap", *center_of(device, label))])
         assert device.crashed()
         device.close()
 
@@ -219,20 +212,19 @@ def drive(device, steps):
             cx, cy = w // 2, h // 2
             dy = int(0.3 * h)
             if step.direction.value == "down":
-                device.swipe(cx, cy - dy, cx, cy + dy)
+                device.perform([("swipe", cx, cy - dy, cx, cy + dy)])
             else:
-                device.swipe(cx, cy + dy, cx, cy - dy)
+                device.perform([("swipe", cx, cy + dy, cx, cy - dy)])
             continue
         x, y = center_of(device, step.component)
         if step.action is ActionType.TAP:
-            device.tap(x, y)
+            device.perform([("tap", x, y)])
         elif step.action is ActionType.DOUBLE_TAP:
-            device.double_tap(x, y)
+            device.perform([("double_tap", x, y)])
         elif step.action is ActionType.LONG_TAP:
-            device.long_tap(x, y)
+            device.perform([("long_tap", x, y)])
         else:
-            device.tap(x, y)
-            device.type_text(step.value)
+            device.perform([("tap", x, y), ("text", step.value)])
 
 
 def test_every_scenario_walks_to_its_crash_state():
@@ -377,6 +369,35 @@ class TestAdbDevice:
         runner = RecordingRunner()
         self.make(runner).press_back()
         assert runner.calls == [["adb", "shell", "input", "keyevent", "KEYCODE_BACK"]]
+
+    def test_perform_sends_each_gesture_through_its_command(self):
+        runner = RecordingRunner()
+        device = self.make(runner, package="com.demo")
+        device.DOUBLE_TAP_GAP_SECONDS = 0
+        device.perform([("tap", 1, 2), ("double_tap", 3, 4), ("long_tap", 5, 6), ("swipe", 1, 2, 3, 4),
+                        ("text", "hi there"), ("back",), ("restart",)])
+        assert runner.calls == [
+            ["adb", "shell", "input", "tap", "1", "2"],
+            ["adb", "shell", "input", "tap", "3", "4"],
+            ["adb", "shell", "input", "tap", "3", "4"],
+            ["adb", "shell", "input", "swipe", "5", "6", "5", "6", "800"],
+            ["adb", "shell", "input", "swipe", "1", "2", "3", "4", "300"],
+            ["adb", "shell", "input", "text", "hi%sthere"],
+            ["adb", "shell", "input", "keyevent", "KEYCODE_BACK"],
+            ["adb", "shell", "am", "force-stop", "com.demo"],
+            ["adb", "logcat", "-c"],
+        ]
+
+    def test_perform_keeps_the_double_tap_gap(self):
+        started = []
+        self.make(lambda argv: started.append(time.monotonic()) or "").perform([("double_tap", 1, 2)])
+        assert started[1] - started[0] >= AdbDevice.DOUBLE_TAP_GAP_SECONDS
+
+    def test_perform_rejects_an_unknown_gesture(self):
+        runner = RecordingRunner()
+        with pytest.raises(ValueError, match="teleport"):
+            self.make(runner).perform([("teleport", 1, 2)])
+        assert runner.calls == []
 
     def test_dump_hierarchy(self):
         xml = ('<hierarchy><node class="android.widget.Button" text="Go" '

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from bugreplay.device import SimulatedApp, SimulatedDevice, apply_gestures
+from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError, TransportError
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.gui import ViewNode, encode_gui, screen_digest
@@ -17,6 +17,7 @@ from bugreplay.replay import (
     _lexical_pick,
     _restore,
     _Snapshot,
+    apply_gestures,
     execute_step,
     replay,
 )
@@ -25,6 +26,7 @@ from bugreplay.steps import ActionType, parse_step_text
 from helpers import (
     CRASH_STATE,
     AlwaysMissingLlm,
+    CallLog,
     GuidanceOracle,
     Scenario,
     ScriptedLlm,
@@ -39,12 +41,13 @@ from helpers import (
     scenario_mixed_all,
     scenario_no_back_decoy,
     scenario_single_step,
+    scenario_three_backs,
     scenario_two_branch,
     scenario_with_input,
     scenario_with_scroll,
+    synthesize_omissions,
     walk_steps,
 )
-from bugreplay.device import synthesize_omissions
 
 CORPUS = ExemplarCorpus.builtin()
 
@@ -64,30 +67,19 @@ def run(scenario, llm=None, budgets=None, steps=None, **kw):
 
 
 class FakeDevice:
-    """Records gesture calls; geometry tests need no app behind them."""
+    """Records each list of gestures performed; geometry tests need no app
+    behind them."""
 
     def __init__(self, size=(1080, 1920)):
         self.size = size
-        self.calls = []
+        self.performed = []
 
     @property
     def screen_size(self):
         return self.size
 
-    def tap(self, x, y):
-        self.calls.append(("tap", x, y))
-
-    def double_tap(self, x, y):
-        self.calls.append(("double_tap", x, y))
-
-    def long_tap(self, x, y):
-        self.calls.append(("long_tap", x, y))
-
-    def swipe(self, *a):
-        self.calls.append(("swipe", *a))
-
-    def type_text(self, t):
-        self.calls.append(("text", t))
+    def perform(self, gestures):
+        self.performed.append(list(gestures))
 
 
 class TestExecuteStep:
@@ -99,7 +91,7 @@ class TestExecuteStep:
         device = FakeDevice()
         gestures = execute_step(device, parse_step_text("[Scroll] [up]"), None)
         assert gestures == [("swipe", 540, 1536, 540, 384)]
-        assert device.calls == gestures
+        assert device.performed == [gestures]
 
     def test_scroll_down_geometry(self):
         device = FakeDevice()
@@ -127,12 +119,14 @@ class TestExecuteStep:
         device = FakeDevice()
         execute_step(device, parse_step_text('[Double-tap] ["x"]'), self.node())
         execute_step(device, parse_step_text('[Long-tap] ["x"]'), self.node())
-        assert device.calls == [("double_tap", 200, 300), ("long_tap", 200, 300)]
+        assert device.performed == [[("double_tap", 200, 300)], [("long_tap", 200, 300)]]
 
     def test_input_taps_then_types(self):
         device = FakeDevice()
         gestures = execute_step(device, parse_step_text('[Input] ["f"] ["hi"]'), self.node())
         assert gestures == [("tap", 200, 300), ("text", "hi")]
+        # one step, performed in one call
+        assert device.performed == [gestures]
 
     def test_node_contract(self):
         device = FakeDevice()
@@ -261,29 +255,15 @@ def scenario_double_trap():
                     decoys={"Continue": [3], "Next": [3, 3]})
 
 
-class CallLog:
-    """Delegates to a device session and records each method called."""
-
-    GESTURES = {"tap", "double_tap", "long_tap", "swipe", "type_text", "press_back", "restart"}
-
-    def __init__(self, device):
-        self.device = device
-        self.calls = []
-
-    def __getattr__(self, name):
-        attr = getattr(self.device, name)
-        if not callable(attr):
-            return attr
-
-        def logged(*args):
-            self.calls.append(name)
-            return attr(*args)
-        return logged
-
-
 FIRST, SECOND = ("tap", 540, 245), ("tap", 540, 375)
 BACK = ("back",)
 RESTART = ("restart",)
+
+
+def dumps_and_gestures(device):
+    """The dumps and the gestures' kinds a logged device saw, in order."""
+    return [kind for call, kind in zip(device.calls, device.kinds())
+            if call == "dump_hierarchy" or isinstance(call, tuple)]
 
 
 class TestDumpReuse:
@@ -316,7 +296,7 @@ class TestDumpReuse:
         assert trace.gestures == gestures
         assert [(e.step.index, e.resolved_id) for e in trace.events] == events
         assert not any(e.exploratory for e in trace.events)
-        seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
+        seen = dumps_and_gestures(device)
         assert seen[0] == "dump_hierarchy"
         assert all(not (a == b == "dump_hierarchy") for a, b in zip(seen, seen[1:]))
 
@@ -334,9 +314,9 @@ class TestScrollWithoutDump:
         finally:
             device.close()
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
+        seen = dumps_and_gestures(device)
         swipe = seen.index("swipe")
-        assert seen[swipe - 1] in CallLog.GESTURES
+        assert seen[swipe - 1] != "dump_hierarchy"
         [scroll] = [e for e in trace.events if e.step.action is ActionType.SCROLL]
         assert scroll.screen_digest is None
 
@@ -350,8 +330,7 @@ class TestScrollWithoutDump:
         finally:
             device.close()
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        seen = [c for c in device.calls if c == "dump_hierarchy" or c in CallLog.GESTURES]
-        assert seen == ["swipe", "dump_hierarchy", "tap"]
+        assert dumps_and_gestures(device) == ["swipe", "dump_hierarchy", "tap"]
         assert trace.events[0].screen_digest == screen_digest(encode_gui(first).html)
 
 
@@ -385,9 +364,12 @@ class TestRestore:
         # a press that moves elsewhere keeps the presses going
         ([("dead", "mid")], [], [BACK, BACK, RESTART]),
         ([("dead", "mid"), ("mid", "s0")], [], [BACK, BACK]),
-    ], ids=["ignored", "after-text", "moved-then-ignored", "moved-home"])
+        # three presses at most, however far Back still moves
+        ([("dead", "mid"), ("mid", "mid2"), ("mid2", "mid3"), ("mid3", "s0")], [],
+         [BACK, BACK, BACK, RESTART]),
+    ], ids=["ignored", "after-text", "moved-then-ignored", "moved-home", "three-moves-then-restart"])
     def test_presses_back_until_it_changes_nothing(self, backs, log, added):
-        spec = _spec({name: {"tree": stacked(name, [])} for name in ("s0", "mid", "dead")},
+        spec = _spec({name: {"tree": stacked(name, [])} for name in ("s0", "mid", "mid2", "mid3", "dead")},
                      [{"from": a, "action": "back", "to": b} for a, b in backs], "s0")
         device = SimulatedDevice(SimulatedApp.from_dict(spec))
         home = _dump_screen(device)
@@ -399,6 +381,12 @@ class TestRestore:
         assert gestures == log + added
         assert screen[1] == home[1]
         assert device.current == "s0"
+
+    def test_three_presses_restore_without_a_restart(self):
+        trace = run(scenario_three_backs())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.backtracks_used == 1
+        assert trace.gestures == [SECOND, BACK, BACK, BACK, FIRST, FIRST]
 
 
 class TestRestorePrefix:
@@ -486,7 +474,7 @@ class TestAdversarialGuidance:
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.gestures == [("tap", *save.bounds.center())]
         assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [(1, 3, True)]
-        assert "type_text" not in device.calls
+        assert "text" not in device.kinds()
 
 
 class TestBudgets:
@@ -730,29 +718,21 @@ class HeldLlm(LlmClient):
 
 
 class Probe(CallLog):
-    """A CallLog that, at each call of `op`, notes whether the held
-    guidance call is out (waiting a while for it first), then lets it
-    answer; it also notes every thread that touches the device."""
+    """A CallLog that, at each call or gesture of kind `op`, notes whether
+    the held guidance call is out (waiting a while for it first), then
+    lets it answer."""
 
     def __init__(self, device, llm, op):
         super().__init__(device)
         self.llm, self.op = llm, op
         self.seen = []
-        self.threads = set()
 
-    def __getattr__(self, name):
-        attr = super().__getattr__(name)
-        if not callable(attr):
-            return attr
-
-        def probed(*args):
-            self.threads.add(threading.get_ident())
-            if name == self.op:
-                self.llm.out.wait(WAIT_S)
-                self.seen.append(self.llm.out.is_set() and not self.llm.released.is_set())
-                self.llm.released.set()
-            return attr(*args)
-        return probed
+    def note(self, call):
+        super().note(call)
+        if self.kinds()[-1] == self.op:
+            self.llm.out.wait(WAIT_S)
+            self.seen.append(self.llm.out.is_set() and not self.llm.released.is_set())
+            self.llm.released.set()
 
 
 def scenario_crash_midway():
@@ -785,8 +765,8 @@ def replay_on(device, scenario, llm, budgets=None, **kw):
 
 
 def ops(device):
-    """The device methods a run called, in order, less the closing one."""
-    return [c for c in device.calls if c != "close"]
+    """The kinds of the device calls a run made, in order, less the closing one."""
+    return [kind for kind in device.kinds() if kind != "close"]
 
 
 class TestOverlap:
@@ -797,7 +777,7 @@ class TestOverlap:
     def test_reask_is_out_during_the_restore(self):
         scenario = scenario_two_branch()
         llm = HeldLlm(scenario.oracle(), hold=lambda rendered: "excluding components" in rendered)
-        device = Probe(fresh_device(scenario), llm, "press_back")
+        device = Probe(fresh_device(scenario), llm, "back")
         trace = replay_on(device, scenario, llm)
         assert device.seen == [True]
         assert device.threads == {threading.get_ident()}
@@ -821,10 +801,10 @@ class TestOverlap:
         device = CallLog(fresh_device(scenario))
         trace = replay_on(device, scenario, ScriptedLlm([]), fast_path=True)
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        calls = ops(device)
+        calls = device.calls
         # each action's check comes right after its gestures, before any dump
         assert calls.count("crashed") == trace.actions_used
-        assert all(calls[i - 1] in CallLog.GESTURES for i, c in enumerate(calls) if c == "crashed")
+        assert all(isinstance(calls[i - 1], tuple) for i, c in enumerate(calls) if c == "crashed")
 
     def test_no_call_once_the_action_budget_is_spent(self):
         # the decoy spends the one action; the step after it would need
@@ -862,10 +842,10 @@ class TestOverlap:
 
     def test_crash_outranks_a_failed_dump_after_it(self):
         class FailingDump(CallLog):
-            def __getattr__(self, name):
-                if name == "dump_hierarchy" and "tap" in self.calls:
+            def note(self, call):
+                if call == "dump_hierarchy" and "tap" in self.kinds():
                     raise DeviceError("uiautomator dump failed")
-                return super().__getattr__(name)
+                super().note(call)
 
         scenario = scenario_crash_midway()
         device = FailingDump(fresh_device(scenario))
@@ -875,15 +855,10 @@ class TestOverlap:
 
     def test_crash_outranks_the_wall_budget(self):
         class SlowTap(CallLog):
-            def __getattr__(self, name):
-                attr = super().__getattr__(name)
-                if name != "tap":
-                    return attr
-
-                def slow_tap(*args):
+            def note(self, call):
+                super().note(call)
+                if self.kinds()[-1] == "tap":
                     time.sleep(0.3)
-                    return attr(*args)
-                return slow_tap
 
         scenario = scenario_crash_midway()
         device = SlowTap(fresh_device(scenario))

@@ -37,6 +37,17 @@ def test_sweep_matches_itself(tmp_path):
     assert lines and all(" 0 of " in line for line in lines), diff.stdout
 
 
+def test_sweep_matches_its_golden(tmp_path):
+    # tests/data/sweep.jsonl is regenerated, after a change meant to alter
+    # what the replay does, with: python3 scripts/sweep.py --compact > tests/data/sweep.jsonl
+    done = run(ROOT / "scripts" / "sweep.py", "--compact")
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "sweep.jsonl"
+    out.write_text(done.stdout, encoding="utf-8")
+    diff = run(ROOT / "scripts" / "sweep.py", "--diff", ROOT / "tests" / "data" / "sweep.jsonl", out)
+    assert diff.returncode == 0, diff.stdout
+
+
 def test_bench_tracer_wraps_callables_that_exist(monkeypatch):
     # the bench's tracer wraps bugreplay callables by name, so renaming
     # one must fail here and not only in the bench
