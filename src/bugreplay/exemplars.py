@@ -123,45 +123,6 @@ class ExemplarCorpus:
         return cls.from_dict(json.loads(text))
 
 
-def select_exemplars(
-    corpus_slice: Sequence,
-    budget: int,
-    test_prompt_size: int,
-    *,
-    cost: Callable[[object], int],
-) -> list:
-    """Pick 1..3 exemplars, greedy in corpus order, under a token budget.
-
-    cost estimates one exemplar's token contribution to the prompt. An
-    exemplar is kept while the running total plus test_prompt_size stays
-    within budget; selection never reorders and never truncates exemplar
-    text. If not even the cheapest exemplar fits, the budget is
-    unsatisfiable.
-    """
-    if not corpus_slice:
-        raise ValueError("exemplar corpus slice is empty")
-    if budget <= test_prompt_size:
-        raise BudgetUnsatisfiable(
-            f"test prompt alone estimates {test_prompt_size} tokens of a {budget} budget"
-        )
-    chosen: list = []
-    total = test_prompt_size
-    for exemplar in corpus_slice:
-        if len(chosen) == MAX_EXEMPLARS:
-            break
-        c = cost(exemplar)
-        if total + c <= budget:
-            chosen.append(exemplar)
-            total += c
-    if not chosen:
-        cheapest = min(cost(e) for e in corpus_slice)
-        raise BudgetUnsatisfiable(
-            f"smallest exemplar ({cheapest} tokens) plus test prompt "
-            f"({test_prompt_size} tokens) exceeds the {budget} token budget"
-        )
-    return chosen
-
-
 def exemplar_cost(segments: Iterable[PromptSegment]) -> int:
     """Estimated tokens one exemplar's blocks add to a prompt, separator included."""
     return estimate_tokens(SEGMENT_SEP.join(s.text for s in segments) + SEGMENT_SEP)
@@ -176,16 +137,36 @@ def fit_prompt(
 ) -> Prompt:
     """The few-shot prompt: head, then 1..3 exemplars from pool, then tail.
 
-    segments_of expands one exemplar into its blocks. Exemplars are chosen
-    by select_exemplars against the estimated size of head plus tail.
-    Raises BudgetUnsatisfiable when not even one exemplar fits, or when
-    the assembled prompt still estimates over budget.
+    segments_of expands one exemplar into its blocks. Exemplars are taken
+    greedily in pool order, at most MAX_EXEMPLARS, each kept while head,
+    tail and the kept exemplars estimate within budget; none is reordered
+    or truncated. Raises ValueError for an empty pool, and
+    BudgetUnsatisfiable when head and tail alone fill the budget, when not
+    even one exemplar fits, or when the assembled prompt still estimates
+    over budget.
     """
+    if not pool:
+        raise ValueError("exemplar corpus slice is empty")
     fixed_size = estimate_tokens(SEGMENT_SEP.join(s.text for s in head + tail))
-    chosen = select_exemplars(
-        list(pool), budget, fixed_size, cost=lambda e: exemplar_cost(segments_of(e))
-    )
-    segments = head + [s for e in chosen for s in segments_of(e)] + tail
+    if budget <= fixed_size:
+        raise BudgetUnsatisfiable(f"test prompt alone estimates {fixed_size} tokens of a {budget} budget")
+    chosen: list[list[PromptSegment]] = []
+    total = fixed_size
+    for exemplar in pool:
+        if len(chosen) == MAX_EXEMPLARS:
+            break
+        blocks = segments_of(exemplar)
+        cost = exemplar_cost(blocks)
+        if total + cost <= budget:
+            chosen.append(blocks)
+            total += cost
+    if not chosen:
+        cheapest = min(exemplar_cost(segments_of(e)) for e in pool)
+        raise BudgetUnsatisfiable(
+            f"smallest exemplar ({cheapest} tokens) plus test prompt "
+            f"({fixed_size} tokens) exceeds the {budget} token budget"
+        )
+    segments = head + [s for blocks in chosen for s in blocks] + tail
     prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
     used = estimate_tokens(prompt.rendered)
     if used > budget:

@@ -52,14 +52,10 @@ class LlmConfig:
     # held to their budget where they are built
     max_tokens: int = 4096
     temperature: float = 0.0
-    retries: int = 2
-    backoff_seconds: float = 1.0
 
     def __post_init__(self):
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be a finite non-negative number, got {self.temperature!r}")
 
@@ -91,6 +87,9 @@ class HttpLlm(LlmClient):
 
     _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
     _TIMEOUT_S = 120
+    # a failed attempt is retried this often, after a backoff growing by this step
+    _RETRIES = 2
+    _BACKOFF_S = 1.0
 
     def __init__(self, config: LlmConfig):
         super().__init__(config)
@@ -125,9 +124,9 @@ class HttpLlm(LlmClient):
             "temperature": self.config.temperature,
         }).encode("utf-8")
         last_error = "no attempt made"
-        for attempt in range(self.config.retries + 1):
+        for attempt in range(self._RETRIES + 1):
             if attempt:
-                time.sleep(self.config.backoff_seconds * attempt)
+                time.sleep(self._BACKOFF_S * attempt)
             try:
                 status, data = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
@@ -141,7 +140,7 @@ class HttpLlm(LlmClient):
             if status != 200:
                 raise TransportError(f"completion endpoint returned HTTP {status}")
             return self._extract_text(data)
-        raise TransportError(f"completion failed after {self.config.retries + 1} attempts: {last_error}")
+        raise TransportError(f"completion failed after {self._RETRIES + 1} attempts: {last_error}")
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """One POST: (status, body). A connection the response leaves open

@@ -23,13 +23,15 @@ restored after a pop by pressing system back, up to three times, until the
 screen digest matches the snapshot. A Back that leaves the digest
 unchanged ends the presses, since that screen ignores Back, except the
 first one after typed text, which may only have closed the keyboard. If
-Back does not get there, the app restarts and the recorded gesture prefix
-replays verbatim. A restore starts from the dump the loop already holds,
-since no gesture has happened since it was taken, and hands the dump of
-the restored screen to the next iteration, so a screen is never dumped
-twice; the caller may hand over the first screen the same way. Excluded
-ids are kept in the screen's full encoding, whose ids are stable for its
-digest, even when a prompt embeds the encoding with wrapper divs elided.
+Back does not get there, the app restarts and replays verbatim the
+gestures logged since the snapshot's prefix last restarted it (the whole
+prefix if it holds no restart). A restore starts from the dump the loop
+already holds, since no gesture has happened since it was taken, and
+hands the dump of the restored screen to the next iteration, so a screen
+is never dumped twice; the caller may hand over the first screen the
+same way. Excluded ids are kept in the screen's full encoding, whose ids
+are stable for its digest, even when a prompt embeds the encoding with
+wrapper divs elided.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
 
@@ -271,7 +273,10 @@ def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], scre
         # Back after typing may have closed the keyboard and nothing else
         if screen[1] == before and not (typed and attempt == 0):
             break
+    # the restart undoes what the prefix did before its own last restart
     prefix = gestures[: snap.gesture_prefix]
+    while _RESTART in prefix:
+        prefix = prefix[prefix.index(_RESTART) + 1 :]
     device.perform([_RESTART])
     gestures.append(_RESTART)
     apply_gestures(device, prefix)

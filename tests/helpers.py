@@ -277,6 +277,44 @@ def scenario_unicode_texts():
                      '[Tap] ["崩溃按钮"]'])
 
 
+def scenario_double_trap():
+    """Decoys on two consecutive steps, into a dead end that ignores Back,
+    so the second restore restarts the app with the first restart in its
+    gesture prefix."""
+    def page(header, labels):
+        return stacked(header, [lambda y, t=label: button(t, y) for label in labels])
+
+    spec = _spec(
+        {"s0": {"tree": page("Start", ["Continue", "Skip setup"])},
+         "s1": {"tree": page("Middle", ["Next", "Quit"])},
+         "s2": {"tree": page("Last", ["Finish"])},
+         "dead": {"tree": page("Nothing here", [])}},
+        [_tap("s0", 2, "s1"), _tap("s0", 3, "dead"), _tap("s1", 2, "s2"), _tap("s1", 3, "dead"),
+         _tap("s2", 2, CRASH_STATE)],
+        "s0")
+    return Scenario("double_trap", spec,
+                    ['[Tap] ["Continue"]', '[Tap] ["Next"]', '[Tap] ["Finish"]'],
+                    decoys={"Continue": [3], "Next": [3, 3]})
+
+
+def scenario_hop_after_backtrack():
+    # Home's Decoy (id 2) leads to a dead end; More (id 3) opens Menu,
+    # whose Target is id 2 again. With "More" omitted, the decoy on Target
+    # is excluded on Home, the bridge hops to Menu, and excluding Home's
+    # id 2 there would refuse the right answer
+    spec = _spec(
+        {"home": {"tree": stacked("Home", [lambda y: button("Decoy", y), lambda y: button("More", y)])},
+         "dead": {"tree": stacked("Nothing here", [])},
+         "menu": {"tree": stacked("Menu", [lambda y: button("Target", y)])},
+         "last": {"tree": stacked("Last", [lambda y: button("Boom", y)])}},
+        [_tap("home", 2, "dead"), {"from": "dead", "action": "back", "to": "home"},
+         _tap("home", 3, "menu"), _tap("menu", 2, "last"), _tap("last", 2, CRASH_STATE)],
+        "home")
+    return Scenario("hop_after_backtrack", spec,
+                    ['[Tap] ["More"]', '[Tap] ["Target"]', '[Tap] ["Boom"]'],
+                    bridges={"Target": ["More"]}, decoys={"Target": [2]})
+
+
 SCENARIO_BUILDERS = [
     scenario_single_step,
     scenario_linear_taps_3,
@@ -291,6 +329,8 @@ SCENARIO_BUILDERS = [
     scenario_three_backs,
     scenario_mixed_all,
     scenario_unicode_texts,
+    scenario_double_trap,
+    scenario_hop_after_backtrack,
 ]
 
 

@@ -1,5 +1,6 @@
 """Exemplar records, corpus loading, and budgeted greedy selection."""
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,8 @@ from bugreplay.exemplars import (
     ExemplarCorpus,
     ExtractionExemplar,
     GuidanceExemplar,
-    select_exemplars,
+    PromptSegment,
+    fit_prompt,
 )
 from bugreplay.guidance import parse_guidance_response
 from bugreplay.steps import parse_step_text
@@ -110,43 +112,46 @@ class TestCorpusLoading:
         assert "test" in values
 
 
+def fit(pool, budget, fixed_size):
+    """fit_prompt with a head that estimates fixed_size tokens, over
+    one-block exemplars that each cost len(name) tokens; the names kept."""
+    head = [PromptSegment("head", "h" * 4 * fixed_size)] if fixed_size else []
+    prompt = fit_prompt(head, pool, lambda e: [PromptSegment(e, (e * 4)[:-2])], [], budget)
+    picked = [s.kind for s in prompt.segments[len(head):]]
+    assert prompt.exemplar_count == len(picked)
+    return picked
+
+
 class TestSelectExemplars:
+    """fit_prompt's greedy, budgeted choice of exemplars."""
+
     def test_greedy_in_order(self):
-        picked = select_exemplars(["a", "bb", "cccc"], budget=100,
-                                  test_prompt_size=10, cost=len)
-        assert picked == ["a", "bb", "cccc"]
+        assert fit(["a", "bb", "cccc"], budget=100, fixed_size=10) == ["a", "bb", "cccc"]
 
     def test_stops_when_budget_is_hit(self):
-        picked = select_exemplars(["aaaa", "bbbb", "cccc"], budget=19,
-                                  test_prompt_size=10, cost=len)
-        assert picked == ["aaaa", "bbbb"]
+        assert fit(["aaaa", "bbbb", "cccc"], budget=19, fixed_size=10) == ["aaaa", "bbbb"]
 
     def test_oversized_exemplar_is_skipped_not_fatal(self):
-        picked = select_exemplars(["xxxxxxxxxx", "a"], budget=6,
-                                  test_prompt_size=4, cost=len)
-        assert picked == ["a"]
+        assert fit(["xxxxxxxxxx", "a"], budget=6, fixed_size=4) == ["a"]
 
     def test_cap_at_three(self):
-        picked = select_exemplars(list("abcdef"), budget=1000,
-                                  test_prompt_size=0, cost=len)
-        assert len(picked) == MAX_EXEMPLARS
+        assert len(fit(list("abcdef"), budget=1000, fixed_size=0)) == MAX_EXEMPLARS
 
     def test_empty_corpus_is_a_programming_error(self):
-        with pytest.raises(ValueError):
-            select_exemplars([], budget=10, test_prompt_size=1, cost=len)
+        with pytest.raises(ValueError, match="exemplar corpus slice is empty"):
+            fit([], budget=10, fixed_size=1)
 
     def test_budget_below_test_prompt(self):
-        with pytest.raises(BudgetUnsatisfiable):
-            select_exemplars(["a"], budget=5, test_prompt_size=5, cost=len)
+        with pytest.raises(BudgetUnsatisfiable, match="^test prompt alone estimates 5 tokens of a 5 budget$"):
+            fit(["a"], budget=5, fixed_size=5)
 
     def test_no_exemplar_fits(self):
-        with pytest.raises(BudgetUnsatisfiable):
-            select_exemplars(["xxxxx", "yyyyy"], budget=12,
-                             test_prompt_size=10, cost=len)
+        with pytest.raises(BudgetUnsatisfiable, match=re.escape(
+                "smallest exemplar (5 tokens) plus test prompt (10 tokens) exceeds the 12 token budget")):
+            fit(["xxxxx", "yyyyy"], budget=12, fixed_size=10)
 
     def test_boundary_exact_fit(self):
-        assert select_exemplars(["abc"], budget=13, test_prompt_size=10,
-                                cost=len) == ["abc"]
+        assert fit(["abc"], budget=13, fixed_size=10) == ["abc"]
 
 
 def test_corpus_file_errors_surface(tmp_path):

@@ -37,6 +37,8 @@ from helpers import (
     screen_tree,
     stacked,
     text_view,
+    scenario_double_trap,
+    scenario_hop_after_backtrack,
     scenario_linear_taps_5,
     scenario_mixed_all,
     scenario_no_back_decoy,
@@ -233,28 +235,6 @@ class TestWrongIdRecovery:
         device.close()
 
 
-def scenario_double_trap():
-    """Decoys on two consecutive steps, into a dead end that ignores Back,
-    so the second restore replays a non-empty gesture prefix."""
-    def page(header, labels):
-        return stacked(header, [lambda y, t=label: button(t, y) for label in labels])
-
-    spec = _spec(
-        {"s0": {"tree": page("Start", ["Continue", "Skip setup"])},
-         "s1": {"tree": page("Middle", ["Next", "Quit"])},
-         "s2": {"tree": page("Last", ["Finish"])},
-         "dead": {"tree": page("Nothing here", [])}},
-        [{"from": "s0", "action": "tap", "id": 2, "to": "s1"},
-         {"from": "s0", "action": "tap", "id": 3, "to": "dead"},
-         {"from": "s1", "action": "tap", "id": 2, "to": "s2"},
-         {"from": "s1", "action": "tap", "id": 3, "to": "dead"},
-         {"from": "s2", "action": "tap", "id": 2, "to": CRASH_STATE}],
-        "s0")
-    return Scenario("double_trap", spec,
-                    ['[Tap] ["Continue"]', '[Tap] ["Next"]', '[Tap] ["Finish"]'],
-                    decoys={"Continue": [3], "Next": [3, 3]})
-
-
 FIRST, SECOND = ("tap", 540, 245), ("tap", 540, 375)
 BACK = ("back",)
 RESTART = ("restart",)
@@ -277,10 +257,10 @@ class TestDumpReuse:
         # restored by a restart with an empty prefix
         (scenario_no_back_decoy, [SECOND, BACK, RESTART, FIRST, FIRST],
          [(1, 3), (1, 2), (2, 2)]),
-        # restored by restarts, the second replaying a prefix
+        # restored by restarts, the second replaying what its prefix did
+        # after the first
         (scenario_double_trap,
-         [SECOND, BACK, RESTART, FIRST, SECOND, BACK, RESTART,
-          SECOND, BACK, RESTART, FIRST, FIRST, FIRST],
+         [SECOND, BACK, RESTART, FIRST, SECOND, BACK, RESTART, FIRST, FIRST, FIRST],
          [(1, 3), (1, 2), (2, 3), (2, 2), (3, 2)]),
     ])
     def test_no_dump_without_a_gesture_between(self, build, gestures, events):
@@ -413,34 +393,50 @@ class TestRestorePrefix:
 
     def test_a_restart_replays_the_snapshots_prefix(self, prefixes):
         # two restores, each by restart; the second trap's snapshot was
-        # taken after four logged gestures, the first restart among them
+        # taken after four logged gestures, the first restart among them,
+        # which undid the two before it
         trace = run(scenario_double_trap())
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        assert prefixes == [[], [SECOND, BACK, RESTART, FIRST]]
-        assert trace.gestures[6:11] == [RESTART, *prefixes[1]]
+        assert prefixes == [[], [FIRST]]
+        assert trace.gestures[4:8] == [SECOND, BACK, RESTART, FIRST]
+        assert trace.gestures[8:] == [FIRST, FIRST]
+
+    def test_only_what_follows_the_prefixs_last_restart_replays(self, prefixes):
+        # two decoys on Start, each undone by a restart, then Continue to
+        # Middle, where the snapshot is taken before Quit's dead end
+        device = fresh_device(scenario_double_trap())
+        log = [SECOND, BACK, RESTART, SECOND, BACK, RESTART, FIRST]
+        device.perform([FIRST])
+        middle = _dump_screen(device)
+        snap = _Snapshot(cursor=1, missing_depth=0, screen=middle, excluded=frozenset(),
+                         departed_id=3, gesture_prefix=len(log))
+        device.perform([SECOND])
+        gestures = log + [SECOND]
+        try:
+            screen = _restore(device, snap, gestures, _dump_screen(device))
+        finally:
+            device.close()
+        assert prefixes == [[FIRST]]
+        assert gestures == log + [SECOND, BACK, RESTART, FIRST]
+        assert screen[1] == middle[1]
 
 
 def test_exclusions_stay_on_the_screen_they_were_made_on():
-    # Home's Decoy (id 2) leads to a dead end; More (id 3) opens Menu,
-    # whose Target is id 2 again: excluding Home's id 2 there would refuse
-    # the right answer
-    spec = _spec(
-        {"home": {"tree": stacked("Home", [lambda y: button("Decoy", y), lambda y: button("More", y)])},
-         "dead": {"tree": stacked("Nothing here", [])},
-         "menu": {"tree": stacked("Menu", [lambda y: button("Target", y)])},
-         "last": {"tree": stacked("Last", [lambda y: button("Boom", y)])}},
-        [_tap("home", 2, "dead"), {"from": "dead", "action": "back", "to": "home"},
-         _tap("home", 3, "menu"), _tap("menu", 2, "last"), _tap("last", 2, CRASH_STATE)],
-        "home")
-    scenario = Scenario("hop_after_backtrack", spec, ['[Tap] ["Target"]', '[Tap] ["Boom"]'])
-    llm = ScriptedLlm(["[id=2]", "no idea", "[MISSING] [id=3]"] + ["[id=2]"] * 5)
-    trace = run(scenario, llm=llm)
-    queries = [p.segments[-1].text for p in llm.prompts]
+    # with "More" omitted, Home's id 2 is excluded after the decoy, and the
+    # bridge hops to Menu, whose Target is id 2 again
+    scenario = scenario_hop_after_backtrack()
+    oracle = scenario.oracle()
+    trace = run(scenario, llm=oracle, steps=synthesize_omissions(scenario.steps, 1, 1))
+    assert [s.component for s in trace.steps] == ["Target", "Boom"]
+    queries = [q for (_, _, q) in oracle.queries]
     assert "excluding components [id=2]?" in queries[2]
-    assert ">Menu<" in llm.prompts[3].segments[-2].text
     assert "excluding" not in queries[3]
+    menu = fresh_device(scenario)
+    menu.current = "menu"
+    assert trace.events[2].screen_digest == _dump_screen(menu)[1]
+    menu.close()
     assert trace.outcome is Outcome.BUG_TRIGGERED
-    assert len(llm.prompts) == 5
+    assert len(queries) == 5
     assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [
         (1, 2, False), (1, 3, True), (1, 2, False), (2, 2, False)]
 
@@ -878,7 +874,7 @@ class TestOverlap:
         sys.setswitchinterval(1e-5)
         try:
             started = time.monotonic()
-            for scenario in all_scenarios() + [scenario_double_trap()]:
+            for scenario in all_scenarios():
                 first = once(scenario)
                 assert first[0]["outcome"] == "bug_triggered", scenario.name
                 for _ in range(3):

@@ -85,3 +85,22 @@ def test_bench_runs_each_workload(workload):
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     adb_calls = metrics["round_trips_per_report"] - metrics["model_calls_per_report"]
     assert (adb_calls > 0) == workload.startswith("replay-")
+
+
+@pytest.mark.skipif(not (shutil.which("make") and shutil.which("cc")),
+                    reason="the bench builds its fake adb with make and a C compiler")
+@pytest.mark.parametrize("workload", ["replay-direct", "replay-detour"])
+def test_bench_tracer_sees_the_program(workload):
+    # a refactor that stops calling through a traced name would quietly
+    # zero its per-layer figure; the adb counts come from the emulator
+    done = run(ROOT / "perfbench" / "run.py", "--workload", workload, "--seed", "7",
+               "--seconds", "1", "--quick", "--trace", "1")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, done.stderr
+    m = {name: metric["value"] for name, metric in result["metrics"].items()}
+    assert m["device.calls.dump_hierarchy"] == m["gui.parse_dump.calls"] == m["adb.calls.uiautomator"] > 0
+    assert m["adb.calls.logcat"] == m["device.calls.crashed"] + m["device.calls.restart"]
+    if workload == "replay-detour":
+        assert m["llm.calls.guidance"] > 0
+        assert m["replay.prefix_gestures"] > 0
