@@ -62,7 +62,7 @@ def sweep():
         """Delegates to a backend and notes each prompt's digest."""
 
         def __init__(self, inner):
-            super().__init__(inner.config)
+            super().__init__()
             self.inner = inner
             self.digests = []
 

@@ -253,25 +253,24 @@ def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
 
 
 def _make_llm(cfg: RunConfig) -> LlmClient:
-    # the option types have refused every value LlmConfig would
-    llm_config = LlmConfig(
-        endpoint=cfg.endpoint or "",
-        model=cfg.model or "",
-        api_key=os.environ.get(cfg.api_key_env),
-        max_tokens=cfg.token_budget,
-        temperature=cfg.temperature,
-    )
     if cfg.llm == "transcript":
         if not cfg.transcript:
             raise _UsageError("--llm transcript requires --transcript")
         try:
-            return TranscriptLlm.from_file(cfg.transcript, config=llm_config)
+            return TranscriptLlm.from_file(cfg.transcript)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot load transcript {cfg.transcript}: {exc}") from exc
     if not cfg.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
     try:
-        return HttpLlm(llm_config)
+        # the option types have refused every value LlmConfig would
+        return HttpLlm(LlmConfig(
+            endpoint=cfg.endpoint,
+            model=cfg.model or "",
+            api_key=os.environ.get(cfg.api_key_env),
+            max_tokens=cfg.token_budget,
+            temperature=cfg.temperature,
+        ))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -373,9 +372,12 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
             raise _UsageError(f"cannot load app spec {cfg.app}: {exc}") from exc
         return SimulatedDevice(app)
     try:
-        shlex.split(cfg.launch or "")
+        launch = shlex.split(cfg.launch or "")
     except ValueError as exc:
         raise _UsageError(f"--launch: {exc}") from exc
+    if cfg.package and not launch:
+        # a restart would force-stop the app and never start it again
+        raise _UsageError("--package needs --launch, the command that starts the app again")
     return AdbDevice(AdbConfig(
         serial=cfg.serial,
         adb_path=cfg.adb_path,

@@ -351,6 +351,7 @@ class AdbDevice(DeviceSession):
     LONG_TAP_MS = 800
     SWIPE_MS = 300
     DUMP_PATH = "/sdcard/window_dump.xml"
+    DUMP_ATTEMPTS = 2
     # each gesture kind and the method that sends its command
     _METHODS = {"tap": "tap", "double_tap": "double_tap", "long_tap": "long_tap", "swipe": "swipe",
                 "text": "type_text", "back": "press_back", "restart": "restart"}
@@ -379,9 +380,13 @@ class AdbDevice(DeviceSession):
         return self._size
 
     def dump_hierarchy(self) -> ViewNode:
-        self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
-        xml = self._adb("shell", "cat", self.DUMP_PATH)
-        return parse_dump(xml)
+        # a dump can fail ("ERROR: could not get idle state.") and still exit
+        # 0, leaving the last dump's file; only this line says it wrote one
+        for _ in range(self.DUMP_ATTEMPTS):
+            out = self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
+            if "dumped to:" in out:
+                return parse_dump(self._adb("shell", "cat", self.DUMP_PATH))
+        raise DeviceError(f"uiautomator dump failed {self.DUMP_ATTEMPTS} times: {out.strip() or 'no output'}")
 
     def perform(self, gestures: list[tuple]) -> None:
         for gesture in gestures:

@@ -63,9 +63,6 @@ class LlmConfig:
 class LlmClient(ABC):
     """Common surface: complete(prompt) -> response text."""
 
-    def __init__(self, config: LlmConfig | None = None):
-        self.config = config or LlmConfig()
-
     def complete(self, prompt: "Prompt") -> str:
         return self._complete(prompt)
 
@@ -92,7 +89,7 @@ class HttpLlm(LlmClient):
     _BACKOFF_S = 1.0
 
     def __init__(self, config: LlmConfig):
-        super().__init__(config)
+        self.config = config
         url = urlsplit(config.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError("the endpoint must be an absolute http:// or https:// URL")
@@ -222,8 +219,7 @@ class TranscriptLlm(LlmClient):
     exchange replays any number of times in any order.
     """
 
-    def __init__(self, responses, mode: str = "sequence", config: LlmConfig | None = None):
-        super().__init__(config)
+    def __init__(self, responses, mode: str = "sequence"):
         if mode not in ("sequence", "keyed"):
             raise ValueError(f"unknown transcript mode {mode!r}")
         self.mode = mode
@@ -238,11 +234,11 @@ class TranscriptLlm(LlmClient):
         self._table = dict(responses)
 
     @classmethod
-    def from_file(cls, path, config: LlmConfig | None = None) -> "TranscriptLlm":
+    def from_file(cls, path) -> "TranscriptLlm":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict) or "responses" not in data:
             raise ValueError('a transcript file must hold a JSON object with "responses"')
-        return cls(data["responses"], mode=data.get("mode", "sequence"), config=config)
+        return cls(data["responses"], mode=data.get("mode", "sequence"))
 
     def _complete(self, prompt: "Prompt") -> str:
         if self.mode == "sequence":
@@ -255,24 +251,3 @@ class TranscriptLlm(LlmClient):
         except KeyError:
             raise UnmatchedPrompt(digest) from None
 
-
-class RecordingLlm(LlmClient):
-    """Wraps another client and captures digest -> response pairs."""
-
-    def __init__(self, inner: LlmClient):
-        super().__init__(inner.config)
-        self.inner = inner
-        self.recorded: dict[str, str] = {}
-        self.prompts: list = []
-
-    def _complete(self, prompt: "Prompt") -> str:
-        text = self.inner.complete(prompt)
-        self.prompts.append(prompt)
-        self.recorded[prompt_digest(prompt.rendered)] = text
-        return text
-
-    def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps({"mode": "keyed", "responses": self.recorded}, indent=2),
-            encoding="utf-8",
-        )

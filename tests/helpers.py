@@ -474,8 +474,8 @@ class GuidanceOracle(LlmClient):
     that, when the target is absent, are worth tapping to look for it.
     """
 
-    def __init__(self, bridges=None, config=None):
-        super().__init__(config)
+    def __init__(self, bridges=None):
+        super().__init__()
         self.bridges = {k.strip().lower(): list(v) for k, v in (bridges or {}).items()}
         self.queries = []
 
@@ -499,8 +499,8 @@ class GuidanceOracle(LlmClient):
 class MisleadingOracle(GuidanceOracle):
     """Gives one scripted wrong id per component before answering honestly."""
 
-    def __init__(self, decoys, bridges=None, config=None):
-        super().__init__(bridges=bridges, config=config)
+    def __init__(self, decoys, bridges=None):
+        super().__init__(bridges=bridges)
         self.decoys = {k.strip().lower(): deque(v) for k, v in decoys.items()}
 
     def _answer(self, component, excluded, elems):
@@ -513,9 +513,6 @@ class MisleadingOracle(GuidanceOracle):
 class AlwaysMissingLlm(LlmClient):
     """Adversarial guidance: every answer is an exploratory nudge."""
 
-    def __init__(self, config=None):
-        super().__init__(config)
-
     def _complete(self, prompt):
         return "[MISSING] [id=0]"
 
@@ -523,8 +520,8 @@ class AlwaysMissingLlm(LlmClient):
 class ScriptedLlm(LlmClient):
     """Fixed answers in order, for tests that need exact control."""
 
-    def __init__(self, answers, config=None):
-        super().__init__(config)
+    def __init__(self, answers):
+        super().__init__()
         self.answers = deque(answers)
         self.prompts = []
 

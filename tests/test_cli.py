@@ -504,6 +504,26 @@ class TestUsageErrors:
         assert not (ws / "adb-calls.log").exists()
         assert not (ws / "crash.trace.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config", "blank-launch"])
+    def test_package_without_launch_comes_before_any_call(self, ws, gauge, capsys, monkeypatch, source):
+        # a restart would force-stop the app and never start it again, so
+        # the run would start on the launcher
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(logging_adb(ws)),
+                "--endpoint", gauge.endpoint]
+        if source == "env":
+            monkeypatch.setenv("BUGREPLAY_PACKAGE", "com.demo")
+        elif source == "config":
+            (ws / "cfg.json").write_text(json.dumps({"package": "com.demo"}), encoding="utf-8")
+            args += ["--config", "cfg.json"]
+        else:
+            args += ["--package", "com.demo"] + (["--launch", "  "] if source == "blank-launch" else [])
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: --package needs --launch, the command that starts the app again"
+        assert gauge.peak == 0
+        assert not (ws / "adb-calls.log").exists()
+        assert not (ws / "crash.trace.json").exists()
+
     @pytest.mark.parametrize("command", ["extract", "replay"])
     def test_out_that_cannot_be_made_comes_before_any_call(self, ws, gauge, capsys, command):
         (ws / "afile").write_text("", encoding="utf-8")

@@ -9,11 +9,12 @@ import bugreplay.device as device_module
 from bugreplay.device import AdbConfig, AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
 from bugreplay.gui import encode_gui
-from bugreplay.replay import apply_gestures, execute_step
+from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
 from bugreplay.steps import ActionType, parse_step_text
 
 from helpers import (
     CRASH_STATE,
+    ScriptedLlm,
     all_scenarios,
     find_id_by_text,
     scenario_linear_taps_3,
@@ -309,6 +310,9 @@ SIGNAL = ("--------- beginning of crash\n"
 
 
 class RecordingRunner:
+    """Notes each argv and answers with the output of the first needle in
+    it; a list of outputs answers one call each, in order."""
+
     def __init__(self, outputs=None):
         self.calls = []
         self.outputs = dict(outputs or {})
@@ -317,8 +321,14 @@ class RecordingRunner:
         self.calls.append(argv)
         for needle, out in self.outputs.items():
             if needle in " ".join(argv):
-                return out
+                return out.pop(0) if isinstance(out, list) else out
         return ""
+
+
+GO_XML = '<hierarchy><node class="android.widget.Button" text="Go" bounds="[0,0][10,10]"/></hierarchy>'
+DUMPED = "UI hierchary dumped to: /sdcard/window_dump.xml\n"  # sic, as uiautomator prints it
+DUMP_CALL = ["adb", "shell", "uiautomator", "dump", "/sdcard/window_dump.xml"]
+CAT_CALL = ["adb", "shell", "cat", "/sdcard/window_dump.xml"]
 
 
 class TestAdbDevice:
@@ -400,15 +410,33 @@ class TestAdbDevice:
         assert runner.calls == []
 
     def test_dump_hierarchy(self):
-        xml = ('<hierarchy><node class="android.widget.Button" text="Go" '
-               'bounds="[0,0][10,10]"/></hierarchy>')
-        runner = RecordingRunner(outputs={"cat": xml})
+        runner = RecordingRunner(outputs={"uiautomator": DUMPED, "cat": GO_XML})
         root = self.make(runner).dump_hierarchy()
         assert root.text == "Go"
-        assert runner.calls == [
-            ["adb", "shell", "uiautomator", "dump", "/sdcard/window_dump.xml"],
-            ["adb", "shell", "cat", "/sdcard/window_dump.xml"],
-        ]
+        assert runner.calls == [DUMP_CALL, CAT_CALL]
+
+    def test_a_failed_dump_is_retried_once(self):
+        # the tool can report the failure and still exit 0, leaving the
+        # last dump's file behind
+        runner = RecordingRunner(outputs={"uiautomator": ["ERROR: could not get idle state.\n", DUMPED],
+                                          "cat": GO_XML})
+        root = self.make(runner).dump_hierarchy()
+        assert root.text == "Go"
+        assert runner.calls == [DUMP_CALL, DUMP_CALL, CAT_CALL]
+
+    @pytest.mark.parametrize("out", ["ERROR: could not get idle state.\n", ""], ids=["error", "silent"])
+    def test_a_dump_that_fails_twice_is_a_device_error(self, out):
+        runner = RecordingRunner(outputs={"uiautomator": out, "cat": GO_XML})
+        with pytest.raises(DeviceError, match="uiautomator dump failed"):
+            self.make(runner).dump_hierarchy()
+        assert runner.calls == [DUMP_CALL, DUMP_CALL]
+
+    def test_a_dump_that_fails_twice_ends_the_replay_in_error(self, corpus):
+        runner = RecordingRunner(outputs={"uiautomator": "ERROR: could not get idle state.\n", "cat": GO_XML})
+        trace = replay([parse_step_text('[Tap] ["Go"]')], self.make(runner), ScriptedLlm(["[id=0]"]), corpus)
+        assert trace.outcome is Outcome.ERROR
+        assert "uiautomator dump failed" in trace.error_detail
+        assert CAT_CALL not in runner.calls
 
     def test_screen_size_parsed_once(self):
         runner = RecordingRunner(outputs={"wm size": "Physical size: 1080x1920\n"})

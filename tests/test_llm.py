@@ -1,4 +1,4 @@
-"""Completion backends: config, transcripts, recording, http wire."""
+"""Completion backends: config, transcripts, http wire."""
 import base64
 import json
 import os
@@ -18,7 +18,6 @@ from bugreplay.exemplars import Prompt, PromptSegment
 from bugreplay.llm import (
     HttpLlm,
     LlmConfig,
-    RecordingLlm,
     TranscriptLlm,
     estimate_tokens,
     prompt_digest,
@@ -62,13 +61,6 @@ class TestLlmConfig:
         config = LlmConfig(endpoint="http://e", api_key="sk-sensitive-123")
         assert "sk-sensitive-123" not in repr(config)
         assert "sk-sensitive-123" not in str(config)
-
-
-def test_max_tokens_caps_the_answer_not_the_prompt():
-    # 41 chars estimate 11 tokens; prompts are held to their budget where
-    # they are built, so a client answers whatever it is sent
-    llm = TranscriptLlm(["answered"], config=LlmConfig(max_tokens=10))
-    assert llm.complete(make_prompt("x" * 41)) == "answered"
 
 
 class TestSequenceTranscript:
@@ -115,22 +107,6 @@ def test_transcript_from_file(tmp_path):
         "responses": {prompt_digest(prompt.rendered): "hit"},
     }), encoding="utf-8")
     assert TranscriptLlm.from_file(keyed).complete(prompt) == "hit"
-
-
-def test_recording_round_trip(tmp_path):
-    inner = TranscriptLlm(["first", "second"])
-    recorder = RecordingLlm(inner)
-    p1, p2 = make_prompt("alpha"), make_prompt("beta")
-    assert recorder.complete(p1) == "first"
-    assert recorder.complete(p2) == "second"
-    assert len(recorder.prompts) == 2
-
-    path = tmp_path / "rec.json"
-    recorder.save(path)
-    replayed = TranscriptLlm.from_file(path)
-    assert replayed.mode == "keyed"
-    assert replayed.complete(p2) == "second"
-    assert replayed.complete(p1) == "first"
 
 
 class _Script(BaseHTTPRequestHandler):
@@ -235,6 +211,17 @@ class TestHttpLlm:
             "max_tokens": 4096,
             "temperature": 0.5,
         }
+
+    def test_max_tokens_caps_the_answer_not_the_prompt(self, http_endpoint):
+        # 41 chars estimate 11 tokens; prompts are held to their budget where
+        # they are built, so a client sends whatever it is given
+        _Script.script = [(200, _chat_payload("answered"))]
+        prompt = make_prompt("x" * 41)
+        assert estimate_tokens(prompt.rendered) == 11
+        assert _client(http_endpoint, max_tokens=10).complete(prompt) == "answered"
+        sent = _Script.requests[0]["json"]
+        assert sent["messages"][0]["content"] == prompt.rendered
+        assert sent["max_tokens"] == 10
 
     def test_no_key_means_no_auth_header(self, http_endpoint):
         _Script.script = [(200, _chat_payload("ok"))]

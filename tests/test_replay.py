@@ -701,7 +701,7 @@ class HeldLlm(LlmClient):
     a while at most, until `released` is set before it answers."""
 
     def __init__(self, inner, hold=lambda rendered: True):
-        super().__init__(inner.config)
+        super().__init__()
         self.inner, self.hold = inner, hold
         self.out = threading.Event()
         self.released = threading.Event()
