@@ -378,6 +378,9 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
     if cfg.package and not launch:
         # a restart would force-stop the app and never start it again
         raise _UsageError("--package needs --launch, the command that starts the app again")
+    if cfg.launch is not None and not launch:
+        # a restart would run a bare adb shell
+        raise _UsageError("--launch names no command; give the command that starts the app")
     return AdbDevice(AdbConfig(
         serial=cfg.serial,
         adb_path=cfg.adb_path,

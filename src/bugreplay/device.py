@@ -101,7 +101,16 @@ class SimulatedApp:
         for name in crash_states:
             if name not in states:
                 raise ValueError(f"crash state {name!r} is not defined")
-        counts = {name: len(encode_gui(tree).index) for name, tree in states.items()}
+        # each state's nodes as (depth, id, node), ids of its full
+        # encoding, deepest first and then the later id: a tap's hit order
+        self.hit_order: dict[str, list[tuple[int, int, ViewNode]]] = {}
+        for name, tree in states.items():
+            depths = {id(tree): 0}
+            order = self.hit_order[name] = []
+            for nid, node in encode_gui(tree).index.items():
+                depths.update((id(child), depths[id(node)] + 1) for child in node.children)
+                order.append((depths[id(node)], nid, node))
+            order.sort(key=lambda hit: hit[:2], reverse=True)
         for key, target in transitions.items():
             state, kind, subject = key
             if state not in states:
@@ -111,10 +120,9 @@ class SimulatedApp:
             if kind not in _GESTURE_KINDS:
                 raise ValueError(f"unknown gesture kind {kind!r}")
             if kind in ("tap", "double_tap", "long_tap", "input"):
-                if not isinstance(subject, int) or not 0 <= subject < counts[state]:
-                    raise ValueError(
-                        f"transition {key} cites id outside 0..{counts[state] - 1}"
-                    )
+                count = len(self.hit_order[state])
+                if not isinstance(subject, int) or not 0 <= subject < count:
+                    raise ValueError(f"transition {key} cites id outside 0..{count - 1}")
             elif kind == "scroll":
                 if subject not in {d.value for d in Direction}:
                     raise ValueError(f"transition {key} has unknown direction")
@@ -175,7 +183,6 @@ class SimulatedDevice(DeviceSession):
         self.current = app.initial
         self._focused: int | None = None
         self._closed = False
-        self._geometry: dict[str, list[tuple[int, int, ViewNode]]] = {}
 
     @property
     def screen_size(self) -> tuple[int, int]:
@@ -185,34 +192,15 @@ class SimulatedDevice(DeviceSession):
         if self._closed:
             raise DeviceError("session is closed")
 
-    def _nodes(self) -> list[tuple[int, int, ViewNode]]:
-        """(depth, id, node) for every node of the current screen's full
-        encoding; parents precede children in its index."""
-        if self.current not in self._geometry:
-            depths: dict[int, int] = {}
-            nodes = []
-            for nid, node in encode_gui(self.app.states[self.current]).index.items():
-                depth = depths.get(id(node), 0)
-                depths.update((id(child), depth + 1) for child in node.children)
-                nodes.append((depth, nid, node))
-            self._geometry[self.current] = nodes
-        return self._geometry[self.current]
-
     def _hit(self, x: int, y: int, kind: str) -> int | None:
         containing = [
-            (depth, nid)
-            for depth, nid, node in self._nodes()
+            nid
+            for _, nid, node in self.app.hit_order[self.current]
             if node.bounds.left <= x < max(node.bounds.right, node.bounds.left + 1)
             and node.bounds.top <= y < max(node.bounds.bottom, node.bounds.top + 1)
         ]
-        if not containing:
-            return None
-        keyed = [
-            (depth, nid)
-            for depth, nid in containing
-            if (self.current, kind, nid) in self.app.transitions
-        ]
-        return max(keyed or containing)[1]
+        keyed = [nid for nid in containing if (self.current, kind, nid) in self.app.transitions]
+        return (keyed or containing)[0] if containing else None
 
     def dump_hierarchy(self) -> ViewNode:
         self._check_open()
@@ -270,8 +258,8 @@ ADB_TIMEOUT_SECONDS = 120
 
 
 def _run_subprocess(argv: list[str]) -> str:
-    """Run one command and return its stdout, read as UTF-8 with
-    replacement characters and universal newlines.
+    """Run one command with an empty stdin and return its stdout, read as
+    UTF-8 with replacement characters and universal newlines.
 
     Waits for both the child's exit and the end of its output under one
     deadline of ADB_TIMEOUT_SECONDS: one poll covers its two pipes and a
@@ -282,7 +270,8 @@ def _run_subprocess(argv: list[str]) -> str:
     makes this POSIX only.
     """
     try:
-        proc = subprocess.Popen(argv, bufsize=0, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(argv, bufsize=0, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except OSError as exc:
         raise DeviceError(f"cannot run {argv[0]}: {exc}") from exc
     deadline = time.monotonic() + ADB_TIMEOUT_SECONDS

@@ -123,14 +123,13 @@ def map_class_to_tag(class_name: str) -> TagSpec:
 
 @dataclass
 class EncodedGui:
-    """The HTML text plus the id -> node index it was built from."""
+    """The HTML text plus the id -> node index it was built from, and
+    full_ids[i], the id the full encoding gives node i: i itself unless
+    wrappers were elided."""
 
     html: str
     index: dict[int, ViewNode]
-
-    def id_of(self, node: ViewNode) -> int | None:
-        """The id this encoding gives node, None if it was not emitted."""
-        return next((nid for nid, n in self.index.items() if n is node), None)
+    full_ids: list[int]
 
 
 def resolve_component(encoded: EncodedGui, component_id) -> ViewNode:
@@ -166,15 +165,18 @@ def encode_gui(root: ViewNode, *, elide_wrappers: bool = False) -> EncodedGui:
     dropped and their children promoted, shrinking oversized screens; ids
     are assigned to what is actually emitted, so the index always matches
     the text a model will see. Emitted index entries reference the
-    original nodes.
+    original nodes, and full_ids maps each emitted id to the preorder id
+    of the same node in the full encoding, where every node is counted.
     """
     lines: list[str] = []
     index: dict[int, ViewNode] = {}
+    full_ids: list[int] = []
     seen: set[int] = set()
 
     def emit(node: ViewNode, depth: int) -> None:
         if id(node) in seen:
             raise CycleDetected(f"node {node.class_name!r} appears more than once")
+        full_id = len(seen)
         seen.add(id(node))
         spec = map_class_to_tag(node.class_name)
         if elide_wrappers and spec.tag == "div" and node.children:
@@ -183,6 +185,7 @@ def encode_gui(root: ViewNode, *, elide_wrappers: bool = False) -> EncodedGui:
             return
         nid = len(index)
         index[nid] = node
+        full_ids.append(full_id)
         indent = "  " * depth
         attrs = [f"id={nid}"]
         if spec.paired:
@@ -211,7 +214,7 @@ def encode_gui(root: ViewNode, *, elide_wrappers: bool = False) -> EncodedGui:
             lines.append(f"{indent}{opening}{text}</{spec.tag}>")
 
     emit(root, 0)
-    return EncodedGui(html="\n".join(lines), index=index)
+    return EncodedGui(html="\n".join(lines), index=index, full_ids=full_ids)
 
 
 def screen_digest(html: str) -> str:

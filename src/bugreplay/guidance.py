@@ -73,10 +73,10 @@ def build_guidance_prompt(
     Returns the prompt together with the encoding it embeds: when the
     screen is too large to fit the budget, wrapper divs are elided and the
     screen re-encoded, so ids in the prompt only make sense against the
-    returned encoding. excluded_ids are ids of `encoded`; the prompt names
-    them in the ids of the encoding it embeds, leaving out any that
-    elision dropped. Scroll steps never come here; they execute without
-    guidance.
+    returned encoding, whose full_ids map them back to ids of `encoded`.
+    excluded_ids are ids of `encoded`, its full encoding; an elided
+    prompt names them in its own ids, leaving out any that elision
+    dropped. Scroll steps never come here; they execute without guidance.
     """
     if step.action not in GUIDED_ACTIONS:
         raise ValueError(f"{step.action} steps do not take guidance")
@@ -84,7 +84,7 @@ def build_guidance_prompt(
     def attempt(enc: EncodedGui) -> Prompt:
         shown = excluded_ids
         if enc is not encoded:
-            shown = {enc.id_of(encoded.index.get(i)) for i in excluded_ids} - {None}
+            shown = [nid for nid, full_id in enumerate(enc.full_ids) if full_id in excluded_ids]
         tail = [
             PromptSegment("test_gui", enc.html),
             PromptSegment("test_query", format_guidance_query(step, shown)),

@@ -29,9 +29,10 @@ prefix if it holds no restart). A restore starts from the dump the loop
 already holds, since no gesture has happened since it was taken, and
 hands the dump of the restored screen to the next iteration, so a screen
 is never dumped twice; the caller may hand over the first screen the
-same way. Excluded ids are kept in the screen's full encoding, whose ids
-are stable for its digest, even when a prompt embeds the encoding with
-wrapper divs elided.
+same way. Outside a prompt, a node's id is its id in the screen's full
+encoding, stable for the screen's digest; a prompt that elides wrapper
+divs numbers its nodes anew, and the id an answer cites there becomes a
+full id once, through the encoding's full_ids.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
 
@@ -132,6 +133,8 @@ class ReplayEvent:
     """One executed action: which step, where, and on which screen."""
 
     step: Step
+    # the node acted on, by its id in the full encoding of the screen
+    # screen_digest names, even if the prompt elided wrappers
     resolved_id: int | None
     exploratory: bool
     # None for a Scroll step that had no dump in hand
@@ -339,12 +342,12 @@ def replay(
 
     def ask(step: Step, encoded: EncodedGui, excluded: frozenset[int]) -> None:
         """Send the guidance call for step on the screen encoded; it yields
-        that encoding, the one the prompt embeds, and the answer."""
+        the encoding the prompt embeds and the answer."""
         nonlocal asked
 
-        def call() -> tuple[EncodedGui, EncodedGui, str]:
+        def call() -> tuple[EncodedGui, str]:
             prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
-            return encoded, enc_used, llm.complete(prompt)
+            return enc_used, llm.complete(prompt)
 
         asked = pool.submit(call)
 
@@ -412,7 +415,7 @@ def replay(
                 return finish(Outcome.BUDGET_EXHAUSTED, "action budget exhausted")
 
             step = steps[cursor]
-            node, chosen, exploratory, resolved_by = None, None, False, None
+            node, full_id, exploratory, resolved_by = None, None, False, None
             if step.action is ActionType.SCROLL:
                 # a swipe needs no screen; it is logged against the dump in hand, if any
                 digest = screen[1] if screen else None
@@ -422,39 +425,36 @@ def replay(
                 # every backtrack follows a model call, which has turned the
                 # fast path off, so a lexical pick never meets an exclusion
                 full_id = _lexical_pick(step.component, encoded) if fast_path else None
-                if full_id is not None:
-                    node, chosen, resolved_by = encoded.index[full_id], full_id, "lexical"
-                else:
+                resolved_by = "model" if full_id is None else "lexical"
+                if full_id is None:
                     fast_path = False
-                    resolved_by = "model"
                     if asked is None:
                         ask(step, encoded, excluded)
                     # the last gesture's crash check runs while the model answers
                     if unchecked and check_crash():
                         return finish(Outcome.BUG_TRIGGERED)
                     call, asked = asked, None
-                    asked_on, enc_used, answer = call.result()
+                    enc_used, answer = call.result()
                     try:
                         result = parse_guidance_response(answer)
                         # a bare [MISSING] cites no id, which resolves to none
-                        node = resolve_component(enc_used, result.component_id)
+                        resolve_component(enc_used, result.component_id)
+                        full_id = enc_used.full_ids[result.component_id]
                     except (NoActionableAnswer, UnknownId) as exc:
                         logger.debug("step %d: %s", step.index, exc)
-                    else:
-                        # a re-ask was built on the snapshot's dump of this
-                        # screen; the tap takes the live dump's bounds
-                        full_id = asked_on.id_of(node)
-                        node = encoded.index[full_id]
-                        if full_id in excluded:
-                            logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
-                            node = None
-                    # node is set only once an answer parsed
-                    if node is None or result.missing and missing_depth >= budgets.max_missing_depth:
+                    if full_id in excluded:
+                        logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                        full_id = None
+                    # full_id is set only once an answer parsed
+                    if full_id is None or result.missing and missing_depth >= budgets.max_missing_depth:
                         reason = backtrack()
                         if reason is not None:
                             return finish(Outcome.BUDGET_EXHAUSTED, reason)
                         continue
-                    chosen, exploratory = result.component_id, result.missing
+                    exploratory = result.missing
+                # a re-ask was built on the snapshot's dump of this screen,
+                # whose full ids its digest shares; the tap takes live bounds
+                node = encoded.index[full_id]
 
                 snap = _Snapshot(cursor=cursor, missing_depth=missing_depth, screen=screen, excluded=excluded,
                                  departed_id=full_id, gesture_prefix=len(trace.gestures))
@@ -469,7 +469,7 @@ def replay(
             action = replace(step, action=ActionType.TAP, value=None) if exploratory else step
             trace.gestures.extend(execute_step(device, action, node))
             trace.actions_used += 1
-            trace.events.append(ReplayEvent(step, chosen, exploratory, digest, resolved_by))
+            trace.events.append(ReplayEvent(step, full_id, exploratory, digest, resolved_by))
             if exploratory:
                 missing_depth += 1
             else:

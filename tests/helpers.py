@@ -315,6 +315,29 @@ def scenario_hop_after_backtrack():
                     bridges={"Target": ["More"]}, decoys={"Target": [2]})
 
 
+def scenario_long_inbox():
+    """Sixty inbox rows, each a text in a wrapper, so a tight token budget
+    elides the wrappers and the model cites ids of the elided encoding:
+    Message 23 is id 49 in the full encoding and id 24 elided. The decoy,
+    id 30, names Message 29 elided and Message 14's wrapper in the full
+    encoding; both open a dead end."""
+    rows = [{"class": "android.widget.LinearLayout", "resource_id": "app:id/row",
+             "bounds": [0, 160 + 28 * i, 1080, 188 + 28 * i],
+             "children": [text_view(f"Message {i}", 160 + 28 * i, height=28)]}
+            for i in range(60)]
+    spec = _spec(
+        {"inbox": {"tree": screen_tree([text_view("Inbox", 60)] + rows)},
+         "thread": {"tree": stacked("Thread", [lambda y: button("Delete", y)])},
+         "dead": {"tree": stacked("Nothing here", [])}},
+        [_tap("inbox", 49, "thread"), {"from": "thread", "action": "back", "to": "inbox"},
+         _tap("inbox", 30, "dead"), _tap("inbox", 61, "dead"),
+         {"from": "dead", "action": "back", "to": "inbox"},
+         _tap("thread", 2, CRASH_STATE)],
+        "inbox")
+    return Scenario("long_inbox", spec, ['[Tap] ["Message 23"]', '[Tap] ["Delete"]'],
+                    bridges={"Delete": ["Message 23"]}, decoys={"Message 23": [30]})
+
+
 SCENARIO_BUILDERS = [
     scenario_single_step,
     scenario_linear_taps_3,
@@ -331,6 +354,7 @@ SCENARIO_BUILDERS = [
     scenario_unicode_texts,
     scenario_double_trap,
     scenario_hop_after_backtrack,
+    scenario_long_inbox,
 ]
 
 

@@ -524,6 +524,26 @@ class TestUsageErrors:
         assert not (ws / "adb-calls.log").exists()
         assert not (ws / "crash.trace.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("launch", ["", "  "], ids=["empty", "blank"])
+    def test_launch_of_no_words_comes_before_any_call(self, ws, gauge, capsys, monkeypatch, source, launch):
+        # a restart would run a bare adb shell, which reads the terminal
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(logging_adb(ws)),
+                "--endpoint", gauge.endpoint]
+        if source == "env":
+            monkeypatch.setenv("BUGREPLAY_LAUNCH", launch)
+        elif source == "config":
+            (ws / "cfg.json").write_text(json.dumps({"launch": launch}), encoding="utf-8")
+            args += ["--config", "cfg.json"]
+        else:
+            args += ["--launch", launch]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: --launch names no command; give the command that starts the app"
+        assert gauge.peak == 0
+        assert not (ws / "adb-calls.log").exists()
+        assert not (ws / "crash.trace.json").exists()
+
     @pytest.mark.parametrize("command", ["extract", "replay"])
     def test_out_that_cannot_be_made_comes_before_any_call(self, ws, gauge, capsys, command):
         (ws / "afile").write_text("", encoding="utf-8")

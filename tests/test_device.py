@@ -562,6 +562,23 @@ class TestRunSubprocess:
         path.chmod(0o755)
         return str(path)
 
+    def test_the_child_reads_no_stdin(self, tmp_path):
+        # an adb shell that reads its stdin gets an empty one, not what
+        # the caller's stdin holds, so it can never wait on a terminal
+        adb = self.script(tmp_path, "#!/bin/sh\ncat\necho end\n")
+        read, write = os.pipe()
+        os.write(write, b"typed at the terminal\n")
+        os.close(write)
+        saved = os.dup(0)
+        os.dup2(read, 0)
+        os.close(read)
+        try:
+            out = device_module._run_subprocess([adb, "shell"])
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+        assert out == "end\n"
+
     @pytest.mark.parametrize("code", [0, 5])
     def test_large_stdout_and_stderr_are_read_in_full(self, tmp_path, code):
         # stderr first: a reader that drains stdout alone would wait forever

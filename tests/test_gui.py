@@ -3,6 +3,8 @@ import html
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugreplay.errors import CycleDetected, DeviceError, UnknownId
 from bugreplay.gui import (
@@ -262,6 +264,21 @@ class TestElision:
                 if id(node) in dropped:
                     assert map_class_to_tag(node.class_name).tag == "div"
                     assert node.children
+
+    def test_full_ids_count_the_elided_wrappers(self):
+        enc = encode_gui(self.tree(), elide_wrappers=True)
+        assert enc.full_ids == [2, 4, 5]
+        assert encode_gui(self.tree()).full_ids == list(range(6))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_full_ids_name_each_emitted_node_in_the_full_encoding(self, seed):
+        tree = random_view_tree(random.Random(seed), max_nodes=80)
+        full, reduced = encode_gui(tree), encode_gui(tree, elide_wrappers=True)
+        assert full.full_ids == list(full.index)
+        assert len(reduced.full_ids) == len(reduced.index)
+        for nid, node in reduced.index.items():
+            assert full.index[reduced.full_ids[nid]] is node
 
 
 DUMP = """<?xml version='1.0' encoding='UTF-8' standalone='yes' ?>

@@ -314,9 +314,9 @@ class TestScrollWithoutDump:
         assert trace.events[0].screen_digest == screen_digest(encode_gui(first).html)
 
 
-def test_exclusion_holds_when_the_retry_prompt_elides():
-    # the first prompt fits the full encoding, where row 7 is id 16; the
-    # retry's exclusion clause forces elision, where row 7 is id 7
+def rows_scenario():
+    """Thirty rows, each a text in a wrapper: row 7 is id 16 in the full
+    encoding and id 7 once the wrappers are elided; it leads to a dead end."""
     rows = [{"class": "android.widget.LinearLayout", "bounds": [0, 60 * i, 1080, 60 * i + 60],
              "children": [{"class": "android.widget.TextView", "text": f"Row number {i}",
                            "bounds": [0, 60 * i, 1080, 60 * i + 60]}]}
@@ -324,12 +324,35 @@ def test_exclusion_holds_when_the_retry_prompt_elides():
     spec = _spec({"rows": {"tree": screen_tree(rows)}, "dead": {"tree": stacked("Nothing here", [])}},
                  [_tap("rows", 16, "dead"), {"from": "dead", "action": "back", "to": "rows"}],
                  "rows")
-    scenario = Scenario("elided_retry", spec, ['[Tap] ["Row number 7"]', '[Tap] ["Finish"]'])
+    return Scenario("elided_retry", spec, ['[Tap] ["Row number 7"]', '[Tap] ["Finish"]'])
+
+
+def test_exclusion_holds_when_the_retry_prompt_elides():
+    # the first prompt fits the full encoding, where row 7 is id 16; the
+    # retry's exclusion clause forces elision, where row 7 is id 7
     llm = ScriptedLlm(["[id=16]", "I have no idea.", "[id=7]"])
-    trace = run(scenario, llm=llm, budgets=Budgets(tokens=594, backtracks=1))
+    trace = run(rows_scenario(), llm=llm, budgets=Budgets(tokens=594, backtracks=1))
     assert "excluding components [id=7]?" in llm.prompts[2].segments[-1].text
     assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 16)]
     assert trace.outcome is Outcome.BUDGET_EXHAUSTED
+    assert trace.error_detail == "nowhere left to backtrack"
+
+
+def test_an_elided_answer_is_traced_by_its_full_id():
+    # at 520 tokens every prompt on the rows elides their wrappers, so the
+    # answer [id=7] names row 7; the event names it by its full id, 16,
+    # on the screen its digest names
+    scenario = rows_scenario()
+    full = encode_gui(SimulatedApp.from_dict(scenario.spec).states["rows"])
+    llm = ScriptedLlm(["[id=7]"] * 3)
+    trace = run(scenario, llm=llm, budgets=Budgets(tokens=520))
+    assert "<p id=7>Row number 7</p>" in llm.prompts[0].segments[-2].text
+    assert trace.gestures == [("tap", 540, 450), BACK]
+    [event] = trace.events
+    assert (event.resolved_id, event.screen_digest) == (16, screen_digest(full.html))
+    assert full.index[16].text == "Row number 7"
+    # the re-ask excludes row 7 by its elided id and refuses the repeat
+    assert "excluding components [id=7]?" in llm.prompts[2].segments[-1].text
     assert trace.error_detail == "nowhere left to backtrack"
 
 
