@@ -257,9 +257,14 @@ class AdbConfig:
 ADB_TIMEOUT_SECONDS = 120
 
 
+class _Output(str):
+    """A command's stdout, and its stderr as .stderr; a stand-in runner may return a plain str."""
+
+
 def _run_subprocess(argv: list[str]) -> str:
     """Run one command with an empty stdin and return its stdout, read as
-    UTF-8 with replacement characters and universal newlines.
+    UTF-8 with replacement characters and universal newlines, and its stderr,
+    which adb fills with daemon notices, as the text's .stderr.
 
     Waits for both the child's exit and the end of its output under one
     deadline of ADB_TIMEOUT_SECONDS: one poll covers its two pipes and a
@@ -313,7 +318,9 @@ def _run_subprocess(argv: list[str]) -> str:
                 .replace("\r\n", "\n").replace("\r", "\n") for parts in chunks.values())
     if returncode != 0:
         raise DeviceError(f"{' '.join(argv)} exited {returncode}: {err.strip()}")
-    return out
+    result = _Output(out)
+    result.stderr = err
+    return result
 
 
 class AdbDevice(DeviceSession):
@@ -369,13 +376,14 @@ class AdbDevice(DeviceSession):
         return self._size
 
     def dump_hierarchy(self) -> ViewNode:
-        # a dump can fail ("ERROR: could not get idle state.") and still exit
-        # 0, leaving the last dump's file; only this line says it wrote one
+        # a dump can fail ("ERROR: could not get idle state.", on either stream)
+        # and still exit 0, leaving the last dump's file; only this line says it wrote one
         for _ in range(self.DUMP_ATTEMPTS):
             out = self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
             if "dumped to:" in out:
                 return parse_dump(self._adb("shell", "cat", self.DUMP_PATH))
-        raise DeviceError(f"uiautomator dump failed {self.DUMP_ATTEMPTS} times: {out.strip() or 'no output'}")
+        reason = f"{out.strip()}\n{getattr(out, 'stderr', '').strip()}".strip() or "no output"
+        raise DeviceError(f"uiautomator dump failed {self.DUMP_ATTEMPTS} times: {reason}")
 
     def perform(self, gestures: list[tuple]) -> None:
         for gesture in gestures:

@@ -14,14 +14,14 @@ import re
 from .errors import NoStepsFound
 from .exemplars import ExemplarCorpus, ExtractionExemplar, Prompt, PromptSegment, fit_prompt
 from .llm import LlmClient
-from .steps import BugReport, Step, bind_tokens, bracket_tokens, render_steps, validate_step_list
+from .steps import FIELDS, ActionType, BugReport, Step, bind_tokens, bracket_tokens, render_steps, validate_step_list
 
 logger = logging.getLogger(__name__)
 
-ACTIONS_SPEC = "Tap, Scroll, Input, Double-tap, Long-tap"
-PRIMITIVES_SPEC = (
-    "[Tap] [Component], [Scroll] [Direction], [Input] [Component] [Value], "
-    "[Double-tap] [Component], [Long-tap] [Component]"
+ACTIONS_SPEC = ", ".join(action.value for action in ActionType)
+# e.g. "[Input] [Component] [Value]", one per action
+PRIMITIVES_SPEC = ", ".join(
+    " ".join([f"[{action}]", *(f"[{name.capitalize()}]" for name in FIELDS[action])]) for action in ActionType
 )
 OUTPUT_PREFACE = "Overall, the extracted S2R entities are:"
 

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from .errors import BudgetUnsatisfiable, NoActionableAnswer
 from .exemplars import ExemplarCorpus, GuidanceExemplar, Prompt, PromptSegment, fit_prompt
 from .gui import EncodedGui, encode_gui
-from .steps import ActionType, Step, step_text
+from .steps import FIELDS, Step, step_text
 
 #: Actions that target a visible component and therefore need guidance.
-GUIDED_ACTIONS = frozenset(
-    {ActionType.TAP, ActionType.DOUBLE_TAP, ActionType.LONG_TAP, ActionType.INPUT}
-)
+GUIDED_ACTIONS = frozenset(action for action, names in FIELDS.items() if "component" in names)
 
 QUERY_STEM = "If I need to {step}, which component id should I operate on the GUI"
 # Appended inside the question when prior answers are off the table.

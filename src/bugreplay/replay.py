@@ -93,13 +93,6 @@ logger = logging.getLogger(__name__)
 _BACK_ATTEMPTS = 3
 _BACK, _RESTART = ("back",), ("restart",)
 
-# the gesture-log kind of each tap-like guided action
-_TAP_KINDS = {
-    ActionType.TAP: "tap",
-    ActionType.DOUBLE_TAP: "double_tap",
-    ActionType.LONG_TAP: "long_tap",
-}
-
 
 @dataclass
 class Budgets:
@@ -205,7 +198,8 @@ def execute_step(device: DeviceSession, step: Step, node: ViewNode | None) -> li
     elif step.action is ActionType.INPUT:
         gestures = [("tap", *node.bounds.center()), ("text", step.value)]
     else:
-        gestures = [(_TAP_KINDS[step.action], *node.bounds.center())]
+        # a tap-like action's gesture kind is its name: tap, double_tap, long_tap
+        gestures = [(step.action.name.lower(), *node.bounds.center())]
     device.perform(gestures)
     return gestures
 
@@ -476,10 +470,10 @@ def replay(
                 cursor += 1
                 missing_depth = 0
             # off the fast path, a gesture the model's next answer must
-            # follow has its crash check put off until that call is out
+            # follow has its crash check put off until that call is out, or
+            # until the finish that comes first if the actions have run out
             unchecked = True
-            overlap = (not fast_path and cursor < len(steps) and trace.actions_used < budgets.actions
-                       and steps[cursor].action is not ActionType.SCROLL)
+            overlap = not fast_path and cursor < len(steps) and steps[cursor].action is not ActionType.SCROLL
             if not overlap and check_crash():
                 return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:

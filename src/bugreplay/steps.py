@@ -42,25 +42,25 @@ class Direction(Enum):
         return self.value
 
 
-# Which optional Step fields each action requires. All other optional
-# fields must stay unset; a step never carries more than its shape.
-PrimitiveShape = frozenset
-
-_ARITY: dict[ActionType, PrimitiveShape] = {
-    ActionType.TAP: frozenset({"component"}),
-    ActionType.DOUBLE_TAP: frozenset({"component"}),
-    ActionType.LONG_TAP: frozenset({"component"}),
-    ActionType.INPUT: frozenset({"component", "value"}),
-    ActionType.SCROLL: frozenset({"direction"}),
+# The paper's action primitives: each action's Step fields, in the order
+# of the bracket tokens after its own. A step carries exactly these fields
+# and leaves the other optional ones unset. Parsing, the step check, the
+# textual form, the extraction prompt's spec lines and the guided actions
+# all derive from this one table.
+FIELDS: dict[ActionType, tuple[str, ...]] = {
+    ActionType.TAP: ("component",),
+    ActionType.SCROLL: ("direction",),
+    ActionType.INPUT: ("component", "value"),
+    ActionType.DOUBLE_TAP: ("component",),
+    ActionType.LONG_TAP: ("component",),
 }
 
-_ACTION_WORDS = {
-    "tap": ActionType.TAP,
-    "scroll": ActionType.SCROLL,
-    "input": ActionType.INPUT,
-    "doubletap": ActionType.DOUBLE_TAP,
-    "longtap": ActionType.LONG_TAP,
-}
+
+def _action_key(word: str) -> str:
+    return re.sub(r"[\s_-]+", "", word.strip().lower())
+
+
+_ACTION_WORDS = {_action_key(action.value): action for action in ActionType}
 
 _DIRECTION_WORDS = {
     "up": Direction.UP,
@@ -76,11 +76,6 @@ _DIRECTION_WORDS = {
 }
 
 
-def arity(action: ActionType) -> PrimitiveShape:
-    """Required field names for an action."""
-    return _ARITY[action]
-
-
 def normalize_action(word: str) -> ActionType | None:
     """Map a free-form action word onto the vocabulary, or None.
 
@@ -89,8 +84,7 @@ def normalize_action(word: str) -> ActionType | None:
     synonyms like "open" or "press", returns None; mapping synonyms onto
     the vocabulary is the extraction model's job, not the parser's.
     """
-    key = re.sub(r"[\s_-]+", "", word.strip().lower())
-    return _ACTION_WORDS.get(key)
+    return _ACTION_WORDS.get(_action_key(word))
 
 
 def normalize_direction(word: str) -> Direction | None:
@@ -110,18 +104,14 @@ class Step:
     def __post_init__(self):
         if not isinstance(self.index, int) or self.index < 1:
             raise ValueError(f"step index must be a positive int, got {self.index!r}")
-        shape = arity(self.action)
-        if ("component" in shape) != (self.component is not None):
-            raise ValueError(f"{self.action} steps {'require' if 'component' in shape else 'forbid'} a component")
-        if ("value" in shape) != (self.value is not None):
-            raise ValueError(f"{self.action} steps {'require' if 'value' in shape else 'forbid'} a value")
-        if ("direction" in shape) != (self.direction is not None):
-            raise ValueError(f"{self.action} steps {'require' if 'direction' in shape else 'forbid'} a direction")
-        if self.component is not None:
-            _check_field_text("component", self.component, allow_empty=False)
-        if self.value is not None:
-            # empty value is legitimate: "leave the field empty"
-            _check_field_text("value", self.value, allow_empty=True)
+        for name in ("component", "value", "direction"):
+            required = name in FIELDS[self.action]
+            if required != (getattr(self, name) is not None):
+                raise ValueError(f"{self.action} steps {'require' if required else 'forbid'} a {name}")
+        for name in ("component", "value"):
+            # an empty value is legitimate: "leave the field empty"
+            if getattr(self, name) is not None:
+                _check_field_text(name, getattr(self, name), allow_empty=name == "value")
 
     def __str__(self) -> str:
         return step_text(self)
@@ -166,12 +156,9 @@ def validate_step_list(steps: list[Step]) -> None:
 def step_text(step: Step) -> str:
     """Bracketed textual form without the ordinal, e.g. '[Input] ["name"] ["a"]'."""
     parts = [f"[{step.action.value}]"]
-    if step.component is not None:
-        parts.append(f'["{step.component}"]')
-    if step.value is not None:
-        parts.append(f'["{step.value}"]')
-    if step.direction is not None:
-        parts.append(f"[{step.direction.value}]")
+    for name in FIELDS[step.action]:
+        text = getattr(step, name)
+        parts.append(f"[{text}]" if name == "direction" else f'["{text}"]')
     return " ".join(parts)
 
 
@@ -208,35 +195,32 @@ def bracket_tokens(text: str) -> list[str]:
 
 
 def bind_tokens(tokens: list[str], index: int, line: str) -> Step:
-    """Bind one line's bracket tokens to a Step per the action's shape.
+    """Bind one line's bracket tokens to a Step per the action's FIELDS.
 
-    The first token names the action; the rest fill its required fields.
+    The first token names the action; the rest fill its fields in order.
     An Input step missing its value gets DEFAULT_INPUT_VALUE; every other
-    arity mismatch is malformed, as is an unknown action or direction.
+    count mismatch is malformed, as is an unknown action or direction.
     """
     if not tokens:
         raise MalformedStep(line, "no bracket tokens")
     action = normalize_action(tokens[0])
     if action is None:
         raise MalformedStep(line, f"unknown action {tokens[0]!r}")
+    names = FIELDS[action]
     rest = [strip_quotes(t) for t in tokens[1:]]
+    if names[-1] == "value" and len(rest) == len(names) - 1:
+        rest.append(DEFAULT_INPUT_VALUE)
+    if len(rest) != len(names):
+        shape = f"exactly one {names[0]} token" if len(names) == 1 else " and ".join(f"a {n}" for n in names)
+        raise MalformedStep(line, f"{action.value.lower()} takes {shape}")
+    bound = dict(zip(names, rest))
+    if "direction" in bound:
+        text = bound["direction"]
+        bound["direction"] = normalize_direction(text)
+        if bound["direction"] is None:
+            raise MalformedStep(line, f"unknown direction {text!r}")
     try:
-        if action is ActionType.SCROLL:
-            if len(rest) != 1:
-                raise MalformedStep(line, "scroll takes exactly one direction token")
-            direction = normalize_direction(rest[0])
-            if direction is None:
-                raise MalformedStep(line, f"unknown direction {rest[0]!r}")
-            return Step(index, action, direction=direction)
-        if action is ActionType.INPUT:
-            if len(rest) == 1:
-                rest.append(DEFAULT_INPUT_VALUE)
-            if len(rest) != 2:
-                raise MalformedStep(line, "input takes a component and a value")
-            return Step(index, action, component=rest[0], value=rest[1])
-        if len(rest) != 1:
-            raise MalformedStep(line, f"{action.value.lower()} takes exactly one component token")
-        return Step(index, action, component=rest[0])
+        return Step(index, action, **bound)
     except ValueError as exc:
         raise MalformedStep(line, str(exc)) from exc
 

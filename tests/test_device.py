@@ -438,6 +438,20 @@ class TestAdbDevice:
         assert "uiautomator dump failed" in trace.error_detail
         assert CAT_CALL not in runner.calls
 
+    def test_a_failed_dump_keeps_the_reason_the_device_wrote_to_stderr(self, tmp_path, corpus):
+        # some builds print the failure on stderr, not stdout, and exit 0
+        adb = tmp_path / "fake-adb"
+        adb.write_text("#!/bin/sh\necho 'ERROR: could not get idle state.' >&2\n", encoding="utf-8")
+        adb.chmod(0o755)
+        device = self.make(None, adb_path=str(adb))
+        detail = "uiautomator dump failed 2 times: ERROR: could not get idle state."
+        with pytest.raises(DeviceError) as caught:
+            device.dump_hierarchy()
+        assert str(caught.value) == detail
+        trace = replay([parse_step_text('[Tap] ["Go"]')], device, ScriptedLlm(["[id=0]"]), corpus)
+        assert trace.outcome is Outcome.ERROR
+        assert trace.error_detail == f"DeviceError: {detail}"
+
     def test_screen_size_parsed_once(self):
         runner = RecordingRunner(outputs={"wm size": "Physical size: 1080x1920\n"})
         device = self.make(runner)
@@ -592,6 +606,12 @@ class TestRunSubprocess:
             with pytest.raises(DeviceError) as caught:
                 device_module._run_subprocess([adb])
             assert str(caught.value) == f"{adb} exited 5: {'e' * size}"
+
+    def test_stderr_rides_beside_the_output(self, tmp_path):
+        adb = self.script(tmp_path, "#!/bin/sh\necho out\necho '* daemon started successfully *' >&2\n")
+        out = device_module._run_subprocess([adb, "shell"])
+        assert out == "out\n"
+        assert out.stderr == "* daemon started successfully *\n"
 
     def test_output_keeps_its_text_form(self, tmp_path):
         adb = self.script(tmp_path, "#!/bin/sh\nprintf 'a\\r\\nb\\rc \\377\\n'\n")

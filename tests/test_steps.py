@@ -4,11 +4,11 @@ import pytest
 from bugreplay.errors import MalformedStep
 from bugreplay.steps import (
     DEFAULT_INPUT_VALUE,
+    FIELDS,
     ActionType,
     BugReport,
     Direction,
     Step,
-    arity,
     bind_tokens,
     bracket_tokens,
     normalize_action,
@@ -27,11 +27,49 @@ def test_action_vocabulary_is_closed():
 
 
 def test_arity_table():
-    assert arity(ActionType.TAP) == frozenset({"component"})
-    assert arity(ActionType.DOUBLE_TAP) == frozenset({"component"})
-    assert arity(ActionType.LONG_TAP) == frozenset({"component"})
-    assert arity(ActionType.INPUT) == frozenset({"component", "value"})
-    assert arity(ActionType.SCROLL) == frozenset({"direction"})
+    # each action's fields, in the order of its bracket tokens
+    assert FIELDS[ActionType.TAP] == ("component",)
+    assert FIELDS[ActionType.DOUBLE_TAP] == ("component",)
+    assert FIELDS[ActionType.LONG_TAP] == ("component",)
+    assert FIELDS[ActionType.INPUT] == ("component", "value")
+    assert FIELDS[ActionType.SCROLL] == ("direction",)
+
+
+# a token and the bound value for each field an action may take
+FIELD_TOKENS = {"component": ('"row"', "row"), "value": ('"abc"', "abc"), "direction": ("up", Direction.UP)}
+COUNT_REASONS = {
+    ActionType.TAP: "tap takes exactly one component token",
+    ActionType.SCROLL: "scroll takes exactly one direction token",
+    ActionType.INPUT: "input takes a component and a value",
+    ActionType.DOUBLE_TAP: "double-tap takes exactly one component token",
+    ActionType.LONG_TAP: "long-tap takes exactly one component token",
+}
+
+
+@pytest.mark.parametrize("action", list(ActionType), ids=str)
+def test_fields_name_exactly_the_fields_a_step_takes(action):
+    bound = {name: FIELD_TOKENS[name][1] for name in FIELDS[action]}
+    step = Step(1, action, **bound)
+    tokens = [action.value, *(FIELD_TOKENS[name][0] for name in FIELDS[action])]
+    assert step_text(step) == " ".join(f"[{token}]" for token in tokens)
+    assert bind_tokens(tokens, 1, "line") == step
+    for name in FIELD_TOKENS:
+        changed = {**bound, name: None} if name in bound else {**bound, name: FIELD_TOKENS[name][1]}
+        verb = "require" if name in bound else "forbid"
+        with pytest.raises(ValueError, match=f"^{action} steps {verb} a {name}$"):
+            Step(1, action, **changed)
+
+
+@pytest.mark.parametrize("action", list(ActionType), ids=str)
+@pytest.mark.parametrize("count", ["one-over", "one-short"])
+def test_a_token_count_mismatch_names_the_action_shape(action, count):
+    tokens = [action.value, *(FIELD_TOKENS[name][0] for name in FIELDS[action])]
+    # one Input token short is its default value, so an Input is two short
+    tokens = tokens + ['"extra"'] if count == "one-over" else tokens[:1 if action is ActionType.INPUT else -1]
+    with pytest.raises(MalformedStep) as err:
+        bind_tokens(tokens, 1, "the line")
+    assert err.value.reason == COUNT_REASONS[action]
+    assert str(err.value) == f"malformed step line: 'the line' ({COUNT_REASONS[action]})"
 
 
 @pytest.mark.parametrize("word,expected", [

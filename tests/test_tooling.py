@@ -1,5 +1,5 @@
-"""The scripts the README tells readers to run: the demos, the sweep, the
-bench and its tracer."""
+"""The scripts the README tells readers to run: the demos, the corpus generator,
+the sweep, the bench and its tracer."""
 import importlib.util
 import json
 import os
@@ -46,6 +46,18 @@ def test_sweep_matches_its_golden(tmp_path):
     out.write_text(done.stdout, encoding="utf-8")
     diff = run(ROOT / "scripts" / "sweep.py", "--diff", ROOT / "tests" / "data" / "sweep.jsonl", out)
     assert diff.returncode == 0, diff.stdout
+
+
+def test_shipped_corpus_is_what_gen_corpus_writes(tmp_path, monkeypatch):
+    # the guidance exemplars' HTML comes from the encoder, so a change to
+    # the encoding must come with the corpus the script writes from it
+    spec = importlib.util.spec_from_file_location("gen_corpus", ROOT / "scripts" / "gen_corpus.py")
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    monkeypatch.setattr(gen_corpus, "OUT", tmp_path / "default_corpus.json")
+    gen_corpus.main()
+    shipped = ROOT / "src" / "bugreplay" / "data" / "default_corpus.json"
+    assert gen_corpus.OUT.read_bytes() == shipped.read_bytes()
 
 
 def test_bench_tracer_wraps_callables_that_exist(monkeypatch):
