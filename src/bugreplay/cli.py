@@ -27,12 +27,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .device import AdbConfig, AdbDevice, DeviceSession, SimulatedApp, SimulatedDevice
+from .device import AdbDevice, DeviceSession, SimulatedApp, SimulatedDevice
 from .errors import BugReplayError, DeviceError
 from .exemplars import ExemplarCorpus
 from .extraction import extract_steps
 from .gui import ViewNode, encode_gui, parse_dump
-from .llm import HttpLlm, LlmClient, LlmConfig, TranscriptLlm
+from .llm import HttpLlm, LlmClient, TranscriptLlm
 from .replay import Budgets, Outcome, ReplayTrace, replay
 from .steps import BugReport, Step, render_steps, step_text
 
@@ -263,14 +263,9 @@ def _make_llm(cfg: RunConfig) -> LlmClient:
     if not cfg.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
     try:
-        # the option types have refused every value LlmConfig would
-        return HttpLlm(LlmConfig(
-            endpoint=cfg.endpoint,
-            model=cfg.model or "",
-            api_key=os.environ.get(cfg.api_key_env),
-            max_tokens=cfg.token_budget,
-            temperature=cfg.temperature,
-        ))
+        # the option types have already refused each max_tokens and temperature HttpLlm would refuse
+        return HttpLlm(cfg.endpoint, model=cfg.model or "", api_key=os.environ.get(cfg.api_key_env),
+                       max_tokens=cfg.token_budget, temperature=cfg.temperature)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -381,12 +376,8 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
     if cfg.launch is not None and not launch:
         # a restart would run a bare adb shell
         raise _UsageError("--launch names no command; give the command that starts the app")
-    return AdbDevice(AdbConfig(
-        serial=cfg.serial,
-        adb_path=cfg.adb_path,
-        package=cfg.package,
-        launch_command=cfg.launch,
-    ))
+    return AdbDevice(serial=cfg.serial, adb_path=cfg.adb_path, package=cfg.package,
+                     launch_command=cfg.launch)
 
 
 def _fresh_start(device: DeviceSession) -> ViewNode:

@@ -39,7 +39,6 @@ import shlex
 import subprocess
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DeviceError
@@ -47,8 +46,6 @@ from .gui import Bounds, ViewNode, encode_gui, parse_dump
 from .steps import Direction
 
 logger = logging.getLogger(__name__)
-
-_GESTURE_KINDS = {"tap", "double_tap", "long_tap", "input", "scroll", "back"}
 
 
 class DeviceSession(ABC):
@@ -84,87 +81,69 @@ def _tree_from_literal(data: dict) -> ViewNode:
 
 
 class SimulatedApp:
-    """Immutable app description; sessions hold the moving parts."""
+    """Immutable app description, read from a spec dict in the format
+    above; sessions hold the moving parts."""
 
-    def __init__(
-        self,
-        states: dict[str, ViewNode],
-        transitions: dict[tuple, str],
-        initial: str,
-        crash_states=(),
-        screen: tuple[int, int] = (1080, 1920),
-    ):
-        if not states:
+    def __init__(self, spec: dict):
+        self.states: dict[str, ViewNode] = {}
+        for name, body in spec["states"].items():
+            if "tree" in body:
+                self.states[name] = _tree_from_literal(body["tree"])
+            elif "xml" in body:
+                self.states[name] = parse_dump(body["xml"])
+            else:
+                raise ValueError(f"state {name!r} needs a 'tree' or 'xml' entry")
+        if not self.states:
             raise ValueError("simulated app needs at least one state")
-        if initial not in states:
-            raise ValueError(f"initial state {initial!r} is not defined")
+        self.initial = spec["initial"]
+        if self.initial not in self.states:
+            raise ValueError(f"initial state {self.initial!r} is not defined")
+        crash_states = spec.get("crash_states", [])
         for name in crash_states:
-            if name not in states:
+            if name not in self.states:
                 raise ValueError(f"crash state {name!r} is not defined")
+        self.crash_states = frozenset(crash_states)
+        self.screen = tuple(spec.get("screen", (1080, 1920)))
         # each state's nodes as (depth, id, node), ids of its full
         # encoding, deepest first and then the later id: a tap's hit order
         self.hit_order: dict[str, list[tuple[int, int, ViewNode]]] = {}
-        for name, tree in states.items():
+        for name, tree in self.states.items():
             depths = {id(tree): 0}
             order = self.hit_order[name] = []
             for nid, node in encode_gui(tree).index.items():
                 depths.update((id(child), depths[id(node)] + 1) for child in node.children)
                 order.append((depths[id(node)], nid, node))
             order.sort(key=lambda hit: hit[:2], reverse=True)
-        for key, target in transitions.items():
-            state, kind, subject = key
-            if state not in states:
+        # (state, gesture kind, subject) -> the state it leads to
+        self.transitions: dict[tuple, str] = {}
+        for t in spec.get("transitions", []):
+            state, kind, target = t["from"], t["action"].replace("-", "_"), t["to"]
+            if state not in self.states:
                 raise ValueError(f"transition from unknown state {state!r}")
-            if target not in states:
+            if target not in self.states:
                 raise ValueError(f"transition to unknown state {target!r}")
-            if kind not in _GESTURE_KINDS:
-                raise ValueError(f"unknown gesture kind {kind!r}")
             if kind in ("tap", "double_tap", "long_tap", "input"):
+                subject = t["id"]
                 count = len(self.hit_order[state])
                 if not isinstance(subject, int) or not 0 <= subject < count:
-                    raise ValueError(f"transition {key} cites id outside 0..{count - 1}")
+                    raise ValueError(f"transition {(state, kind, subject)} cites id outside 0..{count - 1}")
             elif kind == "scroll":
-                if subject not in {d.value for d in Direction}:
-                    raise ValueError(f"transition {key} has unknown direction")
-            elif subject is not None:
-                raise ValueError("back transitions take no subject")
-        self.states = states
-        self.transitions = transitions
-        self.initial = initial
-        self.crash_states = frozenset(crash_states)
-        self.screen = screen
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulatedApp":
-        states = {}
-        for name, body in data["states"].items():
-            if "tree" in body:
-                states[name] = _tree_from_literal(body["tree"])
-            elif "xml" in body:
-                states[name] = parse_dump(body["xml"])
-            else:
-                raise ValueError(f"state {name!r} needs a 'tree' or 'xml' entry")
-        transitions = {}
-        for t in data.get("transitions", []):
-            kind = t["action"].replace("-", "_")
-            if kind == "scroll":
                 subject = t["direction"]
+                if subject not in {d.value for d in Direction}:
+                    raise ValueError(f"transition {(state, kind, subject)} has unknown direction")
             elif kind == "back":
                 subject = None
             else:
-                subject = t["id"]
-            transitions[(t["from"], kind, subject)] = t["to"]
-        return cls(
-            states=states,
-            transitions=transitions,
-            initial=data["initial"],
-            crash_states=data.get("crash_states", []),
-            screen=tuple(data.get("screen", (1080, 1920))),
-        )
+                raise ValueError(f"unknown gesture kind {kind!r}")
+            self.transitions[(state, kind, subject)] = target
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SimulatedApp":
+        return cls(data)
 
     @classmethod
     def load(cls, path) -> "SimulatedApp":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 class SimulatedDevice(DeviceSession):
@@ -243,14 +222,6 @@ class SimulatedDevice(DeviceSession):
 
     def close(self) -> None:
         self._closed = True
-
-
-@dataclass
-class AdbConfig:
-    serial: str | None = None
-    adb_path: str = "adb"
-    package: str | None = None
-    launch_command: str | None = None
 
 
 # seconds one adb call may take before it counts as hung
@@ -332,7 +303,8 @@ class AdbDevice(DeviceSession):
         double tap  input tap X Y            (twice; see below)
         long tap    input swipe X Y X Y 800
         swipe       input swipe X1 Y1 X2 Y2 300
-        text        input text VALUE         (spaces become %s)
+        text        input text VALUE         (spaces become %s; VALUE splits inside
+                                              each literal %s, one call per part)
         back        input keyevent KEYCODE_BACK
 
     A double tap's second call starts DOUBLE_TAP_GAP_SECONDS after the
@@ -352,17 +324,16 @@ class AdbDevice(DeviceSession):
     _METHODS = {"tap": "tap", "double_tap": "double_tap", "long_tap": "long_tap", "swipe": "swipe",
                 "text": "type_text", "back": "press_back", "restart": "restart"}
 
-    def __init__(self, config: AdbConfig | None = None, runner=None):
-        self.config = config or AdbConfig()
+    def __init__(self, serial: str | None = None, adb_path: str = "adb", package: str | None = None,
+                 launch_command: str | None = None, runner=None):
+        self._prefix = [adb_path, "-s", serial] if serial else [adb_path]
+        self.package = package
+        self.launch_command = launch_command
         self._runner = runner or _run_subprocess
         self._size: tuple[int, int] | None = None
 
     def _adb(self, *args: str) -> str:
-        argv = [self.config.adb_path]
-        if self.config.serial:
-            argv += ["-s", self.config.serial]
-        argv += list(args)
-        return self._runner(argv)
+        return self._runner([*self._prefix, *args])
 
     @property
     def screen_size(self) -> tuple[int, int]:
@@ -413,17 +384,19 @@ class AdbDevice(DeviceSession):
         )
 
     def type_text(self, text: str) -> None:
-        self._adb("shell", "input", "text", shlex.quote(text.replace(" ", "%s")))
+        # input text reads every %s as a space, a literal one too
+        for part in re.split(r"(?<=%)(?=s)", text):
+            self._adb("shell", "input", "text", shlex.quote(part.replace(" ", "%s")))
 
     def press_back(self) -> None:
         self._adb("shell", "input", "keyevent", "KEYCODE_BACK")
 
     def restart(self) -> None:
-        if self.config.package:
-            self._adb("shell", "am", "force-stop", self.config.package)
+        if self.package:
+            self._adb("shell", "am", "force-stop", self.package)
         self._adb("logcat", "-c")
-        if self.config.launch_command:
-            self._adb("shell", *shlex.split(self.config.launch_command))
+        if self.launch_command:
+            self._adb("shell", *shlex.split(self.launch_command))
 
     def crashed(self) -> bool:
         """Whether the crash buffer holds a Java crash (a FATAL EXCEPTION
@@ -432,9 +405,9 @@ class AdbDevice(DeviceSession):
         processes; with no package configured, of any process. Another
         app in front is not a crash."""
         log = self._adb("logcat", "-d", "-b", "crash")
-        if not self.config.package:
+        if not self.package:
             return "FATAL EXCEPTION" in log or "Fatal signal" in log
-        ours = re.escape(self.config.package)
+        ours = re.escape(self.package)
         return bool(
             re.search(rf"FATAL EXCEPTION.*\n.*Process: {ours}[,:\s]", log)
             or re.search(rf"Fatal signal .*\({ours}[):]", log)

@@ -18,7 +18,6 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -39,25 +38,6 @@ def estimate_tokens(text: str) -> int:
 
 def prompt_digest(rendered: str) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class LlmConfig:
-    endpoint: str = ""
-    model: str = ""
-    # Key material comes from the environment at CLI level and must never
-    # reach logs, traces, or serialized output.
-    api_key: str | None = field(default=None, repr=False)
-    # the cap on an answer's length, sent with each request; prompts are
-    # held to their budget where they are built
-    max_tokens: int = 4096
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be a finite non-negative number, got {self.temperature!r}")
 
 
 class LlmClient(ABC):
@@ -88,21 +68,32 @@ class HttpLlm(LlmClient):
     _RETRIES = 2
     _BACKOFF_S = 1.0
 
-    def __init__(self, config: LlmConfig):
-        self.config = config
-        url = urlsplit(config.endpoint)
+    def __init__(self, endpoint: str, *, model: str = "", api_key: str | None = None,
+                 max_tokens: int = 4096, temperature: float = 0.0):
+        if max_tokens <= 0:
+            raise ValueError("max_tokens must be positive")
+        if not 0 <= temperature < math.inf:
+            raise ValueError(f"temperature must be a finite non-negative number, got {temperature!r}")
+        url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError("the endpoint must be an absolute http:// or https:// URL")
         if url.username is not None:
             raise ValueError("the endpoint must not carry credentials; the API key comes from the environment")
+        self.model = model
+        # the cap on an answer's length, sent with each request; prompts are
+        # held to their budget where they are built
+        self.max_tokens = max_tokens
+        self.temperature = temperature
         https = url.scheme == "https"
         address = (url.hostname, url.port)  # None: the scheme's default port
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json", "User-Agent": "bugreplay"}
-        if config.api_key:
-            if not (config.api_key.isascii() and config.api_key.isprintable()):
+        # key material comes from the environment and is kept in the headers
+        # alone, so that it never reaches logs, traces or serialized output
+        if api_key:
+            if not (api_key.isascii() and api_key.isprintable()):
                 raise ValueError("the API key holds a character that cannot go in an HTTP header")
-            self._headers["Authorization"] = f"Bearer {config.api_key}"
+            self._headers["Authorization"] = f"Bearer {api_key}"
         proxy, proxy_headers = _proxy_for(url)
         self._address = proxy or address
         self._tunnel = (*address, proxy_headers) if proxy and https else None
@@ -115,10 +106,10 @@ class HttpLlm(LlmClient):
 
     def _complete(self, prompt: "Prompt") -> str:
         body = json.dumps({
-            "model": self.config.model,
+            "model": self.model,
             "messages": [{"role": "user", "content": prompt.rendered}],
-            "max_tokens": self.config.max_tokens,
-            "temperature": self.config.temperature,
+            "max_tokens": self.max_tokens,
+            "temperature": self.temperature,
         }).encode("utf-8")
         last_error = "no attempt made"
         for attempt in range(self._RETRIES + 1):

@@ -62,18 +62,7 @@ def _action_key(word: str) -> str:
 
 _ACTION_WORDS = {_action_key(action.value): action for action in ActionType}
 
-_DIRECTION_WORDS = {
-    "up": Direction.UP,
-    "upward": Direction.UP,
-    "upwards": Direction.UP,
-    "down": Direction.DOWN,
-    "downward": Direction.DOWN,
-    "downwards": Direction.DOWN,
-    "left": Direction.LEFT,
-    "leftward": Direction.LEFT,
-    "right": Direction.RIGHT,
-    "rightward": Direction.RIGHT,
-}
+_DIRECTION_WORDS = {d.value + suffix: d for d in Direction for suffix in ("", "ward", "wards")}
 
 
 def normalize_action(word: str) -> ActionType | None:

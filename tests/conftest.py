@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -20,6 +22,25 @@ def scenario(request):
 
 def make_device(spec):
     return SimulatedDevice(SimulatedApp.from_dict(spec))
+
+
+@pytest.fixture
+def serve():
+    """serve(handler) starts a stub server on 127.0.0.1 for the test and
+    returns its port. A short poll interval keeps the shutdown at the
+    test's end quick."""
+    servers = []
+
+    def start(handler):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                         daemon=True).start()
+        servers.append(server)
+        return server.server_port
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.fixture

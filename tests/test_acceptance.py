@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from bugreplay.cli import main
-from bugreplay.device import AdbConfig, AdbDevice, SimulatedApp, SimulatedDevice
+from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import BugReplayError
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt, parse_extraction_response
@@ -300,8 +300,7 @@ def test_criterion_7_token_budget():
 @criterion(8, "adb gestures emit the documented command lines bit for bit")
 def test_criterion_8_adb_command_goldens():
     calls = []
-    device = AdbDevice(AdbConfig(),
-                       runner=lambda argv: calls.append(list(argv)) or "Physical size: 1080x1920\n")
+    device = AdbDevice(runner=lambda argv: calls.append(list(argv)) or "Physical size: 1080x1920\n")
     assert device.screen_size == (1080, 1920)  # measured once, before the goldens
     node = ViewNode("android.widget.Button", bounds=Bounds(100, 200, 500, 1080))
 

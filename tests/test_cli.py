@@ -3,7 +3,7 @@ import json
 import os
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import urlsplit
@@ -294,11 +294,8 @@ class _Pilot(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def pilot_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Pilot)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
+def pilot_endpoint(serve):
+    return f"http://127.0.0.1:{serve(_Pilot)}/v1/chat/completions"
 
 
 class TestHttpThroughCli:
@@ -329,16 +326,13 @@ class _Gauge(_Pilot):
 
 
 @pytest.fixture
-def gauge():
+def gauge(serve):
     class Handler(_Gauge):
         lock = threading.Lock()
         in_flight = peak = 0
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    Handler.endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    yield Handler
-    server.shutdown()
+    Handler.endpoint = f"http://127.0.0.1:{serve(Handler)}/v1/chat/completions"
+    return Handler
 
 
 class _Staggered(LlmClient):
@@ -745,8 +739,8 @@ def test_artifact_that_cannot_be_written_exits_3(ws, capsys, command, artifact):
 def test_adb_flags_reach_the_adb_config(ws, monkeypatch):
     seen = []
 
-    def recorder(config):
-        seen.append(config)
+    def recorder(**settings):
+        seen.append(settings)
         return SimulatedDevice(SimulatedApp.load("app.json"))
 
     monkeypatch.setattr(cli, "AdbDevice", recorder)
@@ -754,8 +748,8 @@ def test_adb_flags_reach_the_adb_config(ws, monkeypatch):
             "--adb-path", "tools/adb", "--package", "com.demo",
             "--launch", "am start -n com.demo/.Main", *targs(ws, [EXTRACTION, GUIDANCE])]
     assert main(args) == 0
-    assert [(c.serial, c.adb_path, c.package, c.launch_command) for c in seen] == [
-        ("emulator-5554", "tools/adb", "com.demo", "am start -n com.demo/.Main")]
+    assert seen == [{"serial": "emulator-5554", "adb_path": "tools/adb", "package": "com.demo",
+                     "launch_command": "am start -n com.demo/.Main"}]
 
 
 def test_fresh_start_overlaps_extraction(ws, monkeypatch):
@@ -769,7 +763,7 @@ def test_fresh_start_overlaps_extraction(ws, monkeypatch):
             answered.append(time.monotonic())
             return EXTRACTION
 
-    def logged_device(config):
+    def logged_device(**settings):
         logs.append(CallLog(SimulatedDevice(SimulatedApp.load("app.json"))))
         return logs[-1]
 

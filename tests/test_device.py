@@ -1,12 +1,14 @@
 """Device sessions: the simulated app, adb command wiring, omissions."""
+import itertools
 import os
+import shlex
 import sys
 import time
 
 import pytest
 
 import bugreplay.device as device_module
-from bugreplay.device import AdbConfig, AdbDevice, SimulatedApp, SimulatedDevice
+from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
 from bugreplay.gui import encode_gui
 from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
@@ -35,49 +37,77 @@ def center_of(device, component_text):
     raise AssertionError(f"{component_text!r} not on screen")
 
 
+def _with(**changes):
+    """scenario_linear_taps_3's spec with `changes` applied: a key whose
+    value is a function maps the spec's value, any other replaces it."""
+    spec = scenario_linear_taps_3().spec
+    for key, change in changes.items():
+        spec[key] = change(spec[key]) if callable(change) else change
+    return spec
+
+
+def _transition(**fields):
+    return {"transitions": [{"from": "s0", "to": "s1", **fields}]}
+
+
+def _raises(spec, error, message):
+    """Loading `spec` raises exactly `error`, with `message` as its one argument."""
+    with pytest.raises(error) as raised:
+        SimulatedApp.from_dict(spec)
+    assert type(raised.value) is error
+    assert raised.value.args == (message,)
+
+
 class TestSimulatedAppValidation:
+    """Each spec has one defect; the exception's type and message are pinned."""
+
     def test_from_dict_normalizes_action_names(self):
         app = app_from(scenario_with_input())
         kinds = {kind for (_, kind, _) in app.transitions}
         assert kinds <= {"tap", "double_tap", "long_tap", "input", "scroll", "back"}
 
-    def base(self):
-        return scenario_linear_taps_3().spec
-
     def test_unknown_initial(self):
-        spec = self.base() | {"initial": "nowhere"}
-        with pytest.raises(ValueError):
-            SimulatedApp.from_dict(spec)
-
-    def test_unknown_transition_endpoints(self):
-        spec = self.base()
-        spec["transitions"] = [{"from": "s0", "action": "tap", "id": 1, "to": "mystery"}]
-        with pytest.raises(ValueError):
-            SimulatedApp.from_dict(spec)
-
-    def test_unknown_gesture_kind(self):
-        spec = self.base()
-        spec["transitions"] = [{"from": "s0", "action": "hover", "id": 1, "to": "s1"}]
-        with pytest.raises(ValueError):
-            SimulatedApp.from_dict(spec)
-
-    def test_component_id_out_of_range(self):
-        spec = self.base()
-        spec["transitions"] = [{"from": "s0", "action": "tap", "id": 99, "to": "s1"}]
-        with pytest.raises(ValueError):
-            SimulatedApp.from_dict(spec)
-
-    def test_bad_scroll_direction(self):
-        spec = self.base()
-        spec["transitions"] = [{"from": "s0", "action": "scroll",
-                                "direction": "sideways", "to": "s1"}]
-        with pytest.raises(ValueError):
-            SimulatedApp.from_dict(spec)
+        _raises(_with(initial="nowhere"), ValueError, "initial state 'nowhere' is not defined")
 
     def test_unknown_crash_state(self):
-        spec = self.base() | {"crash_states": ["ghost"]}
-        with pytest.raises(ValueError):
-            SimulatedApp.from_dict(spec)
+        _raises(_with(crash_states=["ghost"]), ValueError, "crash state 'ghost' is not defined")
+
+    def test_unknown_transition_endpoints(self):
+        _raises(_with(**_transition(action="tap", id=1, **{"from": "ghost"})), ValueError,
+                "transition from unknown state 'ghost'")
+        _raises(_with(**_transition(action="tap", id=1, to="mystery")), ValueError,
+                "transition to unknown state 'mystery'")
+
+    def test_unknown_gesture_kind(self):
+        _raises(_with(**_transition(action="hover", id=1)), ValueError, "unknown gesture kind 'hover'")
+
+    def test_component_id_out_of_range(self):
+        _raises(_with(**_transition(action="tap", id=99)), ValueError,
+                "transition ('s0', 'tap', 99) cites id outside 0..2")
+
+    def test_bad_scroll_direction(self):
+        _raises(_with(**_transition(action="scroll", direction="sideways")), ValueError,
+                "transition ('s0', 'scroll', 'sideways') has unknown direction")
+
+    @pytest.mark.parametrize("spec, error, message", [
+        pytest.param(_with(states={}), ValueError, "simulated app needs at least one state", id="no-states"),
+        pytest.param(_with(states=lambda states: states | {"s9": {}}), ValueError,
+                     "state 's9' needs a 'tree' or 'xml' entry", id="state-without-tree-or-xml"),
+        pytest.param(_with(states=lambda states: states | {"s9": {"xml": "<hierarchy><node"}}), DeviceError,
+                     "unparsable hierarchy dump: unclosed token: line 1, column 11", id="unparsable-xml"),
+        pytest.param(_with(**_transition(action="long-tap", id=-1)), ValueError,
+                     "transition ('s0', 'long_tap', -1) cites id outside 0..2", id="id-below-range"),
+        pytest.param(_with(**_transition(action="input", id="1")), ValueError,
+                     "transition ('s0', 'input', '1') cites id outside 0..2", id="id-as-a-string"),
+        pytest.param(_with(**_transition(action="scroll")), KeyError, "direction", id="no-direction"),
+        pytest.param(_with(**_transition(action="double-tap")), KeyError, "id", id="no-id"),
+    ])
+    def test_spec_error(self, spec, error, message):
+        _raises(spec, error, message)
+
+    def test_a_back_transition_ignores_an_id(self):
+        app = SimulatedApp.from_dict(_with(**_transition(action="back", id=3)))
+        assert app.transitions == {("s0", "back", None): "s1"}
 
 
 class TestSimulatedDevice:
@@ -333,7 +363,7 @@ CAT_CALL = ["adb", "shell", "cat", "/sdcard/window_dump.xml"]
 
 class TestAdbDevice:
     def make(self, runner, **cfg):
-        return AdbDevice(AdbConfig(**cfg), runner=runner)
+        return AdbDevice(**cfg, runner=runner)
 
     def test_tap(self):
         runner = RecordingRunner()
@@ -374,6 +404,19 @@ class TestAdbDevice:
         runner = RecordingRunner()
         self.make(runner).type_text("a&b;c")
         assert runner.calls == [["adb", "shell", "input", "text", "'a&b;c'"]]
+
+    def test_text_is_typed_as_given(self):
+        # the device shell undoes the quoting, and input text reads every %s
+        # as a space; each literal %s costs one more call
+        for size in range(7):
+            for chars in itertools.product(("a", " ", "%", "s"), repeat=size):
+                value = "".join(chars)
+                runner = RecordingRunner()
+                self.make(runner).type_text(value)
+                assert [argv[:-1] for argv in runner.calls] == [["adb", "shell", "input", "text"]] * (
+                    value.count("%s") + 1)
+                typed = "".join(shlex.split(argv[-1])[0].replace("%s", " ") for argv in runner.calls)
+                assert typed == value
 
     def test_back(self):
         runner = RecordingRunner()

@@ -107,6 +107,13 @@ def test_normalize_direction_variants(word, expected):
     assert normalize_direction(word) is expected
 
 
+@pytest.mark.parametrize("suffix", ["", "ward", "wards"])
+@pytest.mark.parametrize("direction", list(Direction), ids=str)
+def test_every_direction_takes_each_suffix(direction, suffix):
+    assert normalize_direction(direction.value + suffix) is direction
+    assert parse_step_text(f"[Scroll] [{direction.value}{suffix}]").direction is direction
+
+
 def test_normalize_direction_rejects_unknown():
     assert normalize_direction("sideways") is None
 
