@@ -54,7 +54,7 @@ GUIDANCE = [
 
 
 def main():
-    device = SimulatedDevice(SimulatedApp.from_dict(APP))
+    device = SimulatedDevice(SimulatedApp(APP))
     llm = TranscriptLlm(GUIDANCE, mode="sequence")
     trace = replay(STEPS, device, llm, ExemplarCorpus.builtin(), report_id="demo-7")
     device.close()
@@ -68,7 +68,7 @@ def main():
     print()
 
     # the raw gesture log replays verbatim, no model in the loop
-    fresh = SimulatedDevice(SimulatedApp.from_dict(APP))
+    fresh = SimulatedDevice(SimulatedApp(APP))
     fresh.perform(trace.gestures)
     print(f"gesture log replayed on a fresh session: crashed={fresh.crashed()}")
     fresh.close()

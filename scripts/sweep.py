@@ -6,8 +6,8 @@ prints one JSON line per run: the trace (less `wall_time`), its outcome,
 the model-call count, a hash of the ordered prompt digests, the dump and
 crash-check counts, and hashes of the device calls, in order and sorted.
 `tests/helpers.CallLog` logs the device calls, each gesture as the trace's
-tuple whatever methods the session has. Two checkouts that should behave
-alike print the same lines.
+tuple that `perform` takes. Two checkouts that should behave alike print
+the same lines.
 
     python3 scripts/sweep.py > change.jsonl
     python3 scripts/sweep.py --repo ../parent > parent.jsonl
@@ -15,8 +15,11 @@ alike print the same lines.
 
 --repo runs the sweep against another checkout's `src/`, with this
 checkout's scenarios and helpers, so a parent commit needs a copy of
-neither. --compact prints each field but the run's name as a short
-digest; `tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with
+neither. That checkout's `SimulatedApp` must take the spec dict itself,
+and its sessions must take gestures through `perform`.
+
+--compact prints each field but the run's name as a short digest;
+`tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with
 
     python3 scripts/sweep.py --compact > tests/data/sweep.jsonl
 
@@ -84,7 +87,7 @@ def sweep():
             for backend, steps, make_llm in backends(scenario):
                 for fast_path in (False, True):
                     llm = Counted(make_llm())
-                    device = CallLog(SimulatedDevice(SimulatedApp.from_dict(scenario.spec)))
+                    device = CallLog(SimulatedDevice(SimulatedApp(scenario.spec)))
                     trace = replay(steps, device, llm, corpus, Budgets(**budget), scenario.name,
                                    fast_path=fast_path)
                     assert device.threads <= {threading.get_ident()}, "a device call ran off the replay thread"

@@ -99,11 +99,17 @@ class SimulatedApp:
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial!r} is not defined")
         crash_states = spec.get("crash_states", [])
+        if not isinstance(crash_states, list):
+            raise ValueError(f"crash_states must be a list, not {crash_states!r}")
         for name in crash_states:
             if name not in self.states:
                 raise ValueError(f"crash state {name!r} is not defined")
         self.crash_states = frozenset(crash_states)
-        self.screen = tuple(spec.get("screen", (1080, 1920)))
+        screen = spec.get("screen", (1080, 1920))
+        if not (isinstance(screen, (list, tuple)) and len(screen) == 2
+                and all(type(v) is int and v > 0 for v in screen)):
+            raise ValueError(f"screen must be two positive integers, not {screen!r}")
+        self.screen = tuple(screen)
         # each state's nodes as (depth, id, node), ids of its full
         # encoding, deepest first and then the later id: a tap's hit order
         self.hit_order: dict[str, list[tuple[int, int, ViewNode]]] = {}
@@ -125,7 +131,7 @@ class SimulatedApp:
             if kind in ("tap", "double_tap", "long_tap", "input"):
                 subject = t["id"]
                 count = len(self.hit_order[state])
-                if not isinstance(subject, int) or not 0 <= subject < count:
+                if type(subject) is not int or not 0 <= subject < count:
                     raise ValueError(f"transition {(state, kind, subject)} cites id outside 0..{count - 1}")
             elif kind == "scroll":
                 subject = t["direction"]
@@ -136,10 +142,6 @@ class SimulatedApp:
             else:
                 raise ValueError(f"unknown gesture kind {kind!r}")
             self.transitions[(state, kind, subject)] = target
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulatedApp":
-        return cls(data)
 
     @classmethod
     def load(cls, path) -> "SimulatedApp":
@@ -348,12 +350,17 @@ class AdbDevice(DeviceSession):
 
     def dump_hierarchy(self) -> ViewNode:
         # a dump can fail ("ERROR: could not get idle state.", on either stream)
-        # and still exit 0, leaving the last dump's file; only this line says it wrote one
+        # and still exit 0, leaving the last dump's file; only this line says it
+        # wrote one, and a file that does not parse counts as a failed dump too
         for _ in range(self.DUMP_ATTEMPTS):
             out = self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
+            reason = f"{out.strip()}\n{getattr(out, 'stderr', '').strip()}".strip() or "no output"
             if "dumped to:" in out:
-                return parse_dump(self._adb("shell", "cat", self.DUMP_PATH))
-        reason = f"{out.strip()}\n{getattr(out, 'stderr', '').strip()}".strip() or "no output"
+                xml = self._adb("shell", "cat", self.DUMP_PATH)
+                try:
+                    return parse_dump(xml)
+                except DeviceError as exc:
+                    reason = str(exc)
         raise DeviceError(f"uiautomator dump failed {self.DUMP_ATTEMPTS} times: {reason}")
 
     def perform(self, gestures: list[tuple]) -> None:
@@ -363,33 +370,30 @@ class AdbDevice(DeviceSession):
                 raise ValueError(f"unknown gesture {gesture!r}")
             getattr(self, self._METHODS[kind])(*args)
 
+    def _input(self, *args) -> None:
+        self._adb("shell", "input", *map(str, args))
+
     def tap(self, x: int, y: int) -> None:
-        self._adb("shell", "input", "tap", str(x), str(y))
+        self._input("tap", x, y)
 
     def double_tap(self, x: int, y: int) -> None:
-        self._adb("shell", "input", "tap", str(x), str(y))
+        self._input("tap", x, y)
         time.sleep(self.DOUBLE_TAP_GAP_SECONDS)
-        self._adb("shell", "input", "tap", str(x), str(y))
+        self._input("tap", x, y)
 
     def long_tap(self, x: int, y: int) -> None:
-        self._adb(
-            "shell", "input", "swipe",
-            str(x), str(y), str(x), str(y), str(self.LONG_TAP_MS),
-        )
+        self._input("swipe", x, y, x, y, self.LONG_TAP_MS)
 
     def swipe(self, x1: int, y1: int, x2: int, y2: int) -> None:
-        self._adb(
-            "shell", "input", "swipe",
-            str(x1), str(y1), str(x2), str(y2), str(self.SWIPE_MS),
-        )
+        self._input("swipe", x1, y1, x2, y2, self.SWIPE_MS)
 
     def type_text(self, text: str) -> None:
         # input text reads every %s as a space, a literal one too
         for part in re.split(r"(?<=%)(?=s)", text):
-            self._adb("shell", "input", "text", shlex.quote(part.replace(" ", "%s")))
+            self._input("text", shlex.quote(part.replace(" ", "%s")))
 
     def press_back(self) -> None:
-        self._adb("shell", "input", "keyevent", "KEYCODE_BACK")
+        self._input("keyevent", "KEYCODE_BACK")
 
     def restart(self) -> None:
         if self.package:

@@ -66,14 +66,6 @@ class Bounds:
     def center(self) -> tuple[int, int]:
         return (self.left + self.right) // 2, (self.top + self.bottom) // 2
 
-    @property
-    def width(self) -> int:
-        return self.right - self.left
-
-    @property
-    def height(self) -> int:
-        return self.bottom - self.top
-
 
 @dataclass
 class ViewNode:

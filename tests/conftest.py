@@ -21,7 +21,7 @@ def scenario(request):
 
 
 def make_device(spec):
-    return SimulatedDevice(SimulatedApp.from_dict(spec))
+    return SimulatedDevice(SimulatedApp(spec))
 
 
 @pytest.fixture

@@ -560,14 +560,9 @@ class CallLog:
     """Delegates to a device session and logs each call just before it is
     made: a gesture as the trace's tuple, and any other call by name.
 
-    A gesture is logged the same whether the session takes it in a list
-    through `perform`, one gesture at a time here, or through a method of
-    its own, such as `tap(x, y)` or `press_back()`. Subclasses hook `note`.
+    `perform` hands the session one gesture at a time. Subclasses hook
+    `note`.
     """
-
-    # per-gesture session methods and the trace kind of each
-    KINDS = {"tap": "tap", "double_tap": "double_tap", "long_tap": "long_tap", "swipe": "swipe",
-             "type_text": "text", "press_back": "back", "restart": "restart"}
 
     def __init__(self, device):
         self.device = device
@@ -597,13 +592,9 @@ class CallLog:
             return perform
 
         def logged(*args):
-            self.note((self.KINDS[name], *args) if name in self.KINDS else name)
+            self.note(name)
             return attr(*args)
         return logged
-
-
-def guided_components(steps):
-    return [s.component for s in steps if s.component is not None]
 
 
 # ---------------------------------------------------- random view trees

@@ -76,7 +76,7 @@ class PromptCollector(LlmClient):
 
 
 def guided_run(scenario, llm=None, steps=None, budgets=None):
-    device = SimulatedDevice(SimulatedApp.from_dict(scenario.spec))
+    device = SimulatedDevice(SimulatedApp(scenario.spec))
     try:
         return replay(steps if steps is not None else scenario.steps, device,
                       PromptCollector(llm or scenario.oracle()),
@@ -324,5 +324,5 @@ def test_criterion_8_adb_command_goldens():
         ["adb", "shell", "input", "text", "hello%sworld"]]
 
     calls.clear()
-    device.press_back()
+    device.perform([("back",)])
     assert calls == [["adb", "shell", "input", "keyevent", "KEYCODE_BACK"]]

@@ -20,7 +20,7 @@ from bugreplay.gui import encode_gui, parse_dump, screen_digest
 from bugreplay.llm import LlmClient, prompt_digest
 from bugreplay.steps import BugReport
 
-from helpers import CallLog, scenario_single_step
+from helpers import CallLog, scenario_single_step, scenario_with_scroll
 
 REPORT = 'Tap "Crash me" on the main screen. The app crashes.'
 EXTRACTION = '1. [Tap] ["Crash me"]'
@@ -655,7 +655,9 @@ class TestUsageErrors:
         {"initial": "a", "states": {"a": {"tree": {"children": 5}}}},
         [],
         {"initial": "a", "states": {"a": {"xml": "<nope"}}},
-    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml"])
+        # a Scroll would need the screen's two sides
+        dict(scenario_with_scroll().spec, screen=[1080]),
+    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml", "one-number-screen"])
     def test_malformed_app_spec(self, ws, capsys, body):
         (ws / "bad_app.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["replay", "crash.txt", "--app", "bad_app.json", *targs(ws, [EXTRACTION])]

@@ -27,7 +27,7 @@ from helpers import (
 
 
 def app_from(scenario):
-    return SimulatedApp.from_dict(scenario.spec)
+    return SimulatedApp(scenario.spec)
 
 
 def center_of(device, component_text):
@@ -53,7 +53,7 @@ def _transition(**fields):
 def _raises(spec, error, message):
     """Loading `spec` raises exactly `error`, with `message` as its one argument."""
     with pytest.raises(error) as raised:
-        SimulatedApp.from_dict(spec)
+        SimulatedApp(spec)
     assert type(raised.value) is error
     assert raised.value.args == (message,)
 
@@ -61,7 +61,7 @@ def _raises(spec, error, message):
 class TestSimulatedAppValidation:
     """Each spec has one defect; the exception's type and message are pinned."""
 
-    def test_from_dict_normalizes_action_names(self):
+    def test_spec_normalizes_action_names(self):
         app = app_from(scenario_with_input())
         kinds = {kind for (_, kind, _) in app.transitions}
         assert kinds <= {"tap", "double_tap", "long_tap", "input", "scroll", "back"}
@@ -101,12 +101,24 @@ class TestSimulatedAppValidation:
                      "transition ('s0', 'input', '1') cites id outside 0..2", id="id-as-a-string"),
         pytest.param(_with(**_transition(action="scroll")), KeyError, "direction", id="no-direction"),
         pytest.param(_with(**_transition(action="double-tap")), KeyError, "id", id="no-id"),
+        pytest.param(_with(**_transition(action="tap", id=True)), ValueError,
+                     "transition ('s0', 'tap', True) cites id outside 0..2", id="id-as-a-bool"),
+        pytest.param(_with(crash_states="boom"), ValueError, "crash_states must be a list, not 'boom'",
+                     id="crash-states-a-string"),
+        pytest.param(_with(screen=[1080]), ValueError, "screen must be two positive integers, not [1080]",
+                     id="screen-one-number"),
+        pytest.param(_with(screen=[1080, True]), ValueError,
+                     "screen must be two positive integers, not [1080, True]", id="screen-with-a-bool"),
+        pytest.param(_with(screen=[1080, 0]), ValueError, "screen must be two positive integers, not [1080, 0]",
+                     id="screen-with-a-zero"),
+        pytest.param(_with(screen=1080), ValueError, "screen must be two positive integers, not 1080",
+                     id="screen-a-number"),
     ])
     def test_spec_error(self, spec, error, message):
         _raises(spec, error, message)
 
     def test_a_back_transition_ignores_an_id(self):
-        app = SimulatedApp.from_dict(_with(**_transition(action="back", id=3)))
+        app = SimulatedApp(_with(**_transition(action="back", id=3)))
         assert app.transitions == {("s0", "back", None): "s1"}
 
 
@@ -147,7 +159,7 @@ class TestSimulatedDevice:
         tree = {"bounds": [0, 0, 1080, 1920], "children": [
             {"bounds": box, "children": [{"bounds": box, "text": "inner"}]},
             {"bounds": box, "text": "overlay"}]}
-        device = SimulatedDevice(SimulatedApp.from_dict({
+        device = SimulatedDevice(SimulatedApp({
             "initial": "s0",
             "states": {name: {"tree": tree} for name in ("s0", "deep", "shallow")},
             "transitions": [{"from": "s0", "action": "tap", "id": 2, "to": "deep"},
@@ -170,7 +182,7 @@ class TestSimulatedDevice:
         spec["states"]["s0"]["tree"]["bounds"] = [0, 0, 500, 500]
         for child in spec["states"]["s0"]["tree"]["children"]:
             child["bounds"] = [0, 0, 100, 100]
-        device = SimulatedDevice(SimulatedApp.from_dict(spec))
+        device = SimulatedDevice(SimulatedApp(spec))
         device.perform([("tap", 400, 900)])
         assert device.current == "s0"
         device.close()
@@ -215,7 +227,7 @@ class TestSimulatedDevice:
         for direction in ("up", "down", "left", "right"):
             spec["states"][direction] = spec["states"]["s1"]
             spec["transitions"].append({"from": "s0", "action": "scroll", "direction": direction, "to": direction})
-        device = SimulatedDevice(SimulatedApp.from_dict(spec))
+        device = SimulatedDevice(SimulatedApp(spec))
         device.perform([("swipe", *start, *end)])
         assert device.current == expected
         device.close()
@@ -356,6 +368,7 @@ class RecordingRunner:
 
 
 GO_XML = '<hierarchy><node class="android.widget.Button" text="Go" bounds="[0,0][10,10]"/></hierarchy>'
+TRUNCATED_XML = GO_XML[:40]
 DUMPED = "UI hierchary dumped to: /sdcard/window_dump.xml\n"  # sic, as uiautomator prints it
 DUMP_CALL = ["adb", "shell", "uiautomator", "dump", "/sdcard/window_dump.xml"]
 CAT_CALL = ["adb", "shell", "cat", "/sdcard/window_dump.xml"]
@@ -365,45 +378,48 @@ class TestAdbDevice:
     def make(self, runner, **cfg):
         return AdbDevice(**cfg, runner=runner)
 
-    def test_tap(self):
+    def sent(self, *gestures, **cfg):
+        """The argv of each adb call that `perform(gestures)` makes, with no double-tap gap."""
         runner = RecordingRunner()
-        self.make(runner).tap(300, 640)
-        assert runner.calls == [["adb", "shell", "input", "tap", "300", "640"]]
+        device = self.make(runner, **cfg)
+        device.DOUBLE_TAP_GAP_SECONDS = 0
+        device.perform(list(gestures))
+        return runner.calls
+
+    # one gesture each, and the command lines it sends
+    def test_tap(self):
+        assert self.sent(("tap", 300, 640)) == [["adb", "shell", "input", "tap", "300", "640"]]
 
     def test_serial_inserted(self):
-        runner = RecordingRunner()
-        self.make(runner, serial="emulator-5554", adb_path="/opt/adb").tap(1, 2)
-        assert runner.calls == [
+        assert self.sent(("tap", 1, 2), serial="emulator-5554", adb_path="/opt/adb") == [
             ["/opt/adb", "-s", "emulator-5554", "shell", "input", "tap", "1", "2"]]
 
     def test_double_tap_is_two_taps(self):
-        runner = RecordingRunner()
-        device = self.make(runner)
-        device.DOUBLE_TAP_GAP_SECONDS = 0
-        device.double_tap(10, 20)
-        assert runner.calls == [["adb", "shell", "input", "tap", "10", "20"]] * 2
+        assert self.sent(("double_tap", 10, 20)) == [["adb", "shell", "input", "tap", "10", "20"]] * 2
 
     def test_long_tap_is_stationary_swipe(self):
-        runner = RecordingRunner()
-        self.make(runner).long_tap(10, 20)
-        assert runner.calls == [
+        assert self.sent(("long_tap", 10, 20)) == [
             ["adb", "shell", "input", "swipe", "10", "20", "10", "20", "800"]]
 
     def test_swipe(self):
-        runner = RecordingRunner()
-        self.make(runner).swipe(540, 1536, 540, 384)
-        assert runner.calls == [
+        assert self.sent(("swipe", 540, 1536, 540, 384)) == [
             ["adb", "shell", "input", "swipe", "540", "1536", "540", "384", "300"]]
 
     def test_text_spaces_become_percent_s(self):
-        runner = RecordingRunner()
-        self.make(runner).type_text("hello world")
-        assert runner.calls == [["adb", "shell", "input", "text", "hello%sworld"]]
+        assert self.sent(("text", "hello world")) == [["adb", "shell", "input", "text", "hello%sworld"]]
 
     def test_text_shell_metacharacters_are_quoted(self):
-        runner = RecordingRunner()
-        self.make(runner).type_text("a&b;c")
-        assert runner.calls == [["adb", "shell", "input", "text", "'a&b;c'"]]
+        assert self.sent(("text", "a&b;c")) == [["adb", "shell", "input", "text", "'a&b;c'"]]
+
+    def test_back(self):
+        assert self.sent(("back",)) == [["adb", "shell", "input", "keyevent", "KEYCODE_BACK"]]
+
+    def test_restart_sequence(self):
+        assert self.sent(("restart",), package="com.demo", launch_command="am start -n com.demo/.Main") == [
+            ["adb", "shell", "am", "force-stop", "com.demo"],
+            ["adb", "logcat", "-c"],
+            ["adb", "shell", "am", "start", "-n", "com.demo/.Main"],
+        ]
 
     def test_text_is_typed_as_given(self):
         # the device shell undoes the quoting, and input text reads every %s
@@ -411,25 +427,15 @@ class TestAdbDevice:
         for size in range(7):
             for chars in itertools.product(("a", " ", "%", "s"), repeat=size):
                 value = "".join(chars)
-                runner = RecordingRunner()
-                self.make(runner).type_text(value)
-                assert [argv[:-1] for argv in runner.calls] == [["adb", "shell", "input", "text"]] * (
+                calls = self.sent(("text", value))
+                assert [argv[:-1] for argv in calls] == [["adb", "shell", "input", "text"]] * (
                     value.count("%s") + 1)
-                typed = "".join(shlex.split(argv[-1])[0].replace("%s", " ") for argv in runner.calls)
+                typed = "".join(shlex.split(argv[-1])[0].replace("%s", " ") for argv in calls)
                 assert typed == value
 
-    def test_back(self):
-        runner = RecordingRunner()
-        self.make(runner).press_back()
-        assert runner.calls == [["adb", "shell", "input", "keyevent", "KEYCODE_BACK"]]
-
     def test_perform_sends_each_gesture_through_its_command(self):
-        runner = RecordingRunner()
-        device = self.make(runner, package="com.demo")
-        device.DOUBLE_TAP_GAP_SECONDS = 0
-        device.perform([("tap", 1, 2), ("double_tap", 3, 4), ("long_tap", 5, 6), ("swipe", 1, 2, 3, 4),
-                        ("text", "hi there"), ("back",), ("restart",)])
-        assert runner.calls == [
+        assert self.sent(("tap", 1, 2), ("double_tap", 3, 4), ("long_tap", 5, 6), ("swipe", 1, 2, 3, 4),
+                         ("text", "hi there"), ("back",), ("restart",), package="com.demo") == [
             ["adb", "shell", "input", "tap", "1", "2"],
             ["adb", "shell", "input", "tap", "3", "4"],
             ["adb", "shell", "input", "tap", "3", "4"],
@@ -474,6 +480,36 @@ class TestAdbDevice:
             self.make(runner).dump_hierarchy()
         assert runner.calls == [DUMP_CALL, DUMP_CALL]
 
+    def test_a_dump_whose_file_does_not_parse_is_retried_once(self):
+        runner = RecordingRunner(outputs={"uiautomator": DUMPED, "cat": [TRUNCATED_XML, GO_XML]})
+        root = self.make(runner).dump_hierarchy()
+        assert root.text == "Go"
+        assert runner.calls == [DUMP_CALL, CAT_CALL, DUMP_CALL, CAT_CALL]
+
+    @pytest.mark.parametrize("xml, reason", [
+        ("", "no element found: line 1, column 0"),
+        (TRUNCATED_XML, "unclosed token: line 1, column 11"),
+    ], ids=["empty", "truncated"])
+    def test_a_dump_whose_file_fails_to_parse_twice_is_a_device_error(self, xml, reason):
+        runner = RecordingRunner(outputs={"uiautomator": DUMPED, "cat": xml})
+        with pytest.raises(DeviceError) as caught:
+            self.make(runner).dump_hierarchy()
+        assert str(caught.value) == f"uiautomator dump failed 2 times: unparsable hierarchy dump: {reason}"
+        assert runner.calls == [DUMP_CALL, CAT_CALL] * 2
+
+    def test_a_cat_that_fails_is_not_retried(self):
+        runner = RecordingRunner(outputs={"uiautomator": DUMPED})
+
+        def failing_cat(argv):
+            if "cat" in argv:
+                runner.calls.append(argv)
+                raise DeviceError("adb shell cat exited 1: No such file or directory")
+            return runner(argv)
+
+        with pytest.raises(DeviceError, match="^adb shell cat exited 1"):
+            self.make(failing_cat).dump_hierarchy()
+        assert runner.calls == [DUMP_CALL, CAT_CALL]
+
     def test_a_dump_that_fails_twice_ends_the_replay_in_error(self, corpus):
         runner = RecordingRunner(outputs={"uiautomator": "ERROR: could not get idle state.\n", "cat": GO_XML})
         trace = replay([parse_step_text('[Tap] ["Go"]')], self.make(runner), ScriptedLlm(["[id=0]"]), corpus)
@@ -514,17 +550,6 @@ class TestAdbDevice:
         assert device.screen_size == (720, 1280)
         execute_step(device, parse_step_text("[Scroll] [up]"), None)
         assert runner.calls[-1] == ["adb", "shell", "input", "swipe", "360", "1024", "360", "256", "300"]
-
-    def test_restart_sequence(self):
-        runner = RecordingRunner()
-        device = self.make(runner, package="com.demo",
-                           launch_command="am start -n com.demo/.Main")
-        device.restart()
-        assert runner.calls == [
-            ["adb", "shell", "am", "force-stop", "com.demo"],
-            ["adb", "logcat", "-c"],
-            ["adb", "shell", "am", "start", "-n", "com.demo/.Main"],
-        ]
 
     def test_crashed_on_fatal_exception(self):
         runner = RecordingRunner(outputs={
@@ -573,7 +598,7 @@ class TestAdbDevice:
     def test_missing_adb_binary_is_a_device_error(self, tmp_path):
         device = self.make(None, adb_path=str(tmp_path / "no-adb"))
         with pytest.raises(DeviceError, match="no-adb"):
-            device.tap(1, 1)
+            device.perform([("tap", 1, 1)])
 
     def test_hung_adb_is_a_device_error(self, tmp_path, monkeypatch):
         adb = tmp_path / "slow-adb"
@@ -582,7 +607,7 @@ class TestAdbDevice:
         monkeypatch.setattr(device_module, "ADB_TIMEOUT_SECONDS", 0.2)
         started = time.monotonic()
         with pytest.raises(DeviceError, match="timed out"):
-            self.make(None, adb_path=str(adb)).tap(1, 1)
+            self.make(None, adb_path=str(adb)).perform([("tap", 1, 1)])
         assert time.monotonic() - started < 10
 
     def test_crash_log_that_is_not_utf8_still_counts(self, tmp_path):
@@ -595,7 +620,7 @@ class TestAdbDevice:
         def broken(argv):
             raise DeviceError("adb exited 1")
         with pytest.raises(DeviceError):
-            self.make(broken).tap(1, 1)
+            self.make(broken).perform([("tap", 1, 1)])
 
 
 def _refuse_pidfd(pid):

@@ -42,10 +42,9 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(10, 0, 5, 10)
 
-    def test_center_and_size(self):
+    def test_center(self):
         b = Bounds(0, 100, 100, 200)
         assert b.center() == (50, 150)
-        assert (b.width, b.height) == (100, 100)
 
 
 class TestTagMapping:

@@ -1,4 +1,5 @@
 """The guided replay loop: geometry, outcomes, backtracking, traces."""
+import dataclasses
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ import pytest
 from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError, TransportError
 from bugreplay.exemplars import ExemplarCorpus
-from bugreplay.gui import ViewNode, encode_gui, screen_digest
+from bugreplay.gui import Bounds, ViewNode, encode_gui, screen_digest
 from bugreplay.llm import LlmClient, TranscriptLlm, prompt_digest
 from bugreplay.replay import (
     Budgets,
@@ -55,7 +56,7 @@ CORPUS = ExemplarCorpus.builtin()
 
 
 def fresh_device(scenario):
-    return SimulatedDevice(SimulatedApp.from_dict(scenario.spec))
+    return SimulatedDevice(SimulatedApp(scenario.spec))
 
 
 def run(scenario, llm=None, budgets=None, steps=None, **kw):
@@ -343,7 +344,7 @@ def test_an_elided_answer_is_traced_by_its_full_id():
     # answer [id=7] names row 7; the event names it by its full id, 16,
     # on the screen its digest names
     scenario = rows_scenario()
-    full = encode_gui(SimulatedApp.from_dict(scenario.spec).states["rows"])
+    full = encode_gui(SimulatedApp(scenario.spec).states["rows"])
     llm = ScriptedLlm(["[id=7]"] * 3)
     trace = run(scenario, llm=llm, budgets=Budgets(tokens=520))
     assert "<p id=7>Row number 7</p>" in llm.prompts[0].segments[-2].text
@@ -374,7 +375,7 @@ class TestRestore:
     def test_presses_back_until_it_changes_nothing(self, backs, log, added):
         spec = _spec({name: {"tree": stacked(name, [])} for name in ("s0", "mid", "mid2", "mid3", "dead")},
                      [{"from": a, "action": "back", "to": b} for a, b in backs], "s0")
-        device = SimulatedDevice(SimulatedApp.from_dict(spec))
+        device = SimulatedDevice(SimulatedApp(spec))
         home = _dump_screen(device)
         device.current = "dead"
         gestures = list(log)
@@ -390,6 +391,29 @@ class TestRestore:
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.backtracks_used == 1
         assert trace.gestures == [SECOND, BACK, BACK, BACK, FIRST, FIRST]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 10: a restore matches the whole screen's digest, "
+                              "text included, so a screen whose clock ticks never matches")
+    @pytest.mark.parametrize("make_scenario", [scenario_two_branch, scenario_no_back_decoy],
+                             ids=["two-branch", "no-back-decoy"])
+    def test_a_ticking_clock_does_not_stop_a_restore(self, make_scenario):
+        class TickingDevice(SimulatedDevice):
+            """Each dump shows a clock at the foot of the screen, one minute on from the last."""
+
+            ticks = 0
+
+            def dump_hierarchy(self):
+                tree = super().dump_hierarchy()
+                self.ticks += 1
+                clock = ViewNode("android.widget.TextView", text=f"12:{self.ticks:02d}",
+                                 bounds=Bounds(0, 1800, 200, 1880))
+                return dataclasses.replace(tree, children=[*tree.children, clock])
+
+        scenario = make_scenario()
+        device = TickingDevice(SimulatedApp(scenario.spec))
+        trace = replay_on(device, scenario, scenario.oracle())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
 
 
 class TestRestorePrefix:
@@ -537,6 +561,19 @@ class TestBudgets:
     def test_negative_or_nan_budget_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=f"budget {name} must be a non-negative number"):
             Budgets(**{name: value})
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: the loop waits out a model call in flight "
+                              "with no timeout, past the wall budget")
+    def test_wall_budget_holds_inside_a_slow_model_call(self):
+        class SlowOracle(GuidanceOracle):
+            def _complete(self, prompt):
+                time.sleep(0.3)
+                return super()._complete(prompt)
+
+        scenario = scenario_linear_taps_5()
+        trace = run(scenario, llm=SlowOracle(bridges=scenario.bridges), budgets=Budgets(wall_seconds=0.5))
+        assert trace.wall_time <= 0.55
 
     def test_token_budget_reaches_guidance_prompts(self):
         trace = run(scenario_single_step(), budgets=Budgets(tokens=40))
