@@ -53,10 +53,6 @@ class _OutputError(Exception):
     """An artifact could not be written: a runtime failure."""
 
 
-# what the corpus and app spec loaders raise on a file of the wrong shape
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, AttributeError)
-
-
 @dataclass
 class RunConfig:
     """Everything one invocation resolved to, after precedence. Each
@@ -174,13 +170,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _load(what: str, path: str, reader):
+    """reader(path), where any failure to read the file, or a file of the
+    wrong shape or nested too deep, is a usage error that names it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError, BugReplayError) as exc:
+        raise _UsageError(f"cannot {what} {path}: {exc}") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from exc
+    data = _load("read config file", path, lambda p: json.loads(_read_text(p)))
     if not isinstance(data, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
     return data
@@ -221,10 +227,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_report(path: str) -> BugReport:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read report {path}: {exc}") from exc
+    text = _load("read report", path, _read_text)
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -238,13 +241,7 @@ def _load_report(path: str) -> BugReport:
 
 
 def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
-    if cfg.corpus:
-        try:
-            corpus = ExemplarCorpus.load(cfg.corpus)
-        except _MALFORMED as exc:
-            raise _UsageError(f"cannot load corpus {cfg.corpus}: {exc}") from exc
-    else:
-        corpus = ExemplarCorpus.builtin()
+    corpus = _load("load corpus", cfg.corpus, ExemplarCorpus.load) if cfg.corpus else ExemplarCorpus.builtin()
     if not corpus.extraction:
         raise _UsageError("corpus has no extraction exemplars")
     if cfg.command == "replay" and not corpus.guidance:
@@ -256,10 +253,7 @@ def _make_llm(cfg: RunConfig) -> LlmClient:
     if cfg.llm == "transcript":
         if not cfg.transcript:
             raise _UsageError("--llm transcript requires --transcript")
-        try:
-            return TranscriptLlm.from_file(cfg.transcript)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(f"cannot load transcript {cfg.transcript}: {exc}") from exc
+        return _load("load transcript", cfg.transcript, TranscriptLlm.from_file)
     if not cfg.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
     try:
@@ -361,11 +355,7 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
     if cfg.device == "simulated":
         if not cfg.app:
             raise _UsageError("--device simulated requires --app")
-        try:
-            app = SimulatedApp.load(cfg.app)
-        except (*_MALFORMED, DeviceError) as exc:
-            raise _UsageError(f"cannot load app spec {cfg.app}: {exc}") from exc
-        return SimulatedDevice(app)
+        return SimulatedDevice(_load("load app spec", cfg.app, SimulatedApp.load))
     try:
         launch = shlex.split(cfg.launch or "")
     except ValueError as exc:
@@ -454,10 +444,7 @@ def cmd_replay(cfg: RunConfig) -> int:
 
 
 def cmd_encode(dump_path: str) -> int:
-    try:
-        tree = parse_dump(Path(dump_path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, DeviceError) as exc:
-        raise _UsageError(f"cannot read dump {dump_path}: {exc}") from exc
+    tree = _load("read dump", dump_path, lambda p: parse_dump(_read_text(p)))
     print(encode_gui(tree).html)
     return 0
 

@@ -25,8 +25,9 @@ the bug firing. App spec files are JSON::
       ]
     }
 
-Tree literals use keys class, resource_id, text, content_desc,
-bounds [l, t, r, b], children.
+Tree literals use keys class (a string), resource_id, text and
+content_desc (each a string or null), bounds [l, t, r, b] (four integers)
+and children (a list of tree literals).
 """
 from __future__ import annotations
 
@@ -69,7 +70,14 @@ class DeviceSession(ABC):
 
 
 def _tree_from_literal(data: dict) -> ViewNode:
+    for key in ("class", "resource_id", "text", "content_desc"):
+        value = data.get(key, "")
+        if not (isinstance(value, str) or value is None and key != "class"):
+            raise ValueError(f"tree field {key!r} must be a string, not {value!r}")
     bounds = data.get("bounds")
+    if bounds is not None and not (isinstance(bounds, (list, tuple)) and len(bounds) == 4
+                                   and all(type(v) is int for v in bounds)):
+        raise ValueError(f"tree field 'bounds' must be four integers, not {bounds!r}")
     return ViewNode(
         class_name=data.get("class", "android.widget.FrameLayout"),
         resource_id=data.get("resource_id"),

@@ -11,10 +11,12 @@ from __future__ import annotations
 import html as html_mod
 import random
 import re
+import shlex
 import threading
 import time
 from collections import deque
 from dataclasses import replace
+from xml.sax.saxutils import quoteattr
 
 from bugreplay.llm import LlmClient
 from bugreplay.steps import ActionType, bracket_tokens, parse_step_text, strip_quotes
@@ -595,6 +597,95 @@ class CallLog:
             self.note(name)
             return attr(*args)
         return logged
+
+
+def dump_xml(root):
+    """A view tree as uiautomator writes its dump, on one line."""
+    def node(n):
+        b = n.bounds
+        return (f"<node text={quoteattr(n.text or '')} resource-id={quoteattr(n.resource_id or '')} "
+                f"class={quoteattr(n.class_name)} content-desc={quoteattr(n.content_desc or '')} "
+                f'bounds="[{b.left},{b.top}][{b.right},{b.bottom}]">'
+                f"{''.join(map(node, n.children))}</node>")
+    return f"<?xml version='1.0' encoding='UTF-8' standalone='yes' ?><hierarchy rotation=\"0\">{node(root)}</hierarchy>"
+
+
+class AdbFront:
+    """An adb runner over a SimulatedDevice, for `AdbDevice(runner=...)`:
+    it answers the commands AdbDevice sends by acting on the device.
+
+    A tap waits for the next command. A second tap at the same point with
+    nothing between makes the two a double tap when the node hit has a
+    double-tap transition, as Android's gesture detector would; else each
+    is a tap. Consecutive `input text` calls type one value, with the
+    shell's quoting and `%s` undone. A swipe that stays in place for at
+    least LONG_PRESS_MS is a long tap. The launch command restarts the
+    app; the crash buffer holds a FATAL EXCEPTION naming the package while
+    the app is in a crash state.
+    """
+
+    LONG_PRESS_MS = 500
+
+    def __init__(self, device, package, launch_command):
+        self.device = device
+        self.package = package
+        self.launch = ["shell", *shlex.split(launch_command)]
+        self.files = {}
+        self.pending = None
+
+    def __call__(self, argv):
+        args = argv[3:] if argv[1:2] == ["-s"] else argv[1:]
+        if args[:3] == ["shell", "input", "tap"]:
+            x, y = map(int, args[3:])
+            if self.pending == ("tap", x, y) and self._double_tap_hits(x, y):
+                self.pending = None
+                self.device.perform([("double_tap", x, y)])
+            else:
+                self._flush(("tap", x, y))
+            return ""
+        if args[:3] == ["shell", "input", "text"]:
+            [word] = args[3:]
+            value = shlex.split(word)[0].replace("%s", " ")
+            if self.pending and self.pending[0] == "text":
+                self.pending = ("text", self.pending[1] + value)
+            else:
+                self._flush(("text", value))
+            return ""
+        self._flush()
+        if args[:3] == ["shell", "input", "swipe"]:
+            x1, y1, x2, y2, ms = map(int, args[3:])
+            long_press = (x1, y1) == (x2, y2) and ms >= self.LONG_PRESS_MS
+            self.device.perform([("long_tap", x1, y1) if long_press else ("swipe", x1, y1, x2, y2)])
+        elif args == ["shell", "input", "keyevent", "KEYCODE_BACK"]:
+            self.device.perform([("back",)])
+        elif args == self.launch:
+            self.device.perform([("restart",)])
+        elif args in (["shell", "am", "force-stop", self.package], ["logcat", "-c"]):
+            pass
+        elif args == ["logcat", "-d", "-b", "crash"]:
+            if self.device.crashed():
+                return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
+                        f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
+        elif args == ["shell", "wm", "size"]:
+            return "Physical size: {}x{}\n".format(*self.device.screen_size)
+        elif args[:3] == ["shell", "uiautomator", "dump"]:
+            self.files[args[3]] = dump_xml(self.device.dump_hierarchy())
+            return f"UI hierchary dumped to: {args[3]}\n"
+        elif args[:2] == ["shell", "cat"]:
+            return self.files[args[2]]
+        else:
+            raise AssertionError(f"adb front does not answer {argv}")
+        return ""
+
+    def _double_tap_hits(self, x, y):
+        device = self.device
+        return (device.current, "double_tap", device._hit(x, y, "double_tap")) in device.app.transitions
+
+    def _flush(self, pending=None):
+        """Make the gesture waiting for the next command, and hold `pending` instead."""
+        if self.pending:
+            self.device.perform([self.pending])
+        self.pending = pending
 
 
 # ---------------------------------------------------- random view trees

@@ -1,4 +1,5 @@
 """The bugreplay command line: exit codes, artifacts, precedence, secrecy."""
+import itertools
 import json
 import os
 import threading
@@ -63,6 +64,12 @@ def logging_adb(ws):
     adb.write_text('#!/bin/sh\necho "$@" >> "$(dirname "$0")/adb-calls.log"\n', encoding="utf-8")
     adb.chmod(0o755)
     return adb
+
+
+def _with_root(spec, **fields):
+    """spec with `fields` set on the root of its initial state's tree."""
+    first = spec["initial"]
+    return spec | {"states": spec["states"] | {first: {"tree": spec["states"][first]["tree"] | fields}}}
 
 
 def transcript(ws, responses, mode="sequence", name="t.json"):
@@ -641,7 +648,12 @@ class TestUsageErrors:
         {"extraction": [{"input": REPORT, "cot": "c", "output": [EXTRACTION]}],
          "guidance": [{"gui_html": "<button id=1>Crash me</button>", "query": EXTRACTION,
                        "cot": "c", "output": 5}]},
-    ], ids=["list", "extraction-number", "output-number", "input-number", "guidance-output-number"])
+        {"extraction": [{"input": REPORT, "cot": "c", "output": ['1. [Open] ["x"]']}]},
+        {"extraction": [{"input": REPORT, "cot": "c", "output": [EXTRACTION]}],
+         "guidance": [{"gui_html": "<button id=1>Crash me</button>", "query": EXTRACTION,
+                       "cot": "c", "output": "no idea"}]},
+    ], ids=["list", "extraction-number", "output-number", "input-number", "guidance-output-number",
+            "output-step-unparsable", "guidance-output-unparsable"])
     def test_malformed_corpus(self, ws, capsys, body):
         (ws / "corpus.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["extract", "crash.txt", "--corpus", "corpus.json", *targs(ws, [EXTRACTION])]
@@ -657,13 +669,27 @@ class TestUsageErrors:
         {"initial": "a", "states": {"a": {"xml": "<nope"}}},
         # a Scroll would need the screen's two sides
         dict(scenario_with_scroll().spec, screen=[1080]),
-    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml", "one-number-screen"])
+        # the lexical fast path would read the label
+        _with_root(scenario_single_step().spec, content_desc=3),
+    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml", "one-number-screen",
+            "content-desc-number"])
     def test_malformed_app_spec(self, ws, capsys, body):
         (ws / "bad_app.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["replay", "crash.txt", "--app", "bad_app.json", *targs(ws, [EXTRACTION])]
         assert main(args) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cannot load app spec bad_app.json: ")
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--config", "read config file"), ("--corpus", "load corpus"),
+        ("--transcript", "load transcript"), ("--app", "load app spec"),
+    ], ids=["config", "corpus", "transcript", "app"])
+    def test_file_nested_too_deep(self, ws, capsys, flag, what):
+        (ws / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        files = {"--app": "app.json", "--transcript": transcript(ws, [EXTRACTION]), flag: "deep.json"}
+        assert main(["replay", "crash.txt", "--llm", "transcript", *itertools.chain(*files.items())]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cannot {what} deep.json: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("command, env, config, source", [
         ("extract", {"BUGREPLAY_RUNS": "abc"}, {}, "BUGREPLAY_RUNS"),

@@ -1,6 +1,7 @@
 """Device sessions: the simulated app, adb command wiring, omissions."""
 import itertools
 import os
+import random
 import shlex
 import sys
 import time
@@ -10,15 +11,18 @@ import pytest
 import bugreplay.device as device_module
 from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
-from bugreplay.gui import encode_gui
+from bugreplay.gui import encode_gui, parse_dump
 from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
 from bugreplay.steps import ActionType, parse_step_text
 
 from helpers import (
     CRASH_STATE,
+    AdbFront,
     ScriptedLlm,
     all_scenarios,
+    dump_xml,
     find_id_by_text,
+    random_view_tree,
     scenario_linear_taps_3,
     scenario_with_input,
     synthesize_omissions,
@@ -44,6 +48,11 @@ def _with(**changes):
     for key, change in changes.items():
         spec[key] = change(spec[key]) if callable(change) else change
     return spec
+
+
+def _tree(**fields):
+    """scenario_linear_taps_3's spec with `fields` set on the root of s0's tree literal."""
+    return _with(states=lambda states: states | {"s0": {"tree": states["s0"]["tree"] | fields}})
 
 
 def _transition(**fields):
@@ -113,9 +122,33 @@ class TestSimulatedAppValidation:
                      id="screen-with-a-zero"),
         pytest.param(_with(screen=1080), ValueError, "screen must be two positive integers, not 1080",
                      id="screen-a-number"),
+        pytest.param(_tree(content_desc=3), ValueError,
+                     "tree field 'content_desc' must be a string, not 3", id="content-desc-number"),
+        pytest.param(_tree(text=["Main"]), ValueError,
+                     "tree field 'text' must be a string, not ['Main']", id="text-list"),
+        pytest.param(_tree(resource_id=7), ValueError,
+                     "tree field 'resource_id' must be a string, not 7", id="resource-id-number"),
+        pytest.param(_tree(**{"class": None}), ValueError,
+                     "tree field 'class' must be a string, not None", id="class-null"),
+        pytest.param(_tree(**{"class": 5}), ValueError,
+                     "tree field 'class' must be a string, not 5", id="class-number"),
+        pytest.param(_tree(bounds=[0, 0, 1080]), ValueError,
+                     "tree field 'bounds' must be four integers, not [0, 0, 1080]", id="bounds-three"),
+        pytest.param(_tree(bounds=[0, 0, 1080, True]), ValueError,
+                     "tree field 'bounds' must be four integers, not [0, 0, 1080, True]", id="bounds-with-a-bool"),
+        pytest.param(_tree(bounds=[0, 0, 1080.0, 1920]), ValueError,
+                     "tree field 'bounds' must be four integers, not [0, 0, 1080.0, 1920]", id="bounds-with-a-float"),
+        pytest.param(_tree(bounds="0 0 1080 1920"), ValueError,
+                     "tree field 'bounds' must be four integers, not '0 0 1080 1920'", id="bounds-a-string"),
     ])
     def test_spec_error(self, spec, error, message):
         _raises(spec, error, message)
+
+    def test_null_strings_and_absent_bounds_load(self):
+        app = SimulatedApp(_tree(resource_id=None, text=None, content_desc=None, bounds=None))
+        root = app.states["s0"]
+        assert (root.resource_id, root.text, root.content_desc) == (None, None, None)
+        assert (root.bounds.right, root.bounds.bottom) == (0, 0)
 
     def test_a_back_transition_ignores_an_id(self):
         app = SimulatedApp(_with(**_transition(action="back", id=3)))
@@ -621,6 +654,34 @@ class TestAdbDevice:
             raise DeviceError("adb exited 1")
         with pytest.raises(DeviceError):
             self.make(broken).perform([("tap", 1, 1)])
+
+
+PACKAGE, LAUNCH = "com.example.app", "am start -n com.example.app/.Main"
+
+
+@pytest.mark.parametrize("fast_path", [False, True], ids=["paper-loop", "fast-path"])
+def test_replay_over_adb_matches_the_simulated_device(scenario, corpus, monkeypatch, fast_path):
+    # AdbDevice over the adb front acts on a SimulatedDevice, so the
+    # trace of every scenario must be the one the device gives directly
+    monkeypatch.setattr(AdbDevice, "DOUBLE_TAP_GAP_SECONDS", 0)
+
+    def trace(device):
+        data = replay(scenario.steps, device, scenario.oracle(), corpus, None, scenario.name,
+                      fast_path=fast_path).to_dict()
+        del data["wall_time"]
+        return data
+
+    front = AdbFront(SimulatedDevice(app_from(scenario)), PACKAGE, LAUNCH)
+    over_adb = trace(AdbDevice(runner=front, package=PACKAGE, launch_command=LAUNCH))
+    assert over_adb == trace(SimulatedDevice(app_from(scenario)))
+    assert over_adb["outcome"] == "bug_triggered"
+
+
+def test_dump_xml_round_trips_through_parse_dump():
+    rng = random.Random(11)
+    for _ in range(30):
+        tree = random_view_tree(rng, max_nodes=60)
+        assert encode_gui(parse_dump(dump_xml(tree))).html == encode_gui(tree).html
 
 
 def _refuse_pidfd(pid):
