@@ -57,7 +57,6 @@ def main():
     device = SimulatedDevice(SimulatedApp(APP))
     llm = TranscriptLlm(GUIDANCE, mode="sequence")
     trace = replay(STEPS, device, llm, ExemplarCorpus.builtin(), report_id="demo-7")
-    device.close()
 
     print(f"outcome: {trace.outcome.value}")
     for event in trace.events:
@@ -71,7 +70,6 @@ def main():
     fresh = SimulatedDevice(SimulatedApp(APP))
     fresh.perform(trace.gestures)
     print(f"gesture log replayed on a fresh session: crashed={fresh.crashed()}")
-    fresh.close()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Equivalence sweep of the replay loop on simulated devices.
+"""Equivalence sweep of the replay loop on simulated devices, direct and over adb.
 
 Runs every scenario in `tests/helpers.all_scenarios()` under five budgets
 and several guidance backends, with the lexical fast path off and on, and
@@ -6,8 +6,12 @@ prints one JSON line per run: the trace (less `wall_time`), its outcome,
 the model-call count, a hash of the ordered prompt digests, the dump and
 crash-check counts, and hashes of the device calls, in order and sorted.
 `tests/helpers.CallLog` logs the device calls, each gesture as the trace's
-tuple that `perform` takes. Two checkouts that should behave alike print
-the same lines.
+tuple that `perform` takes. Each run is replayed again, with a fresh
+backend, over `AdbDevice` whose runner hands each adb call to
+`tests/helpers.AdbFront` over a fresh `SimulatedDevice`; its trace must
+equal the direct run's, or the sweep stops and exits 1. The line adds the
+adb call count and hashes of the argv log, sorted and in order. Two
+checkouts that should behave alike print the same lines.
 
     python3 scripts/sweep.py > change.jsonl
     python3 scripts/sweep.py --repo ../parent > parent.jsonl
@@ -16,7 +20,8 @@ the same lines.
 --repo runs the sweep against another checkout's `src/`, with this
 checkout's scenarios and helpers, so a parent commit needs a copy of
 neither. That checkout's `SimulatedApp` must take the spec dict itself,
-and its sessions must take gestures through `perform`.
+its `AdbDevice` its settings as keywords, and its sessions must take
+gestures through `perform`.
 
 --compact prints each field but the run's name as a short digest;
 `tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with
@@ -25,7 +30,7 @@ and its sessions must take gestures through `perform`.
 
 --diff takes full or compact sweeps, prints for each field how many runs
 differ and names them, and exits 1 if any field other than
-`device_order` differs.
+`device_order` and `adb_order` differs.
 """
 from __future__ import annotations
 
@@ -45,6 +50,10 @@ BUDGETS = {
     "no-missing": {"max_missing_depth": 0},
     "tokens-900": {"tokens": 900},
 }
+# the app the adb runs address, and the command that starts it again
+PACKAGE, LAUNCH = "com.example.sweep", "am start -n com.example.sweep/.Main"
+# fields that may differ between two checkouts that behave alike
+ORDER_FIELDS = ("device_order", "adb_order")
 
 
 def _digest(items) -> str:
@@ -53,11 +62,11 @@ def _digest(items) -> str:
 
 def sweep():
     """One record per run, in a fixed order."""
-    from bugreplay.device import SimulatedApp, SimulatedDevice
+    from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
     from bugreplay.exemplars import ExemplarCorpus
     from bugreplay.llm import LlmClient, prompt_digest
     from bugreplay.replay import Budgets, replay
-    from helpers import AlwaysMissingLlm, CallLog, GuidanceOracle, all_scenarios, synthesize_omissions
+    from helpers import AdbFront, AlwaysMissingLlm, CallLog, GuidanceOracle, all_scenarios, synthesize_omissions
 
     corpus = ExemplarCorpus.builtin()
 
@@ -82,19 +91,41 @@ def sweep():
                 for seed in range(5):
                     yield f"omit-k{k}-s{seed}", synthesize_omissions(scenario.steps, k, seed), scenario.oracle
 
+    def run(steps, device, llm, scenario, budget, fast_path):
+        data = replay(steps, device, llm, corpus, Budgets(**budget), scenario.name,
+                      fast_path=fast_path).to_dict()
+        del data["wall_time"]
+        return data
+
+    def over_adb(steps, llm, scenario, budget, fast_path):
+        """The run over AdbDevice and the adb front, the argv of each adb
+        call it made, and the threads that made them."""
+        front = AdbFront(SimulatedDevice(SimulatedApp(scenario.spec)), PACKAGE, LAUNCH)
+        argv_log, threads = [], set()
+
+        def runner(argv):
+            argv_log.append(argv)
+            threads.add(threading.get_ident())
+            return front(argv)
+
+        adb = AdbDevice(runner=runner, package=PACKAGE, launch_command=LAUNCH)
+        adb.DOUBLE_TAP_GAP_SECONDS = 0
+        return run(steps, adb, llm, scenario, budget, fast_path), argv_log, threads
+
     for budget_name, budget in BUDGETS.items():
         for scenario in all_scenarios():
             for backend, steps, make_llm in backends(scenario):
                 for fast_path in (False, True):
+                    name = f"{scenario.name}/{budget_name}/{backend}/fast={fast_path}"
                     llm = Counted(make_llm())
                     device = CallLog(SimulatedDevice(SimulatedApp(scenario.spec)))
-                    trace = replay(steps, device, llm, corpus, Budgets(**budget), scenario.name,
-                                   fast_path=fast_path)
-                    assert device.threads <= {threading.get_ident()}, "a device call ran off the replay thread"
-                    data = trace.to_dict()
-                    del data["wall_time"]
+                    data = run(steps, device, llm, scenario, budget, fast_path)
+                    adb_data, argv_log, threads = over_adb(steps, make_llm(), scenario, budget, fast_path)
+                    assert adb_data == data, f"{name}: the adb run's trace differs from the simulated run's"
+                    assert device.threads | threads <= {threading.get_ident()}, \
+                        f"{name}: a device call ran off the replay thread"
                     yield {
-                        "run": f"{scenario.name}/{budget_name}/{backend}/fast={fast_path}",
+                        "run": name,
                         "trace": data,
                         "outcome": data["outcome"],
                         "model_calls": len(llm.digests),
@@ -103,6 +134,9 @@ def sweep():
                         "crash_checks": device.calls.count("crashed"),
                         "device_order": _digest(device.calls),
                         "device_calls": _digest(sorted(map(json.dumps, device.calls))),
+                        "adb_calls": len(argv_log),
+                        "adb_argv": _digest(sorted(map(json.dumps, argv_log))),
+                        "adb_order": _digest(argv_log),
                     }
 
 
@@ -125,7 +159,7 @@ def diff(a_path: str, b_path: str) -> int:
         differ = [x["run"] for x, y in zip(a, b) if x[field] != y.get(field)]
         named = ", ".join(differ[:5]) + (f" and {len(differ) - 5} more" if len(differ) > 5 else "")
         print(f"{field}: {len(differ)} of {len(a)} runs differ" + (f": {named}" if differ else ""))
-        failed |= bool(differ) and field != "device_order"
+        failed |= bool(differ) and field not in ORDER_FIELDS
     return 1 if failed else 0
 
 

@@ -403,17 +403,12 @@ def cmd_replay(cfg: RunConfig) -> int:
     llm = _make_llm(cfg)
     device = _make_device(cfg)
     base = _out_base(cfg)
-    traces: list[ReplayTrace] = []
-    try:
-        # the device starts while the model extracts; only a replay
-        # reads how that start went
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            started = pool.submit(_fresh_start, device)
-            candidates, extraction_runs = _run_extraction(cfg, report, llm, corpus)
-        if candidates:
-            traces = _replay_runs(cfg, candidates, llm, corpus, report.id, device, started)
-    finally:
-        device.close()
+    # the device starts while the model extracts; only a replay
+    # reads how that start went
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        started = pool.submit(_fresh_start, device)
+        candidates, extraction_runs = _run_extraction(cfg, report, llm, corpus)
+    traces = _replay_runs(cfg, candidates, llm, corpus, report.id, device, started) if candidates else []
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     trace_path = Path(f"{base}.trace.json")
     _write(trace_path, {

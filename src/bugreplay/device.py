@@ -65,9 +65,6 @@ class DeviceSession(ABC):
     @abstractmethod
     def crashed(self) -> bool: ...
 
-    def close(self) -> None:
-        pass
-
 
 def _tree_from_literal(data: dict) -> ViewNode:
     for key in ("class", "resource_id", "text", "content_desc"):
@@ -171,15 +168,10 @@ class SimulatedDevice(DeviceSession):
         self.app = app
         self.current = app.initial
         self._focused: int | None = None
-        self._closed = False
 
     @property
     def screen_size(self) -> tuple[int, int]:
         return self.app.screen
-
-    def _check_open(self):
-        if self._closed:
-            raise DeviceError("session is closed")
 
     def _hit(self, x: int, y: int, kind: str) -> int | None:
         containing = [
@@ -192,12 +184,10 @@ class SimulatedDevice(DeviceSession):
         return (keyed or containing)[0] if containing else None
 
     def dump_hierarchy(self) -> ViewNode:
-        self._check_open()
         return self.app.states[self.current]
 
     def perform(self, gestures: list[tuple]) -> None:
         for gesture in gestures:
-            self._check_open()
             kind, *args = gesture
             if kind == "restart":
                 self.current, self._focused = self.app.initial, None
@@ -227,11 +217,7 @@ class SimulatedDevice(DeviceSession):
                 self.current = target
 
     def crashed(self) -> bool:
-        self._check_open()
         return self.current in self.app.crash_states
-
-    def close(self) -> None:
-        self._closed = True
 
 
 # seconds one adb call may take before it counts as hung
@@ -338,7 +324,8 @@ class AdbDevice(DeviceSession):
                  launch_command: str | None = None, runner=None):
         self._prefix = [adb_path, "-s", serial] if serial else [adb_path]
         self.package = package
-        self.launch_command = launch_command
+        # split now, so that a command the shell cannot parse fails here, not at a restore
+        self._launch = shlex.split(launch_command or "")
         self._runner = runner or _run_subprocess
         self._size: tuple[int, int] | None = None
 
@@ -407,8 +394,8 @@ class AdbDevice(DeviceSession):
         if self.package:
             self._adb("shell", "am", "force-stop", self.package)
         self._adb("logcat", "-c")
-        if self.launch_command:
-            self._adb("shell", *shlex.split(self.launch_command))
+        if self._launch:
+            self._adb("shell", *self._launch)
 
     def crashed(self) -> bool:
         """Whether the crash buffer holds a Java crash (a FATAL EXCEPTION

@@ -100,6 +100,9 @@ class HttpLlm(LlmClient):
         if proxy and not https:
             self._target = f"http://{url.netloc}{self._target}"
             self._headers.update(proxy_headers)
+        if not self._target.isascii():
+            raise ValueError("the endpoint's request target must be ASCII: percent-encode its path and query,"
+                             " and write a host reached through an http proxy in its xn-- form")
         self._tls = ssl.create_default_context() if https else None
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()

@@ -77,12 +77,9 @@ class PromptCollector(LlmClient):
 
 def guided_run(scenario, llm=None, steps=None, budgets=None):
     device = SimulatedDevice(SimulatedApp(scenario.spec))
-    try:
-        return replay(steps if steps is not None else scenario.steps, device,
-                      PromptCollector(llm or scenario.oracle()),
-                      CORPUS, budgets, scenario.name)
-    finally:
-        device.close()
+    return replay(steps if steps is not None else scenario.steps, device,
+                  PromptCollector(llm or scenario.oracle()),
+                  CORPUS, budgets, scenario.name)
 
 
 PUBLISHED_STEPS = [

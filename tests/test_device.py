@@ -164,26 +164,13 @@ class TestSimulatedDevice:
         second.perform([("tap", *center_of(second, "Alpha"))])
         second.perform([("tap", *center_of(second, "Bravo"))])
         assert (first.current, second.current) == ("s1", "s2")
-        first.close()
         assert second.crashed() is False
-        second.close()
-
-    def test_closed_session_rejects_use(self):
-        device = SimulatedDevice(app_from(scenario_linear_taps_3()))
-        device.close()
-        with pytest.raises(DeviceError):
-            device.perform([("tap", 1, 1)])
-        with pytest.raises(DeviceError):
-            device.dump_hierarchy()
-        with pytest.raises(DeviceError):
-            device.crashed()
 
     def test_tap_prefers_transition_bearing_node(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
         x, y = center_of(device, "Alpha")
         device.perform([("tap", x, y)])
         assert device.current == "s1"
-        device.close()
 
     def test_deeper_node_beats_a_later_shallower_sibling(self):
         # ids: root 0, outer 1, inner 2, overlay 3; inner and overlay both
@@ -200,14 +187,12 @@ class TestSimulatedDevice:
         }))
         device.perform([("tap", 540, 250)])
         assert device.current == "deep"
-        device.close()
 
     def test_tap_on_plain_node_changes_nothing(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
         x, y = center_of(device, "Screen 0")
         device.perform([("tap", x, y)])
         assert device.current == "s0"
-        device.close()
 
     def test_tap_outside_everything_is_harmless(self):
         scenario = scenario_linear_taps_3()
@@ -218,7 +203,6 @@ class TestSimulatedDevice:
         device = SimulatedDevice(SimulatedApp(spec))
         device.perform([("tap", 400, 900)])
         assert device.current == "s0"
-        device.close()
 
     def test_right_and_bottom_edges_are_exclusive(self):
         device = SimulatedDevice(app_from(scenario_linear_taps_3()))
@@ -227,7 +211,6 @@ class TestSimulatedDevice:
         assert device.current == "s0"
         device.perform([("tap", 1039, 289)])
         assert device.current == "s1"
-        device.close()
 
     def test_input_needs_focus(self):
         device = SimulatedDevice(app_from(scenario_with_input()))
@@ -236,7 +219,6 @@ class TestSimulatedDevice:
         x, y = center_of(device, "Title")
         device.perform([("tap", x, y), ("text", "Hello")])
         assert device.current == "s1"
-        device.close()
 
     @pytest.mark.parametrize("gesture", ["double_tap", "long_tap"])
     def test_double_and_long_taps_leave_focus_alone(self, gesture):
@@ -245,7 +227,6 @@ class TestSimulatedDevice:
                         (gesture, *center_of(device, "Create note")),
                         ("text", "Hello")])      # still lands in "Title"
         assert device.current == "s1"
-        device.close()
 
     @pytest.mark.parametrize("start,end,expected", [
         ((540, 1500), (540, 400), "up"),
@@ -263,7 +244,6 @@ class TestSimulatedDevice:
         device = SimulatedDevice(SimulatedApp(spec))
         device.perform([("swipe", *start, *end)])
         assert device.current == expected
-        device.close()
 
     def test_back_restart_crash(self):
         scenario = scenario_linear_taps_3()
@@ -277,7 +257,6 @@ class TestSimulatedDevice:
         for label in ("Alpha", "Bravo", "Charlie"):
             device.perform([("tap", *center_of(device, label))])
         assert device.crashed()
-        device.close()
 
 
 def drive(device, steps):
@@ -313,7 +292,6 @@ def test_every_scenario_drives_to_crash_on_the_device():
         device = SimulatedDevice(app_from(scenario))
         drive(device, scenario.steps)
         assert device.crashed(), scenario.name
-        device.close()
 
 
 def test_scenario_transitions_are_reachable_and_deterministic():
@@ -453,6 +431,13 @@ class TestAdbDevice:
             ["adb", "logcat", "-c"],
             ["adb", "shell", "am", "start", "-n", "com.demo/.Main"],
         ]
+
+    def test_an_unbalanced_launch_command_fails_when_built(self):
+        with pytest.raises(ValueError, match="No closing quotation"):
+            self.make(RecordingRunner(), launch_command="am start -n 'x")
+
+    def test_a_blank_launch_command_relaunches_nothing(self):
+        assert self.sent(("restart",), launch_command="  ") == [["adb", "logcat", "-c"]]
 
     def test_text_is_typed_as_given(self):
         # the device shell undoes the quoting, and input text reads every %s
@@ -773,14 +758,12 @@ def test_apply_gestures_round_trip():
                 ("text", "Hello"), ("back",)]
     apply_gestures(device, gestures)
     assert device.current == "s1"
-    device.close()
 
 
 def test_apply_gestures_rejects_unknown():
     device = SimulatedDevice(app_from(scenario_linear_taps_3()))
     with pytest.raises(ValueError):
         apply_gestures(device, [("teleport", 1, 2)])
-    device.close()
 
 
 def test_scenario_specs_are_valid_app_specs(write_json):
@@ -797,4 +780,3 @@ def test_find_id_matches_device_hit():
     nid = find_id_by_text(scenario.spec["states"]["s0"]["tree"], "Alpha")
     x, y = center_of(device, "Alpha")
     assert device._hit(x, y, "tap") == nid
-    device.close()

@@ -170,12 +170,18 @@ class TestHttpLlm:
 
     @pytest.mark.parametrize("endpoint", [
         "localhost:9/v1", "ftp://llm.test/v1", "http:///v1", "http://llm.test:port/v1",
-        "http://user:pw@llm.test/v1",
+        "http://user:pw@llm.test/v1", "http://llm.test/v1/ch\u00e4t", "http://llm.test/v1?model=\u00e9",
     ])
     def test_rejects_an_endpoint_that_is_not_an_http_url(self, endpoint):
         with pytest.raises(ValueError) as raised:
             HttpLlm(endpoint)
         assert "pw" not in str(raised.value)
+
+    @pytest.mark.parametrize("endpoint", ["http://llm.test/v1/ch\u00e4t", "http://b\u00fccher.test/v1"])
+    def test_rejects_a_request_target_that_is_not_ascii_through_a_proxy(self, monkeypatch, endpoint):
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.test:3128")
+        with pytest.raises(ValueError, match="request target must be ASCII"):
+            HttpLlm(endpoint)
 
     @pytest.mark.parametrize("key", ["sk-abc\nX-Injected: 1", "sk-\u00e9"])
     def test_rejects_a_key_that_cannot_be_a_header(self, key):

@@ -61,12 +61,9 @@ def fresh_device(scenario):
 
 def run(scenario, llm=None, budgets=None, steps=None, **kw):
     device = fresh_device(scenario)
-    try:
-        return replay(steps if steps is not None else scenario.steps,
-                      device, llm or scenario.oracle(),
-                      CORPUS, budgets, scenario.name, **kw)
-    finally:
-        device.close()
+    return replay(steps if steps is not None else scenario.steps,
+                  device, llm or scenario.oracle(),
+                  CORPUS, budgets, scenario.name, **kw)
 
 
 class FakeDevice:
@@ -177,7 +174,6 @@ class TestHappyPaths:
         device = fresh_device(scenario)
         apply_gestures(device, trace.gestures)
         assert device.crashed(), scenario.name
-        device.close()
 
 
 def test_event_digests_track_screens():
@@ -221,7 +217,6 @@ class TestWrongIdRecovery:
         device = fresh_device(scenario)
         trace = replay(scenario.steps, device, oracle, CORPUS,
                        report_id=scenario.name)
-        device.close()
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.backtracks_used >= 1
         excludings = [q for (_, excluded, q) in oracle.queries if excluded]
@@ -233,7 +228,6 @@ class TestWrongIdRecovery:
         device = fresh_device(scenario)
         apply_gestures(device, trace.gestures)
         assert device.crashed()
-        device.close()
 
 
 FIRST, SECOND = ("tap", 540, 245), ("tap", 540, 375)
@@ -267,11 +261,8 @@ class TestDumpReuse:
     def test_no_dump_without_a_gesture_between(self, build, gestures, events):
         scenario = build()
         device = CallLog(fresh_device(scenario))
-        try:
-            trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
-                           report_id=scenario.name)
-        finally:
-            device.close()
+        trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                       report_id=scenario.name)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.backtracks_used >= 1
         assert trace.gestures == gestures
@@ -289,11 +280,8 @@ class TestScrollWithoutDump:
     def test_no_dump_between_the_previous_gesture_and_the_swipe(self):
         scenario = scenario_mixed_all()
         device = CallLog(fresh_device(scenario))
-        try:
-            trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
-                           report_id=scenario.name)
-        finally:
-            device.close()
+        trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                       report_id=scenario.name)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         seen = dumps_and_gestures(device)
         swipe = seen.index("swipe")
@@ -305,11 +293,8 @@ class TestScrollWithoutDump:
         scenario = scenario_with_scroll()
         device = CallLog(fresh_device(scenario))
         first = device.device.dump_hierarchy()
-        try:
-            trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
-                           report_id=scenario.name, first_screen=first)
-        finally:
-            device.close()
+        trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                       report_id=scenario.name, first_screen=first)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert dumps_and_gestures(device) == ["swipe", "dump_hierarchy", "tap"]
         assert trace.events[0].screen_digest == screen_digest(encode_gui(first).html)
@@ -459,10 +444,7 @@ class TestRestorePrefix:
                          departed_id=3, gesture_prefix=len(log))
         device.perform([SECOND])
         gestures = log + [SECOND]
-        try:
-            screen = _restore(device, snap, gestures, _dump_screen(device))
-        finally:
-            device.close()
+        screen = _restore(device, snap, gestures, _dump_screen(device))
         assert prefixes == [[FIRST]]
         assert gestures == log + [SECOND, BACK, RESTART, FIRST]
         assert screen[1] == middle[1]
@@ -481,7 +463,6 @@ def test_exclusions_stay_on_the_screen_they_were_made_on():
     menu = fresh_device(scenario)
     menu.current = "menu"
     assert trace.events[2].screen_digest == _dump_screen(menu)[1]
-    menu.close()
     assert trace.outcome is Outcome.BUG_TRIGGERED
     assert len(queries) == 5
     assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [
@@ -509,11 +490,8 @@ class TestAdversarialGuidance:
         scenario = scenario_with_input()
         save = encode_gui(fresh_device(scenario).dump_hierarchy()).index[3]
         device = CallLog(fresh_device(scenario))
-        try:
-            trace = replay(scenario.steps, device, ScriptedLlm(["[MISSING] [id=3]"]),
-                           CORPUS, Budgets(actions=1), scenario.name)
-        finally:
-            device.close()
+        trace = replay(scenario.steps, device, ScriptedLlm(["[MISSING] [id=3]"]),
+                       CORPUS, Budgets(actions=1), scenario.name)
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.gestures == [("tap", *save.bounds.center())]
         assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [(1, 3, True)]
@@ -597,7 +575,6 @@ class TestErrorPath:
         device = fresh_device(scenario)
         with pytest.raises(ValueError):
             replay(bad, device, scenario.oracle(), CORPUS)
-        device.close()
 
 
 class TestTraceShape:
@@ -813,16 +790,8 @@ class SlowScriptedLlm(ScriptedLlm):
 
 
 def replay_on(device, scenario, llm, budgets=None, **kw):
-    """Replay scenario on a logged device, closing it after."""
-    try:
-        return replay(scenario.steps, device, llm, CORPUS, budgets, scenario.name, **kw)
-    finally:
-        device.close()
-
-
-def ops(device):
-    """The kinds of the device calls a run made, in order, less the closing one."""
-    return [kind for kind in device.kinds() if kind != "close"]
+    """Replay scenario on a logged device."""
+    return replay(scenario.steps, device, llm, CORPUS, budgets, scenario.name, **kw)
 
 
 class TestOverlap:
@@ -848,7 +817,7 @@ class TestOverlap:
         trace = replay_on(device, scenario, llm)
         # the swipe's check runs during the call; the last tap's at once
         assert device.seen == [True, False]
-        assert ops(device) == ["swipe", "dump_hierarchy", "crashed", "tap", "crashed"]
+        assert device.kinds() == ["swipe", "dump_hierarchy", "crashed", "tap", "crashed"]
         assert device.threads == {threading.get_ident()}
         assert trace.outcome is Outcome.BUG_TRIGGERED
 
@@ -873,7 +842,7 @@ class TestOverlap:
         assert trace.error_detail == "action budget exhausted"
         assert len(llm.prompts) == 1
         assert trace.backtracks_used == 0
-        assert ops(device) == ["dump_hierarchy", "tap", "crashed"]
+        assert device.kinds() == ["dump_hierarchy", "tap", "crashed"]
 
     def test_crash_on_the_last_action_the_budget_allows(self):
         scenario = scenario_crash_midway()
@@ -882,7 +851,7 @@ class TestOverlap:
         trace = replay_on(device, scenario, llm, Budgets(actions=1))
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert len(llm.prompts) == 1
-        assert ops(device) == ["dump_hierarchy", "tap", "crashed"]
+        assert device.kinds() == ["dump_hierarchy", "tap", "crashed"]
 
     def test_mid_run_crash_drops_the_answer_it_overlapped(self):
         scenario = scenario_crash_midway()
@@ -893,7 +862,7 @@ class TestOverlap:
         assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 2)]
         # the check waited for the call to go out on the crash screen,
         # and the run waited for its answer before returning
-        assert ops(device) == ["dump_hierarchy", "tap", "dump_hierarchy", "crashed"]
+        assert device.kinds() == ["dump_hierarchy", "tap", "dump_hierarchy", "crashed"]
         assert len(llm.prompts) == llm.answered == 2
 
     def test_crash_outranks_a_failed_dump_after_it(self):
@@ -920,7 +889,7 @@ class TestOverlap:
         device = SlowTap(fresh_device(scenario))
         trace = replay_on(device, scenario, ScriptedLlm(["[id=2]"]), Budgets(wall_seconds=0.2))
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        assert ops(device)[-2:] == ["tap", "crashed"]
+        assert device.kinds()[-2:] == ["tap", "crashed"]
 
     def test_runs_stay_deterministic_under_rapid_thread_switching(self):
         def once(scenario):
@@ -928,7 +897,7 @@ class TestOverlap:
             trace = replay_on(device, scenario, scenario.oracle())
             data = trace.to_dict()
             del data["wall_time"]
-            return data, ops(device)
+            return data, device.kinds()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
