@@ -20,7 +20,6 @@ import json
 import logging
 import math
 import os
-import shlex
 import sys
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -150,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--serial", help="adb device serial")
     p_replay.add_argument("--adb-path")
     p_replay.add_argument("--package", help="app package name, for crash and restart handling")
-    p_replay.add_argument("--launch", help="shell command that launches the app")
+    p_replay.add_argument("--launch", help="one command and its arguments that launch the app")
     p_replay.add_argument("--actions-budget", type=_non_negative(int))
     p_replay.add_argument("--backtracks-budget", type=_non_negative(int))
     p_replay.add_argument("--wall-budget", type=_non_negative(float))
@@ -356,18 +355,14 @@ def _make_device(cfg: RunConfig) -> DeviceSession:
         if not cfg.app:
             raise _UsageError("--device simulated requires --app")
         return SimulatedDevice(_load("load app spec", cfg.app, SimulatedApp.load))
-    try:
-        launch = shlex.split(cfg.launch or "")
-    except ValueError as exc:
-        raise _UsageError(f"--launch: {exc}") from exc
-    if cfg.package and not launch:
+    if cfg.package and cfg.launch is None:
         # a restart would force-stop the app and never start it again
         raise _UsageError("--package needs --launch, the command that starts the app again")
-    if cfg.launch is not None and not launch:
-        # a restart would run a bare adb shell
-        raise _UsageError("--launch names no command; give the command that starts the app")
-    return AdbDevice(serial=cfg.serial, adb_path=cfg.adb_path, package=cfg.package,
-                     launch_command=cfg.launch)
+    try:
+        return AdbDevice(serial=cfg.serial, adb_path=cfg.adb_path, package=cfg.package,
+                         launch_command=cfg.launch)
+    except ValueError as exc:
+        raise _UsageError(f"--launch: {exc}") from exc
 
 
 def _fresh_start(device: DeviceSession) -> ViewNode:

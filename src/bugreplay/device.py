@@ -306,7 +306,7 @@ class AdbDevice(DeviceSession):
     A double tap's second call starts DOUBLE_TAP_GAP_SECONDS after the
     first returns, so its taps land that gap plus one adb call's latency apart.
     `perform` sends each gesture through the method below that makes its
-    command, one adb call per `input` command.
+    command, one adb call per `input` command, each word quoted for the device shell.
 
     A runner callable can replace subprocess execution for tests.
     """
@@ -324,19 +324,25 @@ class AdbDevice(DeviceSession):
                  launch_command: str | None = None, runner=None):
         self._prefix = [adb_path, "-s", serial] if serial else [adb_path]
         self.package = package
-        # split now, so that a command the shell cannot parse fails here, not at a restore
+        # split now, so that a command of no words or that the shell cannot parse fails here
         self._launch = shlex.split(launch_command or "")
+        if launch_command is not None and not any(self._launch):
+            raise ValueError(f"launch command {launch_command!r} holds no command")
         self._runner = runner or _run_subprocess
         self._size: tuple[int, int] | None = None
 
     def _adb(self, *args: str) -> str:
         return self._runner([*self._prefix, *args])
 
+    def _shell(self, *words) -> str:
+        # adb joins the words after shell with plain spaces for the device shell to split again
+        return self._adb("shell", *(shlex.quote(str(word)) for word in words))
+
     @property
     def screen_size(self) -> tuple[int, int]:
         # an "Override size:" line, when wm size prints one, is the size the display uses
         if self._size is None:
-            out = self._adb("shell", "wm", "size")
+            out = self._shell("wm", "size")
             m = re.search(r"Override size: (\d+)x(\d+)", out) or re.search(r"(\d+)x(\d+)", out)
             if not m:
                 raise DeviceError(f"cannot read screen size from {out!r}")
@@ -348,10 +354,10 @@ class AdbDevice(DeviceSession):
         # and still exit 0, leaving the last dump's file; only this line says it
         # wrote one, and a file that does not parse counts as a failed dump too
         for _ in range(self.DUMP_ATTEMPTS):
-            out = self._adb("shell", "uiautomator", "dump", self.DUMP_PATH)
+            out = self._shell("uiautomator", "dump", self.DUMP_PATH)
             reason = f"{out.strip()}\n{getattr(out, 'stderr', '').strip()}".strip() or "no output"
             if "dumped to:" in out:
-                xml = self._adb("shell", "cat", self.DUMP_PATH)
+                xml = self._shell("cat", self.DUMP_PATH)
                 try:
                     return parse_dump(xml)
                 except DeviceError as exc:
@@ -365,37 +371,34 @@ class AdbDevice(DeviceSession):
                 raise ValueError(f"unknown gesture {gesture!r}")
             getattr(self, self._METHODS[kind])(*args)
 
-    def _input(self, *args) -> None:
-        self._adb("shell", "input", *map(str, args))
-
     def tap(self, x: int, y: int) -> None:
-        self._input("tap", x, y)
+        self._shell("input", "tap", x, y)
 
     def double_tap(self, x: int, y: int) -> None:
-        self._input("tap", x, y)
+        self._shell("input", "tap", x, y)
         time.sleep(self.DOUBLE_TAP_GAP_SECONDS)
-        self._input("tap", x, y)
+        self._shell("input", "tap", x, y)
 
     def long_tap(self, x: int, y: int) -> None:
-        self._input("swipe", x, y, x, y, self.LONG_TAP_MS)
+        self._shell("input", "swipe", x, y, x, y, self.LONG_TAP_MS)
 
     def swipe(self, x1: int, y1: int, x2: int, y2: int) -> None:
-        self._input("swipe", x1, y1, x2, y2, self.SWIPE_MS)
+        self._shell("input", "swipe", x1, y1, x2, y2, self.SWIPE_MS)
 
     def type_text(self, text: str) -> None:
         # input text reads every %s as a space, a literal one too
         for part in re.split(r"(?<=%)(?=s)", text):
-            self._input("text", shlex.quote(part.replace(" ", "%s")))
+            self._shell("input", "text", part.replace(" ", "%s"))
 
     def press_back(self) -> None:
-        self._input("keyevent", "KEYCODE_BACK")
+        self._shell("input", "keyevent", "KEYCODE_BACK")
 
     def restart(self) -> None:
         if self.package:
-            self._adb("shell", "am", "force-stop", self.package)
+            self._shell("am", "force-stop", self.package)
         self._adb("logcat", "-c")
         if self._launch:
-            self._adb("shell", *self._launch)
+            self._shell(*self._launch)
 
     def crashed(self) -> bool:
         """Whether the crash buffer holds a Java crash (a FATAL EXCEPTION

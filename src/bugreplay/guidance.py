@@ -92,12 +92,7 @@ def build_guidance_prompt(
     try:
         return attempt(encoded), encoded
     except BudgetUnsatisfiable:
-        root = encoded.index.get(0)
-        if root is None:
-            raise
-        reduced = encode_gui(root, elide_wrappers=True)
-        if reduced.html == encoded.html:
-            raise
+        reduced = encode_gui(encoded.index[0], elide_wrappers=True)
         return attempt(reduced), reduced
 
 

@@ -520,13 +520,14 @@ class TestUsageErrors:
             args += ["--package", "com.demo"] + (["--launch", "  "] if source == "blank-launch" else [])
         assert main(args) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line == "error: --package needs --launch, the command that starts the app again"
+        assert line == ("error: --launch: launch command '  ' holds no command" if source == "blank-launch" else
+                        "error: --package needs --launch, the command that starts the app again")
         assert gauge.peak == 0
         assert not (ws / "adb-calls.log").exists()
         assert not (ws / "crash.trace.json").exists()
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    @pytest.mark.parametrize("launch", ["", "  "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("launch", ["", "  ", "''"], ids=["empty", "blank", "quoted-empty"])
     def test_launch_of_no_words_comes_before_any_call(self, ws, gauge, capsys, monkeypatch, source, launch):
         # a restart would run a bare adb shell, which reads the terminal
         args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(logging_adb(ws)),
@@ -540,10 +541,24 @@ class TestUsageErrors:
             args += ["--launch", launch]
         assert main(args) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line == "error: --launch names no command; give the command that starts the app"
+        assert line == f"error: --launch: launch command {launch!r} holds no command"
         assert gauge.peak == 0
         assert not (ws / "adb-calls.log").exists()
         assert not (ws / "crash.trace.json").exists()
+
+    def test_corpus_without_guidance_exemplars_refuses_a_replay_before_any_call(self, ws, gauge, capsys):
+        body = {"extraction": [{"input": REPORT, "cot": "c", "output": [EXTRACTION]}]}
+        (ws / "corpus.json").write_text(json.dumps(body), encoding="utf-8")
+        args = ["replay", "crash.txt", "--corpus", "corpus.json", "--device", "adb",
+                "--adb-path", str(logging_adb(ws)), "--endpoint", gauge.endpoint]
+        assert main(args) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: corpus has no guidance exemplars"
+        assert gauge.peak == 0
+        assert not (ws / "adb-calls.log").exists()
+        assert not (ws / "crash.trace.json").exists()
+        # extraction needs no guidance exemplar
+        assert main(["extract", "crash.txt", "--corpus", "corpus.json", *targs(ws, [EXTRACTION])]) == 0
 
     @pytest.mark.parametrize("command", ["extract", "replay"])
     def test_out_that_cannot_be_made_comes_before_any_call(self, ws, gauge, capsys, command):

@@ -436,8 +436,22 @@ class TestAdbDevice:
         with pytest.raises(ValueError, match="No closing quotation"):
             self.make(RecordingRunner(), launch_command="am start -n 'x")
 
-    def test_a_blank_launch_command_relaunches_nothing(self):
-        assert self.sent(("restart",), launch_command="  ") == [["adb", "logcat", "-c"]]
+    @pytest.mark.parametrize("launch", ["", "  ", "''"], ids=["empty", "blank", "quoted-empty"])
+    def test_a_launch_command_of_no_words_is_refused(self, launch):
+        # a restart would run a bare adb shell, which reads the terminal
+        with pytest.raises(ValueError, match=f"^launch command {launch!r} holds no command$"):
+            self.make(RecordingRunner(), launch_command=launch)
+
+    def test_every_shell_word_reaches_the_device_as_written(self):
+        # adb joins the words after shell with plain spaces, and the device
+        # shell splits that line again; `;` and `&&` stay words of the command
+        launch = "am start -n com.demo/.Main -d 'https://x.test/a b' --es q '$HOME; x && y'"
+        calls = self.sent(("restart",), ("text", "it's $5 & up"), package="com.demo", launch_command=launch)
+        assert [shlex.split(" ".join(argv[argv.index("shell") + 1:])) for argv in calls if "shell" in argv] == [
+            ["am", "force-stop", "com.demo"],
+            ["am", "start", "-n", "com.demo/.Main", "-d", "https://x.test/a b", "--es", "q", "$HOME; x && y"],
+            ["input", "text", "it's%s$5%s&%sup"],
+        ]
 
     def test_text_is_typed_as_given(self):
         # the device shell undoes the quoting, and input text reads every %s

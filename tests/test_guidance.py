@@ -209,6 +209,15 @@ class TestElisionFallback:
                                   encode_gui(wrapper_heavy_screen()),
                                   tiny_corpus(), 10)
 
+    def test_a_screen_elision_cannot_shrink_raises_the_first_fits_error(self):
+        # no div wraps anything, so the elided encoding is the full one
+        root = ViewNode("android.widget.TextView", text="Total", children=[
+            ViewNode("android.widget.Button", text="Buy"), ViewNode("android.widget.TextView", text="Price")])
+        full = encode_gui(root)
+        assert encode_gui(root, elide_wrappers=True).html == full.html
+        with pytest.raises(BudgetUnsatisfiable, match="^test prompt alone estimates 36 tokens of a 20 budget$"):
+            build_guidance_prompt(parse_step_text('[Tap] ["Buy"]'), full, tiny_corpus(), 20)
+
     def test_no_fallback_when_screen_already_fits(self):
         enc = encode_gui(SCREEN)
         _, used = build_guidance_prompt(parse_step_text('[Tap] ["Log in"]'),

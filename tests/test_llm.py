@@ -464,7 +464,7 @@ def test_the_http_client_loads_only_the_standard_library(http_endpoint):
     ])
     src = Path(bugreplay.llm.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src), http_endpoint],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.split()
     assert "bugreplay.cli" in loaded

@@ -569,6 +569,20 @@ class TestErrorPath:
         assert trace.outcome is Outcome.ERROR
         assert trace.error_detail == "TransportError: endpoint unreachable"
 
+    def test_a_crash_check_that_fails_at_the_finish_ends_the_run_as_error(self):
+        # off the fast path, the check after the one action waits for the
+        # next step's model call, which the spent action budget never makes
+        class NoCrashBuffer(SimulatedDevice):
+            def crashed(self):
+                raise DeviceError("logcat -d -b crash exited 1")
+
+        scenario = scenario_linear_taps_5()
+        trace = replay(scenario.steps, NoCrashBuffer(SimulatedApp(scenario.spec)), scenario.oracle(),
+                       CORPUS, Budgets(actions=1), scenario.name)
+        assert trace.outcome is Outcome.ERROR
+        assert trace.error_detail == "DeviceError: logcat -d -b crash exited 1"
+        assert trace.actions_used == 1
+
     def test_misnumbered_steps_raise_immediately(self):
         scenario = scenario_single_step()
         bad = [parse_step_text('[Tap] ["Crash me"]', 5)]

@@ -17,7 +17,7 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(e
 def run(*args):
     return subprocess.run([sys.executable, *map(str, args)], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
