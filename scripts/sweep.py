@@ -20,8 +20,9 @@ checkouts that should behave alike print the same lines.
 --repo runs the sweep against another checkout's `src/`, with this
 checkout's scenarios and helpers, so a parent commit needs a copy of
 neither. That checkout's `SimulatedApp` must take the spec dict itself,
-its `AdbDevice` its settings as keywords, and its sessions must take
-gestures through `perform`.
+its `AdbDevice` its settings as keywords, its sessions must take
+gestures through `perform`, and its `SimulatedDevice` must answer
+`takes_double_tap`, which the adb front asks.
 
 --compact prints each field but the run's name as a short digest;
 `tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with

@@ -10,8 +10,9 @@ app has crashed.
 The simulated app is a finite state machine: named states each hold a
 view tree, and transitions map (state, gesture, subject) to a successor
 state. Gestures address components by the preorder id of the source
-state's full encoding; unmapped gestures are no-ops; crash states model
-the bug firing. App spec files are JSON::
+state's full encoding; unmapped gestures are no-ops, except that an
+unmapped double tap is two taps; crash states model the bug firing. App
+spec files are JSON::
 
     {
       "initial": "home",
@@ -158,10 +159,13 @@ class SimulatedDevice(DeviceSession):
 
     Taps hit-test against the current tree: among nodes containing the
     point, the deepest one with a transition for the gesture wins, else
-    the deepest plain node. Typed text goes to the node the last plain
-    tap hit; double and long taps leave that focus alone. A swipe is a
-    scroll in the direction its larger leg moves, vertical on a tie. All
-    session state lives here, so any number of sessions can share one app.
+    the deepest plain node. A double tap whose hit has no double-tap
+    transition is two taps at that point, as Android reads it on a view
+    with no double-tap listener. Typed text goes to the node the last
+    plain tap hit; a double tap that has its transition, and a long tap,
+    leave that focus alone. A swipe is a scroll in the direction its
+    larger leg moves, vertical on a tie. All session state lives here, so
+    any number of sessions can share one app.
     """
 
     def __init__(self, app: SimulatedApp):
@@ -183,6 +187,10 @@ class SimulatedDevice(DeviceSession):
         keyed = [nid for nid in containing if (self.current, kind, nid) in self.app.transitions]
         return (keyed or containing)[0] if containing else None
 
+    def takes_double_tap(self, x: int, y: int) -> bool:
+        """Whether the node a double tap at (x, y) hits has a double-tap transition here."""
+        return (self.current, "double_tap", self._hit(x, y, "double_tap")) in self.app.transitions
+
     def dump_hierarchy(self) -> ViewNode:
         return self.app.states[self.current]
 
@@ -191,6 +199,9 @@ class SimulatedDevice(DeviceSession):
             kind, *args = gesture
             if kind == "restart":
                 self.current, self._focused = self.app.initial, None
+                continue
+            if kind == "double_tap" and not self.takes_double_tap(*args):
+                self.perform([("tap", *args)] * 2)
                 continue
             # a tap that hits nothing, or text with nothing focused, has
             # subject None, which no such transition has

@@ -4,7 +4,6 @@ from http.server import ThreadingHTTPServer
 
 import pytest
 
-from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.exemplars import ExemplarCorpus
 
 import helpers
@@ -18,10 +17,6 @@ def corpus():
 @pytest.fixture(params=helpers.SCENARIO_BUILDERS, ids=lambda b: b.__name__)
 def scenario(request):
     return request.param()
-
-
-def make_device(spec):
-    return SimulatedDevice(SimulatedApp(spec))
 
 
 @pytest.fixture

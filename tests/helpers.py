@@ -19,6 +19,7 @@ from dataclasses import replace
 from xml.sax.saxutils import quoteattr
 
 from bugreplay.llm import LlmClient
+from bugreplay.replay import Budgets
 from bugreplay.steps import ActionType, bracket_tokens, parse_step_text, strip_quotes
 
 SCREEN = (1080, 1920)
@@ -614,14 +615,15 @@ class AdbFront:
     """An adb runner over a SimulatedDevice, for `AdbDevice(runner=...)`:
     it answers the commands AdbDevice sends by acting on the device.
 
-    A tap waits for the next command. A second tap at the same point with
-    nothing between makes the two a double tap when the node hit has a
-    double-tap transition, as Android's gesture detector would; else each
-    is a tap. Consecutive `input text` calls type one value, with the
-    shell's quoting and `%s` undone. A swipe that stays in place for at
-    least LONG_PRESS_MS is a long tap. The launch command restarts the
-    app; the crash buffer holds a FATAL EXCEPTION naming the package while
-    the app is in a crash state.
+    Each call is read once, by `words`, as adb and the device shell read
+    it. A tap waits for the next command. A second tap at the same point
+    with nothing between makes the two a double tap when the node hit, on
+    the screen the first tap lands on, has a double-tap transition, as
+    Android's gesture detector would; else each is a tap. Consecutive
+    `input text` calls type one value, with `%s` read as a space. A swipe
+    that stays in place for at least LONG_PRESS_MS is a long tap. The
+    launch command restarts the app; the crash buffer holds a FATAL
+    EXCEPTION naming the package while the app is in a crash state.
     """
 
     LONG_PRESS_MS = 500
@@ -629,63 +631,162 @@ class AdbFront:
     def __init__(self, device, package, launch_command):
         self.device = device
         self.package = package
-        self.launch = ["shell", *shlex.split(launch_command)]
+        self.launch = self.words(["adb", "shell", launch_command])
         self.files = {}
         self.pending = None
 
-    def __call__(self, argv):
+    @staticmethod
+    def words(argv):
+        """The words one adb call runs. adb joins the words after `shell`
+        with spaces and the device shell splits that line again; adb's own
+        commands keep their words."""
         args = argv[3:] if argv[1:2] == ["-s"] else argv[1:]
-        if args[:3] == ["shell", "input", "tap"]:
-            x, y = map(int, args[3:])
-            if self.pending == ("tap", x, y) and self._double_tap_hits(x, y):
+        if args[:1] == ["shell"]:
+            return ["shell", *shlex.split(" ".join(args[1:]))]
+        return args
+
+    def __call__(self, argv):
+        words = self.words(argv)
+        if words[:3] == ["shell", "input", "tap"]:
+            x, y = map(int, words[3:])
+            if self.pending == ("tap", x, y) and self.device.takes_double_tap(x, y):
                 self.pending = None
                 self.device.perform([("double_tap", x, y)])
             else:
                 self._flush(("tap", x, y))
             return ""
-        if args[:3] == ["shell", "input", "text"]:
-            [word] = args[3:]
-            value = shlex.split(word)[0].replace("%s", " ")
+        if words[:3] == ["shell", "input", "text"]:
+            [value] = words[3:]
+            value = value.replace("%s", " ")
             if self.pending and self.pending[0] == "text":
                 self.pending = ("text", self.pending[1] + value)
             else:
                 self._flush(("text", value))
             return ""
         self._flush()
-        if args[:3] == ["shell", "input", "swipe"]:
-            x1, y1, x2, y2, ms = map(int, args[3:])
+        if words[:3] == ["shell", "input", "swipe"]:
+            x1, y1, x2, y2, ms = map(int, words[3:])
             long_press = (x1, y1) == (x2, y2) and ms >= self.LONG_PRESS_MS
             self.device.perform([("long_tap", x1, y1) if long_press else ("swipe", x1, y1, x2, y2)])
-        elif args == ["shell", "input", "keyevent", "KEYCODE_BACK"]:
+        elif words == ["shell", "input", "keyevent", "KEYCODE_BACK"]:
             self.device.perform([("back",)])
-        elif args == self.launch:
+        elif words == self.launch:
             self.device.perform([("restart",)])
-        elif args in (["shell", "am", "force-stop", self.package], ["logcat", "-c"]):
+        elif words in (["shell", "am", "force-stop", self.package], ["logcat", "-c"]):
             pass
-        elif args == ["logcat", "-d", "-b", "crash"]:
+        elif words == ["logcat", "-d", "-b", "crash"]:
             if self.device.crashed():
                 return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
                         f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
-        elif args == ["shell", "wm", "size"]:
+        elif words == ["shell", "wm", "size"]:
             return "Physical size: {}x{}\n".format(*self.device.screen_size)
-        elif args[:3] == ["shell", "uiautomator", "dump"]:
-            self.files[args[3]] = dump_xml(self.device.dump_hierarchy())
-            return f"UI hierchary dumped to: {args[3]}\n"
-        elif args[:2] == ["shell", "cat"]:
-            return self.files[args[2]]
+        elif words[:3] == ["shell", "uiautomator", "dump"]:
+            self.files[words[3]] = dump_xml(self.device.dump_hierarchy())
+            return f"UI hierchary dumped to: {words[3]}\n"
+        elif words[:2] == ["shell", "cat"]:
+            return self.files[words[2]]
         else:
             raise AssertionError(f"adb front does not answer {argv}")
         return ""
-
-    def _double_tap_hits(self, x, y):
-        device = self.device
-        return (device.current, "double_tap", device._hit(x, y, "double_tap")) in device.app.transitions
 
     def _flush(self, pending=None):
         """Make the gesture waiting for the next command, and hold `pending` instead."""
         if self.pending:
             self.device.perform([self.pending])
         self.pending = pending
+
+
+# ----------------------------------------------------------- random apps
+
+LABEL_POOL = ["Go", "Next", "Open", "Save", "More", "Done"]
+HEADER_POOL = ["Home", "List", "Detail"]
+VALUE_POOL = ["hi", "two words", "50%sale"]
+_STEP_WORDS = {"tap": "Tap", "double-tap": "Double-tap", "long-tap": "Long-tap", "input": "Input"}
+
+
+class RandomOracle(LlmClient):
+    """Answers each guidance query with a seeded random id from the prompt's
+    screen, at times flagged [MISSING], at times with nothing usable."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = random.Random(seed)
+
+    def _complete(self, prompt):
+        html, _ = split_guidance_prompt(prompt.rendered)
+        ids = [elem["id"] for elem in parse_elements(html)]
+        roll = self.rng.random()
+        if roll < 0.1 or not ids:
+            return "I cannot locate any suitable component on this screen."
+        answer = f"[id={self.rng.choice(ids)}]"
+        return f"[MISSING] {answer}" if roll < 0.3 else answer
+
+
+def _generated_widget(label, top, field, wrapped):
+    node = (edit_text if field else button)(label, top)
+    if wrapped:  # in a row that a prompt short of tokens elides
+        node = {"class": "android.widget.LinearLayout", "bounds": [0, top, 1080, top + 100], "children": [node]}
+    return node
+
+
+class GeneratedRun:
+    """A seeded random app and one replay run on it: 2-8 states of 1-6
+    widgets labelled from a small pool, some in wrapper rows; tap,
+    double-tap, long-tap and input transitions, some into the crash state,
+    and random Back and scroll ones; steps from a random walk, one of them
+    dropped 30% of the time; random budgets, token budgets small enough to
+    elide the wrapper rows included; the fast path on or off; and an
+    honest, misleading or random oracle, which `oracle()` builds fresh for
+    each run."""
+
+    def __init__(self, seed):
+        rng = random.Random(seed)
+        names = [f"s{i}" for i in range(rng.randint(2, 8))]
+        states, transitions, moves = {}, [], {name: [] for name in names}
+        for name in names:
+            widgets, nid = [], 1
+            for _ in range(rng.randint(1, 6)):
+                label, field, wrapped = rng.choice(LABEL_POOL), rng.random() < 0.25, rng.random() < 0.3
+                widgets.append(lambda y, t=label, f=field, w=wrapped: _generated_widget(t, y, f, w))
+                nid += 1 + wrapped  # a wrapper takes the id before its widget's
+                if rng.random() < 0.7:
+                    kind = "input" if field else rng.choice(["tap", "tap", "double-tap", "long-tap"])
+                    to = CRASH_STATE if rng.random() < 0.15 else rng.choice(names)
+                    transitions.append({"from": name, "action": kind, "id": nid, "to": to})
+                    moves[name].append((f'[{_STEP_WORDS[kind]}] ["{label}"]', to))
+            states[name] = {"tree": stacked(rng.choice(HEADER_POOL), widgets)}
+            if rng.random() < 0.3:
+                transitions.append({"from": name, "action": "back", "to": rng.choice(names)})
+            if rng.random() < 0.2:
+                direction = rng.choice(["up", "down", "left", "right"])
+                transitions.append({"from": name, "action": "scroll", "direction": direction,
+                                    "to": rng.choice(names)})
+                moves[name].append((f"[Scroll] [{direction}]", transitions[-1]["to"]))
+        self.spec = _spec(states, transitions, names[0])
+        texts, state, length = [], names[0], rng.randint(1, 6)
+        while state != CRASH_STATE and moves[state] and len(texts) < length:
+            text, state = rng.choice(moves[state])
+            if text.startswith("[Input]"):
+                text += f' ["{rng.choice(VALUE_POOL)}"]'
+            texts.append(text)
+        if not texts:
+            texts.append(f'[Tap] ["{rng.choice(LABEL_POOL)}"]')
+        self.steps = [parse_step_text(t, i) for i, t in enumerate(texts, 1)]
+        if len(self.steps) > 1 and rng.random() < 0.3:
+            self.steps = synthesize_omissions(self.steps, 1, seed)
+        self.budgets = Budgets(tokens=rng.choice([4096, 4096, 1200, 260]), actions=rng.randint(1, 30),
+                               backtracks=rng.randint(0, 5), max_missing_depth=rng.randint(0, 2))
+        self.fast_path = rng.random() < 0.5
+        self.oracle_kind = rng.choice(["honest", "misleading", "random"])
+        self.decoys = {label: [rng.randrange(2, 8)] for label in rng.sample(LABEL_POOL, 2)}
+        self.seed = seed
+
+    def oracle(self):
+        if self.oracle_kind == "honest":
+            return GuidanceOracle()
+        if self.oracle_kind == "misleading":
+            return MisleadingOracle(self.decoys)
+        return RandomOracle(self.seed)
 
 
 # ---------------------------------------------------- random view trees

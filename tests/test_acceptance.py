@@ -46,7 +46,6 @@ from helpers import (
 )
 
 CORPUS = ExemplarCorpus.builtin()
-PROMPTS = []
 
 
 def criterion(n, text):
@@ -64,22 +63,22 @@ def criterion(n, text):
 
 
 class PromptCollector(LlmClient):
-    """Pass-through backend that keeps every prompt for criterion 7."""
+    """Pass-through backend that keeps every prompt it is sent."""
 
     def __init__(self, inner):
         super().__init__()
         self.inner = inner
+        self.prompts = []
 
     def _complete(self, prompt):
-        PROMPTS.append(prompt)
+        self.prompts.append(prompt)
         return self.inner._complete(prompt)
 
 
 def guided_run(scenario, llm=None, steps=None, budgets=None):
     device = SimulatedDevice(SimulatedApp(scenario.spec))
     return replay(steps if steps is not None else scenario.steps, device,
-                  PromptCollector(llm or scenario.oracle()),
-                  CORPUS, budgets, scenario.name)
+                  llm or scenario.oracle(), CORPUS, budgets, scenario.name)
 
 
 PUBLISHED_STEPS = [
@@ -282,14 +281,22 @@ def test_criterion_6_budget_termination():
 
 @criterion(7, "every constructed prompt fits 4096 tokens with 1 to 3 exemplars")
 def test_criterion_7_token_budget():
-    for exemplar in CORPUS.extraction:
-        report = BugReport(id="probe", raw_text=exemplar.input_report)
-        PROMPTS.append(build_extraction_prompt(report, CORPUS, 4096))
+    prompts = [build_extraction_prompt(BugReport(id="probe", raw_text=exemplar.input_report), CORPUS, 4096)
+               for exemplar in CORPUS.extraction]
+    # the guidance prompts of criterion 5's and 6's runs
+    runs = [(build(), None, None) for build in SCENARIO_BUILDERS]
+    linear = scenario_linear_taps_5()
+    runs += [(linear, None, synthesize_omissions(linear.steps, k, seed)) for k in (1, 2) for seed in range(5)]
+    runs.append((scenario_single_step(), AlwaysMissingLlm(), None))
+    for scenario, llm, steps in runs:
+        collector = PromptCollector(llm or scenario.oracle())
+        guided_run(scenario, llm=collector, steps=steps)
+        prompts += collector.prompts
 
-    kinds = {p.segments[-1].kind for p in PROMPTS}
+    kinds = {p.segments[-1].kind for p in prompts}
     assert kinds == {"test_input", "test_query"}
-    assert len(PROMPTS) > 50  # criteria 5 and 6 route every llm call here
-    for prompt in PROMPTS:
+    assert len(prompts) > 50
+    for prompt in prompts:
         assert estimate_tokens(prompt.rendered) <= 4096
         assert 1 <= prompt.exemplar_count <= 3
 
