@@ -23,7 +23,6 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .device import AdbDevice, DeviceSession, SimulatedApp, SimulatedDevice
@@ -52,46 +51,6 @@ class _OutputError(Exception):
     """An artifact could not be written: a runtime failure."""
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation resolved to, after precedence. Each
-    setting field is named after its flag's dest."""
-
-    command: str
-    report_path: str | None = None
-    out: str | None = None
-    llm: str = "http"
-    transcript: str | None = None
-    endpoint: str | None = None
-    model: str | None = None
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    temperature: float = 0.0
-    corpus: str | None = None
-    token_budget: int = Budgets.tokens
-    actions_budget: int = Budgets.actions
-    backtracks_budget: int = Budgets.backtracks
-    wall_budget: float = Budgets.wall_seconds
-    max_missing_depth: int = Budgets.max_missing_depth
-    runs: int = 3
-    seed: int | None = None
-    device: str = "simulated"
-    app: str | None = None
-    serial: str | None = None
-    adb_path: str = "adb"
-    package: str | None = None
-    launch: str | None = None
-
-    @property
-    def budgets(self) -> Budgets:
-        return Budgets(
-            tokens=self.token_budget,
-            actions=self.actions_budget,
-            backtracks=self.backtracks_budget,
-            wall_seconds=self.wall_budget,
-            max_missing_depth=self.max_missing_depth,
-        )
-
-
 def _checked(cast, requirement: str, ok):
     """An option type: `cast`, refusing values `ok` turns down. Each `ok`
     compares so that NaN, which fails every comparison, is refused."""
@@ -113,9 +72,10 @@ _positive = _checked(int, "a positive number", lambda value: value > 0)
 
 def _build_parser() -> argparse.ArgumentParser:
     """The parser. Every value-taking option of extract and replay other
-    than --config is a setting; the namespace carries them as `settings`,
-    and the dests of both subcommands' settings as `config_keys`, so one
-    config file serves both. encode takes a dump and -v only."""
+    than --config is a setting, and its flag holds its default; the
+    namespace carries them as `settings`, and the dests of both
+    subcommands' settings as `config_keys`, so one config file serves
+    both. encode takes a dump and -v only."""
     parser = argparse.ArgumentParser(
         prog="bugreplay",
         description="Extract reproduction steps from bug reports and replay them on a device.",
@@ -124,17 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags and environment override it")
-    common.add_argument("--llm", choices=["http", "transcript"])
+    common.add_argument("--llm", choices=["http", "transcript"], default="http")
     common.add_argument("--transcript", help="canned response file for --llm transcript")
     common.add_argument("--endpoint", help="chat completion endpoint URL")
     common.add_argument("--model", help="model name sent to the endpoint")
-    common.add_argument("--api-key-env",
-                        help=f"environment variable holding the API key (default {DEFAULT_API_KEY_ENV})")
-    common.add_argument("--temperature", type=_checked(float, "a finite non-negative number",
-                                                       lambda value: 0 <= value < math.inf))
+    common.add_argument("--api-key-env", default=DEFAULT_API_KEY_ENV,
+                        help="environment variable holding the API key (default %(default)s)")
+    common.add_argument("--temperature", default=0.0,
+                        type=_checked(float, "a finite non-negative number", lambda value: 0 <= value < math.inf))
     common.add_argument("--corpus", help="exemplar corpus file (default: built-in)")
-    common.add_argument("--token-budget", type=_positive)
-    common.add_argument("--runs", type=_positive, help="extraction runs, to smooth model instability (default 3)")
+    common.add_argument("--token-budget", type=_positive, default=Budgets.tokens)
+    common.add_argument("--runs", type=_positive, default=3,
+                        help="extraction runs, to smooth model instability (default %(default)s)")
     common.add_argument("--seed", type=int, help="recorded in output artifacts")
     common.add_argument("--out", help="output base path (default: report stem in cwd)")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -144,16 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", parents=[common], help="extract steps, then replay them")
     p_replay.add_argument("report")
-    p_replay.add_argument("--device", choices=["simulated", "adb"])
+    p_replay.add_argument("--device", choices=["simulated", "adb"], default="simulated")
     p_replay.add_argument("--app", help="simulated app spec file")
     p_replay.add_argument("--serial", help="adb device serial")
-    p_replay.add_argument("--adb-path")
+    p_replay.add_argument("--adb-path", default="adb")
     p_replay.add_argument("--package", help="app package name, for crash and restart handling")
     p_replay.add_argument("--launch", help="one command and its arguments that launch the app")
-    p_replay.add_argument("--actions-budget", type=_non_negative(int))
-    p_replay.add_argument("--backtracks-budget", type=_non_negative(int))
-    p_replay.add_argument("--wall-budget", type=_non_negative(float))
-    p_replay.add_argument("--max-missing-depth", type=_non_negative(int))
+    p_replay.add_argument("--actions-budget", type=_non_negative(int), default=Budgets.actions)
+    p_replay.add_argument("--backtracks-budget", type=_non_negative(int), default=Budgets.backtracks)
+    p_replay.add_argument("--wall-budget", type=_non_negative(float), default=Budgets.wall_seconds)
+    p_replay.add_argument("--max-missing-depth", type=_non_negative(int), default=Budgets.max_missing_depth)
 
     settings = {
         p: [a for a in p._actions if a.option_strings and a.nargs != 0 and a.dest != "config"]
@@ -204,24 +165,24 @@ def _convert(action: argparse.Action, raw, source: str):
     return value
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Each setting the subcommand takes resolves as flag >
-    BUGREPLAY_<DEST> environment variable > config key <dest> > default."""
+def _build_run_config(parser: argparse.ArgumentParser, argv: list[str] | None,
+                      args: argparse.Namespace) -> argparse.Namespace:
+    """argv parsed again, once each setting the subcommand takes resolves
+    as flag > BUGREPLAY_<DEST> environment variable > config key <dest> >
+    default: the key, then the variable, becomes the flag's default, as
+    set_defaults would make it, so a flag still wins. A value is checked
+    even where a later source hides it."""
     file_cfg = _load_config_file(args.config)
     unknown = sorted(set(file_cfg) - args.config_keys)
     if unknown:
         raise _UsageError(f"config file {args.config}: not a setting: {', '.join(map(repr, unknown))}")
-    values = {}
     for action in args.settings:
         name, env = action.dest, ENV_PREFIX + action.dest.upper()
-        value = getattr(args, name)
-        if value is None and env in os.environ:
-            value = _convert(action, os.environ[env], env)
-        if value is None and file_cfg.get(name) is not None:
-            value = _convert(action, file_cfg[name], f"config file {args.config}: key {name!r}")
-        if value is not None:
-            values[name] = value
-    return RunConfig(command=args.command, report_path=args.report, **values)
+        if file_cfg.get(name) is not None:
+            action.default = _convert(action, file_cfg[name], f"config file {args.config}: key {name!r}")
+        if env in os.environ:
+            action.default = _convert(action, os.environ[env], env)
+    return parser.parse_args(argv)
 
 
 def _load_report(path: str) -> BugReport:
@@ -239,34 +200,34 @@ def _load_report(path: str) -> BugReport:
         raise _UsageError(f"report {path}: {exc}") from exc
 
 
-def _load_corpus(cfg: RunConfig) -> ExemplarCorpus:
-    corpus = _load("load corpus", cfg.corpus, ExemplarCorpus.load) if cfg.corpus else ExemplarCorpus.builtin()
+def _load_corpus(args: argparse.Namespace) -> ExemplarCorpus:
+    corpus = _load("load corpus", args.corpus, ExemplarCorpus.load) if args.corpus else ExemplarCorpus.builtin()
     if not corpus.extraction:
         raise _UsageError("corpus has no extraction exemplars")
-    if cfg.command == "replay" and not corpus.guidance:
+    if args.command == "replay" and not corpus.guidance:
         raise _UsageError("corpus has no guidance exemplars")
     return corpus
 
 
-def _make_llm(cfg: RunConfig) -> LlmClient:
-    if cfg.llm == "transcript":
-        if not cfg.transcript:
+def _make_llm(args: argparse.Namespace) -> LlmClient:
+    if args.llm == "transcript":
+        if not args.transcript:
             raise _UsageError("--llm transcript requires --transcript")
-        return _load("load transcript", cfg.transcript, TranscriptLlm.from_file)
-    if not cfg.endpoint:
+        return _load("load transcript", args.transcript, TranscriptLlm.from_file)
+    if not args.endpoint:
         raise _UsageError("--llm http requires --endpoint (or BUGREPLAY_ENDPOINT)")
     try:
         # the option types have already refused each max_tokens and temperature HttpLlm would refuse
-        return HttpLlm(cfg.endpoint, model=cfg.model or "", api_key=os.environ.get(cfg.api_key_env),
-                       max_tokens=cfg.token_budget, temperature=cfg.temperature)
+        return HttpLlm(args.endpoint, model=args.model or "", api_key=os.environ.get(args.api_key_env),
+                       max_tokens=args.token_budget, temperature=args.temperature)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
-def _out_base(cfg: RunConfig) -> Path:
+def _out_base(args: argparse.Namespace) -> Path:
     """The artifacts' base path. Its directory is made here, so that an
     --out that cannot be used fails before any model call or device start."""
-    base = Path(cfg.out) if cfg.out else Path.cwd() / Path(cfg.report_path).stem
+    base = Path(args.out) if args.out else Path.cwd() / Path(args.report).stem
     try:
         base.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -294,7 +255,7 @@ def _step_dict(step: Step) -> dict:
     }
 
 
-def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
+def _run_extraction(args: argparse.Namespace, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
     """The candidates, each distinct successful step list once, most
     votes first and ties to the earliest run, plus every run's result.
 
@@ -305,13 +266,13 @@ def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: E
     """
     def attempt(_run: int) -> list[Step] | BugReplayError:
         try:
-            return extract_steps(report, llm, corpus, cfg.token_budget)
+            return extract_steps(report, llm, corpus, args.token_budget)
         except BugReplayError as exc:
             return exc
 
     in_order = isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
     with ThreadPoolExecutor(max_workers=1 if in_order else EXTRACTION_WORKERS) as pool:
-        outcomes = list(pool.map(attempt, range(cfg.runs)))
+        outcomes = list(pool.map(attempt, range(args.runs)))
     results: list[dict] = []
     for run, outcome in enumerate(outcomes, 1):
         if isinstance(outcome, BugReplayError):
@@ -326,12 +287,12 @@ def _run_extraction(cfg: RunConfig, report: BugReport, llm: LlmClient, corpus: E
     return [by_text[text] for text, _ in Counter(texts).most_common()], results
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    report = _load_report(cfg.report_path)
-    corpus = _load_corpus(cfg)
-    llm = _make_llm(cfg)
-    base = _out_base(cfg)
-    candidates, results = _run_extraction(cfg, report, llm, corpus)
+def cmd_extract(args: argparse.Namespace) -> int:
+    report = _load_report(args.report)
+    corpus = _load_corpus(args)
+    llm = _make_llm(args)
+    base = _out_base(args)
+    candidates, results = _run_extraction(args, report, llm, corpus)
     if not candidates:
         print("extraction failed on every run:", file=sys.stderr)
         for i, r in enumerate(results, 1):
@@ -344,23 +305,23 @@ def cmd_extract(cfg: RunConfig) -> int:
         "report_id": report.id,
         "majority": [_step_dict(s) for s in steps],
         "runs": results,
-        "seed": cfg.seed,
+        "seed": args.seed,
     })
     sys.stdout.write(text)
     return 0
 
 
-def _make_device(cfg: RunConfig) -> DeviceSession:
-    if cfg.device == "simulated":
-        if not cfg.app:
+def _make_device(args: argparse.Namespace) -> DeviceSession:
+    if args.device == "simulated":
+        if not args.app:
             raise _UsageError("--device simulated requires --app")
-        return SimulatedDevice(_load("load app spec", cfg.app, SimulatedApp.load))
-    if cfg.package and cfg.launch is None:
+        return SimulatedDevice(_load("load app spec", args.app, SimulatedApp.load))
+    if args.package and args.launch is None:
         # a restart would force-stop the app and never start it again
         raise _UsageError("--package needs --launch, the command that starts the app again")
     try:
-        return AdbDevice(serial=cfg.serial, adb_path=cfg.adb_path, package=cfg.package,
-                         launch_command=cfg.launch)
+        return AdbDevice(serial=args.serial, adb_path=args.adb_path, package=args.package,
+                         launch_command=args.launch)
     except ValueError as exc:
         raise _UsageError(f"--launch: {exc}") from exc
 
@@ -371,7 +332,7 @@ def _fresh_start(device: DeviceSession) -> ViewNode:
     return device.dump_hierarchy()
 
 
-def _replay_runs(cfg: RunConfig, candidates: list[list[Step]], llm: LlmClient, corpus: ExemplarCorpus,
+def _replay_runs(budgets: Budgets, candidates: list[list[Step]], llm: LlmClient, corpus: ExemplarCorpus,
                  report_id: str, device: DeviceSession, started: Future) -> list[ReplayTrace]:
     """Each candidate once, in order, on a fresh start of `device`, until
     one triggers the bug. The first candidate's fresh start is `started`,
@@ -385,25 +346,27 @@ def _replay_runs(cfg: RunConfig, candidates: list[list[Step]], llm: LlmClient, c
             traces.append(ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
                                       error_detail=f"{type(exc).__name__}: {exc}"))
             break
-        traces.append(replay(steps, device, llm, corpus, cfg.budgets, report_id,
+        traces.append(replay(steps, device, llm, corpus, budgets, report_id,
                              first_screen=first_screen, fast_path=True))
         if traces[-1].outcome is Outcome.BUG_TRIGGERED:
             break
     return traces
 
 
-def cmd_replay(cfg: RunConfig) -> int:
-    report = _load_report(cfg.report_path)
-    corpus = _load_corpus(cfg)
-    llm = _make_llm(cfg)
-    device = _make_device(cfg)
-    base = _out_base(cfg)
+def cmd_replay(args: argparse.Namespace) -> int:
+    report = _load_report(args.report)
+    corpus = _load_corpus(args)
+    llm = _make_llm(args)
+    device = _make_device(args)
+    base = _out_base(args)
     # the device starts while the model extracts; only a replay
     # reads how that start went
     with ThreadPoolExecutor(max_workers=1) as pool:
         started = pool.submit(_fresh_start, device)
-        candidates, extraction_runs = _run_extraction(cfg, report, llm, corpus)
-    traces = _replay_runs(cfg, candidates, llm, corpus, report.id, device, started) if candidates else []
+        candidates, extraction_runs = _run_extraction(args, report, llm, corpus)
+    budgets = Budgets(tokens=args.token_budget, actions=args.actions_budget, backtracks=args.backtracks_budget,
+                      wall_seconds=args.wall_budget, max_missing_depth=args.max_missing_depth)
+    traces = _replay_runs(budgets, candidates, llm, corpus, report.id, device, started) if candidates else []
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     trace_path = Path(f"{base}.trace.json")
     _write(trace_path, {
@@ -412,7 +375,7 @@ def cmd_replay(cfg: RunConfig) -> int:
         "steps": [_step_dict(s) for s in candidates[0]] if candidates else None,
         "runs": [t.to_dict() for t in traces],
         "winner": winner,
-        "seed": cfg.seed,
+        "seed": args.seed,
     })
     if not candidates:
         print("extraction failed on every run; nothing to replay", file=sys.stderr)
@@ -453,8 +416,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "encode":
             return cmd_encode(args.dump)
-        cfg = _build_run_config(args)
-        return cmd_extract(cfg) if args.command == "extract" else cmd_replay(cfg)
+        args = _build_run_config(parser, argv, args)
+        return cmd_extract(args) if args.command == "extract" else cmd_replay(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

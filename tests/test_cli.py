@@ -738,6 +738,22 @@ class TestUsageErrors:
         assert source in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("env, config, source", [
+        ({"BUGREPLAY_RUNS": "abc"}, {}, "BUGREPLAY_RUNS"),
+        ({}, {"runs": "abc"}, "'runs'"),
+        ({"BUGREPLAY_RUNS": "4"}, {"runs": "abc"}, "'runs'"),
+    ], ids=["env", "config", "config-under-env"])
+    def test_bad_setting_value_is_refused_under_its_flag(self, ws, capsys, monkeypatch, env, config, source):
+        # the flag would win, yet each value it hides is still checked
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        (ws / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        args = ["extract", "crash.txt", "--config", "cfg.json", *targs(ws, [EXTRACTION] * 2, runs=2)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert source in err
+        assert "Traceback" not in err
+
     def test_zero_token_budget(self, ws, capsys):
         assert main(["extract", "crash.txt", "--token-budget", "0", *targs(ws, [EXTRACTION])]) == 2
         err = capsys.readouterr().err
@@ -894,7 +910,7 @@ class TestPrecedence:
 
 
 # (config key, config value, environment value, flag value) for every
-# resolved setting. The key is also the RunConfig field, the flag is "--"
+# resolved setting. The key is also the flag's dest, the flag is "--"
 # plus the key with dashes, and the environment variable is BUGREPLAY_ plus
 # the key upper-cased.
 SETTINGS = [
@@ -926,14 +942,36 @@ SETTINGS = [
                          ids=[row[0] for row in SETTINGS])
 def test_every_setting_honours_precedence(ws, monkeypatch, key, in_file, in_env, on_flag):
     def resolved(*extra):
-        args = cli._build_parser().parse_args(["replay", "crash.txt", "--config", "cfg.json", *extra])
-        return getattr(cli._build_run_config(args), key)
+        parser, argv = cli._build_parser(), ["replay", "crash.txt", "--config", "cfg.json", *extra]
+        return getattr(cli._build_run_config(parser, argv, parser.parse_args(argv)), key)
 
     (ws / "cfg.json").write_text(json.dumps({key: in_file}), encoding="utf-8")
     assert resolved() == in_file
     monkeypatch.setenv("BUGREPLAY_" + key.upper(), str(in_env))
     assert resolved() == in_env
     assert resolved("--" + key.replace("_", "-"), str(on_flag)) == on_flag
+
+
+def test_the_precedence_table_names_every_setting():
+    args = cli._build_parser().parse_args(["replay", "crash.txt"])
+    keys = [row[0] for row in SETTINGS]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == args.config_keys
+
+
+@pytest.mark.parametrize("env, config, source", [
+    ({"BUGREPLAY_DEVICE": "bogus"}, {}, "BUGREPLAY_DEVICE"),
+    ({}, {"wall_budget": -1}, "'wall_budget'"),
+], ids=["env-device", "config-wall-budget"])
+def test_extract_leaves_the_settings_of_replay_unread(ws, capsys, monkeypatch, env, config, source):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    setup = {"llm": "transcript", "transcript": transcript(ws, [EXTRACTION] * 3), "app": "app.json"}
+    (ws / "cfg.json").write_text(json.dumps(setup | config), encoding="utf-8")
+    assert main(["extract", "crash.txt", "--config", "cfg.json"]) == 0
+    capsys.readouterr()
+    assert main(["replay", "crash.txt", "--config", "cfg.json"]) == 2
+    assert source in capsys.readouterr().err
 
 
 class TestSecrets:

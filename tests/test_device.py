@@ -10,7 +10,7 @@ import pytest
 import bugreplay.device as device_module
 from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
-from bugreplay.gui import encode_gui, parse_dump
+from bugreplay.gui import encode_gui, parse_dump, screen_digest
 from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
 from bugreplay.steps import ActionType, parse_step_text
 
@@ -767,6 +767,26 @@ def test_a_generated_app_replays_alike_over_adb(seed, corpus, no_double_tap_gap)
         device.perform([tuple(gesture)])
         crashed = crashed or device.crashed()
     assert crashed == (simulated["outcome"] == "bug_triggered")
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_a_generated_app_run_keeps_its_budgets_and_screens(seed, corpus):
+    run = GeneratedRun(seed)
+    app = SimulatedApp(run.spec)
+    trace = replay(run.steps, SimulatedDevice(app), run.oracle(), corpus, run.budgets, fast_path=run.fast_path)
+    assert trace.outcome is not Outcome.ERROR, trace.error_detail
+    assert trace.actions_used <= run.budgets.actions
+    assert trace.backtracks_used <= run.budgets.backtracks
+    # each resolved id is a node of the screen the event's digest names
+    ids = {screen_digest(encoded.html): encoded.index.keys() for encoded in map(encode_gui, app.states.values())}
+    for event in trace.events:
+        if event.resolved_id is not None:
+            assert event.resolved_id in ids[event.screen_digest]
+    # an honest model picks what the lexical match would
+    if run.oracle_kind == "honest":
+        other = replay(run.steps, SimulatedDevice(app), run.oracle(), corpus, run.budgets,
+                       fast_path=not run.fast_path)
+        assert other.outcome is trace.outcome
 
 
 def test_dump_xml_round_trips_through_parse_dump():
