@@ -185,19 +185,15 @@ def _build_run_config(parser: argparse.ArgumentParser, argv: list[str] | None,
     return parser.parse_args(argv)
 
 
-def _load_report(path: str) -> BugReport:
-    p = Path(path)
-    text = _load("read report", path, _read_text)
+def _read_report(path: str) -> BugReport:
+    text = _read_text(path)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:
         data = None
-    try:
-        if isinstance(data, dict) and "text" in data:
-            return BugReport(id=str(data.get("id", p.stem)), raw_text=data["text"])
-        return BugReport(id=p.stem, raw_text=text)
-    except ValueError as exc:
-        raise _UsageError(f"report {path}: {exc}") from exc
+    if isinstance(data, dict) and "text" in data:
+        return BugReport(id=str(data.get("id", Path(path).stem)), raw_text=data["text"])
+    return BugReport(id=Path(path).stem, raw_text=text)
 
 
 def _load_corpus(args: argparse.Namespace) -> ExemplarCorpus:
@@ -280,7 +276,7 @@ def _run_extraction(args: argparse.Namespace, report: BugReport, llm: LlmClient,
             logger.warning("extraction run %d failed: %s", run, outcome)
         else:
             results.append({"ok": True, "steps": [_step_dict(s) for s in outcome]})
-    ok = [steps for steps in outcomes if isinstance(steps, list) and steps]
+    ok = [steps for steps in outcomes if isinstance(steps, list)]
     texts = [render_steps(steps) for steps in ok]
     by_text = dict(zip(texts, ok))
     # most_common keeps first-seen order among equal counts
@@ -288,7 +284,7 @@ def _run_extraction(args: argparse.Namespace, report: BugReport, llm: LlmClient,
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    report = _load_report(args.report)
+    report = _load("read report", args.report, _read_report)
     corpus = _load_corpus(args)
     llm = _make_llm(args)
     base = _out_base(args)
@@ -296,7 +292,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not candidates:
         print("extraction failed on every run:", file=sys.stderr)
         for i, r in enumerate(results, 1):
-            print(f"  run {i}: {r.get('error', '?')}", file=sys.stderr)
+            print(f"  run {i}: {r['error']}", file=sys.stderr)
         return 3
     steps = candidates[0]
     text = render_steps(steps) + "\n"
@@ -354,7 +350,7 @@ def _replay_runs(budgets: Budgets, candidates: list[list[Step]], llm: LlmClient,
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    report = _load_report(args.report)
+    report = _load("read report", args.report, _read_report)
     corpus = _load_corpus(args)
     llm = _make_llm(args)
     device = _make_device(args)
@@ -366,7 +362,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         candidates, extraction_runs = _run_extraction(args, report, llm, corpus)
     budgets = Budgets(tokens=args.token_budget, actions=args.actions_budget, backtracks=args.backtracks_budget,
                       wall_seconds=args.wall_budget, max_missing_depth=args.max_missing_depth)
-    traces = _replay_runs(budgets, candidates, llm, corpus, report.id, device, started) if candidates else []
+    traces = _replay_runs(budgets, candidates, llm, corpus, report.id, device, started)
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     trace_path = Path(f"{base}.trace.json")
     _write(trace_path, {

@@ -14,7 +14,7 @@ import re
 from .errors import NoStepsFound
 from .exemplars import ExemplarCorpus, ExtractionExemplar, Prompt, PromptSegment, fit_prompt
 from .llm import LlmClient
-from .steps import FIELDS, ActionType, BugReport, Step, bind_tokens, bracket_tokens, render_steps, validate_step_list
+from .steps import FIELDS, ActionType, BugReport, Step, bind_tokens, bracket_tokens, render_steps
 
 logger = logging.getLogger(__name__)
 
@@ -83,9 +83,7 @@ def parse_extraction_response(text: str) -> list[Step]:
     last = runs[-1]
     if len(runs) > 1:
         logger.debug("response restated its list %d times; keeping the last", len(runs))
-    steps = [bind_tokens(tokens, i, line) for i, (_, tokens, line) in enumerate(last, start=1)]
-    validate_step_list(steps)
-    return steps
+    return [bind_tokens(tokens, i, line) for i, (_, tokens, line) in enumerate(last, start=1)]
 
 
 def extract_steps(report: BugReport, llm: LlmClient, corpus: ExemplarCorpus, budget: int = 4096) -> list[Step]:

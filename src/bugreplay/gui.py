@@ -219,24 +219,23 @@ def parse_dump(xml_text: str) -> ViewNode:
 
     Accepts either a full <hierarchy> document or a bare <node> subtree.
     Empty string attributes mean absent. Malformed XML, foreign root tags,
-    or unparsable bounds raise DeviceError.
+    unparsable bounds, or nodes nested too deep raise DeviceError.
     """
     import xml.etree.ElementTree as ET
 
     try:
         root = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
+        if root.tag == "node":
+            return _node_from_xml(root)
+        if root.tag != "hierarchy":
+            raise DeviceError(f"unexpected dump root <{root.tag}>")
+        children = [_node_from_xml(child) for child in root if child.tag == "node"]
+    except (ET.ParseError, RecursionError) as exc:
         raise DeviceError(f"unparsable hierarchy dump: {exc}") from exc
-    if root.tag == "node":
-        return _node_from_xml(root)
-    if root.tag != "hierarchy":
-        raise DeviceError(f"unexpected dump root <{root.tag}>")
-    tops = [child for child in root if child.tag == "node"]
-    if not tops:
+    if not children:
         raise DeviceError("hierarchy dump has no nodes")
-    if len(tops) == 1:
-        return _node_from_xml(tops[0])
-    children = [_node_from_xml(t) for t in tops]
+    if len(children) == 1:
+        return children[0]
     wrap = Bounds(
         min(c.bounds.left for c in children),
         min(c.bounds.top for c in children),

@@ -114,7 +114,6 @@ class HttpLlm(LlmClient):
             "max_tokens": self.max_tokens,
             "temperature": self.temperature,
         }).encode("utf-8")
-        last_error = "no attempt made"
         for attempt in range(self._RETRIES + 1):
             if attempt:
                 time.sleep(self._BACKOFF_S * attempt)
@@ -170,7 +169,7 @@ class HttpLlm(LlmClient):
         try:
             choice = json.loads(data)["choices"][0]
             text = choice["message"]["content"] if "message" in choice else choice["text"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"unexpected completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise TransportError(f"unexpected completion payload: content is {type(text).__name__}, not text")

@@ -30,6 +30,8 @@ UNMATCHED = '1. [Tap] ["the crash button"]'
 # a step that needs no model and leaves the app alone
 SCROLL = '1. [Scroll] [down]'
 GUIDANCE = "The component is visible, so I operate on [id=2] in the screen."
+# JSON nested past the recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(autouse=True)
@@ -62,6 +64,19 @@ def logging_adb(ws):
     """An adb stand-in that notes each call in adb-calls.log."""
     adb = ws / "adb"
     adb.write_text('#!/bin/sh\necho "$@" >> "$(dirname "$0")/adb-calls.log"\n', encoding="utf-8")
+    adb.chmod(0o755)
+    return adb
+
+
+def deep_dump_adb(ws):
+    """An adb stand-in whose every dump is nested past the recursion limit."""
+    (ws / "deep.xml").write_text("<hierarchy>" + '<node bounds="[0,0][10,10]">' * 5000
+                                 + "</node>" * 5000 + "</hierarchy>", encoding="utf-8")
+    adb = ws / "adb"
+    adb.write_text('#!/bin/sh\ncase "$*" in\n'
+                   '  *"uiautomator dump"*) echo "UI hierchary dumped to: /sdcard/window_dump.xml" ;;\n'
+                   '  *" cat "*) cat "$(dirname "$0")/deep.xml" ;;\n'
+                   'esac\n', encoding="utf-8")
     adb.chmod(0o755)
     return adb
 
@@ -273,6 +288,16 @@ class TestReplay:
         assert run["error_detail"].startswith("DeviceError: ")
         assert "no-adb" in run["error_detail"]
 
+    def test_a_dump_nested_too_deep_is_a_failed_replay(self, ws, capsys):
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(deep_dump_adb(ws)),
+                *targs(ws, [EXTRACTION])]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"replay failed; trace written to {ws / 'crash.trace.json'}\n"
+        [run] = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))["runs"]
+        assert run["outcome"] == "error"
+        assert run["error_detail"].startswith("DeviceError: uiautomator dump failed 2 times: "
+                                              "unparsable hierarchy dump: maximum recursion depth exceeded")
+
 
 def test_replay_takes_the_fast_path(ws):
     # "Crash me" is verbatim and unique on screen: no guidance query
@@ -305,12 +330,38 @@ def pilot_endpoint(serve):
     return f"http://127.0.0.1:{serve(_Pilot)}/v1/chat/completions"
 
 
+class _Deep(BaseHTTPRequestHandler):
+    """Completion endpoint whose every answer is nested past the recursion limit."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        payload = DEEP_JSON.encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestHttpThroughCli:
     def test_http_extract(self, ws, pilot_endpoint, capsys):
         args = ["extract", "crash.txt", "--llm", "http",
                 "--endpoint", pilot_endpoint, "--runs", "1"]
         assert main(args) == 0
         assert capsys.readouterr().out == EXTRACTION + "\n"
+
+    def test_a_payload_nested_too_deep_fails_the_run(self, ws, serve, capsys):
+        endpoint = f"http://127.0.0.1:{serve(_Deep)}/v1/chat/completions"
+        assert main(["extract", "crash.txt", "--llm", "http", "--endpoint", endpoint, "--runs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("extraction failed on every run:\n")
+        for run in (1, 2):
+            assert f"  run {run}: TransportError: unexpected completion payload: maximum recursion depth" in err
+        assert not (ws / "crash.steps.txt").exists()
 
 
 class _Gauge(_Pilot):
@@ -706,6 +757,14 @@ class TestUsageErrors:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: cannot {what} deep.json: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("command", ["extract", "replay"])
+    def test_report_nested_too_deep(self, ws, capsys, command):
+        (ws / "deep.json").write_text(DEEP_JSON, encoding="utf-8")
+        device_args = ["--app", "app.json"] if command == "replay" else []
+        assert main([command, "deep.json", *device_args, *targs(ws, [EXTRACTION])]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot read report deep.json: maximum recursion depth exceeded")
+
     @pytest.mark.parametrize("command, env, config, source", [
         ("extract", {"BUGREPLAY_RUNS": "abc"}, {}, "BUGREPLAY_RUNS"),
         ("extract", {"BUGREPLAY_LLM": "transcrpt"}, {}, "BUGREPLAY_LLM"),
@@ -783,6 +842,26 @@ class TestUsageErrors:
         assert main(["extract", "filed.json", *targs(ws, [EXTRACTION])]) == 2
         assert "bug report text" in capsys.readouterr().err
         assert not (ws / "filed.steps.txt").exists()
+
+    @pytest.mark.parametrize("body, reason", [
+        ({"id": "x", "text": "   "}, "bug report text must be non-empty"),
+        ({"id": "x", "text": ["Tap Go"]}, "bug report text must be a string"),
+        ({"id": "", "text": REPORT}, "bug report id must be non-empty"),
+    ], ids=["blank-text", "list-text", "empty-id"])
+    def test_json_report_that_is_no_bug_report(self, ws, capsys, monkeypatch, body, reason):
+        prompts = []
+
+        class Counting(LlmClient):
+            def _complete(self, prompt):
+                prompts.append(prompt)
+                return EXTRACTION
+
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: Counting())
+        (ws / "r.json").write_text(json.dumps(body), encoding="utf-8")
+        assert main(["extract", "r.json", "--llm", "http", "--endpoint", "unused"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot read report r.json: {reason}"
+        assert prompts == []
 
 
 @pytest.mark.parametrize("command, artifact", [

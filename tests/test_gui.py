@@ -344,6 +344,7 @@ class TestParseDump:
         "<other/>",
         '<node class="x" bounds="[1,2][3]"/>',
         "<hierarchy></hierarchy>",
+        pytest.param("<hierarchy>" + "<node>" * 5000 + "</node>" * 5000 + "</hierarchy>", id="nested-too-deep"),
     ])
     def test_malformed_dumps_raise(self, bad):
         with pytest.raises(DeviceError):
