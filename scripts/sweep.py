@@ -6,12 +6,13 @@ prints one JSON line per run: the trace (less `wall_time`), its outcome,
 the model-call count, a hash of the ordered prompt digests, the dump and
 crash-check counts, and hashes of the device calls, in order and sorted.
 `tests/helpers.CallLog` logs the device calls, each gesture as the trace's
-tuple that `perform` takes. Each run is replayed again, with a fresh
-backend, over `AdbDevice` whose runner hands each adb call to
-`tests/helpers.AdbFront` over a fresh `SimulatedDevice`; its trace must
-equal the direct run's, or the sweep stops and exits 1. The line adds the
-adb call count and hashes of the argv log, sorted and in order. Two
-checkouts that should behave alike print the same lines.
+tuple that `perform` takes. `tests/helpers.replay_both_ways` replays each
+run again, with a fresh backend, over `AdbDevice` and the adb front, and
+checks what the README promises of every run; with the honest backend,
+the fast path off and on must end alike. A run that breaks a promise
+stops the sweep with exit 1. The line adds the adb call count and hashes
+of the argv log, sorted and in order. Two checkouts that should behave
+alike print the same lines.
 
     python3 scripts/sweep.py > change.jsonl
     python3 scripts/sweep.py --repo ../parent > parent.jsonl
@@ -39,7 +40,6 @@ import argparse
 import hashlib
 import json
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,25 +63,14 @@ def _digest(items) -> str:
 
 def sweep():
     """One record per run, in a fixed order."""
-    from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
+    from bugreplay.device import SimulatedApp, SimulatedDevice
     from bugreplay.exemplars import ExemplarCorpus
-    from bugreplay.llm import LlmClient, prompt_digest
-    from bugreplay.replay import Budgets, replay
-    from helpers import AdbFront, AlwaysMissingLlm, CallLog, GuidanceOracle, all_scenarios, synthesize_omissions
+    from bugreplay.llm import prompt_digest
+    from bugreplay.replay import Budgets
+    from helpers import (AlwaysMissingLlm, CallLog, GuidanceOracle, PromptCollector, all_scenarios,
+                         replay_both_ways, synthesize_omissions)
 
     corpus = ExemplarCorpus.builtin()
-
-    class Counted(LlmClient):
-        """Delegates to a backend and notes each prompt's digest."""
-
-        def __init__(self, inner):
-            super().__init__()
-            self.inner = inner
-            self.digests = []
-
-        def _complete(self, prompt):
-            self.digests.append(prompt_digest(prompt.rendered))
-            return self.inner.complete(prompt)
 
     def backends(scenario):
         yield "scenario", scenario.steps, scenario.oracle
@@ -92,45 +81,27 @@ def sweep():
                 for seed in range(5):
                     yield f"omit-k{k}-s{seed}", synthesize_omissions(scenario.steps, k, seed), scenario.oracle
 
-    def run(steps, device, llm, scenario, budget, fast_path):
-        data = replay(steps, device, llm, corpus, Budgets(**budget), scenario.name,
-                      fast_path=fast_path).to_dict()
-        del data["wall_time"]
-        return data
-
-    def over_adb(steps, llm, scenario, budget, fast_path):
-        """The run over AdbDevice and the adb front, the argv of each adb
-        call it made, and the threads that made them."""
-        front = AdbFront(SimulatedDevice(SimulatedApp(scenario.spec)), PACKAGE, LAUNCH)
-        argv_log, threads = [], set()
-
-        def runner(argv):
-            argv_log.append(argv)
-            threads.add(threading.get_ident())
-            return front(argv)
-
-        adb = AdbDevice(runner=runner, package=PACKAGE, launch_command=LAUNCH)
-        adb.DOUBLE_TAP_GAP_SECONDS = 0
-        return run(steps, adb, llm, scenario, budget, fast_path), argv_log, threads
-
     for budget_name, budget in BUDGETS.items():
         for scenario in all_scenarios():
             for backend, steps, make_llm in backends(scenario):
+                outcomes = set()
                 for fast_path in (False, True):
                     name = f"{scenario.name}/{budget_name}/{backend}/fast={fast_path}"
-                    llm = Counted(make_llm())
+                    llm = PromptCollector(make_llm())
                     device = CallLog(SimulatedDevice(SimulatedApp(scenario.spec)))
-                    data = run(steps, device, llm, scenario, budget, fast_path)
-                    adb_data, argv_log, threads = over_adb(steps, make_llm(), scenario, budget, fast_path)
-                    assert adb_data == data, f"{name}: the adb run's trace differs from the simulated run's"
-                    assert device.threads | threads <= {threading.get_ident()}, \
-                        f"{name}: a device call ran off the replay thread"
+                    try:
+                        data, argv_log = replay_both_ways(
+                            scenario.spec, steps, llm, make_llm(), corpus, Budgets(**budget), scenario.name,
+                            fast_path=fast_path, package=PACKAGE, launch=LAUNCH, device=device)
+                    except AssertionError as exc:
+                        raise AssertionError(f"{name}: {exc}") from exc
+                    outcomes.add(data["outcome"])
                     yield {
                         "run": name,
                         "trace": data,
                         "outcome": data["outcome"],
-                        "model_calls": len(llm.digests),
-                        "prompts": _digest(llm.digests),
+                        "model_calls": len(llm.prompts),
+                        "prompts": _digest([prompt_digest(prompt.rendered) for prompt in llm.prompts]),
                         "dumps": device.calls.count("dump_hierarchy"),
                         "crash_checks": device.calls.count("crashed"),
                         "device_order": _digest(device.calls),
@@ -139,6 +110,9 @@ def sweep():
                         "adb_argv": _digest(sorted(map(json.dumps, argv_log))),
                         "adb_order": _digest(argv_log),
                     }
+                # an honest model picks what the lexical match would
+                assert backend != "honest" or len(outcomes) == 1, \
+                    f"{scenario.name}/{budget_name}/{backend}: the fast path changed the outcome"
 
 
 def compact(record: dict) -> dict:

@@ -192,7 +192,10 @@ def _read_report(path: str) -> BugReport:
     except ValueError:
         data = None
     if isinstance(data, dict) and "text" in data:
-        return BugReport(id=str(data.get("id", Path(path).stem)), raw_text=data["text"])
+        rid = Path(path).stem if data.get("id") is None else data["id"]
+        if type(rid) not in (str, int):
+            raise ValueError(f"bug report id must be a string or an integer, got {rid!r}")
+        return BugReport(id=str(rid), raw_text=data["text"])
     return BugReport(id=Path(path).stem, raw_text=text)
 
 

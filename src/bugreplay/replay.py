@@ -60,7 +60,9 @@ encoding, acts on that node with no model call. Two guards keep it
 honest. A dump right after such a lexical pick checks it, before a Scroll
 step swipes too: if the screen's digest is unchanged, the pick is undone
 (no backtrack counted, no exclusion added) and the model is asked on that
-screen, with the prompt the paper would have sent. And the fast path stays
+screen, with the prompt the paper would have sent; an answer that cites the
+undone node with no [MISSING] takes the gesture already sent as the step's
+action, and its snapshot joins history. And the fast path stays
 on only while it is right: it goes off for the rest of the run once the
 model is asked for any reason or a pick is undone. A wrong lexical pick
 that does change the screen, typed text included, is caught only by
@@ -310,7 +312,7 @@ def replay(
     outcome=error. Termination is guaranteed: every iteration either
     executes an action, consumes a backtrack, or finishes, and both are
     budgeted; the one undo of a lexical pick a run can make follows an
-    action.
+    action, and so does the advance that may take its gesture back up.
     """
     validate_step_list(steps)
     budgets = budgets or Budgets()
@@ -327,6 +329,8 @@ def replay(
     # the snapshot of a lexical pick that no dump has checked yet; it
     # joins history once a dump shows the pick changed the screen
     pending: _Snapshot | None = None
+    # a pick Guard 1 undid, until the model answers on its screen
+    undone: _Snapshot | None = None
     # the guidance call in flight
     asked: Future | None = None
     # whether the last gesture still awaits its crash check
@@ -399,7 +403,7 @@ def replay(
                 if screen[1] == pending.screen[1]:
                     logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
                     cursor, missing_depth, excluded = pending.cursor, pending.missing_depth, pending.excluded
-                    fast_path = False
+                    fast_path, undone = False, pending
                 else:
                     history.append(pending)
                 pending = None
@@ -429,6 +433,7 @@ def replay(
                         return finish(Outcome.BUG_TRIGGERED)
                     call, asked = asked, None
                     enc_used, answer = call.result()
+                    redo, undone = undone, None
                     try:
                         result = parse_guidance_response(answer)
                         # a bare [MISSING] cites no id, which resolves to none
@@ -446,6 +451,10 @@ def replay(
                             return finish(Outcome.BUDGET_EXHAUSTED, reason)
                         continue
                     exploratory = result.missing
+                    if redo is not None and full_id == redo.departed_id and not exploratory:
+                        history.append(redo)
+                        cursor += 1
+                        continue
                 # a re-ask was built on the snapshot's dump of this screen,
                 # whose full ids its digest shares; the tap takes live bounds
                 node = encoded.index[full_id]

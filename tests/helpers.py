@@ -18,8 +18,10 @@ from collections import deque
 from dataclasses import replace
 from xml.sax.saxutils import quoteattr
 
+from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
+from bugreplay.gui import Bounds, ViewNode, encode_gui, screen_digest
 from bugreplay.llm import LlmClient
-from bugreplay.replay import Budgets
+from bugreplay.replay import Budgets, replay
 from bugreplay.steps import ActionType, bracket_tokens, parse_step_text, strip_quotes
 
 SCREEN = (1080, 1920)
@@ -559,6 +561,19 @@ class ScriptedLlm(LlmClient):
         return self.answers.popleft()
 
 
+class PromptCollector(LlmClient):
+    """Pass-through backend that keeps every prompt it is sent."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.prompts = []
+
+    def _complete(self, prompt):
+        self.prompts.append(prompt)
+        return self.inner.complete(prompt)
+
+
 class CallLog:
     """Delegates to a device session and logs each call just before it is
     made: a gesture as the trace's tuple, and any other call by name.
@@ -696,6 +711,48 @@ class AdbFront:
         self.pending = pending
 
 
+# the app the adb runs address, and the command that starts it again
+PACKAGE, LAUNCH = "com.example.app", "am start -n com.example.app/.Main"
+
+
+def replay_both_ways(spec, steps, llm, adb_llm, corpus, budgets=None, report_id="", fast_path=False,
+                     package=PACKAGE, launch=LAUNCH, device=None):
+    """Replay a run on `device` (a SimulatedDevice or a CallLog around one)
+    with `llm`, then with `adb_llm` over AdbDevice and an AdbFront, with no
+    double-tap gap; assert what the README promises of every run; return
+    its trace, less wall_time, and the argv of each adb call."""
+    app, budgets = SimulatedApp(spec), budgets or Budgets()
+    caller, argv_log = threading.get_ident(), []
+    log = device if isinstance(device, CallLog) else CallLog(device or SimulatedDevice(app))
+    front = AdbFront(SimulatedDevice(app), package, launch)
+
+    def runner(argv):
+        assert threading.get_ident() == caller, "an adb call ran off the calling thread"
+        argv_log.append(argv)
+        return front(argv)
+
+    adb = AdbDevice(runner=runner, package=package, launch_command=launch)
+    adb.DOUBLE_TAP_GAP_SECONDS = 0
+    data, over_adb = (replay(steps, on, model, corpus, budgets, report_id, fast_path=fast_path).to_dict()
+                      for on, model in ((log, llm), (adb, adb_llm)))
+    del data["wall_time"], over_adb["wall_time"]
+    assert over_adb == data, "the trace over adb differs from the simulated one"
+    assert log.threads <= {caller}, "a device call ran off the calling thread"
+    assert data["actions_used"] <= budgets.actions and data["backtracks_used"] <= budgets.backtracks
+    ids = {screen_digest(encoded.html): encoded.index.keys() for encoded in map(encode_gui, app.states.values())}
+    for event in data["events"]:
+        assert event["resolved_id"] is None or event["resolved_id"] in ids[event["screen_digest"]], event
+    # the gestures replay verbatim: they pass through a crash state exactly when the run reports the bug
+    replayed, crashed = SimulatedDevice(app), False
+    for gesture in data["gestures"]:
+        replayed.perform([tuple(gesture)])
+        crashed = crashed or replayed.crashed()
+    assert crashed == (data["outcome"] == "bug_triggered"), "the gestures do not replay to the outcome"
+    # no screen of the app changes by itself, so nothing may end the run in error
+    assert data["outcome"] != "error", data["error_detail"]
+    return data, argv_log
+
+
 # ----------------------------------------------------------- random apps
 
 LABEL_POOL = ["Go", "Next", "Open", "Save", "More", "Done"]
@@ -790,8 +847,6 @@ class GeneratedRun:
 
 
 # ---------------------------------------------------- random view trees
-
-from bugreplay.gui import Bounds, ViewNode  # noqa: E402
 
 CLASS_POOL = [
     "android.widget.TextView",

@@ -23,7 +23,7 @@ from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt, parse_extraction_response
 from bugreplay.guidance import parse_guidance_response
 from bugreplay.gui import Bounds, ViewNode, encode_gui, resolve_component
-from bugreplay.llm import LlmClient, estimate_tokens
+from bugreplay.llm import estimate_tokens
 from bugreplay.replay import Budgets, Outcome, execute_step, replay
 from bugreplay.steps import (
     ActionType,
@@ -38,6 +38,7 @@ import conftest
 from helpers import (
     SCENARIO_BUILDERS,
     AlwaysMissingLlm,
+    PromptCollector,
     scenario_linear_taps_5,
     scenario_no_back_decoy,
     scenario_single_step,
@@ -60,19 +61,6 @@ def criterion(n, text):
             conftest.ACCEPTANCE_LINES.append(f"ACCEPTANCE {n}: PASS - {text}")
         return wrapper
     return deco
-
-
-class PromptCollector(LlmClient):
-    """Pass-through backend that keeps every prompt it is sent."""
-
-    def __init__(self, inner):
-        super().__init__()
-        self.inner = inner
-        self.prompts = []
-
-    def _complete(self, prompt):
-        self.prompts.append(prompt)
-        return self.inner._complete(prompt)
 
 
 def guided_run(scenario, llm=None, steps=None, budgets=None):

@@ -119,6 +119,12 @@ class TestExtract:
         artifact = json.loads((ws / "filed.steps.json").read_text(encoding="utf-8"))
         assert artifact["report_id"] == "rep-7"
 
+    @pytest.mark.parametrize("rid, report_id", [(None, "filed"), (7, "7")], ids=["null-id", "number-id"])
+    def test_json_report_id_that_is_null_or_a_number(self, ws, capsys, rid, report_id):
+        (ws / "filed.json").write_text(json.dumps({"id": rid, "text": REPORT}), encoding="utf-8")
+        assert main(["extract", "filed.json", *targs(ws, [EXTRACTION])]) == 0
+        assert json.loads((ws / "filed.steps.json").read_text(encoding="utf-8"))["report_id"] == report_id
+
     def test_majority_two_of_three(self, ws, capsys):
         responses = [EXTRACTION, '1. [Tap] ["Other"]', "Sure, here you go.\n" + EXTRACTION]
         assert main(["extract", "crash.txt", *targs(ws, responses, runs=3)]) == 0
@@ -847,7 +853,9 @@ class TestUsageErrors:
         ({"id": "x", "text": "   "}, "bug report text must be non-empty"),
         ({"id": "x", "text": ["Tap Go"]}, "bug report text must be a string"),
         ({"id": "", "text": REPORT}, "bug report id must be non-empty"),
-    ], ids=["blank-text", "list-text", "empty-id"])
+        ({"id": True, "text": REPORT}, "bug report id must be a string or an integer, got True"),
+        ({"id": ["x"], "text": REPORT}, "bug report id must be a string or an integer, got ['x']"),
+    ], ids=["blank-text", "list-text", "empty-id", "bool-id", "list-id"])
     def test_json_report_that_is_no_bug_report(self, ws, capsys, monkeypatch, body, reason):
         prompts = []
 

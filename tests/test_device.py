@@ -6,13 +6,13 @@ import sys
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bugreplay.device as device_module
 from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
-from bugreplay.gui import encode_gui, parse_dump, screen_digest
+from bugreplay.gui import encode_gui, parse_dump
 from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
 from bugreplay.steps import ActionType, parse_step_text
 
@@ -29,6 +29,7 @@ from helpers import (
     dump_xml,
     find_id_by_text,
     random_view_tree,
+    replay_both_ways,
     scenario_linear_taps_3,
     scenario_with_input,
     stacked,
@@ -677,35 +678,14 @@ class TestAdbDevice:
             self.make(broken).perform([("tap", 1, 1)])
 
 
-PACKAGE, LAUNCH = "com.example.app", "am start -n com.example.app/.Main"
 FAST_PATHS = pytest.mark.parametrize("fast_path", [False, True], ids=["paper-loop", "fast-path"])
 
 
-@pytest.fixture
-def no_double_tap_gap(monkeypatch):
-    monkeypatch.setattr(AdbDevice, "DOUBLE_TAP_GAP_SECONDS", 0)
-
-
-def replay_both_ways(spec, steps, oracle, corpus, budgets=None, report_id="", fast_path=False, launch=LAUNCH):
-    """The run's trace over AdbDevice and the adb front, then on a
-    SimulatedDevice alone, each less wall_time and each with a fresh
-    oracle(). The front acts on a SimulatedDevice, so the two must be equal."""
-    def trace(device):
-        data = replay(steps, device, oracle(), corpus, budgets, report_id, fast_path=fast_path).to_dict()
-        del data["wall_time"]
-        return data
-
-    front = AdbFront(SimulatedDevice(SimulatedApp(spec)), PACKAGE, launch)
-    return (trace(AdbDevice(runner=front, package=PACKAGE, launch_command=launch)),
-            trace(SimulatedDevice(SimulatedApp(spec))))
-
-
 @FAST_PATHS
-def test_replay_over_adb_matches_the_simulated_device(scenario, corpus, no_double_tap_gap, fast_path):
-    over_adb, simulated = replay_both_ways(scenario.spec, scenario.steps, scenario.oracle, corpus,
-                                           report_id=scenario.name, fast_path=fast_path)
-    assert over_adb == simulated
-    assert over_adb["outcome"] == "bug_triggered"
+def test_replay_over_adb_matches_the_simulated_device(scenario, corpus, fast_path):
+    trace, _ = replay_both_ways(scenario.spec, scenario.steps, scenario.oracle(), scenario.oracle(), corpus,
+                                report_id=scenario.name, fast_path=fast_path)
+    assert trace["outcome"] == "bug_triggered"
 
 
 def page(header, *widgets):
@@ -713,7 +693,7 @@ def page(header, *widgets):
 
 
 @FAST_PATHS
-def test_a_launch_word_with_a_space_reaches_the_front_whole(corpus, no_double_tap_gap, fast_path):
+def test_a_launch_word_with_a_space_reaches_the_front_whole(corpus, fast_path):
     # two "Continue" buttons leave the fast path to the model, whose decoy
     # leads where Back does nothing, so the restore relaunches the app
     spec = _spec({"s0": {"tree": page("Wizard", (button, "Continue"), (button, "Continue"))},
@@ -722,30 +702,27 @@ def test_a_launch_word_with_a_space_reaches_the_front_whole(corpus, no_double_ta
                  [_tap("s0", 2, "s1"), _tap("s0", 3, "dead"), _tap("s1", 2, CRASH_STATE)], "s0")
     scenario = Scenario("quoted_launch", spec, ['[Tap] ["Continue"]', '[Tap] ["Finish"]'],
                         decoys={"Continue": [3]})
-    over_adb, simulated = replay_both_ways(
-        spec, scenario.steps, scenario.oracle, corpus, fast_path=fast_path,
-        launch="am start -n com.example.app/.Main -d 'https://x.test/a b'")
-    assert over_adb == simulated
-    assert over_adb["outcome"] == "bug_triggered"
-    assert ["restart"] in over_adb["gestures"]
+    trace, _ = replay_both_ways(spec, scenario.steps, scenario.oracle(), scenario.oracle(), corpus,
+                                fast_path=fast_path, launch="am start -n com.example.app/.Main -d 'https://x.test/a b'")
+    assert trace["outcome"] == "bug_triggered"
+    assert ["restart"] in trace["gestures"]
 
 
 @FAST_PATHS
-def test_a_double_tap_with_only_a_tap_transition_is_two_taps_on_both_devices(corpus, no_double_tap_gap,
-                                                                             fast_path):
+def test_a_double_tap_with_only_a_tap_transition_is_two_taps_on_both_devices(corpus, fast_path):
     # the first tap opens "Liked", and the second lands on its "Thanks"
     spec = _spec({"s0": {"tree": page("Photos", (button, "Like"))},
                   "s1": {"tree": page("Liked", (text_view, "Thanks"), (button, "Share"))}},
                  [_tap("s0", 2, "s1"), _tap("s1", 3, CRASH_STATE)], "s0")
     scenario = Scenario("double_tap_as_two_taps", spec, ['[Double-tap] ["Like"]', '[Tap] ["Share"]'])
-    over_adb, simulated = replay_both_ways(spec, scenario.steps, scenario.oracle, corpus, fast_path=fast_path)
-    assert over_adb == simulated
-    assert over_adb["outcome"] == "bug_triggered"
+    trace, _ = replay_both_ways(spec, scenario.steps, scenario.oracle(), scenario.oracle(), corpus,
+                                fast_path=fast_path)
+    assert trace["outcome"] == "bug_triggered"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: a restore's prefix sends two taps at one point "
                                        "back to back, and the adb front reads them as a double tap")
-def test_a_restore_prefix_of_two_taps_at_one_point_replays_alike_over_adb(corpus, no_double_tap_gap):
+def test_a_restore_prefix_of_two_taps_at_one_point_replays_alike_over_adb(corpus):
     # "Go" sits at the same bounds on s0 and s1; on s0 it also takes a double
     # tap. The decoy for "Next" leads where Back does nothing, so the restore
     # restarts and sends its prefix, tap and tap at "Go", with no dump between
@@ -761,78 +738,50 @@ def test_a_restore_prefix_of_two_taps_at_one_point_replays_alike_over_adb(corpus
     scenario = Scenario("restore_two_taps", spec,
                         ['[Tap] ["Go"]', '[Tap] ["Go"]', '[Tap] ["Next"]', '[Tap] ["Finish"]'],
                         decoys={"Next": [3]})
-    over_adb, simulated = replay_both_ways(spec, scenario.steps, scenario.oracle, corpus)
-    assert simulated["outcome"] == "bug_triggered"
-    assert over_adb == simulated
+    trace, _ = replay_both_ways(spec, scenario.steps, scenario.oracle(), scenario.oracle(), corpus)
+    assert trace["outcome"] == "bug_triggered"
+
+
+# seeds whose fast path undoes a lexical pick that the model then names again
+UNDONE_PICKS = [382, 6667, 3_542_622_101]
 
 
 @pytest.mark.parametrize("seed", range(300))
-def test_a_generated_app_replays_alike_over_adb(seed, corpus, no_double_tap_gap):
+def test_a_generated_app_replays_alike_over_adb(seed, corpus):
     run = GeneratedRun(seed)
-    over_adb, simulated = replay_both_ways(run.spec, run.steps, run.oracle, corpus, run.budgets,
-                                           fast_path=run.fast_path)
-    assert over_adb == simulated
-    # the gestures replay verbatim: they pass through the crash state
-    # exactly when the run reports the bug
-    device, crashed = SimulatedDevice(SimulatedApp(run.spec)), False
-    for gesture in simulated["gestures"]:
-        device.perform([tuple(gesture)])
-        crashed = crashed or device.crashed()
-    assert crashed == (simulated["outcome"] == "bug_triggered")
+    replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets, fast_path=run.fast_path)
 
 
-@pytest.mark.parametrize("seed", range(300))
+@pytest.mark.parametrize("seed", [*range(300), *UNDONE_PICKS])
 def test_a_generated_app_run_keeps_its_budgets_and_screens(seed, corpus):
+    # the run with the fast path flipped keeps every property too; with an
+    # honest model, which picks what the lexical match would, it ends the same way
     run = GeneratedRun(seed)
-    app = SimulatedApp(run.spec)
-    trace = replay(run.steps, SimulatedDevice(app), run.oracle(), corpus, run.budgets, fast_path=run.fast_path)
-    assert trace.outcome is not Outcome.ERROR, trace.error_detail
-    assert trace.actions_used <= run.budgets.actions
-    assert trace.backtracks_used <= run.budgets.backtracks
-    # each resolved id is a node of the screen the event's digest names
-    ids = {screen_digest(encoded.html): encoded.index.keys() for encoded in map(encode_gui, app.states.values())}
-    for event in trace.events:
-        if event.resolved_id is not None:
-            assert event.resolved_id in ids[event.screen_digest]
-    # an honest model picks what the lexical match would
+    flipped, _ = replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets,
+                                  fast_path=not run.fast_path)
     if run.oracle_kind == "honest":
-        other = replay(run.steps, SimulatedDevice(app), run.oracle(), corpus, run.budgets,
-                       fast_path=not run.fast_path)
-        assert other.outcome is trace.outcome
+        trace = replay(run.steps, SimulatedDevice(SimulatedApp(run.spec)), run.oracle(), corpus, run.budgets,
+                       fast_path=run.fast_path)
+        assert trace.outcome.value == flipped["outcome"]
 
 
-# the fixture only zeroes a class attribute, which holds for every example
-@settings(max_examples=80, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(st.integers(min_value=300))
-def test_a_generated_app_beyond_the_fixed_seeds(corpus, no_double_tap_gap, seed):
-    # the fixed seeds' properties on seeds drawn past them, all but the
-    # flipped fast path's, which fails on some (ROADMAP item 17, pinned below)
-    test_a_generated_app_replays_alike_over_adb(seed, corpus, no_double_tap_gap)
-    run = GeneratedRun(seed)
-    app = SimulatedApp(run.spec)
-    trace = replay(run.steps, SimulatedDevice(app), run.oracle(), corpus, run.budgets, fast_path=run.fast_path)
-    assert trace.outcome is not Outcome.ERROR, trace.error_detail
-    assert trace.actions_used <= run.budgets.actions
-    assert trace.backtracks_used <= run.budgets.backtracks
-    ids = {screen_digest(encoded.html): encoded.index.keys() for encoded in map(encode_gui, app.states.values())}
-    for event in trace.events:
-        if event.resolved_id is not None:
-            assert event.resolved_id in ids[event.screen_digest]
+def test_a_generated_app_beyond_the_fixed_seeds(corpus, seed):
+    # the fixed seeds' properties, the flipped fast path's included, on seeds drawn past them
+    test_a_generated_app_replays_alike_over_adb(seed, corpus)
+    test_a_generated_app_run_keeps_its_budgets_and_screens(seed, corpus)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: a lexical pick that changes nothing is undone and the "
-                                       "model's same pick sent again, one action the paper's loop does not spend")
-@pytest.mark.parametrize("seed", [382, 6667, 3_542_622_101])
+@pytest.mark.parametrize("seed", UNDONE_PICKS)
 def test_an_undone_lexical_pick_ends_the_run_as_the_paper_loop_does(seed, corpus):
     # each run has an honest oracle, one action a step, and a step whose
     # gesture changes nothing; on seed 6667 the paper's loop triggers the bug
     run = GeneratedRun(seed)
-    app = SimulatedApp(run.spec)
-    fast, paper = (replay(run.steps, SimulatedDevice(app), run.oracle(), corpus, run.budgets, fast_path=flag)
-                   for flag in (True, False))
-    assert fast.outcome is paper.outcome
-
+    fast, paper = (replay(run.steps, SimulatedDevice(SimulatedApp(run.spec)), run.oracle(), corpus, run.budgets,
+                          fast_path=flag) for flag in (True, False))
+    # the gesture already sent is the step's action, so the fast path spends no extra one
+    assert (fast.outcome, fast.actions_used) == (paper.outcome, paper.actions_used)
 
 def test_dump_xml_round_trips_through_parse_dump():
     rng = random.Random(11)

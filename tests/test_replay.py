@@ -731,6 +731,19 @@ class TestFastPath:
             (e.resolved_id, e.exploratory, e.resolved_by) for e in expected.events]
         assert trace.backtracks_used == 0
 
+    def test_a_pick_the_model_names_again_is_not_sent_again(self):
+        # the tap on "Save" changes nothing and is undone; the model names
+        # "Save" again, and the tap already sent is the step's one action
+        s0 = stacked("Note", [lambda y: button("Save", y), lambda y: button("Go", y)])
+        spec = _spec({"s0": {"tree": s0}}, [_tap("s0", 3, CRASH_STATE)], "s0")
+        scenario = Scenario("save_then_go", spec, ['[Tap] ["Save"]', '[Tap] ["Go"]'])
+        llm = ScriptedLlm(["[id=2]", "[id=3]"])
+        trace = run(scenario, llm=llm, budgets=Budgets(actions=2), fast_path=True)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.gestures == [("tap", 540, 245), ("tap", 540, 375)]
+        assert [(e.resolved_id, e.resolved_by) for e in trace.events] == [(2, "lexical"), (3, "model")]
+        assert len(llm.prompts) == 2
+
     @pytest.mark.parametrize("build", [
         lambda: scenario_filler_bridge("tap"), lambda: scenario_filler_bridge("none"),
         lambda: scenario_filler_bridge("scroll"), scenario_two_branch],

@@ -14,9 +14,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
 
-def run(*args):
-    return subprocess.run([sys.executable, *map(str, args)], cwd=ROOT,
-                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+def run(*args, encoding_gate=True):
+    # as in tier-1, a text read or write with no encoding fails; the bench runs
+    # outside this gate, as its build_adb_client still opens pipes with none
+    gate = ["-W", "error::EncodingWarning"] if encoding_gate else []
+    return subprocess.run([sys.executable, *gate, *map(str, args)], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNDEFAULTENCODING="1"),
                           capture_output=True, text=True, encoding="utf-8", timeout=120)
 
 
@@ -80,7 +83,7 @@ def test_bench_runs_each_workload(workload):
     # --quick runs at zero latency; the replay workloads run the program's
     # adb runner against the bench's native client
     done = run(ROOT / "perfbench" / "run.py", "--workload", workload, "--seed", "7",
-               "--seconds", "1", "--quick", "--trace", "0")
+               "--seconds", "1", "--quick", "--trace", "0", encoding_gate=False)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"], done.stderr
@@ -97,7 +100,7 @@ def test_bench_tracer_sees_the_program(workload):
     # a refactor that stops calling through a traced name would quietly
     # zero its per-layer figure; the adb counts come from the emulator
     done = run(ROOT / "perfbench" / "run.py", "--workload", workload, "--seed", "7",
-               "--seconds", "1", "--quick", "--trace", "1")
+               "--seconds", "1", "--quick", "--trace", "1", encoding_gate=False)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, done.stderr
