@@ -28,7 +28,6 @@ def screen(*children):
 APP = {
     "initial": "home",
     "crash_states": ["crashed"],
-    "screen": [1080, 1920],
     "states": {
         "home": {"tree": screen(view("TextView", "Home", 60, 140),
                                 view("Button", "Settings", 200, 290))},

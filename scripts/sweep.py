@@ -21,9 +21,10 @@ alike print the same lines.
 --repo runs the sweep against another checkout's `src/`, with this
 checkout's scenarios and helpers, so a parent commit needs a copy of
 neither. That checkout's `SimulatedApp` must take the spec dict itself,
-its `AdbDevice` its settings as keywords, its sessions must take
-gestures through `perform`, and its `SimulatedDevice` must answer
-`takes_double_tap`, which the adb front asks.
+its `AdbDevice` its settings as keywords and send no `wm size`, which
+the adb front does not answer, its sessions must take gestures through
+`perform`, and its `SimulatedDevice` must answer `takes_double_tap`,
+which the adb front asks.
 
 --compact prints each field but the run's name as a short digest;
 `tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with
@@ -46,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 BUDGETS = {
     "default": {},
-    "tight": {"actions": 6, "backtracks": 1},
+    "tight": {"actions": 4, "backtracks": 1},
     "no-backtracks": {"backtracks": 0},
     "no-missing": {"max_missing_depth": 0},
     "tokens-900": {"tokens": 900},

@@ -3,9 +3,9 @@
 A session makes gestures given as the tuples a replay trace logs, in a
 list that `perform` runs in order: ("tap", x, y), ("double_tap", x, y),
 ("long_tap", x, y), ("swipe", x1, y1, x2, y2), ("text", value), ("back",)
-and ("restart",); a gesture of another kind raises ValueError. A session
-also measures the screen, dumps the view hierarchy, and says whether the
-app has crashed.
+and ("restart",); a gesture of another kind raises ValueError, and its
+coordinates come from a dump. A session also dumps the view hierarchy and
+says whether the app has crashed.
 
 The simulated app is a finite state machine: named states each hold a
 view tree, and transitions map (state, gesture, subject) to a successor
@@ -17,7 +17,6 @@ spec files are JSON::
     {
       "initial": "home",
       "crash_states": ["boom"],
-      "screen": [1080, 1920],
       "states": {"home": {"tree": {...}}, "other": {"xml": "<node .../>"}},
       "transitions": [
         {"from": "home", "action": "tap", "id": 2, "to": "menu"},
@@ -52,10 +51,6 @@ logger = logging.getLogger(__name__)
 
 class DeviceSession(ABC):
     """The surface shared by real and simulated devices."""
-
-    @property
-    @abstractmethod
-    def screen_size(self) -> tuple[int, int]: ...
 
     @abstractmethod
     def dump_hierarchy(self) -> ViewNode: ...
@@ -111,11 +106,6 @@ class SimulatedApp:
             if name not in self.states:
                 raise ValueError(f"crash state {name!r} is not defined")
         self.crash_states = frozenset(crash_states)
-        screen = spec.get("screen", (1080, 1920))
-        if not (isinstance(screen, (list, tuple)) and len(screen) == 2
-                and all(type(v) is int and v > 0 for v in screen)):
-            raise ValueError(f"screen must be two positive integers, not {screen!r}")
-        self.screen = tuple(screen)
         # each state's nodes as (depth, id, node), ids of its full
         # encoding, deepest first and then the later id: a tap's hit order
         self.hit_order: dict[str, list[tuple[int, int, ViewNode]]] = {}
@@ -164,18 +154,15 @@ class SimulatedDevice(DeviceSession):
     with no double-tap listener. Typed text goes to the node the last
     plain tap hit; a double tap that has its transition, and a long tap,
     leave that focus alone. A swipe is a scroll in the direction its
-    larger leg moves, vertical on a tie. All session state lives here, so
-    any number of sessions can share one app.
+    larger leg moves, vertical on a tie; one that stays in place, as a
+    Scroll across a root with no bounds does, scrolls nothing. All session
+    state lives here, so any number of sessions can share one app.
     """
 
     def __init__(self, app: SimulatedApp):
         self.app = app
         self.current = app.initial
         self._focused: int | None = None
-
-    @property
-    def screen_size(self) -> tuple[int, int]:
-        return self.app.screen
 
     def _hit(self, x: int, y: int, kind: str) -> int | None:
         containing = [
@@ -212,7 +199,9 @@ class SimulatedDevice(DeviceSession):
             elif kind == "swipe":
                 x1, y1, x2, y2 = args
                 dx, dy = x2 - x1, y2 - y1
-                if abs(dy) >= abs(dx):
+                if not dx and not dy:
+                    kind, subject = "scroll", None
+                elif abs(dy) >= abs(dx):
                     kind, subject = "scroll", "up" if dy < 0 else "down"
                 else:
                     kind, subject = "scroll", "left" if dx < 0 else "right"
@@ -340,7 +329,6 @@ class AdbDevice(DeviceSession):
         if launch_command is not None and not any(self._launch):
             raise ValueError(f"launch command {launch_command!r} holds no command")
         self._runner = runner or _run_subprocess
-        self._size: tuple[int, int] | None = None
 
     def _adb(self, *args: str) -> str:
         return self._runner([*self._prefix, *args])
@@ -348,17 +336,6 @@ class AdbDevice(DeviceSession):
     def _shell(self, *words) -> str:
         # adb joins the words after shell with plain spaces for the device shell to split again
         return self._adb("shell", *(shlex.quote(str(word)) for word in words))
-
-    @property
-    def screen_size(self) -> tuple[int, int]:
-        # an "Override size:" line, when wm size prints one, is the size the display uses
-        if self._size is None:
-            out = self._shell("wm", "size")
-            m = re.search(r"Override size: (\d+)x(\d+)", out) or re.search(r"(\d+)x(\d+)", out)
-            if not m:
-                raise DeviceError(f"cannot read screen size from {out!r}")
-            self._size = (int(m.group(1)), int(m.group(2)))
-        return self._size
 
     def dump_hierarchy(self) -> ViewNode:
         # a dump can fail ("ERROR: could not get idle state.", on either stream)

@@ -17,10 +17,10 @@ the set it was taken with, a backtrack brings it back with the departed
 id added, and any executed action, an advance or an exploratory hop,
 starts the next screen with none.
 
-Scroll steps execute directly: they target no component, so no dump is
-taken for them, and the swipe lands on whatever is on screen. App state is
-restored after a pop by pressing system back, up to three times, until the
-screen digest matches the snapshot. A Back that leaves the digest
+Scroll steps execute directly: no model call, and no dump unless the run
+has none yet; the swipe crosses the root of the last dump encoded. App
+state is restored after a pop by pressing system back, up to three times,
+until the screen digest matches the snapshot. A Back that leaves the digest
 unchanged ends the presses, since that screen ignores Back, except the
 first one after typed text, which may only have closed the keyboard. If
 Back does not get there, the app restarts and replays verbatim the
@@ -29,7 +29,9 @@ prefix if it holds no restart). A restore starts from the dump the loop
 already holds, since no gesture has happened since it was taken, and
 hands the dump of the restored screen to the next iteration, so a screen
 is never dumped twice; the caller may hand over the first screen the
-same way. Outside a prompt, a node's id is its id in the screen's full
+same way. A restore checks for a crash after a Back that shows a new
+screen, before a restart's `logcat -c` could erase it, and before it
+gives up; a crash it finds ends the run as triggered. Outside a prompt, a node's id is its id in the screen's full
 encoding, stable for the screen's digest; a prompt that elides wrapper
 divs numbers its nodes anew, and the id an answer cites there becomes a
 full id once, through the encoding's full_ids.
@@ -84,7 +86,7 @@ from .errors import (
     UnknownId,
 )
 from .exemplars import ExemplarCorpus
-from .guidance import GUIDED_ACTIONS, build_guidance_prompt, parse_guidance_response
+from .guidance import build_guidance_prompt, parse_guidance_response
 from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, resource_leaf, screen_digest
 from .llm import LlmClient
 from .steps import ActionType, Direction, Step, step_text, validate_step_list
@@ -176,20 +178,20 @@ class ReplayTrace:
         }
 
 
-def execute_step(device: DeviceSession, step: Step, node: ViewNode | None) -> list[tuple]:
+def execute_step(device: DeviceSession, step: Step, node: ViewNode) -> list[tuple]:
     """Perform one step's gestures; returns what was done, for the log.
 
     Component actions land on the node's bounds center. Input taps the
-    field then types. Scroll swipes through the screen center across 60%
-    of the scrolled dimension, in the direction the finger moves.
+    field then types. Scroll takes the root of a dump as its node and
+    swipes through the centre of its bounds, the window the dump shows,
+    across 60% of the scrolled dimension, in the direction the finger moves.
     """
-    needs_node = step.action in GUIDED_ACTIONS
-    if needs_node != (node is not None):
-        raise ValueError(f"{step.action} expects {'a' if needs_node else 'no'} resolved node")
+    if node is None:
+        raise ValueError(f"{step.action} expects a node")
     if step.action is ActionType.SCROLL:
-        width, height = device.screen_size
-        cx, cy = width // 2, height // 2
-        half_h, half_w = int(0.3 * height), int(0.3 * width)
+        bounds = node.bounds
+        cx, cy = bounds.center()
+        half_h, half_w = int(0.3 * (bounds.bottom - bounds.top)), int(0.3 * (bounds.right - bounds.left))
         ends = {
             Direction.UP: (cx, cy + half_h, cx, cy - half_h),
             Direction.DOWN: (cx, cy - half_h, cx, cy + half_h),
@@ -255,9 +257,10 @@ def _lexical_pick(component: str, encoded: EncodedGui) -> int | None:
     return hits[0] if len(hits) == 1 else None
 
 
-def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], screen: _Screen) -> _Screen:
+def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], screen: _Screen) -> _Screen | None:
     """Bring back the snapshot's screen, starting from `screen`, the dump
-    of what the device shows now; returns the dump of the restored screen."""
+    of what the device shows now; returns the dump of the restored screen,
+    or None if a Back or the replayed prefix crashed the app."""
     if screen[1] == snap.screen[1]:
         return screen
     typed = bool(gestures) and gestures[-1][0] == "text"
@@ -268,6 +271,10 @@ def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], scre
         screen = _dump_screen(device)
         if screen[1] == snap.screen[1]:
             return screen
+        # a Back that led somewhere new may have crashed the app, and a
+        # restart's logcat -c would erase the evidence
+        if screen[1] != before and device.crashed():
+            return None
         # a screen that ignored Back will ignore it again; only the first
         # Back after typing may have closed the keyboard and nothing else
         if screen[1] == before and not (typed and attempt == 0):
@@ -281,9 +288,11 @@ def _restore(device: DeviceSession, snap: _Snapshot, gestures: list[tuple], scre
     apply_gestures(device, prefix)
     gestures.extend(prefix)
     screen = _dump_screen(device)
-    if screen[1] != snap.screen[1]:
-        raise DeviceError("could not restore the prior screen after backtracking")
-    return screen
+    if screen[1] == snap.screen[1]:
+        return screen
+    if device.crashed():
+        return None
+    raise DeviceError("could not restore the prior screen after backtracking")
 
 
 def replay(
@@ -326,6 +335,8 @@ def replay(
     missing_depth = 0
     # the dump of the current screen when no gesture has happened since
     screen: _Screen | None = None
+    # the root of the last dump encoded, the window a Scroll swipes across
+    window: ViewNode | None = None
     # the snapshot of a lexical pick that no dump has checked yet; it
     # joins history once a dump shows the pick changed the screen
     pending: _Snapshot | None = None
@@ -369,14 +380,14 @@ def replay(
         trace.wall_time = time.monotonic() - started
         return trace
 
-    def backtrack() -> str | None:
+    def backtrack() -> ReplayTrace | None:
         """Pop one snapshot and restore it, starting from the screen in
-        hand; returns a stop reason or None."""
+        hand; returns the finished trace if the run ends here."""
         nonlocal cursor, missing_depth, excluded, screen
         if not history:
-            return "nowhere left to backtrack"
+            return finish(Outcome.BUDGET_EXHAUSTED, "nowhere left to backtrack")
         if trace.backtracks_used >= budgets.backtracks:
-            return "backtrack budget exhausted"
+            return finish(Outcome.BUDGET_EXHAUSTED, "backtrack budget exhausted")
         snap = history.pop()
         trace.backtracks_used += 1
         cursor, missing_depth = snap.cursor, snap.missing_depth
@@ -386,6 +397,8 @@ def replay(
         # action has happened since the loop found one left
         ask(steps[cursor], snap.screen[0], excluded)
         screen = _restore(device, snap, trace.gestures, screen)
+        if screen is None:
+            return finish(Outcome.BUG_TRIGGERED)
         logger.debug("backtracked to step %d excluding %s", cursor + 1, sorted(excluded))
         return None
 
@@ -415,8 +428,11 @@ def replay(
             step = steps[cursor]
             node, full_id, exploratory, resolved_by = None, None, False, None
             if step.action is ActionType.SCROLL:
-                # a swipe needs no screen; it is logged against the dump in hand, if any
-                digest = screen[1] if screen else None
+                # a swipe crosses the window of the dump in hand, else of the
+                # last one, and is logged against the dump in hand, if any
+                if screen is None and window is None:
+                    screen = _dump_screen(device)
+                digest, node = (screen[1], screen[0].index[0]) if screen else (None, window)
             else:
                 screen = screen or _dump_screen(device)
                 encoded, digest = screen
@@ -446,9 +462,9 @@ def replay(
                         full_id = None
                     # full_id is set only once an answer parsed
                     if full_id is None or result.missing and missing_depth >= budgets.max_missing_depth:
-                        reason = backtrack()
-                        if reason is not None:
-                            return finish(Outcome.BUDGET_EXHAUSTED, reason)
+                        ended = backtrack()
+                        if ended is not None:
+                            return ended
                         continue
                     exploratory = result.missing
                     if redo is not None and full_id == redo.departed_id and not exploratory:
@@ -466,6 +482,7 @@ def replay(
                 else:
                     history.append(snap)
 
+            window = screen[0].index[0] if screen else window
             screen, excluded = None, frozenset()
             # an exploratory hop is a plain tap toward where the missing
             # step may hide; the step itself stays pending

@@ -70,12 +70,17 @@ _CRASH_TREE = screen_tree([text_view("Unfortunately, the app has stopped", 860)]
 # ------------------------------------------------------------ scenarios
 
 class Scenario:
-    def __init__(self, name, spec, step_texts, bridges=None, decoys=None):
+    """An app spec and the steps of its bug report. With crash_on_back, the
+    steps walk past the crash state, which only a Back from a decoy's dead
+    end reaches: the bug fires while a restore presses Back."""
+
+    def __init__(self, name, spec, step_texts, bridges=None, decoys=None, crash_on_back=False):
         self.name = name
         self.spec = spec
         self.steps = [parse_step_text(t, i) for i, t in enumerate(step_texts, 1)]
         self.bridges = bridges or {}
         self.decoys = decoys or {}
+        self.crash_on_back = crash_on_back
 
     def oracle(self):
         if self.decoys:
@@ -87,7 +92,7 @@ def _spec(states, transitions, initial, crash_states=(CRASH_STATE,)):
     states = dict(states)
     states.setdefault(CRASH_STATE, {"tree": _CRASH_TREE})
     return {"initial": initial, "crash_states": list(crash_states),
-            "screen": list(SCREEN), "states": states, "transitions": transitions}
+            "states": states, "transitions": transitions}
 
 
 def _tap(frm, cid, to):
@@ -343,6 +348,21 @@ def scenario_long_inbox():
                     bridges={"Delete": ["Message 23"]}, decoys={"Message 23": [30]})
 
 
+def scenario_back_into_crash():
+    # two "Open" buttons leave the step to the model, whose decoy opens a
+    # dead end; Back there crashes the app, and Publish crashes nothing
+    spec = _spec(
+        {"s0": {"tree": stacked("Drafts", [lambda y: button("Open", y), lambda y: button("Open", y)])},
+         "s1": {"tree": stacked("Draft", [lambda y: button("Publish", y)])},
+         "done": {"tree": stacked("Published", [])},
+         "dead": {"tree": stacked("Nothing here", [])}},
+        [_tap("s0", 2, "s1"), _tap("s0", 3, "dead"), _tap("s1", 2, "done"),
+         {"from": "dead", "action": "back", "to": CRASH_STATE}],
+        "s0")
+    return Scenario("back_into_crash", spec, ['[Tap] ["Open"]', '[Tap] ["Publish"]'],
+                    decoys={"Open": [3]}, crash_on_back=True)
+
+
 SCENARIO_BUILDERS = [
     scenario_single_step,
     scenario_linear_taps_3,
@@ -360,6 +380,7 @@ SCENARIO_BUILDERS = [
     scenario_double_trap,
     scenario_hop_after_backtrack,
     scenario_long_inbox,
+    scenario_back_into_crash,
 ]
 
 
@@ -693,8 +714,6 @@ class AdbFront:
             if self.device.crashed():
                 return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
                         f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
-        elif words == ["shell", "wm", "size"]:
-            return "Physical size: {}x{}\n".format(*self.device.screen_size)
         elif words[:3] == ["shell", "uiautomator", "dump"]:
             self.files[words[3]] = dump_xml(self.device.dump_hierarchy())
             return f"UI hierchary dumped to: {words[3]}\n"
@@ -794,10 +813,12 @@ class GeneratedRun:
     dropped 30% of the time; random budgets, token budgets small enough to
     elide the wrapper rows included; the fast path on or off; and an
     honest, misleading or random oracle, which `oracle()` builds fresh for
-    each run."""
+    each run. With back_into_crash, a second random stream re-targets 40%
+    of the Back transitions at the crash state, so a restore's Back can
+    crash the app; the first stream, and so the rest of the run, is the same."""
 
-    def __init__(self, seed):
-        rng = random.Random(seed)
+    def __init__(self, seed, back_into_crash=False):
+        rng, crash_rng = random.Random(seed), random.Random(str(seed))
         names = [f"s{i}" for i in range(rng.randint(2, 8))]
         states, transitions, moves = {}, [], {name: [] for name in names}
         for name in names:
@@ -813,7 +834,10 @@ class GeneratedRun:
                     moves[name].append((f'[{_STEP_WORDS[kind]}] ["{label}"]', to))
             states[name] = {"tree": stacked(rng.choice(HEADER_POOL), widgets)}
             if rng.random() < 0.3:
-                transitions.append({"from": name, "action": "back", "to": rng.choice(names)})
+                to = rng.choice(names)
+                if back_into_crash and crash_rng.random() < 0.4:
+                    to = CRASH_STATE
+                transitions.append({"from": name, "action": "back", "to": to})
             if rng.random() < 0.2:
                 direction = rng.choice(["up", "down", "left", "right"])
                 transitions.append({"from": name, "action": "scroll", "direction": direction,

@@ -292,14 +292,15 @@ def test_criterion_7_token_budget():
 @criterion(8, "adb gestures emit the documented command lines bit for bit")
 def test_criterion_8_adb_command_goldens():
     calls = []
-    device = AdbDevice(runner=lambda argv: calls.append(list(argv)) or "Physical size: 1080x1920\n")
-    assert device.screen_size == (1080, 1920)  # measured once, before the goldens
+    device = AdbDevice(runner=lambda argv: calls.append(list(argv)) or "")
     node = ViewNode("android.widget.Button", bounds=Bounds(100, 200, 500, 1080))
+    # a Scroll crosses the window of the dump, here the portrait screen
+    root = ViewNode("android.widget.FrameLayout", bounds=Bounds(0, 0, 1080, 1920), children=[node])
 
-    def last(step_text_form, with_node=True):
+    def last(step_text_form, target=node):
         from bugreplay.steps import parse_step_text
         calls.clear()
-        execute_step(device, parse_step_text(step_text_form), node if with_node else None)
+        execute_step(device, parse_step_text(step_text_form), target)
         return calls
 
     assert last('[Tap] ["x"]') == [
@@ -309,7 +310,7 @@ def test_criterion_8_adb_command_goldens():
         ["adb", "shell", "input", "tap", "300", "640"]]
     assert last('[Long-tap] ["x"]') == [
         ["adb", "shell", "input", "swipe", "300", "640", "300", "640", "800"]]
-    assert last("[Scroll] [up]", with_node=False) == [
+    assert last("[Scroll] [up]", target=root) == [
         ["adb", "shell", "input", "swipe", "540", "1536", "540", "384", "300"]]
     assert last('[Input] ["field"] ["hello world"]') == [
         ["adb", "shell", "input", "tap", "300", "640"],

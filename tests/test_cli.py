@@ -21,7 +21,7 @@ from bugreplay.gui import encode_gui, parse_dump, screen_digest
 from bugreplay.llm import LlmClient, prompt_digest
 from bugreplay.steps import BugReport
 
-from helpers import CallLog, scenario_single_step, scenario_with_scroll
+from helpers import CallLog, scenario_single_step
 
 REPORT = 'Tap "Crash me" on the main screen. The app crashes.'
 EXTRACTION = '1. [Tap] ["Crash me"]'
@@ -739,12 +739,9 @@ class TestUsageErrors:
         {"initial": "a", "states": {"a": {"tree": {"children": 5}}}},
         [],
         {"initial": "a", "states": {"a": {"xml": "<nope"}}},
-        # a Scroll would need the screen's two sides
-        dict(scenario_with_scroll().spec, screen=[1080]),
         # the lexical fast path would read the label
         _with_root(scenario_single_step().spec, content_desc=3),
-    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml", "one-number-screen",
-            "content-desc-number"])
+    ], ids=["two-bounds", "states-list", "children-number", "list", "bad-xml", "content-desc-number"])
     def test_malformed_app_spec(self, ws, capsys, body):
         (ws / "bad_app.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["replay", "crash.txt", "--app", "bad_app.json", *targs(ws, [EXTRACTION])]

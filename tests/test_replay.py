@@ -70,44 +70,43 @@ class FakeDevice:
     """Records each list of gestures performed; geometry tests need no app
     behind them."""
 
-    def __init__(self, size=(1080, 1920)):
-        self.size = size
+    def __init__(self):
         self.performed = []
-
-    @property
-    def screen_size(self):
-        return self.size
 
     def perform(self, gestures):
         self.performed.append(list(gestures))
 
 
+def window(right=1080, bottom=1920):
+    """The root of a dump whose window spans [0,0][right,bottom]."""
+    return ViewNode("android.widget.FrameLayout", bounds=Bounds(0, 0, right, bottom))
+
+
 class TestExecuteStep:
     def node(self):
-        from bugreplay.gui import Bounds, ViewNode
         return ViewNode("android.widget.Button", bounds=Bounds(100, 200, 300, 400))
 
     def test_scroll_up_geometry(self):
         device = FakeDevice()
-        gestures = execute_step(device, parse_step_text("[Scroll] [up]"), None)
+        gestures = execute_step(device, parse_step_text("[Scroll] [up]"), window())
         assert gestures == [("swipe", 540, 1536, 540, 384)]
         assert device.performed == [gestures]
 
     def test_scroll_down_geometry(self):
         device = FakeDevice()
-        assert execute_step(device, parse_step_text("[Scroll] [down]"), None) == [
+        assert execute_step(device, parse_step_text("[Scroll] [down]"), window()) == [
             ("swipe", 540, 384, 540, 1536)]
 
     def test_scroll_left_right_geometry(self):
         device = FakeDevice()
-        assert execute_step(device, parse_step_text("[Scroll] [left]"), None) == [
+        assert execute_step(device, parse_step_text("[Scroll] [left]"), window()) == [
             ("swipe", 864, 960, 216, 960)]
-        assert execute_step(device, parse_step_text("[Scroll] [right]"), None) == [
+        assert execute_step(device, parse_step_text("[Scroll] [right]"), window()) == [
             ("swipe", 216, 960, 864, 960)]
 
     def test_scroll_scales_with_screen(self):
-        device = FakeDevice(size=(720, 1280))
-        assert execute_step(device, parse_step_text("[Scroll] [up]"), None) == [
+        device = FakeDevice()
+        assert execute_step(device, parse_step_text("[Scroll] [up]"), window(720, 1280)) == [
             ("swipe", 360, 1024, 360, 256)]
 
     def test_tap_at_node_center(self):
@@ -129,11 +128,45 @@ class TestExecuteStep:
         assert device.performed == [gestures]
 
     def test_node_contract(self):
+        # every step takes a node: a guided one its target, a Scroll the root of a dump
         device = FakeDevice()
         with pytest.raises(ValueError):
             execute_step(device, parse_step_text('[Tap] ["x"]'), None)
         with pytest.raises(ValueError):
-            execute_step(device, parse_step_text("[Scroll] [up]"), self.node())
+            execute_step(device, parse_step_text("[Scroll] [up]"), None)
+        assert device.performed == []
+
+
+class TestScrollWindow:
+    """A Scroll crosses the root of the last dump the run encoded, and
+    dumps for itself only when the run has no dump yet."""
+
+    def test_a_scroll_after_a_guided_tap_crosses_the_last_dumps_window(self):
+        # a landscape app: the swipe's coordinates can only come from the dump
+        def landscape(*children):
+            return {"tree": {"class": "android.widget.FrameLayout", "bounds": [0, 0, 1920, 1080],
+                             "children": list(children)}}
+
+        spec = _spec({"s0": landscape(button("Open", 200)), "s1": landscape(text_view("Feed", 200))},
+                     [_tap("s0", 1, "s1"), {"from": "s1", "action": "scroll", "direction": "down",
+                                            "to": CRASH_STATE}], "s0")
+        scenario = Scenario("landscape", spec, ['[Tap] ["Open"]', "[Scroll] [down]"])
+        device = CallLog(fresh_device(scenario))
+        trace = replay_on(device, scenario, scenario.oracle())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert device.calls == ["dump_hierarchy", ("tap", 540, 245), "crashed",
+                                ("swipe", 960, 216, 960, 864), "crashed"]
+        assert trace.events[1].screen_digest is None
+
+    def test_a_first_scroll_dumps_once_unless_given_the_first_screen(self):
+        scenario = scenario_with_scroll()
+        app = SimulatedApp(scenario.spec)
+        for first_screen, before in ((None, ["dump_hierarchy"]), (app.states[app.initial], [])):
+            device = CallLog(SimulatedDevice(app))
+            trace = replay_on(device, scenario, scenario.oracle(), first_screen=first_screen)
+            assert trace.outcome is Outcome.BUG_TRIGGERED
+            assert device.calls[:len(before) + 1] == [*before, ("swipe", 540, 384, 540, 1536)]
+            assert trace.events[0].screen_digest == _dump_screen(SimulatedDevice(app))[1]
 
 
 def test_budget_defaults():
@@ -370,6 +403,39 @@ class TestRestore:
         assert gestures == log + added
         assert screen[1] == home[1]
         assert device.current == "s0"
+
+    def test_a_back_into_the_crash_ends_the_restore(self):
+        # the crash is found before a restart's logcat -c could erase it
+        spec = _spec({name: {"tree": stacked(name, [])} for name in ("s0", "dead")},
+                     [{"from": "dead", "action": "back", "to": CRASH_STATE}], "s0")
+        simulated = SimulatedDevice(SimulatedApp(spec))
+        snap = _Snapshot(cursor=0, missing_depth=0, screen=_dump_screen(simulated), excluded=frozenset(),
+                         departed_id=0, gesture_prefix=0)
+        simulated.current = "dead"
+        device = CallLog(simulated)
+        gestures = []
+        assert _restore(device, snap, gestures, _dump_screen(device)) is None
+        assert gestures == [BACK]
+        assert device.calls == ["dump_hierarchy", BACK, "dump_hierarchy", "crashed"]
+
+    @pytest.mark.parametrize("lands, crashes", [(CRASH_STATE, True), ("s2", False)], ids=["crash", "elsewhere"])
+    def test_a_prefix_that_misses_the_snapshot_is_checked_for_a_crash(self, lands, crashes):
+        # the prefix's tap, replayed after the restart, no longer reaches s1
+        spec = _spec({"s0": {"tree": stacked("s0", [lambda y: button("Go", y)])},
+                      **{name: {"tree": stacked(name, [])} for name in ("s1", "s2", "dead")}},
+                     [_tap("s0", 2, lands)], "s0")
+        device = SimulatedDevice(SimulatedApp(spec))
+        device.current = "s1"
+        snap = _Snapshot(cursor=0, missing_depth=0, screen=_dump_screen(device), excluded=frozenset(),
+                         departed_id=0, gesture_prefix=1)
+        device.current = "dead"
+        gestures = [FIRST]
+        if crashes:
+            assert _restore(device, snap, gestures, _dump_screen(device)) is None
+        else:
+            with pytest.raises(DeviceError, match="could not restore the prior screen"):
+                _restore(device, snap, gestures, _dump_screen(device))
+        assert gestures == [FIRST, BACK, RESTART, FIRST]
 
     def test_three_presses_restore_without_a_restart(self):
         trace = run(scenario_three_backs())
@@ -844,7 +910,7 @@ class TestOverlap:
         trace = replay_on(device, scenario, llm)
         # the swipe's check runs during the call; the last tap's at once
         assert device.seen == [True, False]
-        assert device.kinds() == ["swipe", "dump_hierarchy", "crashed", "tap", "crashed"]
+        assert device.kinds() == ["dump_hierarchy", "swipe", "dump_hierarchy", "crashed", "tap", "crashed"]
         assert device.threads == {threading.get_ident()}
         assert trace.outcome is Outcome.BUG_TRIGGERED
 
