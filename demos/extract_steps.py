@@ -51,7 +51,7 @@ def main():
         print(f"  {segment.kind:<16} {estimate_tokens(segment.text):>5} tokens")
     print()
 
-    llm = TranscriptLlm([RESPONSE], mode="sequence")
+    llm = TranscriptLlm([RESPONSE])
     steps = extract_steps(REPORT, llm, corpus)
     print("Extracted steps:")
     print(render_steps(steps))

@@ -42,7 +42,7 @@ APP = {
 }
 
 # the report's only step; its prerequisite screen change went unmentioned
-STEPS = [parse_step_text('[Tap] ["Battery saver"]', 1)]
+STEPS = [parse_step_text('[Tap] ["Battery saver"]')]
 
 GUIDANCE = [
     # on the home screen there is no Battery saver; suggest a detour
@@ -54,13 +54,13 @@ GUIDANCE = [
 
 def main():
     device = SimulatedDevice(SimulatedApp(APP))
-    llm = TranscriptLlm(GUIDANCE, mode="sequence")
+    llm = TranscriptLlm(GUIDANCE)
     trace = replay(STEPS, device, llm, ExemplarCorpus.builtin(), report_id="demo-7")
 
     print(f"outcome: {trace.outcome.value}")
     for event in trace.events:
         flavor = "exploratory hop" if event.exploratory else "guided action"
-        print(f"  step {event.step.index} {step_text(event.step):<28} "
+        print(f"  step {event.step_index} {step_text(event.step):<28} "
               f"{flavor} on id={event.resolved_id} (screen {event.screen_digest})")
     print(f"actions used: {trace.actions_used}, backtracks: {trace.backtracks_used}")
     print()

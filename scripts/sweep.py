@@ -23,8 +23,12 @@ checkout's scenarios and helpers, so a parent commit needs a copy of
 neither. That checkout's `SimulatedApp` must take the spec dict itself,
 its `AdbDevice` its settings as keywords and send no `wm size`, which
 the adb front does not answer, its sessions must take gestures through
-`perform`, and its `SimulatedDevice` must answer `takes_double_tap`,
-which the adb front asks.
+`perform`, its `SimulatedDevice` must answer `takes_double_tap`, which
+the adb front asks, and its `Step` must carry no number: the helpers
+build steps with `parse_step_text(text)`, and a checkout whose steps are
+numbered takes each as step 1 and refuses the list. To compare with
+such a checkout, `--diff` against the sweep it printed, such as the
+committed golden.
 
 --compact prints each field but the run's name as a short digest;
 `tests/data/sweep.jsonl`, the tier-1 golden, is regenerated with

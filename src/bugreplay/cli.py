@@ -243,15 +243,15 @@ def _write(path: Path, artifact: str | dict) -> None:
         raise _OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _step_dict(step: Step) -> dict:
-    return {
-        "index": step.index,
+def _step_dicts(steps: list[Step]) -> list[dict]:
+    return [{
+        "index": i,
         "action": step.action.value,
         "component": step.component,
         "value": step.value,
         "direction": step.direction.value if step.direction else None,
         "text": step_text(step),
-    }
+    } for i, step in enumerate(steps, start=1)]
 
 
 def _run_extraction(args: argparse.Namespace, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
@@ -278,7 +278,7 @@ def _run_extraction(args: argparse.Namespace, report: BugReport, llm: LlmClient,
             results.append({"ok": False, "error": f"{type(outcome).__name__}: {outcome}"})
             logger.warning("extraction run %d failed: %s", run, outcome)
         else:
-            results.append({"ok": True, "steps": [_step_dict(s) for s in outcome]})
+            results.append({"ok": True, "steps": _step_dicts(outcome)})
     ok = [steps for steps in outcomes if isinstance(steps, list)]
     texts = [render_steps(steps) for steps in ok]
     by_text = dict(zip(texts, ok))
@@ -302,7 +302,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     _write(Path(f"{base}.steps.txt"), text)
     _write(Path(f"{base}.steps.json"), {
         "report_id": report.id,
-        "majority": [_step_dict(s) for s in steps],
+        "majority": _step_dicts(steps),
         "runs": results,
         "seed": args.seed,
     })
@@ -371,7 +371,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _write(trace_path, {
         "report_id": report.id,
         "extraction_runs": extraction_runs,
-        "steps": [_step_dict(s) for s in candidates[0]] if candidates else None,
+        "steps": _step_dicts(candidates[0]) if candidates else None,
         "runs": [t.to_dict() for t in traces],
         "winner": winner,
         "seed": args.seed,

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import BudgetUnsatisfiable
 from .llm import estimate_tokens
-from .steps import Step, parse_step_text, validate_step_list
+from .steps import Step, parse_step_text
 
 if TYPE_CHECKING:
     from .guidance import GuidanceResult
@@ -64,7 +64,6 @@ class ExtractionExemplar:
             raise ValueError("exemplar chain of thought must be non-empty")
         if not self.output_steps:
             raise ValueError("exemplar must have at least one output step")
-        validate_step_list(list(self.output_steps))
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class ExemplarCorpus:
 
         extraction = []
         for record in data.get("extraction", []):
-            steps = [parse_step_text(text, i) for i, text in enumerate(record["output"], start=1)]
+            steps = [parse_step_text(text) for text in record["output"]]
             extraction.append(
                 ExtractionExemplar(record["input"], record["cot"], tuple(steps))
             )

@@ -61,8 +61,8 @@ def parse_extraction_response(text: str) -> list[Step]:
     Prose before, between, and after numbered lines is ignored, as are
     numbered lines without bracket tokens. Models sometimes restate their
     list; whenever numbering restarts at 1 a new list begins and only the
-    last one counts. Surviving lines are renumbered 1..n and every bound
-    step is fully validated.
+    last one counts. The numbers mark nothing else: the steps keep the
+    lines' order, and every bound step is fully validated.
     """
     entries: list[tuple[int, list[str], str]] = []
     for line in text.splitlines():
@@ -83,7 +83,7 @@ def parse_extraction_response(text: str) -> list[Step]:
     last = runs[-1]
     if len(runs) > 1:
         logger.debug("response restated its list %d times; keeping the last", len(runs))
-    return [bind_tokens(tokens, i, line) for i, (_, tokens, line) in enumerate(last, start=1)]
+    return [bind_tokens(tokens, line) for _, tokens, line in last]
 
 
 def extract_steps(report: BugReport, llm: LlmClient, corpus: ExemplarCorpus, budget: int = 4096) -> list[Step]:

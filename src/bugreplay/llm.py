@@ -207,31 +207,27 @@ def _proxy_for(url: SplitResult) -> tuple[tuple[str, int] | None, dict[str, str]
 class TranscriptLlm(LlmClient):
     """Replays canned responses; fully deterministic.
 
-    sequence mode hands out entries in order regardless of the prompt;
-    keyed mode looks the prompt digest up in a table, so a recorded
-    exchange replays any number of times in any order.
+    The responses' shape is the mode: a list of strings replies in order
+    whatever the prompt ("sequence"); an object of strings replies by prompt
+    digest ("keyed"), so a recorded exchange replays in any order.
     """
 
-    def __init__(self, responses, mode: str = "sequence"):
-        if mode not in ("sequence", "keyed"):
-            raise ValueError(f"unknown transcript mode {mode!r}")
-        self.mode = mode
-        if mode == "sequence":
-            if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-                raise ValueError("a sequence transcript's responses must be a list of strings")
+    def __init__(self, responses):
+        if isinstance(responses, list) and all(isinstance(r, str) for r in responses):
+            self.mode = "sequence"
             self._queue = deque(responses)
-            return
-        if not isinstance(responses, dict) or not all(
-                isinstance(x, str) for pair in responses.items() for x in pair):
-            raise ValueError("a keyed transcript's responses must be an object of strings")
-        self._table = dict(responses)
+        elif isinstance(responses, dict) and all(isinstance(x, str) for pair in responses.items() for x in pair):
+            self.mode = "keyed"
+            self._table = dict(responses)
+        else:
+            raise ValueError("a transcript's responses must be a list of strings or an object of strings")
 
     @classmethod
     def from_file(cls, path) -> "TranscriptLlm":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict) or "responses" not in data:
             raise ValueError('a transcript file must hold a JSON object with "responses"')
-        return cls(data["responses"], mode=data.get("mode", "sequence"))
+        return cls(data["responses"])
 
     def _complete(self, prompt: "Prompt") -> str:
         if self.mode == "sequence":

@@ -89,7 +89,7 @@ from .exemplars import ExemplarCorpus
 from .guidance import build_guidance_prompt, parse_guidance_response
 from .gui import EncodedGui, ViewNode, encode_gui, resolve_component, resource_leaf, screen_digest
 from .llm import LlmClient
-from .steps import ActionType, Direction, Step, step_text, validate_step_list
+from .steps import ActionType, Direction, Step, render_steps, step_text
 from .device import DeviceSession
 
 logger = logging.getLogger(__name__)
@@ -130,6 +130,8 @@ class ReplayEvent:
     """One executed action: which step, where, and on which screen."""
 
     step: Step
+    # the step's 1-based place in the run's list
+    step_index: int
     # the node acted on, by its id in the full encoding of the screen
     # screen_digest names, even if the prompt elided wrappers
     resolved_id: int | None
@@ -157,10 +159,10 @@ class ReplayTrace:
     def to_dict(self) -> dict:
         return {
             "report_id": self.report_id,
-            "steps": [f"{s.index}. {step_text(s)}" for s in self.steps],
+            "steps": render_steps(self.steps).splitlines(),
             "events": [
                 {
-                    "step_index": e.step.index,
+                    "step_index": e.step_index,
                     "step": step_text(e.step),
                     "resolved_id": e.resolved_id,
                     "exploratory": e.exploratory,
@@ -323,7 +325,6 @@ def replay(
     budgeted; the one undo of a lexical pick a run can make follows an
     action, and so does the advance that may take its gesture back up.
     """
-    validate_step_list(steps)
     budgets = budgets or Budgets()
     trace = ReplayTrace(report_id=report_id, steps=list(steps))
     history: deque[_Snapshot] = deque(maxlen=budgets.backtracks)
@@ -456,9 +457,9 @@ def replay(
                         resolve_component(enc_used, result.component_id)
                         full_id = enc_used.full_ids[result.component_id]
                     except (NoActionableAnswer, UnknownId) as exc:
-                        logger.debug("step %d: %s", step.index, exc)
+                        logger.debug("step %d: %s", cursor + 1, exc)
                     if full_id in excluded:
-                        logger.debug("step %d: model repeated excluded id %d", step.index, result.component_id)
+                        logger.debug("step %d: model repeated excluded id %d", cursor + 1, result.component_id)
                         full_id = None
                     # full_id is set only once an answer parsed
                     if full_id is None or result.missing and missing_depth >= budgets.max_missing_depth:
@@ -489,7 +490,7 @@ def replay(
             action = replace(step, action=ActionType.TAP, value=None) if exploratory else step
             trace.gestures.extend(execute_step(device, action, node))
             trace.actions_used += 1
-            trace.events.append(ReplayEvent(step, full_id, exploratory, digest, resolved_by))
+            trace.events.append(ReplayEvent(step, cursor + 1, full_id, exploratory, digest, resolved_by))
             if exploratory:
                 missing_depth += 1
             else:

@@ -3,7 +3,8 @@
 A step is one GUI interaction distilled from a bug report. The closed action
 vocabulary and the per-action field shape are fixed; everything the rest of
 the pipeline does (prompting, guidance, replay) is phrased in terms of these
-records or their textual rendering, e.g.::
+records or their textual rendering. A step's number is its 1-based place in
+its list, e.g.::
 
     1. [Tap] ["bookmark"]
     2. [Input] ["name"] ["a"]
@@ -84,15 +85,12 @@ def normalize_direction(word: str) -> Direction | None:
 class Step:
     """One reproduction step. Field shape is dictated by the action."""
 
-    index: int
     action: ActionType
     component: str | None = None
     value: str | None = None
     direction: Direction | None = None
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"step index must be a positive int, got {self.index!r}")
         for name in ("component", "value", "direction"):
             required = name in FIELDS[self.action]
             if required != (getattr(self, name) is not None):
@@ -135,13 +133,6 @@ class BugReport:
             raise ValueError("bug report text must be non-empty")
 
 
-def validate_step_list(steps: list[Step]) -> None:
-    """Indices must run 1..n with no gaps."""
-    for pos, step in enumerate(steps, start=1):
-        if step.index != pos:
-            raise ValueError(f"step indices must be consecutive from 1; position {pos} has index {step.index}")
-
-
 def step_text(step: Step) -> str:
     """Bracketed textual form without the ordinal, e.g. '[Input] ["name"] ["a"]'."""
     parts = [f"[{step.action.value}]"]
@@ -152,8 +143,8 @@ def step_text(step: Step) -> str:
 
 
 def render_steps(steps: list[Step]) -> str:
-    """Numbered lines, one step each."""
-    return "\n".join(f"{s.index}. {step_text(s)}" for s in steps)
+    """Numbered lines, one step each, by place in the list."""
+    return "\n".join(f"{i}. {step_text(s)}" for i, s in enumerate(steps, start=1))
 
 
 # Accepted quote wrappings around component/value tokens. Emission always
@@ -183,7 +174,7 @@ def bracket_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def bind_tokens(tokens: list[str], index: int, line: str) -> Step:
+def bind_tokens(tokens: list[str], line: str) -> Step:
     """Bind one line's bracket tokens to a Step per the action's FIELDS.
 
     The first token names the action; the rest fill its fields in order.
@@ -209,11 +200,11 @@ def bind_tokens(tokens: list[str], index: int, line: str) -> Step:
         if bound["direction"] is None:
             raise MalformedStep(line, f"unknown direction {text!r}")
     try:
-        return Step(index, action, **bound)
+        return Step(action, **bound)
     except ValueError as exc:
         raise MalformedStep(line, str(exc)) from exc
 
 
-def parse_step_text(text: str, index: int = 1) -> Step:
+def parse_step_text(text: str) -> Step:
     """Parse a single bracketed step like '[Tap] ["bookmark"]'."""
-    return bind_tokens(bracket_tokens(text), index, text.strip())
+    return bind_tokens(bracket_tokens(text), text.strip())

@@ -15,7 +15,6 @@ import shlex
 import threading
 import time
 from collections import deque
-from dataclasses import replace
 from xml.sax.saxutils import quoteattr
 
 from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
@@ -77,7 +76,7 @@ class Scenario:
     def __init__(self, name, spec, step_texts, bridges=None, decoys=None, crash_on_back=False):
         self.name = name
         self.spec = spec
-        self.steps = [parse_step_text(t, i) for i, t in enumerate(step_texts, 1)]
+        self.steps = [parse_step_text(t) for t in step_texts]
         self.bridges = bridges or {}
         self.decoys = decoys or {}
         self.crash_on_back = crash_on_back
@@ -390,15 +389,14 @@ def all_scenarios():
 
 def synthesize_omissions(steps, k, seed):
     """Drop k of the steps uniformly at random (seeded), never the final
-    one, and renumber. Models the incomplete reports users actually file."""
+    one. Models the incomplete reports users actually file."""
     if not 0 <= k <= 2:
         raise ValueError("k must be between 0 and 2")
     if k >= len(steps):
         raise ValueError("cannot omit that many steps")
     rng = random.Random(seed)
     dropped = set(rng.sample(range(len(steps) - 1), k))
-    kept = [s for i, s in enumerate(steps) if i not in dropped]
-    return [replace(s, index=i) for i, s in enumerate(kept, start=1)]
+    return [s for i, s in enumerate(steps) if i not in dropped]
 
 
 # ------------------------------------------------- independent walker
@@ -757,7 +755,9 @@ def replay_both_ways(spec, steps, llm, adb_llm, corpus, budgets=None, report_id=
     del data["wall_time"], over_adb["wall_time"]
     assert over_adb == data, "the trace over adb differs from the simulated one"
     assert log.threads <= {caller}, "a device call ran off the calling thread"
-    assert data["actions_used"] <= budgets.actions and data["backtracks_used"] <= budgets.backtracks
+    for budget in ("actions", "backtracks"):
+        used, ceiling = data[f"{budget}_used"], getattr(budgets, budget)
+        assert used <= ceiling, f"the {budget} budget broke: {used} {budget} used, ceiling {ceiling}"
     ids = {screen_digest(encoded.html): encoded.index.keys() for encoded in map(encode_gui, app.states.values())}
     for event in data["events"]:
         assert event["resolved_id"] is None or event["resolved_id"] in ids[event["screen_digest"]], event
@@ -852,7 +852,7 @@ class GeneratedRun:
             texts.append(text)
         if not texts:
             texts.append(f'[Tap] ["{rng.choice(LABEL_POOL)}"]')
-        self.steps = [parse_step_text(t, i) for i, t in enumerate(texts, 1)]
+        self.steps = [parse_step_text(t) for t in texts]
         if len(self.steps) > 1 and rng.random() < 0.3:
             self.steps = synthesize_omissions(self.steps, 1, seed)
         self.budgets = Budgets(tokens=rng.choice([4096, 4096, 1200, 260]), actions=rng.randint(1, 30),

@@ -31,7 +31,6 @@ from bugreplay.steps import (
     Direction,
     Step,
     render_steps,
-    validate_step_list,
 )
 
 import conftest
@@ -97,7 +96,7 @@ def test_criterion_1_extraction_fidelity():
         tmp = Path(tmp)
         (tmp / "bookmark.txt").write_text(CORPUS.extraction[0].input_report, encoding="utf-8")
         (tmp / "t.json").write_text(
-            json.dumps({"mode": "sequence", "responses": [CANNED_RESPONSE]}),
+            json.dumps({"responses": [CANNED_RESPONSE]}),
             encoding="utf-8")
         args = ["extract", str(tmp / "bookmark.txt"), "--llm", "transcript",
                 "--transcript", str(tmp / "t.json"), "--runs", "1",
@@ -137,14 +136,14 @@ def _field(rng):
 
 def _random_steps(rng):
     steps = []
-    for i in range(1, rng.randint(1, 8) + 1):
+    for _ in range(rng.randint(1, 8)):
         action = rng.choice(list(ActionType))
         if action is ActionType.SCROLL:
-            steps.append(Step(i, action, direction=rng.choice(list(Direction))))
+            steps.append(Step(action, direction=rng.choice(list(Direction))))
         elif action is ActionType.INPUT:
-            steps.append(Step(i, action, component=_field(rng), value=_field(rng)))
+            steps.append(Step(action, component=_field(rng), value=_field(rng)))
         else:
-            steps.append(Step(i, action, component=_field(rng)))
+            steps.append(Step(action, component=_field(rng)))
     return steps
 
 
@@ -190,8 +189,8 @@ def test_criterion_3_parser_round_trip_and_totality():
             result = parse_extraction_response(mutated)
         except BugReplayError:
             continue
-        validate_step_list(result)
         assert result and all(isinstance(s, Step) for s in result)
+        assert parse_extraction_response(render_steps(result)) == result
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

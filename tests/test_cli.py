@@ -87,10 +87,9 @@ def _with_root(spec, **fields):
     return spec | {"states": spec["states"] | {first: {"tree": spec["states"][first]["tree"] | fields}}}
 
 
-def transcript(ws, responses, mode="sequence", name="t.json"):
+def transcript(ws, responses, name="t.json"):
     path = ws / name
-    path.write_text(json.dumps({"mode": mode, "responses": responses}),
-                    encoding="utf-8")
+    path.write_text(json.dumps({"responses": responses}), encoding="utf-8")
     return str(path)
 
 
@@ -167,12 +166,39 @@ class TestExtract:
     def test_keyed_transcript_answers_by_digest(self, ws):
         report = BugReport(id="crash", raw_text=REPORT)
         prompt = build_extraction_prompt(report, ExemplarCorpus.builtin(), 4096)
-        path = transcript(ws, {prompt_digest(prompt.rendered): EXTRACTION}, mode="keyed")
+        path = transcript(ws, {prompt_digest(prompt.rendered): EXTRACTION})
         args = ["extract", "crash.txt", "--llm", "transcript",
                 "--transcript", path, "--runs", "2"]
         assert main(args) == 0
         artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
         assert [r["ok"] for r in artifact["runs"]] == [True, True]
+
+
+# the last list counts, and its numbers are not its steps' places
+RESTATED = ('3. [Tap] ["Other"]\n5. [Tap] ["Other"]\nOn reflection:\n'
+            '1. [Scroll] [down]\n3. [Scroll] [up]\n5. [Tap] ["Crash me"]')
+
+
+class TestStepNumbers:
+    """A step's number is its place in the list, in every artifact."""
+
+    LINES = ["1. [Scroll] [down]", "2. [Scroll] [up]", '3. [Tap] ["Crash me"]']
+
+    def test_extract_numbers_the_steps_by_place(self, ws, capsys):
+        assert main(["extract", "crash.txt", *targs(ws, [RESTATED, RESTATED], runs=2)]) == 0
+        assert (ws / "crash.steps.txt").read_text(encoding="utf-8").splitlines() == self.LINES
+        artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
+        assert [s["index"] for s in artifact["majority"]] == [1, 2, 3]
+        assert [[s["index"] for s in r["steps"]] for r in artifact["runs"]] == [[1, 2, 3], [1, 2, 3]]
+
+    def test_replay_numbers_the_steps_and_events_by_place(self, ws, capsys):
+        assert main(["replay", "crash.txt", "--app", "app.json", *targs(ws, [RESTATED])]) == 0
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert [s["index"] for s in artifact["steps"]] == [1, 2, 3]
+        assert [s["index"] for s in artifact["extraction_runs"][0]["steps"]] == [1, 2, 3]
+        [run] = artifact["runs"]
+        assert run["steps"] == self.LINES
+        assert [e["step_index"] for e in run["events"]] == [1, 2, 3]
 
 
 class TestReplay:
@@ -676,19 +702,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize("body", [
         {"mode": "sequence", "responses": 5},
         {"mode": "sequence", "responses": [EXTRACTION, 7]},
-        {"mode": "sequence", "responses": {"digest": EXTRACTION}},
         {"mode": "keyed", "responses": [1, 2]},
         {"mode": "keyed", "responses": {"digest": 3}},
         {"mode": "keyed", "responses": "digest"},
         {"mode": "keyed", "responses": [["digest", EXTRACTION]]},
-    ], ids=["sequence-int", "sequence-non-string", "sequence-object",
+    ], ids=["sequence-int", "sequence-non-string",
             "keyed-ints", "keyed-non-string", "keyed-string", "keyed-pairs"])
     def test_transcript_responses_of_the_wrong_type(self, ws, capsys, body):
+        # a mode key is not read: the responses' shape alone is wrong
         (ws / "bad.json").write_text(json.dumps(body), encoding="utf-8")
         args = ["extract", "crash.txt", "--llm", "transcript", "--transcript", "bad.json"]
         assert main(args) == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: cannot load transcript bad.json")
+        assert line == ("error: cannot load transcript bad.json: "
+                        "a transcript's responses must be a list of strings or an object of strings")
 
     def test_unreadable_config(self, ws, capsys):
         assert main(["extract", "crash.txt", "--config", "nowhere.json"]) == 2

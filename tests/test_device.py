@@ -14,7 +14,7 @@ from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
 from bugreplay.gui import Bounds, ViewNode, encode_gui, parse_dump
 from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
-from bugreplay.steps import ActionType, parse_step_text
+from bugreplay.steps import ActionType, parse_step_text, render_steps
 
 from helpers import (
     CRASH_STATE,
@@ -323,7 +323,7 @@ def test_scenario_transitions_are_reachable_and_deterministic():
 
 class TestSynthesizeOmissions:
     def steps(self, n=5):
-        return [parse_step_text(f'[Tap] ["c{i}"]', i) for i in range(1, n + 1)]
+        return [parse_step_text(f'[Tap] ["c{i}"]') for i in range(1, n + 1)]
 
     def test_zero_is_identity(self):
         steps = self.steps()
@@ -333,7 +333,9 @@ class TestSynthesizeOmissions:
         steps = self.steps()
         out = synthesize_omissions(steps, 2, seed=7)
         assert len(out) == 3
-        assert [s.index for s in out] == [1, 2, 3]
+        # the kept steps keep their order, so their numbers run 1..3
+        assert out == [s for s in steps if s in out]
+        assert [line.split(".")[0] for line in render_steps(out).splitlines()] == ["1", "2", "3"]
         kept = {s.component for s in out}
         assert kept < {s.component for s in steps}
 

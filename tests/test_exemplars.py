@@ -18,7 +18,7 @@ from bugreplay.steps import parse_step_text
 
 
 def make_extraction(n_steps=2):
-    steps = tuple(parse_step_text(f'[Tap] ["b{i}"]', i) for i in range(1, n_steps + 1))
+    steps = tuple(parse_step_text(f'[Tap] ["b{i}"]') for i in range(1, n_steps + 1))
     return ExtractionExemplar("report text", "reasoning text", steps)
 
 
@@ -41,9 +41,6 @@ class TestExtractionExemplar:
     def test_rejects_empty_or_misnumbered_steps(self):
         with pytest.raises(ValueError):
             ExtractionExemplar("r", "c", ())
-        bad = (parse_step_text('[Tap] ["x"]', 2),)
-        with pytest.raises(ValueError):
-            ExtractionExemplar("r", "c", bad)
 
 
 class TestGuidanceExemplar:

@@ -98,7 +98,7 @@ class TestParseResponse:
             '1. [Tap] ["bookmark"]\n2. [Input] ["name"] ["a"]\n3. [Scroll] [down]')
         assert [str(s) for s in steps] == [
             '[Tap] ["bookmark"]', '[Input] ["name"] ["a"]', "[Scroll] [down]"]
-        assert [s.index for s in steps] == [1, 2, 3]
+        assert render_steps(steps) == '1. [Tap] ["bookmark"]\n2. [Input] ["name"] ["a"]\n3. [Scroll] [down]'
 
     def test_reasoning_prose_before_list_is_ignored(self):
         text = (
@@ -130,7 +130,7 @@ class TestParseResponse:
 
     def test_renumbers_from_one(self):
         steps = parse_extraction_response('3. [Tap] ["a"]\n5. [Tap] ["b"]')
-        assert [s.index for s in steps] == [1, 2]
+        assert render_steps(steps) == '1. [Tap] ["a"]\n2. [Tap] ["b"]'
 
     def test_parenthesis_numbering(self):
         steps = parse_extraction_response('1) [Tap] ["a"]\n2) [Scroll] [up]')
@@ -179,7 +179,7 @@ def test_extract_steps_round_trip(corpus):
 def test_extract_steps_with_keyed_transcript(corpus):
     prompt = build_extraction_prompt(REPORT, corpus, 4096)
     llm = TranscriptLlm(
-        {prompt_digest(prompt.rendered): '1. [Tap] ["save"]'}, mode="keyed")
+        {prompt_digest(prompt.rendered): '1. [Tap] ["save"]'})
     assert extract_steps(REPORT, llm, corpus)[0].component == "save"
 
 
@@ -201,20 +201,20 @@ def step_strategy():
     )
 
 
-def build_step(index, spec):
+def build_step(spec):
     if spec[0] == "Scroll":
-        return Step(index, ActionType.SCROLL, direction=Direction(spec[1]))
+        return Step(ActionType.SCROLL, direction=Direction(spec[1]))
     if spec[0] == "Input":
-        return Step(index, ActionType.INPUT, component=spec[1], value=spec[2])
+        return Step(ActionType.INPUT, component=spec[1], value=spec[2])
     kind = {"Tap": ActionType.TAP, "Double-tap": ActionType.DOUBLE_TAP,
             "Long-tap": ActionType.LONG_TAP}[spec[0]]
-    return Step(index, kind, component=spec[1])
+    return Step(kind, component=spec[1])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(step_strategy(), min_size=1, max_size=12), st.randoms())
 def test_rendered_lists_parse_back(specs, rng):
-    steps = [build_step(i, spec) for i, spec in enumerate(specs, 1)]
+    steps = [build_step(spec) for spec in specs]
     preamble = rng.choice(["", "Reasoning first.\n\n", OUTPUT_PREFACE + "\n"])
     parsed = parse_extraction_response(preamble + render_steps(steps))
     assert parsed == steps
@@ -228,15 +228,16 @@ def test_arbitrary_text_never_crashes_untyped(text):
     except (NoStepsFound, MalformedStep):
         return
     assert steps
-    assert [s.index for s in steps] == list(range(1, len(steps) + 1))
+    # the list renders numbered by place and parses back to itself
+    assert parse_extraction_response(render_steps(steps)) == steps
 
 
 def test_mutated_renders_fail_typed_or_parse():
     rng = random.Random(99)
     base = render_steps([
-        Step(1, ActionType.TAP, component="alpha"),
-        Step(2, ActionType.INPUT, component="field", value="v"),
-        Step(3, ActionType.SCROLL, direction=Direction.DOWN),
+        Step(ActionType.TAP, component="alpha"),
+        Step(ActionType.INPUT, component="field", value="v"),
+        Step(ActionType.SCROLL, direction=Direction.DOWN),
     ])
     for _ in range(500):
         chars = list(base)

@@ -77,20 +77,17 @@ class TestSequenceTranscript:
         with pytest.raises(TranscriptExhausted):
             llm.complete(make_prompt("a"))
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            TranscriptLlm([], mode="adaptive")
 
 
 class TestKeyedTranscript:
     def test_lookup_by_digest(self):
         prompt = make_prompt("the prompt")
-        llm = TranscriptLlm({prompt_digest(prompt.rendered): "reply"}, mode="keyed")
+        llm = TranscriptLlm({prompt_digest(prompt.rendered): "reply"})
         assert llm.complete(prompt) == "reply"
         assert llm.complete(prompt) == "reply"
 
     def test_unmatched_prompt(self):
-        llm = TranscriptLlm({}, mode="keyed")
+        llm = TranscriptLlm({})
         with pytest.raises(UnmatchedPrompt):
             llm.complete(make_prompt("unseen"))
 
@@ -104,11 +101,22 @@ def test_transcript_from_file(tmp_path):
 
     prompt = make_prompt("x")
     keyed = tmp_path / "keyed.json"
-    keyed.write_text(json.dumps({
-        "mode": "keyed",
-        "responses": {prompt_digest(prompt.rendered): "hit"},
-    }), encoding="utf-8")
-    assert TranscriptLlm.from_file(keyed).complete(prompt) == "hit"
+    keyed.write_text(json.dumps({"responses": {prompt_digest(prompt.rendered): "hit"}}), encoding="utf-8")
+    llm = TranscriptLlm.from_file(keyed)
+    assert llm.mode == "keyed"
+    assert llm.complete(prompt) == "hit"
+
+
+@pytest.mark.parametrize("mode", ["sequence", "keyed", "adaptive"])
+def test_a_transcript_files_mode_key_is_not_read(tmp_path, mode):
+    # the shape of the responses alone says how the transcript replies
+    prompt = make_prompt("x")
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"mode": mode, "responses": ["a"]}), encoding="utf-8")
+    assert TranscriptLlm.from_file(path).complete(prompt) == "a"
+    path.write_text(json.dumps({"mode": mode, "responses": {prompt_digest(prompt.rendered): "hit"}}),
+                    encoding="utf-8")
+    assert TranscriptLlm.from_file(path).complete(prompt) == "hit"
 
 
 class _Script(BaseHTTPRequestHandler):

@@ -235,6 +235,15 @@ class TestOmittedSteps:
         assert sum(1 for e in trace.events if e.exploratory) == k
         assert trace.actions_used == len(scenario.steps)
 
+    def test_a_hop_carries_the_place_of_the_step_it_waits_on(self):
+        # seed 0 drops "Diagnostics", so "Self test", fourth in the list,
+        # waits while a hop stands in for the missing step
+        scenario = scenario_linear_taps_5()
+        trace = run(scenario, steps=synthesize_omissions(scenario.steps, 1, 0))
+        assert [(e.step_index, e.step.component, e.exploratory) for e in trace.events] == [
+            (1, "Open menu", False), (2, "Settings", False), (3, "Advanced", False),
+            (4, "Self test", True), (4, "Self test", False)]
+
     def test_walker_confirms_partial_steps_alone_do_not_crash(self):
         scenario = scenario_linear_taps_5()
         partial = synthesize_omissions(scenario.steps, 1, 0)
@@ -299,7 +308,7 @@ class TestDumpReuse:
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.backtracks_used >= 1
         assert trace.gestures == gestures
-        assert [(e.step.index, e.resolved_id) for e in trace.events] == events
+        assert [(e.step_index, e.resolved_id) for e in trace.events] == events
         assert not any(e.exploratory for e in trace.events)
         seen = dumps_and_gestures(device)
         assert seen[0] == "dump_hierarchy"
@@ -352,7 +361,7 @@ def test_exclusion_holds_when_the_retry_prompt_elides():
     llm = ScriptedLlm(["[id=16]", "I have no idea.", "[id=7]"])
     trace = run(rows_scenario(), llm=llm, budgets=Budgets(tokens=594, backtracks=1))
     assert "excluding components [id=7]?" in llm.prompts[2].segments[-1].text
-    assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 16)]
+    assert [(e.step_index, e.resolved_id) for e in trace.events] == [(1, 16)]
     assert trace.outcome is Outcome.BUDGET_EXHAUSTED
     assert trace.error_detail == "nowhere left to backtrack"
 
@@ -531,7 +540,7 @@ def test_exclusions_stay_on_the_screen_they_were_made_on():
     assert trace.events[2].screen_digest == _dump_screen(menu)[1]
     assert trace.outcome is Outcome.BUG_TRIGGERED
     assert len(queries) == 5
-    assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [
+    assert [(e.step_index, e.resolved_id, e.exploratory) for e in trace.events] == [
         (1, 2, False), (1, 3, True), (1, 2, False), (2, 2, False)]
 
 
@@ -560,7 +569,7 @@ class TestAdversarialGuidance:
                        CORPUS, Budgets(actions=1), scenario.name)
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert trace.gestures == [("tap", *save.bounds.center())]
-        assert [(e.step.index, e.resolved_id, e.exploratory) for e in trace.events] == [(1, 3, True)]
+        assert [(e.step_index, e.resolved_id, e.exploratory) for e in trace.events] == [(1, 3, True)]
         assert "text" not in device.kinds()
 
 
@@ -648,13 +657,6 @@ class TestErrorPath:
         assert trace.outcome is Outcome.ERROR
         assert trace.error_detail == "DeviceError: logcat -d -b crash exited 1"
         assert trace.actions_used == 1
-
-    def test_misnumbered_steps_raise_immediately(self):
-        scenario = scenario_single_step()
-        bad = [parse_step_text('[Tap] ["Crash me"]', 5)]
-        device = fresh_device(scenario)
-        with pytest.raises(ValueError):
-            replay(bad, device, scenario.oracle(), CORPUS)
 
 
 class TestTraceShape:
@@ -791,10 +793,11 @@ class TestFastPath:
         assert expected.outcome is trace.outcome is Outcome.BUG_TRIGGERED
         # the filler tap stays in the trace; then the model is asked on the
         # same screen, with the same prompts, as if it had never happened
-        assert (trace.events[0].resolved_id, trace.events[0].resolved_by) == (2, "lexical")
+        first = trace.events[0]
+        assert (first.step_index, first.resolved_id, first.resolved_by) == (1, 2, "lexical")
         assert fast.digests == paper.digests
-        assert [(e.resolved_id, e.exploratory, e.resolved_by) for e in trace.events[1:]] == [
-            (e.resolved_id, e.exploratory, e.resolved_by) for e in expected.events]
+        assert [(e.step_index, e.resolved_id, e.exploratory, e.resolved_by) for e in trace.events[1:]] == [
+            (e.step_index, e.resolved_id, e.exploratory, e.resolved_by) for e in expected.events]
         assert trace.backtracks_used == 0
 
     def test_a_pick_the_model_names_again_is_not_sent_again(self):
@@ -807,7 +810,8 @@ class TestFastPath:
         trace = run(scenario, llm=llm, budgets=Budgets(actions=2), fast_path=True)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.gestures == [("tap", 540, 245), ("tap", 540, 375)]
-        assert [(e.resolved_id, e.resolved_by) for e in trace.events] == [(2, "lexical"), (3, "model")]
+        assert [(e.step_index, e.resolved_id, e.resolved_by) for e in trace.events] == [
+            (1, 2, "lexical"), (2, 3, "model")]
         assert len(llm.prompts) == 2
 
     @pytest.mark.parametrize("build", [
@@ -901,7 +905,7 @@ class TestOverlap:
         assert device.threads == {threading.get_ident()}
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.gestures == [SECOND, BACK, FIRST, FIRST]
-        assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
+        assert [(e.step_index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
 
     def test_crash_check_runs_while_the_model_answers(self):
         scenario = scenario_with_scroll()
@@ -952,7 +956,7 @@ class TestOverlap:
         device = CallLog(fresh_device(scenario))
         trace = replay_on(device, scenario, llm)
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 2)]
+        assert [(e.step_index, e.resolved_id) for e in trace.events] == [(1, 2)]
         # the check waited for the call to go out on the crash screen,
         # and the run waited for its answer before returning
         assert device.kinds() == ["dump_hierarchy", "tap", "dump_hierarchy", "crashed"]
@@ -1010,7 +1014,7 @@ class TestOverlap:
         llm = TranscriptLlm(["[id=3]", "I have no idea.", "[id=2]", "[id=2]"])
         trace = run(scenario, llm=llm)
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        assert [(e.step.index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
+        assert [(e.step_index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
         assert trace.backtracks_used == 1
 
     def test_reask_taps_the_restored_screen_bounds(self):

@@ -17,7 +17,6 @@ from bugreplay.steps import (
     render_steps,
     step_text,
     strip_quotes,
-    validate_step_list,
 )
 
 
@@ -49,15 +48,15 @@ COUNT_REASONS = {
 @pytest.mark.parametrize("action", list(ActionType), ids=str)
 def test_fields_name_exactly_the_fields_a_step_takes(action):
     bound = {name: FIELD_TOKENS[name][1] for name in FIELDS[action]}
-    step = Step(1, action, **bound)
+    step = Step(action, **bound)
     tokens = [action.value, *(FIELD_TOKENS[name][0] for name in FIELDS[action])]
     assert step_text(step) == " ".join(f"[{token}]" for token in tokens)
-    assert bind_tokens(tokens, 1, "line") == step
+    assert bind_tokens(tokens, "line") == step
     for name in FIELD_TOKENS:
         changed = {**bound, name: None} if name in bound else {**bound, name: FIELD_TOKENS[name][1]}
         verb = "require" if name in bound else "forbid"
         with pytest.raises(ValueError, match=f"^{action} steps {verb} a {name}$"):
-            Step(1, action, **changed)
+            Step(action, **changed)
 
 
 @pytest.mark.parametrize("action", list(ActionType), ids=str)
@@ -67,7 +66,7 @@ def test_a_token_count_mismatch_names_the_action_shape(action, count):
     # one Input token short is its default value, so an Input is two short
     tokens = tokens + ['"extra"'] if count == "one-over" else tokens[:1 if action is ActionType.INPUT else -1]
     with pytest.raises(MalformedStep) as err:
-        bind_tokens(tokens, 1, "the line")
+        bind_tokens(tokens, "the line")
     assert err.value.reason == COUNT_REASONS[action]
     assert str(err.value) == f"malformed step line: 'the line' ({COUNT_REASONS[action]})"
 
@@ -120,50 +119,44 @@ def test_normalize_direction_rejects_unknown():
 
 class TestStepShape:
     def test_tap_requires_component(self):
-        step = Step(1, ActionType.TAP, component="bookmark")
+        step = Step(ActionType.TAP, component="bookmark")
         assert step.component == "bookmark"
         with pytest.raises(ValueError):
-            Step(1, ActionType.TAP)
+            Step(ActionType.TAP)
         with pytest.raises(ValueError):
-            Step(1, ActionType.TAP, component="x", value="y")
+            Step(ActionType.TAP, component="x", value="y")
 
     def test_input_requires_component_and_value(self):
-        step = Step(2, ActionType.INPUT, component="name", value="a")
+        step = Step(ActionType.INPUT, component="name", value="a")
         assert (step.component, step.value) == ("name", "a")
         with pytest.raises(ValueError):
-            Step(2, ActionType.INPUT, component="name")
+            Step(ActionType.INPUT, component="name")
 
     def test_input_value_may_be_empty(self):
-        step = Step(1, ActionType.INPUT, component="name", value="")
+        step = Step(ActionType.INPUT, component="name", value="")
         assert step.value == ""
 
     def test_scroll_requires_direction_only(self):
-        step = Step(3, ActionType.SCROLL, direction=Direction.DOWN)
+        step = Step(ActionType.SCROLL, direction=Direction.DOWN)
         assert step.direction is Direction.DOWN
         with pytest.raises(ValueError):
-            Step(3, ActionType.SCROLL)
+            Step(ActionType.SCROLL)
         with pytest.raises(ValueError):
-            Step(3, ActionType.SCROLL, component="list", direction=Direction.DOWN)
-
-    def test_index_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Step(0, ActionType.TAP, component="x")
-        with pytest.raises(ValueError):
-            Step(-2, ActionType.TAP, component="x")
+            Step(ActionType.SCROLL, component="list", direction=Direction.DOWN)
 
     def test_component_must_be_non_empty(self):
         with pytest.raises(ValueError):
-            Step(1, ActionType.TAP, component="")
+            Step(ActionType.TAP, component="")
 
     @pytest.mark.parametrize("bad", ["a[b", "a]b", "a\nb", "a\rb", "a\x85b", "a b"])
     def test_fields_reject_unrepresentable_characters(self, bad):
         with pytest.raises(ValueError):
-            Step(1, ActionType.TAP, component=bad)
+            Step(ActionType.TAP, component=bad)
         with pytest.raises(ValueError):
-            Step(1, ActionType.INPUT, component="f", value=bad)
+            Step(ActionType.INPUT, component="f", value=bad)
 
     def test_steps_are_immutable(self):
-        step = Step(1, ActionType.TAP, component="x")
+        step = Step(ActionType.TAP, component="x")
         with pytest.raises(AttributeError):
             step.component = "y"
 
@@ -177,40 +170,29 @@ def test_bug_report_validation():
         BugReport("42", "   ")
 
 
-def test_validate_step_list_consecutive():
-    steps = [Step(1, ActionType.TAP, component="a"), Step(2, ActionType.SCROLL, direction=Direction.UP)]
-    validate_step_list(steps)
-    validate_step_list([])
-    with pytest.raises(ValueError):
-        validate_step_list([Step(2, ActionType.TAP, component="a")])
-    with pytest.raises(ValueError):
-        validate_step_list([Step(1, ActionType.TAP, component="a"),
-                            Step(3, ActionType.TAP, component="b")])
-
-
 class TestTextualForm:
     def test_tap(self):
-        assert step_text(Step(1, ActionType.TAP, component="bookmark")) == '[Tap] ["bookmark"]'
+        assert step_text(Step(ActionType.TAP, component="bookmark")) == '[Tap] ["bookmark"]'
 
     def test_input(self):
-        assert step_text(Step(2, ActionType.INPUT, component="name", value="a")) == '[Input] ["name"] ["a"]'
+        assert step_text(Step(ActionType.INPUT, component="name", value="a")) == '[Input] ["name"] ["a"]'
 
     def test_scroll_direction_unquoted(self):
-        assert step_text(Step(3, ActionType.SCROLL, direction=Direction.DOWN)) == "[Scroll] [down]"
+        assert step_text(Step(ActionType.SCROLL, direction=Direction.DOWN)) == "[Scroll] [down]"
 
     def test_long_and_double(self):
-        assert step_text(Step(1, ActionType.LONG_TAP, component="row")) == '[Long-tap] ["row"]'
-        assert step_text(Step(1, ActionType.DOUBLE_TAP, component="map")) == '[Double-tap] ["map"]'
+        assert step_text(Step(ActionType.LONG_TAP, component="row")) == '[Long-tap] ["row"]'
+        assert step_text(Step(ActionType.DOUBLE_TAP, component="map")) == '[Double-tap] ["map"]'
 
     def test_str_matches_step_text(self):
-        step = Step(1, ActionType.TAP, component="x")
+        step = Step(ActionType.TAP, component="x")
         assert str(step) == step_text(step)
 
     def test_render_steps_numbers_lines(self):
         steps = [
-            Step(1, ActionType.TAP, component="bookmark"),
-            Step(2, ActionType.INPUT, component="name", value="a"),
-            Step(3, ActionType.SCROLL, direction=Direction.DOWN),
+            Step(ActionType.TAP, component="bookmark"),
+            Step(ActionType.INPUT, component="name", value="a"),
+            Step(ActionType.SCROLL, direction=Direction.DOWN),
         ]
         assert render_steps(steps) == (
             '1. [Tap] ["bookmark"]\n'
@@ -249,23 +231,23 @@ def test_bracket_tokens():
 
 class TestBindTokens:
     def test_tap(self):
-        step = bind_tokens(["Tap", '"bookmark"'], 1, "line")
-        assert step == Step(1, ActionType.TAP, component="bookmark")
+        step = bind_tokens(["Tap", '"bookmark"'], "line")
+        assert step == Step(ActionType.TAP, component="bookmark")
 
     def test_input_with_value(self):
-        step = bind_tokens(["Input", '"name"', '"a"'], 2, "line")
-        assert step == Step(2, ActionType.INPUT, component="name", value="a")
+        step = bind_tokens(["Input", '"name"', '"a"'], "line")
+        assert step == Step(ActionType.INPUT, component="name", value="a")
 
     def test_input_without_value_gets_default(self):
-        step = bind_tokens(["Input", '"name"'], 2, "line")
+        step = bind_tokens(["Input", '"name"'], "line")
         assert step.value == DEFAULT_INPUT_VALUE == "test"
 
     def test_scroll(self):
-        step = bind_tokens(["Scroll", "down"], 3, "line")
+        step = bind_tokens(["Scroll", "down"], "line")
         assert step.direction is Direction.DOWN
 
     def test_scroll_direction_synonym_and_quotes(self):
-        assert bind_tokens(["Scroll", '"downwards"'], 1, "line").direction is Direction.DOWN
+        assert bind_tokens(["Scroll", '"downwards"'], "line").direction is Direction.DOWN
 
     @pytest.mark.parametrize("tokens,reason_part", [
         ([], "no bracket tokens"),
@@ -280,7 +262,7 @@ class TestBindTokens:
     ])
     def test_malformed(self, tokens, reason_part):
         with pytest.raises(MalformedStep) as err:
-            bind_tokens(tokens, 1, "the line")
+            bind_tokens(tokens, "the line")
         assert reason_part in str(err.value)
 
 
@@ -290,13 +272,9 @@ class TestParseStepText:
                      '[Double-tap] ["x"]', '[Long-tap] ["y"]'):
             assert step_text(parse_step_text(text)) == text
 
-    def test_index_default_and_explicit(self):
-        assert parse_step_text('[Tap] ["a"]').index == 1
-        assert parse_step_text('[Tap] ["a"]', index=7).index == 7
-
     def test_surrounding_prose_is_tolerated(self):
         step = parse_step_text('first we [Tap] ["login"] to begin')
-        assert step == Step(1, ActionType.TAP, component="login")
+        assert step == Step(ActionType.TAP, component="login")
 
     def test_curly_quoted_component(self):
         assert parse_step_text('[Tap] [“settings”]').component == "settings"
