@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -254,36 +255,51 @@ def _step_dicts(steps: list[Step]) -> list[dict]:
     } for i, step in enumerate(steps, start=1)]
 
 
-def _run_extraction(args: argparse.Namespace, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus):
-    """The candidates, each distinct successful step list once, most
-    votes first and ties to the earliest run, plus every run's result.
-
-    The runs share the one client and go out concurrently, at most
-    EXTRACTION_WORKERS at once, or one at a time for a strict-sequence
-    transcript, whose answers follow request order; results keep run
-    order either way.
-    """
-    def attempt(_run: int) -> list[Step] | BugReplayError:
+def _vote(args: argparse.Namespace, report: BugReport, llm: LlmClient, corpus: ExemplarCorpus,
+          runs: range) -> list[list[Step] | BugReplayError]:
+    """The extraction runs numbered `runs` (from 0), each its step list or
+    its error, in run order. The runs share the one client and go out
+    concurrently, at most EXTRACTION_WORKERS at once, or one at a time for
+    a strict-sequence transcript, whose answers follow request order."""
+    def attempt(run: int) -> list[Step] | BugReplayError:
         try:
             return extract_steps(report, llm, corpus, args.token_budget)
         except BugReplayError as exc:
+            logger.warning("extraction run %d failed: %s", run + 1, exc)
             return exc
 
-    in_order = isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
-    with ThreadPoolExecutor(max_workers=1 if in_order else EXTRACTION_WORKERS) as pool:
-        outcomes = list(pool.map(attempt, range(args.runs)))
-    results: list[dict] = []
-    for run, outcome in enumerate(outcomes, 1):
-        if isinstance(outcome, BugReplayError):
-            results.append({"ok": False, "error": f"{type(outcome).__name__}: {outcome}"})
-            logger.warning("extraction run %d failed: %s", run, outcome)
-        else:
-            results.append({"ok": True, "steps": _step_dicts(outcome)})
-    ok = [steps for steps in outcomes if isinstance(steps, list)]
-    texts = [render_steps(steps) for steps in ok]
-    by_text = dict(zip(texts, ok))
+    with ThreadPoolExecutor(max_workers=1 if _in_order(llm) else EXTRACTION_WORKERS) as pool:
+        return list(pool.map(attempt, runs))
+
+
+def _in_order(llm: LlmClient) -> bool:
+    return isinstance(llm, TranscriptLlm) and llm.mode == "sequence"
+
+
+def _key(vote: list[Step] | BugReplayError) -> str | None:
+    """What a vote votes for: its rendered step list, None for a failed run."""
+    return render_steps(vote) if isinstance(vote, list) else None
+
+
+def _tally(votes: list[list[Step] | BugReplayError]) -> tuple[list[list[Step]], list[dict]]:
+    """The candidates, each distinct successful step list once, most
+    votes first and ties to the earliest run, plus every run's result."""
+    results = [{"ok": True, "steps": _step_dicts(vote)} if isinstance(vote, list)
+               else {"ok": False, "error": f"{type(vote).__name__}: {vote}"} for vote in votes]
+    by_key = {_key(vote): vote for vote in votes if isinstance(vote, list)}
     # most_common keeps first-seen order among equal counts
-    return [by_text[text] for text, _ in Counter(texts).most_common()], results
+    return [by_key[key] for key, _ in Counter(map(_key, votes)).most_common() if key is not None], results
+
+
+def _settled(keys: list[str | None], runs: int) -> bool:
+    """Whether the leader of the votes `keys` (None for a failed run) stays
+    ahead whatever the other runs - len(keys) say. A tie goes to the
+    earliest run, so a list seen before the leader must stay below it."""
+    counts = list(Counter(key for key in keys if key is not None).values()) or [0]
+    lead = max(counts)
+    leader = counts.index(lead)
+    rival = max([count + (i < leader) for i, count in enumerate(counts) if i != leader], default=0)
+    return rival + runs - len(keys) <= lead
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -291,7 +307,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     llm = _make_llm(args)
     base = _out_base(args)
-    candidates, results = _run_extraction(args, report, llm, corpus)
+    candidates, results = _tally(_vote(args, report, llm, corpus, range(args.runs)))
     if not candidates:
         print("extraction failed on every run:", file=sys.stderr)
         for i, r in enumerate(results, 1):
@@ -331,15 +347,18 @@ def _fresh_start(device: DeviceSession) -> ViewNode:
     return device.dump_hierarchy()
 
 
-def _replay_runs(budgets: Budgets, candidates: list[list[Step]], llm: LlmClient, corpus: ExemplarCorpus,
-                 report_id: str, device: DeviceSession, started: Future) -> list[ReplayTrace]:
+def _replay_runs(budgets: Budgets, candidates: list[list[Step]], runners_up: Callable[[], list[list[Step]]],
+                 llm: LlmClient, corpus: ExemplarCorpus, report_id: str, device: DeviceSession,
+                 started: Future) -> list[ReplayTrace]:
     """Each candidate once, in order, on a fresh start of `device`, until
     one triggers the bug. The first candidate's fresh start is `started`,
-    already under way."""
+    already under way. Once the first replays without the bug, the rest
+    are `runners_up()`'s, which starts with that first one."""
     traces: list[ReplayTrace] = []
-    for run, steps in enumerate(candidates):
+    while len(traces) < len(candidates):
+        steps = candidates[len(traces)]
         try:
-            first_screen = started.result() if run == 0 else _fresh_start(device)
+            first_screen = _fresh_start(device) if traces else started.result()
         except DeviceError as exc:
             # a device that cannot start would fail every later run the same way
             traces.append(ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
@@ -349,6 +368,8 @@ def _replay_runs(budgets: Budgets, candidates: list[list[Step]], llm: LlmClient,
                              first_screen=first_screen, fast_path=True))
         if traces[-1].outcome is Outcome.BUG_TRIGGERED:
             break
+        if len(traces) == 1:
+            candidates = runners_up()
     return traces
 
 
@@ -358,14 +379,25 @@ def cmd_replay(args: argparse.Namespace) -> int:
     llm = _make_llm(args)
     device = _make_device(args)
     base = _out_base(args)
-    # the device starts while the model extracts; only a replay
-    # reads how that start went
+    votes: list[list[Step] | BugReplayError] = []
+
+    def vote(upto: int) -> list[list[Step]]:
+        """The candidates once the first `upto` runs have voted."""
+        votes.extend(_vote(args, report, llm, corpus, range(len(votes), upto)))
+        return _tally(votes)[0]
+
+    # the device starts while a bare majority votes (every run, for a
+    # strict-sequence transcript); only a replay reads how that start went.
+    # The other runs vote where they could unseat the leader, or once it misses.
     with ThreadPoolExecutor(max_workers=1) as pool:
         started = pool.submit(_fresh_start, device)
-        candidates, extraction_runs = _run_extraction(args, report, llm, corpus)
+        candidates = vote(args.runs if _in_order(llm) else args.runs // 2 + 1)
+        if not _settled(list(map(_key, votes)), args.runs):
+            candidates = vote(args.runs)
     budgets = Budgets(tokens=args.token_budget, actions=args.actions_budget, backtracks=args.backtracks_budget,
                       wall_seconds=args.wall_budget, max_missing_depth=args.max_missing_depth)
-    traces = _replay_runs(budgets, candidates, llm, corpus, report.id, device, started)
+    traces = _replay_runs(budgets, candidates, lambda: vote(args.runs), llm, corpus, report.id, device, started)
+    candidates, extraction_runs = _tally(votes)
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     trace_path = Path(f"{base}.trace.json")
     _write(trace_path, {

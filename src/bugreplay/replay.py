@@ -31,10 +31,11 @@ hands the dump of the restored screen to the next iteration, so a screen
 is never dumped twice; the caller may hand over the first screen the
 same way. A restore checks for a crash after a Back that shows a new
 screen, before a restart's `logcat -c` could erase it, and before it
-gives up; a crash it finds ends the run as triggered. Outside a prompt, a node's id is its id in the screen's full
-encoding, stable for the screen's digest; a prompt that elides wrapper
-divs numbers its nodes anew, and the id an answer cites there becomes a
-full id once, through the encoding's full_ids.
+gives up; a crash it finds ends the run as triggered. Outside a prompt,
+a node's id is its id in the screen's full encoding, stable for the
+screen's digest; a prompt that elides wrapper divs numbers its nodes
+anew, and the id an answer cites there becomes a full id once, through
+the encoding's full_ids.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
 

@@ -490,6 +490,134 @@ class TestConcurrentExtraction:
         assert len(made) == 1
 
 
+def _eager_leader(keys):
+    """The list the eager vote replays first: most runs, ties to the
+    earliest run; None when every run failed."""
+    ok = [key for key in keys if key is not None]
+    return min(ok, key=lambda key: (-ok.count(key), ok.index(key)), default=None)
+
+
+@pytest.mark.parametrize("runs", range(1, 7))
+def test_a_settled_leader_is_every_completions_leader_and_only_then(runs):
+    votes = ["A", "B", "C", None]
+    leaders = {seq: _eager_leader(seq) for seq in itertools.product(votes, repeat=runs)}
+    for sent in range(runs + 1):
+        for prefix in itertools.product(votes, repeat=sent):
+            ahead = {leaders[prefix + rest] for rest in itertools.product(votes, repeat=runs - sent)}
+            # settled exactly when no vote still to send can change the leader
+            assert cli._settled(list(prefix), runs) == (ahead == {_eager_leader(prefix)}), prefix
+
+
+def test_a_runner_up_seen_before_the_leader_keeps_it_unsettled():
+    # a fourth vote for A ties B and, seen first, A wins the tie
+    assert not cli._settled(["A", "B", "B"], 4)
+    assert _eager_leader(["A", "B", "B", "A"]) == "A"
+
+
+class _Votes(LlmClient):
+    """Answers the k-th extraction call with answers[k] after `delay`
+    seconds and every guidance call with GUIDANCE; notes the time each
+    extraction answer went back."""
+
+    def __init__(self, answers, delay=0.0):
+        super().__init__()
+        self.answers, self.delay = answers, delay
+        self.lock = threading.Lock()
+        self.asked = 0
+        self.answered = []
+
+    def _complete(self, prompt):
+        if any(s.kind == "test_query" for s in prompt.segments):
+            return GUIDANCE
+        with self.lock:
+            answer = self.answers[self.asked]
+            self.asked += 1
+        time.sleep(self.delay)
+        self.answered.append(time.monotonic())
+        return answer
+
+
+class TestVotesOnDemand:
+    """replay sends a bare majority of the --runs votes first, and the
+    others only where they could change what it replays."""
+
+    @pytest.fixture
+    def logged(self, ws, monkeypatch):
+        """The device logs of this test's replays, one per invocation."""
+        logs = []
+        make_device = cli._make_device
+
+        def logged_device(cfg):
+            logs.append(CallLog(make_device(cfg)))
+            return logs[-1]
+
+        monkeypatch.setattr(cli, "_make_device", logged_device)
+        return logs
+
+    def replay(self, ws, monkeypatch, llm, app="app.json"):
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: llm)
+        code = main(["replay", "crash.txt", "--app", app, "--llm", "http", "--endpoint", "unused", "--runs", "3"])
+        return code, json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+
+    def test_agreeing_votes_send_a_bare_majority_while_the_device_starts(self, ws, monkeypatch, logged):
+        llm = _Votes([EXTRACTION] * 3, delay=0.2)
+        code, artifact = self.replay(ws, monkeypatch, llm)
+        assert code == 0
+        assert len(llm.answered) == 2
+        assert artifact["extraction_runs"] == [{"ok": True, "steps": artifact["steps"]}] * 2
+        [log] = logged
+        # the fresh start ran while the model extracted, and its dump is the
+        # only one before the first gesture
+        assert log.kinds()[:3] == ["restart", "dump_hierarchy", "tap"]
+        assert all(started < answered for started in log.times[:2] for answered in llm.answered)
+
+    def test_a_split_first_wave_sends_the_rest_before_any_gesture(self, ws, monkeypatch, logged):
+        llm = _Votes([SCROLL, EXTRACTION, EXTRACTION])
+        code, artifact = self.replay(ws, monkeypatch, llm)
+        assert code == 0
+        assert len(llm.answered) == 3
+        assert [r["steps"] for r in artifact["runs"]] == [[EXTRACTION]]
+        [log] = logged
+        assert log.kinds()[:3] == ["restart", "dump_hierarchy", "tap"]
+        assert max(llm.answered) < log.times[2]
+
+    def test_a_leader_that_misses_brings_the_rest_and_replays_as_the_eager_vote(self, ws, monkeypatch, logged):
+        answers, make_llm = [SCROLL, SCROLL, EXTRACTION], cli._make_llm
+        llm = _Votes(answers)
+        code, artifact = self.replay(ws, monkeypatch, llm)
+        monkeypatch.setattr(cli, "_make_llm", make_llm)
+        # the third vote went out only once the Scroll leader had missed
+        [log] = logged
+        assert log.times[log.kinds().index("swipe")] < llm.answered[2]
+        eager_code = main(["replay", "crash.txt", "--app", "app.json", *targs(ws, answers, runs=3)])
+        eager = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert code == eager_code == 0
+        for key in ("extraction_runs", "steps", "winner"):
+            assert artifact[key] == eager[key]
+        assert [r | {"wall_time": None} for r in artifact["runs"]] == \
+            [r | {"wall_time": None} for r in eager["runs"]]
+        assert [r["steps"] for r in artifact["runs"]] == [[SCROLL], [EXTRACTION]]
+        assert artifact["winner"] == 1
+
+    def test_a_failed_fresh_start_sends_no_second_wave(self, ws, monkeypatch, capsys):
+        llm = _Votes([EXTRACTION] * 3)
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: llm)
+        args = ["replay", "crash.txt", "--device", "adb", "--adb-path", str(ws / "no-adb"),
+                "--llm", "http", "--endpoint", "unused", "--runs", "3"]
+        assert main(args) == 3
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert [r["outcome"] for r in artifact["runs"]] == ["error"]
+        assert artifact["runs"][0]["error_detail"].startswith("DeviceError: ")
+        assert len(artifact["extraction_runs"]) == len(llm.answered) == 2
+
+    def test_extract_sends_every_vote(self, ws, monkeypatch):
+        llm = _Votes([EXTRACTION] * 3)
+        monkeypatch.setattr(cli, "_make_llm", lambda cfg: llm)
+        assert main(["extract", "crash.txt", "--llm", "http", "--endpoint", "unused", "--runs", "3"]) == 0
+        artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
+        assert len(artifact["runs"]) == len(llm.answered) == 3
+
+
 class TestEncode:
     DUMP = """<?xml version='1.0' encoding='UTF-8' standalone='yes' ?>
 <hierarchy rotation="0">
