@@ -50,7 +50,10 @@ logger = logging.getLogger(__name__)
 
 
 class DeviceSession(ABC):
-    """The surface shared by real and simulated devices."""
+    """The surface shared by real and simulated devices. package, if known,
+    is the app's: a dump whose root names it shows the app's own window."""
+
+    package: str | None = None
 
     @abstractmethod
     def dump_hierarchy(self) -> ViewNode: ...

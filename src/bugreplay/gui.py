@@ -75,6 +75,7 @@ class ViewNode:
     content_desc: str | None = None
     bounds: Bounds = Bounds(0, 0, 0, 0)
     children: list["ViewNode"] = field(default_factory=list)
+    package: str | None = None  # whose window holds the node, as a dump names it
 
 
 @dataclass(frozen=True)
@@ -257,4 +258,5 @@ def _node_from_xml(element) -> ViewNode:
         content_desc=element.get("content-desc") or None,
         bounds=bounds,
         children=[_node_from_xml(c) for c in element if c.tag == "node"],
+        package=element.get("package") or None,
     )

@@ -48,13 +48,19 @@ that very screen, so the prompt is the one the paper sends after it, and
 the cited node is acted on at the bounds of the restored dump. With the
 fast path off, a gesture that the model's answer for a guided step must
 follow gets its crash check after the next dump, while that call is out;
-the answer is acted on only once the check finds no crash. Every other
-gesture, the fast path's among them, is checked at once. A finish runs a
-check still owed first, so a crash outranks a budget or a failure after
-it. Two costs come with this: a gesture that crashes the app while steps
-remain (fast path off) costs one dump and one model call whose answer is
-dropped, and a re-ask already sent is dropped when the wall budget runs
-out during its restore or the restore fails.
+the answer is acted on only once the check finds no crash. With it on, a
+gesture aimed at the app's own window (a dump whose root names the
+device's package) has its check wait for the next dump if one comes before
+any gesture, and on past dumps of that window; any other dump runs it at
+once. The crash buffer keeps a crash until a restart's logcat -c, which
+follows only a model answer or the run's end, so one check covers every
+gesture since. Every other gesture, the last step's among them, is
+checked at once. A finish runs a check still owed first, so a crash
+outranks a budget or a failure after it. Two costs come with this: a
+gesture that crashes the app while steps remain costs one dump (and, fast
+path off, one model call whose answer is dropped) before the check, and a
+re-ask already sent is dropped when the wall budget runs out during its
+restore or the restore fails.
 
 With fast_path on, a guided step whose component, normalised (casefolded,
 `_` read as a space, whitespace collapsed), equals the normalised text,
@@ -367,6 +373,16 @@ def replay(
         unchecked = False
         return device.crashed()
 
+    def own(root: ViewNode) -> bool:
+        return device.package is not None and root.package == device.package
+
+    def dump() -> bool:
+        """Dump the screen in hand. A check the fast path owes runs next unless
+        the dump shows the app's own window; True if it finds a crash."""
+        nonlocal screen
+        screen = _dump_screen(device)
+        return unchecked and fast_path and not own(screen[0].index[0]) and check_crash()
+
     def finish(outcome: Outcome, detail: str | None = None) -> ReplayTrace:
         # a crash the last gesture caused outranks what came after it
         if unchecked:
@@ -414,7 +430,8 @@ def replay(
             # an action is left to redo the step with; a swipe first could
             # change the screen and hide a pick that changed nothing
             if pending is not None and trace.actions_used < budgets.actions:
-                screen = _dump_screen(device)
+                if dump():
+                    return finish(Outcome.BUG_TRIGGERED)
                 if screen[1] == pending.screen[1]:
                     logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
                     cursor, missing_depth, excluded = pending.cursor, pending.missing_depth, pending.excluded
@@ -436,7 +453,8 @@ def replay(
                     screen = _dump_screen(device)
                 digest, node = (screen[1], screen[0].index[0]) if screen else (None, window)
             else:
-                screen = screen or _dump_screen(device)
+                if screen is None and dump():
+                    return finish(Outcome.BUG_TRIGGERED)
                 encoded, digest = screen
                 # every backtrack follows a model call, which has turned the
                 # fast path off, so a lexical pick never meets an exclusion
@@ -497,12 +515,12 @@ def replay(
             else:
                 cursor += 1
                 missing_depth = 0
-            # off the fast path, a gesture the model's next answer must
-            # follow has its crash check put off until that call is out, or
-            # until the finish that comes first if the actions have run out
+            # a check put off waits for the next dump, or the finish if the actions
+            # run out: off the fast path until the model's next call is out, on it
+            # while the dumps show the app's own window
             unchecked = True
-            overlap = not fast_path and cursor < len(steps) and steps[cursor].action is not ActionType.SCROLL
-            if not overlap and check_crash():
+            dumps_next = cursor < len(steps) and (pending is not None or steps[cursor].action is not ActionType.SCROLL)
+            if not (dumps_next and (not fast_path or own(window))) and check_crash():
                 return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:
         logger.warning("replay aborted: %s", exc)

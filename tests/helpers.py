@@ -634,12 +634,14 @@ class CallLog:
         return logged
 
 
-def dump_xml(root):
-    """A view tree as uiautomator writes its dump, on one line."""
+def dump_xml(root, package=None):
+    """A view tree as uiautomator writes its dump, on one line, each node
+    in the window of `package` (an empty attribute if None)."""
     def node(n):
         b = n.bounds
         return (f"<node text={quoteattr(n.text or '')} resource-id={quoteattr(n.resource_id or '')} "
-                f"class={quoteattr(n.class_name)} content-desc={quoteattr(n.content_desc or '')} "
+                f"class={quoteattr(n.class_name)} package={quoteattr(package or '')} "
+                f"content-desc={quoteattr(n.content_desc or '')} "
                 f'bounds="[{b.left},{b.top}][{b.right},{b.bottom}]">'
                 f"{''.join(map(node, n.children))}</node>")
     return f"<?xml version='1.0' encoding='UTF-8' standalone='yes' ?><hierarchy rotation=\"0\">{node(root)}</hierarchy>"
@@ -657,7 +659,14 @@ class AdbFront:
     `input text` calls type one value, with `%s` read as a space. A swipe
     that stays in place for at least LONG_PRESS_MS is a long tap. The
     launch command restarts the app; the crash buffer holds a FATAL
-    EXCEPTION naming the package while the app is in a crash state.
+    EXCEPTION naming the package while the app is in a crash state. A dump
+    shows an app state in the package's window and a crash state in the
+    crash dialog's, of the system package `android`.
+
+    It asserts that once a dump has shown a crash state, no gesture acts
+    and no `logcat -c` arrives before the next crash-buffer read. The
+    gestures of one step or of a restore's prefix go out with no dump
+    between, so a dump is where the crash is first seen.
     """
 
     LONG_PRESS_MS = 500
@@ -668,6 +677,8 @@ class AdbFront:
         self.launch = self.words(["adb", "shell", launch_command])
         self.files = {}
         self.pending = None
+        # whether a dump has shown a crash state since the last crash-buffer read
+        self.crash_shown = False
 
     @staticmethod
     def words(argv):
@@ -685,7 +696,7 @@ class AdbFront:
             x, y = map(int, words[3:])
             if self.pending == ("tap", x, y) and self.device.takes_double_tap(x, y):
                 self.pending = None
-                self.device.perform([("double_tap", x, y)])
+                self._perform(("double_tap", x, y))
             else:
                 self._flush(("tap", x, y))
             return ""
@@ -701,19 +712,23 @@ class AdbFront:
         if words[:3] == ["shell", "input", "swipe"]:
             x1, y1, x2, y2, ms = map(int, words[3:])
             long_press = (x1, y1) == (x2, y2) and ms >= self.LONG_PRESS_MS
-            self.device.perform([("long_tap", x1, y1) if long_press else ("swipe", x1, y1, x2, y2)])
+            self._perform(("long_tap", x1, y1) if long_press else ("swipe", x1, y1, x2, y2))
         elif words == ["shell", "input", "keyevent", "KEYCODE_BACK"]:
-            self.device.perform([("back",)])
+            self._perform(("back",))
         elif words == self.launch:
-            self.device.perform([("restart",)])
-        elif words in (["shell", "am", "force-stop", self.package], ["logcat", "-c"]):
+            self._perform(("restart",))
+        elif words == ["shell", "am", "force-stop", self.package]:
             pass
+        elif words == ["logcat", "-c"]:
+            assert not self.crash_shown, "logcat -c erased a crash a dump showed and no crash-buffer read saw"
         elif words == ["logcat", "-d", "-b", "crash"]:
+            self.crash_shown = False
             if self.device.crashed():
                 return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
                         f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
         elif words[:3] == ["shell", "uiautomator", "dump"]:
-            self.files[words[3]] = dump_xml(self.device.dump_hierarchy())
+            self.crash_shown = self.device.crashed()
+            self.files[words[3]] = dump_xml(self.device.dump_hierarchy(), self.window_package())
             return f"UI hierchary dumped to: {words[3]}\n"
         elif words[:2] == ["shell", "cat"]:
             return self.files[words[2]]
@@ -721,11 +736,19 @@ class AdbFront:
             raise AssertionError(f"adb front does not answer {argv}")
         return ""
 
+    def window_package(self):
+        """The package of the window in front: the crash dialog's in a crash state, else the app's."""
+        return "android" if self.device.crashed() else self.package
+
     def _flush(self, pending=None):
         """Make the gesture waiting for the next command, and hold `pending` instead."""
         if self.pending:
-            self.device.perform([self.pending])
+            self._perform(self.pending)
         self.pending = pending
+
+    def _perform(self, gesture):
+        assert not self.crash_shown, f"{gesture} reached a crash a dump showed and no crash-buffer read saw"
+        self.device.perform([gesture])
 
 
 # the app the adb runs address, and the command that starts it again

@@ -13,11 +13,13 @@ import bugreplay.device as device_module
 from bugreplay.device import AdbDevice, SimulatedApp, SimulatedDevice
 from bugreplay.errors import DeviceError
 from bugreplay.gui import Bounds, ViewNode, encode_gui, parse_dump
-from bugreplay.replay import Outcome, apply_gestures, execute_step, replay
+from bugreplay.replay import Budgets, Outcome, apply_gestures, execute_step, replay
 from bugreplay.steps import ActionType, parse_step_text, render_steps
 
 from helpers import (
     CRASH_STATE,
+    LAUNCH,
+    PACKAGE,
     AdbFront,
     GeneratedRun,
     Scenario,
@@ -793,6 +795,130 @@ def test_dump_xml_round_trips_through_parse_dump():
     for _ in range(30):
         tree = random_view_tree(rng, max_nodes=60)
         assert encode_gui(parse_dump(dump_xml(tree))).html == encode_gui(tree).html
+
+
+LOOK = ["shell uiautomator dump /sdcard/window_dump.xml", "shell cat /sdcard/window_dump.xml"]
+CHECK = "logcat -d -b crash"
+
+
+def adb_words(argv_log):
+    return [" ".join(AdbFront.words(argv)) for argv in argv_log]
+
+
+def tap_words(gestures):
+    return [f"shell input tap {x} {y}" for _, x, y in gestures]
+
+
+class BareFront(AdbFront):
+    """Dumps whose nodes name no package."""
+
+    def window_package(self):
+        return None
+
+
+class TwoWindowFront(AdbFront):
+    """Dumps the status bar's window beside the app's, as a multi-window dump holds it."""
+
+    def __call__(self, argv):
+        out = super().__call__(argv)
+        if self.words(argv)[:2] == ["shell", "cat"]:
+            bar = '<node class="android.widget.FrameLayout" package="com.android.systemui" bounds="[0,0][1080,60]"/>'
+            out = out.replace("</hierarchy>", f"{bar}</hierarchy>")
+        return out
+
+
+class RelaunchFront(AdbFront):
+    """An app that a crash relaunches in its own window, so its crash state
+    shows the package's window; the crash buffer keeps the crash until
+    `logcat -c`, as logcat's does, and gestures go on reaching the app."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.crash_logged = False
+
+    def window_package(self):
+        return self.package
+
+    def _perform(self, gesture):
+        self.device.perform([gesture])
+        self.crash_logged = self.crash_logged or self.device.crashed()
+
+    def __call__(self, argv):
+        words = self.words(argv)
+        if words[:1] != ["logcat"]:
+            return super().__call__(argv)
+        self._flush()
+        if words == ["logcat", "-c"]:
+            self.crash_logged = False
+            return ""
+        return FATAL.format(process=self.package) if self.crash_logged else ""
+
+
+def fast_path_over_adb(spec, steps, corpus, front=AdbFront, package=PACKAGE, llm=None, budgets=None):
+    """Replay with the fast path over AdbDevice and `front` around the spec's
+    app; returns the trace and the words of each adb call."""
+    front, argv_log = front(SimulatedDevice(SimulatedApp(spec)), PACKAGE, LAUNCH), []
+
+    def runner(argv):
+        argv_log.append(argv)
+        return front(argv)
+
+    device = AdbDevice(runner=runner, package=package, launch_command=LAUNCH)
+    device.DOUBLE_TAP_GAP_SECONDS = 0
+    trace = replay(steps, device, llm or ScriptedLlm([]), corpus, budgets, fast_path=True)
+    return trace, adb_words(argv_log)
+
+
+class TestOwedCrashCheck:
+    """On the fast path, a gesture aimed at a dump of the app's own window
+    has its crash check wait while the dumps after it show that window."""
+
+    def test_a_crash_at_the_last_step_is_checked_once(self, corpus):
+        scenario = scenario_linear_taps_3()
+        trace, argv_log = replay_both_ways(scenario.spec, scenario.steps, scenario.oracle(), scenario.oracle(),
+                                           corpus, fast_path=True)
+        taps = tap_words(trace["gestures"])
+        assert trace["outcome"] == "bug_triggered" and len(taps) == 3
+        assert adb_words(argv_log) == [*LOOK, taps[0], *LOOK, taps[1], *LOOK, taps[2], CHECK]
+
+    def test_a_crash_that_shows_a_foreign_window_is_checked_after_the_next_dump(self, corpus):
+        # "Crash me" crashes the app while a step remains, and the next step's
+        # label is on the crash dialog, a window of the system's
+        spec = _spec({"s0": {"tree": page("Main", (button, "Crash me"))},
+                      CRASH_STATE: {"tree": page("Main has stopped", (button, "Close app"))}},
+                     [_tap("s0", 2, CRASH_STATE)], "s0")
+        steps = [parse_step_text('[Tap] ["Crash me"]'), parse_step_text('[Tap] ["Close app"]')]
+        trace, argv_log = replay_both_ways(spec, steps, ScriptedLlm([]), ScriptedLlm([]), corpus, fast_path=True)
+        assert trace["outcome"] == "bug_triggered"
+        assert adb_words(argv_log) == [*LOOK, *tap_words(trace["gestures"]), *LOOK, CHECK]
+
+    @pytest.mark.parametrize("front, package", [(AdbFront, None), (BareFront, PACKAGE), (TwoWindowFront, PACKAGE)],
+                             ids=["no-package", "root-without-package", "two-windows"])
+    def test_without_the_apps_window_every_gesture_is_checked_at_once(self, front, package, corpus):
+        scenario = scenario_linear_taps_3()
+        trace, words = fast_path_over_adb(scenario.spec, scenario.steps, corpus, front, package)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert words == [part for tap in tap_words(trace.gestures) for part in (*LOOK, tap, CHECK)]
+
+    @pytest.mark.parametrize("nexts, budgets, gestures", [
+        (1, None, 3),
+        (2, None, 1),
+        (1, Budgets(actions=2), 2),
+    ], ids=["end-of-steps", "model-call", "action-budget"])
+    def test_a_crash_behind_the_apps_own_window_is_still_the_bug(self, nexts, budgets, gestures, corpus):
+        # "Open" crashes the app, which comes back on a page with "Next"; two
+        # "Next" send the step to the model, whose answer the crash outranks
+        spec = _spec({"s0": {"tree": page("Home", (button, "Open"))},
+                      CRASH_STATE: {"tree": page("Home again", *[(button, "Next")] * nexts)},
+                      "s2": {"tree": page("List", (button, "Finish"))},
+                      "s3": {"tree": page("End")}},
+                     [_tap("s0", 2, CRASH_STATE), _tap(CRASH_STATE, 2, "s2"), _tap("s2", 2, "s3")], "s0")
+        steps = [parse_step_text(f'[Tap] ["{label}"]') for label in ("Open", "Next", "Finish")]
+        trace, words = fast_path_over_adb(spec, steps, corpus, RelaunchFront, llm=ScriptedLlm(["[id=2]"]),
+                                          budgets=budgets)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert len(trace.gestures) == gestures
+        assert words.count(CHECK) == 1
 
 
 def _refuse_pidfd(pid):

@@ -304,6 +304,7 @@ class TestParseDump:
         assert root.class_name == "android.widget.FrameLayout"
         assert root.resource_id is None          # empty attr means absent
         assert root.text is None
+        assert root.package == "com.demo"
         assert len(root.children) == 2
         title, add = root.children
         assert title.text == "Inbox"
@@ -326,13 +327,15 @@ class TestParseDump:
 
     def test_multiple_top_nodes_get_synthetic_root(self):
         xml = ('<hierarchy>'
-               '<node class="android.widget.TextView" bounds="[0,0][100,50]"/>'
-               '<node class="android.widget.TextView" bounds="[50,20][300,200]"/>'
+               '<node class="android.widget.TextView" package="com.demo" bounds="[0,0][100,50]"/>'
+               '<node class="android.widget.TextView" package="" bounds="[50,20][300,200]"/>'
                '</hierarchy>')
         root = parse_dump(xml)
         assert root.class_name == "android.widget.FrameLayout"
         assert len(root.children) == 2
         assert root.bounds == Bounds(0, 0, 300, 200)
+        # the wrap is no one's window; an empty package means absent
+        assert [root.package, *(child.package for child in root.children)] == [None, "com.demo", None]
 
     def test_missing_class_falls_back(self):
         root = parse_dump('<node bounds="[0,0][10,10]"/>')
