@@ -22,8 +22,7 @@ import math
 import os
 import sys
 from collections import Counter
-from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .device import AdbDevice, DeviceSession, SimulatedApp, SimulatedDevice
@@ -347,32 +346,6 @@ def _fresh_start(device: DeviceSession) -> ViewNode:
     return device.dump_hierarchy()
 
 
-def _replay_runs(budgets: Budgets, candidates: list[list[Step]], runners_up: Callable[[], list[list[Step]]],
-                 llm: LlmClient, corpus: ExemplarCorpus, report_id: str, device: DeviceSession,
-                 started: Future) -> list[ReplayTrace]:
-    """Each candidate once, in order, on a fresh start of `device`, until
-    one triggers the bug. The first candidate's fresh start is `started`,
-    already under way. Once the first replays without the bug, the rest
-    are `runners_up()`'s, which starts with that first one."""
-    traces: list[ReplayTrace] = []
-    while len(traces) < len(candidates):
-        steps = candidates[len(traces)]
-        try:
-            first_screen = _fresh_start(device) if traces else started.result()
-        except DeviceError as exc:
-            # a device that cannot start would fail every later run the same way
-            traces.append(ReplayTrace(report_id, list(steps), outcome=Outcome.ERROR,
-                                      error_detail=f"{type(exc).__name__}: {exc}"))
-            break
-        traces.append(replay(steps, device, llm, corpus, budgets, report_id,
-                             first_screen=first_screen, fast_path=True))
-        if traces[-1].outcome is Outcome.BUG_TRIGGERED:
-            break
-        if len(traces) == 1:
-            candidates = runners_up()
-    return traces
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     report = _load("read report", args.report, _read_report)
     corpus = _load_corpus(args)
@@ -381,22 +354,35 @@ def cmd_replay(args: argparse.Namespace) -> int:
     base = _out_base(args)
     votes: list[list[Step] | BugReplayError] = []
 
-    def vote(upto: int) -> list[list[Step]]:
-        """The candidates once the first `upto` runs have voted."""
+    def vote(upto: int) -> None:
         votes.extend(_vote(args, report, llm, corpus, range(len(votes), upto)))
-        return _tally(votes)[0]
 
     # the device starts while a bare majority votes (every run, for a
     # strict-sequence transcript); only a replay reads how that start went.
     # The other runs vote where they could unseat the leader, or once it misses.
     with ThreadPoolExecutor(max_workers=1) as pool:
         started = pool.submit(_fresh_start, device)
-        candidates = vote(args.runs if _in_order(llm) else args.runs // 2 + 1)
+        vote(args.runs if _in_order(llm) else args.runs // 2 + 1)
         if not _settled(list(map(_key, votes)), args.runs):
-            candidates = vote(args.runs)
+            vote(args.runs)
     budgets = Budgets(tokens=args.token_budget, actions=args.actions_budget, backtracks=args.backtracks_budget,
                       wall_seconds=args.wall_budget, max_missing_depth=args.max_missing_depth)
-    traces = _replay_runs(budgets, candidates, lambda: vote(args.runs), llm, corpus, report.id, device, started)
+    # each candidate once, in order, on a fresh start, until one triggers the bug
+    traces: list[ReplayTrace] = []
+    while len(traces) < len(candidates := _tally(votes)[0]):
+        steps = candidates[len(traces)]
+        try:
+            first_screen = _fresh_start(device) if traces else started.result()
+        except DeviceError as exc:
+            # a device that cannot start would fail every later run the same way
+            traces.append(ReplayTrace(report.id, list(steps), outcome=Outcome.ERROR,
+                                      error_detail=f"{type(exc).__name__}: {exc}"))
+            break
+        traces.append(replay(steps, device, llm, corpus, budgets, report.id,
+                             first_screen=first_screen, fast_path=True))
+        if traces[-1].outcome is Outcome.BUG_TRIGGERED:
+            break
+        vote(args.runs)
     candidates, extraction_runs = _tally(votes)
     winner = next((i for i, t in enumerate(traces) if t.outcome is Outcome.BUG_TRIGGERED), None)
     trace_path = Path(f"{base}.trace.json")

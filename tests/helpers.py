@@ -801,6 +801,9 @@ LABEL_POOL = ["Go", "Next", "Open", "Save", "More", "Done"]
 HEADER_POOL = ["Home", "List", "Detail"]
 VALUE_POOL = ["hi", "two words", "50%sale"]
 _STEP_WORDS = {"tap": "Tap", "double-tap": "Double-tap", "long-tap": "Long-tap", "input": "Input"}
+# a step still to go after a crash finds its label on a generated app's crash dialog
+_CRASH_DIALOG = screen_tree([text_view("Unfortunately, the app has stopped", 860),
+                             *(button(label, 1000 + 130 * i) for i, label in enumerate(LABEL_POOL))])
 
 
 class RandomOracle(LlmClient):
@@ -832,13 +835,14 @@ class GeneratedRun:
     """A seeded random app and one replay run on it: 2-8 states of 1-6
     widgets labelled from a small pool, some in wrapper rows; tap,
     double-tap, long-tap and input transitions, some into the crash state,
-    and random Back and scroll ones; steps from a random walk, one of them
-    dropped 30% of the time; random budgets, token budgets small enough to
-    elide the wrapper rows included; the fast path on or off; and an
-    honest, misleading or random oracle, which `oracle()` builds fresh for
-    each run. With back_into_crash, a second random stream re-targets 40%
-    of the Back transitions at the crash state, so a restore's Back can
-    crash the app; the first stream, and so the rest of the run, is the same."""
+    whose dialog shows a button of every label; random Back and scroll
+    ones; steps from a random walk, one of them dropped 30% of the time;
+    random budgets, token budgets small enough to elide the wrapper rows
+    included; the fast path on or off; and an honest, misleading or random
+    oracle, which `oracle()` builds fresh for each run. With
+    back_into_crash, a second random stream re-targets 40% of the Back
+    transitions at the crash state, so a restore's Back can crash the app;
+    the first stream, and so the rest of the run, is the same."""
 
     def __init__(self, seed, back_into_crash=False):
         rng, crash_rng = random.Random(seed), random.Random(str(seed))
@@ -866,7 +870,7 @@ class GeneratedRun:
                 transitions.append({"from": name, "action": "scroll", "direction": direction,
                                     "to": rng.choice(names)})
                 moves[name].append((f"[Scroll] [{direction}]", transitions[-1]["to"]))
-        self.spec = _spec(states, transitions, names[0])
+        self.spec = _spec(states | {CRASH_STATE: {"tree": _CRASH_DIALOG}}, transitions, names[0])
         texts, state, length = [], names[0], rng.randint(1, 6)
         while state != CRASH_STATE and moves[state] and len(texts) < length:
             text, state = rng.choice(moves[state])

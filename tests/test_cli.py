@@ -27,8 +27,9 @@ REPORT = 'Tap "Crash me" on the main screen. The app crashes.'
 EXTRACTION = '1. [Tap] ["Crash me"]'
 # a label that names nothing on screen, so only the model can resolve it
 UNMATCHED = '1. [Tap] ["the crash button"]'
-# a step that needs no model and leaves the app alone
+# steps that need no model and leave the app alone
 SCROLL = '1. [Scroll] [down]'
+SCROLL_UP = '1. [Scroll] [up]'
 GUIDANCE = "The component is visible, so I operate on [id=2] in the screen."
 # JSON nested past the recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -554,9 +555,10 @@ class TestVotesOnDemand:
         monkeypatch.setattr(cli, "_make_device", logged_device)
         return logs
 
-    def replay(self, ws, monkeypatch, llm, app="app.json"):
+    def replay(self, ws, monkeypatch, llm, app="app.json", runs=3):
         monkeypatch.setattr(cli, "_make_llm", lambda cfg: llm)
-        code = main(["replay", "crash.txt", "--app", app, "--llm", "http", "--endpoint", "unused", "--runs", "3"])
+        code = main(["replay", "crash.txt", "--app", app, "--llm", "http", "--endpoint", "unused",
+                     "--runs", str(runs)])
         return code, json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
 
     def test_agreeing_votes_send_a_bare_majority_while_the_device_starts(self, ws, monkeypatch, logged):
@@ -598,6 +600,37 @@ class TestVotesOnDemand:
             [r | {"wall_time": None} for r in eager["runs"]]
         assert [r["steps"] for r in artifact["runs"]] == [[SCROLL], [EXTRACTION]]
         assert artifact["winner"] == 1
+
+    def test_a_leader_that_misses_with_every_vote_behind_it_ends_the_runs(self, ws, monkeypatch, logged):
+        llm = _Votes([SCROLL] * 3)
+        code, artifact = self.replay(ws, monkeypatch, llm)
+        assert code == 1
+        assert len(llm.answered) == len(artifact["extraction_runs"]) == 3
+        assert [r["steps"] for r in artifact["runs"]] == [[SCROLL]]
+        [log] = logged
+        assert log.kinds().count("restart") == 1
+
+    def test_later_candidates_each_start_afresh_after_one_more_wave(self, ws, monkeypatch, logged):
+        answers, make_llm = [SCROLL] * 3 + [SCROLL_UP, EXTRACTION], cli._make_llm
+        llm = _Votes(answers)
+        code, artifact = self.replay(ws, monkeypatch, llm, runs=5)
+        monkeypatch.setattr(cli, "_make_llm", make_llm)
+        [log] = logged
+        restarts = [t for t, kind in zip(log.times, log.kinds()) if kind == "restart"]
+        assert len(restarts) == 3
+        # the two runs the settled first wave left out voted once, after the
+        # leader's swipe and before the second candidate's fresh start
+        assert len(llm.answered) == 5
+        assert all(log.times[log.kinds().index("swipe")] < t < restarts[1] for t in llm.answered[3:])
+        eager_code = main(["replay", "crash.txt", "--app", "app.json", *targs(ws, answers, runs=5)])
+        eager = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert code == eager_code == 0
+        for key in ("extraction_runs", "steps", "winner"):
+            assert artifact[key] == eager[key]
+        assert [r | {"wall_time": None} for r in artifact["runs"]] == \
+            [r | {"wall_time": None} for r in eager["runs"]]
+        assert [r["steps"] for r in artifact["runs"]] == [[SCROLL], [SCROLL_UP], [EXTRACTION]]
+        assert artifact["winner"] == 2
 
     def test_a_failed_fresh_start_sends_no_second_wave(self, ws, monkeypatch, capsys):
         llm = _Votes([EXTRACTION] * 3)

@@ -739,6 +739,9 @@ def test_a_restore_prefix_of_two_taps_at_one_point_replays_alike_over_adb(corpus
 
 # seeds whose fast path undoes a lexical pick that the model then names again
 UNDONE_PICKS = [382, 6667, 3_542_622_101]
+# seeds of 0-2999 whose fast path crashes the app with a step still to go,
+# then dumps the crash dialog, which holds that step's label
+CRASH_WITH_STEPS_TO_GO = [117, 1147, 1724]
 # seeds of 0-2999 whose restore presses Back into the crash state once 40% of
 # Back transitions lead there; a restore that never checked for it ended them
 # in another outcome with gestures that pass through the crash
@@ -770,6 +773,18 @@ def test_a_generated_app_whose_restore_crashes_it_reports_the_bug(seed, corpus):
     trace, _ = replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets,
                                 fast_path=run.fast_path)
     assert trace["outcome"] == "bug_triggered"
+
+
+@pytest.mark.parametrize("seed", CRASH_WITH_STEPS_TO_GO)
+def test_a_crash_with_steps_to_go_is_found_before_its_dialog_is_tapped(seed, corpus):
+    # the fast path's dump shows the crash dialog in the system's window,
+    # where the next step's label would be picked lexically; AdbFront
+    # asserts that no gesture acts on it before the crash check
+    run = GeneratedRun(seed)
+    trace, _ = replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets,
+                                fast_path=True)
+    assert trace["outcome"] == "bug_triggered"
+    assert len(trace["events"]) < len(run.steps)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

@@ -345,6 +345,17 @@ def keep_alive(serve):
 
 
 @pytest.fixture
+def client():
+    """Makes clients like _client and closes the connections they keep
+    alive when the test ends, which would otherwise wait for the collector."""
+    made = []
+    yield lambda endpoint: made.append(_client(endpoint)) or made[-1]
+    for llm in made:
+        for conn in llm._idle:
+            conn.close()
+
+
+@pytest.fixture
 def proxy(serve):
     class Handler(_Proxy):
         seen, hosts = [], []
@@ -356,19 +367,19 @@ PROXY_AUTH = "Basic " + base64.b64encode(b"u:p@ss").decode("ascii")
 
 
 class TestTransport:
-    def test_sequential_calls_share_one_connection(self, keep_alive):
+    def test_sequential_calls_share_one_connection(self, keep_alive, client):
         server = keep_alive()
-        llm = _client(server.endpoint)
+        llm = client(server.endpoint)
         assert [llm.complete(make_prompt(q)) for q in "abc"] == ["re: a", "re: b", "re: c"]
         assert len(server.ports) == 3
         assert len(set(server.ports)) == 1
 
-    def test_a_dropped_idle_connection_costs_no_attempt(self, keep_alive, monkeypatch):
+    def test_a_dropped_idle_connection_costs_no_attempt(self, keep_alive, client, monkeypatch):
         server = keep_alive(drop=True)
         # a counted attempt would sleep 30 s, or fail with no retries
         monkeypatch.setattr(HttpLlm, "_RETRIES", 0)
         monkeypatch.setattr(HttpLlm, "_BACKOFF_S", 30)
-        llm = _client(server.endpoint)
+        llm = client(server.endpoint)
         started = time.monotonic()
         for q in "abc":
             assert llm.complete(make_prompt(q)) == f"re: {q}"
@@ -387,9 +398,9 @@ class TestTransport:
             llm.complete(make_prompt("b"))
         assert len(server.ports) == 2
 
-    def test_threads_one_after_another_share_one_connection(self, keep_alive):
+    def test_threads_one_after_another_share_one_connection(self, keep_alive, client):
         server = keep_alive()
-        llm = _client(server.endpoint)
+        llm = client(server.endpoint)
         answers = []
         for q in "ab":
             thread = threading.Thread(target=lambda q=q: answers.append(llm.complete(make_prompt(q))))
@@ -399,9 +410,9 @@ class TestTransport:
         assert len(server.ports) == 2
         assert len(set(server.ports)) == 1
 
-    def test_threads_sharing_a_client_get_their_own_answers(self, keep_alive):
+    def test_threads_sharing_a_client_get_their_own_answers(self, keep_alive, client):
         server = keep_alive()
-        llm = _client(server.endpoint)
+        llm = client(server.endpoint)
         barrier = threading.Barrier(3)
         answers = {}
 
