@@ -64,26 +64,20 @@ def parse_extraction_response(text: str) -> list[Step]:
     last one counts. The numbers mark nothing else: the steps keep the
     lines' order, and every bound step is fully validated.
     """
-    entries: list[tuple[int, list[str], str]] = []
+    lists: list[list[tuple[list[str], str]]] = []
     for line in text.splitlines():
         m = _NUMBERED_LINE_RE.match(line)
-        if not m:
-            continue
-        tokens = bracket_tokens(m.group(2))
+        tokens = bracket_tokens(m.group(2)) if m else []
         if not tokens:
             continue
-        entries.append((int(m.group(1)), tokens, line.strip()))
-    if not entries:
+        if int(m.group(1)) == 1 or not lists:
+            lists.append([])
+        lists[-1].append((tokens, line.strip()))
+    if not lists:
         raise NoStepsFound("response contains no numbered bracket lines")
-    runs: list[list[tuple[int, list[str], str]]] = [[]]
-    for entry in entries:
-        if entry[0] == 1 and runs[-1]:
-            runs.append([])
-        runs[-1].append(entry)
-    last = runs[-1]
-    if len(runs) > 1:
-        logger.debug("response restated its list %d times; keeping the last", len(runs))
-    return [bind_tokens(tokens, line) for _, tokens, line in last]
+    if len(lists) > 1:
+        logger.debug("response restated its list %d times; keeping the last", len(lists))
+    return [bind_tokens(tokens, line) for tokens, line in lists[-1]]
 
 
 def extract_steps(report: BugReport, llm: LlmClient, corpus: ExemplarCorpus, budget: int = 4096) -> list[Step]:

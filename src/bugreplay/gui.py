@@ -80,15 +80,11 @@ class ViewNode:
 
 @dataclass(frozen=True)
 class TagSpec:
-    """How one widget class renders: its tag, and the input type if it is
-    an input/label pair."""
+    """How one widget class renders: its tag, and for an input, the type
+    that the input and its label carry."""
 
     tag: str
     input_type: str | None = None
-
-    @property
-    def paired(self) -> bool:
-        return self.input_type is not None
 
 
 _TAG_TABLE = {
@@ -181,30 +177,23 @@ def encode_gui(root: ViewNode, *, elide_wrappers: bool = False) -> EncodedGui:
         full_ids.append(full_id)
         indent = "  " * depth
         attrs = [f"id={nid}"]
-        if spec.paired:
+        if spec.input_type:
             attrs.append(f'type="{spec.input_type}"')
         if node.resource_id:
             attrs.append(f'class="{_attr(resource_leaf(node.resource_id))}"')
         if spec.tag == "img" and node.content_desc:
             attrs.append(f'alt="{_attr(node.content_desc)}"')
         opening = f"<{spec.tag} {' '.join(attrs)}>"
-        text = _text(node.text) if node.text else ""
-        if spec.paired:
-            lines.append(f"{indent}{opening}<label>{text}</label>")
-            for child in node.children:
-                emit(child, depth + 1)
-        elif spec.tag == "img":
-            # void element; text has nowhere to go and is dropped
-            lines.append(f"{indent}{opening}")
-            for child in node.children:
-                emit(child, depth + 1)
-        elif node.children:
-            lines.append(f"{indent}{opening}{text}")
-            for child in node.children:
-                emit(child, depth + 1)
-            lines.append(f"{indent}</{spec.tag}>")
-        else:
-            lines.append(f"{indent}{opening}{text}</{spec.tag}>")
+        # an input holds its text in its label and a void img drops it; neither has a closing tag
+        body = _text(node.text) if node.text and spec.tag != "img" else ""
+        if spec.input_type:
+            body = f"<label>{body}</label>"
+        closing = "" if spec.input_type or spec.tag == "img" else f"</{spec.tag}>"
+        lines.append(f"{indent}{opening}{body}" + ("" if node.children else closing))
+        for child in node.children:
+            emit(child, depth + 1)
+        if node.children and closing:
+            lines.append(f"{indent}{closing}")
 
     emit(root, 0)
     return EncodedGui(html="\n".join(lines), index=index, full_ids=full_ids)

@@ -345,11 +345,10 @@ def replay(
     screen: _Screen | None = None
     # the root of the last dump encoded, the window a Scroll swipes across
     window: ViewNode | None = None
-    # the snapshot of a lexical pick that no dump has checked yet; it
-    # joins history once a dump shows the pick changed the screen
+    # the snapshot of a lexical pick that no dump has checked yet; it joins
+    # history once a dump shows the pick changed the screen, and once Guard 1
+    # undoes the pick, it stays until the model answers on the unchanged screen
     pending: _Snapshot | None = None
-    # a pick Guard 1 undid, until the model answers on its screen
-    undone: _Snapshot | None = None
     # the guidance call in flight
     asked: Future | None = None
     # whether the last gesture still awaits its crash check
@@ -435,10 +434,10 @@ def replay(
                 if screen[1] == pending.screen[1]:
                     logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
                     cursor, missing_depth, excluded = pending.cursor, pending.missing_depth, pending.excluded
-                    fast_path, undone = False, pending
+                    fast_path = False
                 else:
                     history.append(pending)
-                pending = None
+                    pending = None
             if cursor >= len(steps):
                 return finish(Outcome.STEPS_EXHAUSTED_NO_BUG)
             if trace.actions_used >= budgets.actions:
@@ -469,7 +468,7 @@ def replay(
                         return finish(Outcome.BUG_TRIGGERED)
                     call, asked = asked, None
                     enc_used, answer = call.result()
-                    redo, undone = undone, None
+                    redo, pending = pending, None
                     try:
                         result = parse_guidance_response(answer)
                         # a bare [MISSING] cites no id, which resolves to none

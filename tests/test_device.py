@@ -907,6 +907,17 @@ class TestOwedCrashCheck:
         assert trace["outcome"] == "bug_triggered"
         assert adb_words(argv_log) == [*LOOK, *tap_words(trace["gestures"]), *LOOK, CHECK]
 
+    def test_a_scroll_that_crashes_the_app_is_found_by_the_next_steps_dump(self, corpus):
+        # the swipe crosses the app's own window, so its check waits for the
+        # next step's dump, which shows the crash dialog and its "Go" button
+        spec = _spec({"s0": {"tree": page("Feed")},
+                      CRASH_STATE: {"tree": page("Feed has stopped", (button, "Go"))}},
+                     [{"from": "s0", "action": "scroll", "direction": "down", "to": CRASH_STATE}], "s0")
+        steps = [parse_step_text("[Scroll] [down]"), parse_step_text('[Tap] ["Go"]')]
+        trace, argv_log = replay_both_ways(spec, steps, ScriptedLlm([]), ScriptedLlm([]), corpus, fast_path=True)
+        assert trace["outcome"] == "bug_triggered" and len(trace["gestures"]) == 1
+        assert adb_words(argv_log) == [*LOOK, "shell input swipe 540 384 540 1536 300", *LOOK, CHECK]
+
     @pytest.mark.parametrize("front, package", [(AdbFront, None), (BareFront, PACKAGE), (TwoWindowFront, PACKAGE)],
                              ids=["no-package", "root-without-package", "two-windows"])
     def test_without_the_apps_window_every_gesture_is_checked_at_once(self, front, package, corpus):

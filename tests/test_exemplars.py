@@ -44,6 +44,17 @@ class TestExtractionExemplar:
 
 
 class TestGuidanceExemplar:
+    @pytest.mark.parametrize("field,message", [
+        ("gui_html", "gui html must be non-empty"),
+        ("chain_of_thought", "chain of thought must be non-empty"),
+    ])
+    def test_rejects_blank_text(self, field, message):
+        kwargs = dict(gui_html="<button id=0>Go</button>", query_step=parse_step_text('[Tap] ["Go"]'),
+                      chain_of_thought="cot", output=parse_guidance_response("[id=0]"))
+        kwargs[field] = "  "
+        with pytest.raises(ValueError, match=message):
+            GuidanceExemplar(**kwargs)
+
     def test_answer_id_must_appear_in_html(self):
         ex = GuidanceExemplar(
             gui_html="<button id=0>Go</button>",

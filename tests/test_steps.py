@@ -148,7 +148,8 @@ class TestStepShape:
         with pytest.raises(ValueError):
             Step(ActionType.TAP, component="")
 
-    @pytest.mark.parametrize("bad", ["a[b", "a]b", "a\nb", "a\rb", "a\x85b", "a b"])
+    # 7 is no string at all
+    @pytest.mark.parametrize("bad", ["a[b", "a]b", "a\nb", "a\rb", "a\x85b", "a b", 7])
     def test_fields_reject_unrepresentable_characters(self, bad):
         with pytest.raises(ValueError):
             Step(ActionType.TAP, component=bad)

@@ -80,10 +80,11 @@ def test_bench_tracer_wraps_callables_that_exist(monkeypatch):
                     reason="the bench builds its fake adb with make and a C compiler")
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bench_runs_each_workload(workload):
-    # --quick runs at zero latency; the replay workloads run the program's
-    # adb runner against the bench's native client
+    # one pass at zero latency runs every report of the workload's pool, so
+    # a change that breaks any one of them fails here; the replay workloads
+    # run the program's adb runner against the bench's native client
     done = run(ROOT / "perfbench" / "run.py", "--workload", workload, "--seed", "7",
-               "--seconds", "1", "--quick", "--trace", "0", encoding_gate=False)
+               "--seconds", "1", "--latency-scale", "0", "--trace", "0", encoding_gate=False)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"], done.stderr
