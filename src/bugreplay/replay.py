@@ -164,25 +164,12 @@ class ReplayTrace:
     gestures: list[tuple] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "report_id": self.report_id,
+        # each field under its name, in field order; an event's step, as its text, follows its number
+        own, *events = ({f.name: getattr(obj, f.name) for f in fields(obj)} for obj in (self, *self.events))
+        return own | {
             "steps": render_steps(self.steps).splitlines(),
-            "events": [
-                {
-                    "step_index": e.step_index,
-                    "step": step_text(e.step),
-                    "resolved_id": e.resolved_id,
-                    "exploratory": e.exploratory,
-                    "screen_digest": e.screen_digest,
-                    "resolved_by": e.resolved_by,
-                }
-                for e in self.events
-            ],
+            "events": [{"step_index": e["step_index"]} | e | {"step": step_text(e["step"])} for e in events],
             "outcome": self.outcome.value,
-            "error_detail": self.error_detail,
-            "wall_time": self.wall_time,
-            "actions_used": self.actions_used,
-            "backtracks_used": self.backtracks_used,
             "gestures": [list(g) for g in self.gestures],
         }
 
@@ -356,16 +343,10 @@ def replay(
     pool = ThreadPoolExecutor(max_workers=1)
     started = time.monotonic()
 
-    def ask(step: Step, encoded: EncodedGui, excluded: frozenset[int]) -> None:
-        """Send the guidance call for step on the screen encoded; it yields
-        the encoding the prompt embeds and the answer."""
-        nonlocal asked
-
-        def call() -> tuple[EncodedGui, str]:
-            prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
-            return enc_used, llm.complete(prompt)
-
-        asked = pool.submit(call)
+    def guide(step: Step, encoded: EncodedGui, excluded: frozenset[int]) -> tuple[EncodedGui, str]:
+        """The encoding the prompt for step on the screen encoded embeds, and the answer."""
+        prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
+        return enc_used, llm.complete(prompt)
 
     def check_crash() -> bool:
         nonlocal unchecked
@@ -396,28 +377,6 @@ def replay(
         trace.error_detail = detail
         trace.wall_time = time.monotonic() - started
         return trace
-
-    def backtrack() -> ReplayTrace | None:
-        """Pop one snapshot and restore it, starting from the screen in
-        hand; returns the finished trace if the run ends here."""
-        nonlocal cursor, missing_depth, excluded, screen
-        if not history:
-            return finish(Outcome.BUDGET_EXHAUSTED, "nowhere left to backtrack")
-        if trace.backtracks_used >= budgets.backtracks:
-            return finish(Outcome.BUDGET_EXHAUSTED, "backtrack budget exhausted")
-        snap = history.pop()
-        trace.backtracks_used += 1
-        cursor, missing_depth = snap.cursor, snap.missing_depth
-        excluded = snap.excluded | {snap.departed_id}
-        # the restore must bring back the snapshot's very screen, so the
-        # re-ask goes out on its dump while the device gets there; no
-        # action has happened since the loop found one left
-        ask(steps[cursor], snap.screen[0], excluded)
-        screen = _restore(device, snap, trace.gestures, screen)
-        if screen is None:
-            return finish(Outcome.BUG_TRIGGERED)
-        logger.debug("backtracked to step %d excluding %s", cursor + 1, sorted(excluded))
-        return None
 
     try:
         if first_screen is not None:
@@ -462,7 +421,7 @@ def replay(
                 if full_id is None:
                     fast_path = False
                     if asked is None:
-                        ask(step, encoded, excluded)
+                        asked = pool.submit(guide, step, encoded, excluded)
                     # the last gesture's crash check runs while the model answers
                     if unchecked and check_crash():
                         return finish(Outcome.BUG_TRIGGERED)
@@ -479,11 +438,24 @@ def replay(
                     if full_id in excluded:
                         logger.debug("step %d: model repeated excluded id %d", cursor + 1, result.component_id)
                         full_id = None
-                    # full_id is set only once an answer parsed
+                    # full_id is set only once an answer parsed; an unusable one pops a snapshot
                     if full_id is None or result.missing and missing_depth >= budgets.max_missing_depth:
-                        ended = backtrack()
-                        if ended is not None:
-                            return ended
+                        if not history:
+                            return finish(Outcome.BUDGET_EXHAUSTED, "nowhere left to backtrack")
+                        if trace.backtracks_used >= budgets.backtracks:
+                            return finish(Outcome.BUDGET_EXHAUSTED, "backtrack budget exhausted")
+                        snap = history.pop()
+                        trace.backtracks_used += 1
+                        cursor, missing_depth = snap.cursor, snap.missing_depth
+                        excluded = snap.excluded | {snap.departed_id}
+                        # the restore must bring back the snapshot's very screen, so the
+                        # re-ask goes out on its dump while the device gets there; no
+                        # action has happened since the loop found one left
+                        asked = pool.submit(guide, steps[cursor], snap.screen[0], excluded)
+                        screen = _restore(device, snap, trace.gestures, screen)
+                        if screen is None:
+                            return finish(Outcome.BUG_TRIGGERED)
+                        logger.debug("backtracked to step %d excluding %s", cursor + 1, sorted(excluded))
                         continue
                     exploratory = result.missing
                     if redo is not None and full_id == redo.departed_id and not exploratory:

@@ -842,10 +842,13 @@ class GeneratedRun:
     oracle, which `oracle()` builds fresh for each run. With
     back_into_crash, a second random stream re-targets 40% of the Back
     transitions at the crash state, so a restore's Back can crash the app;
-    the first stream, and so the rest of the run, is the same."""
+    the first stream, and so the rest of the run, is the same. With
+    past_crash, a walk that reaches the crash state with steps still to
+    take goes on from a state that a third stream picks, so the run
+    crashes with steps to go."""
 
-    def __init__(self, seed, back_into_crash=False):
-        rng, crash_rng = random.Random(seed), random.Random(str(seed))
+    def __init__(self, seed, back_into_crash=False, past_crash=False):
+        rng, crash_rng, past_rng = random.Random(seed), random.Random(str(seed)), random.Random(f"past {seed}")
         names = [f"s{i}" for i in range(rng.randint(2, 8))]
         states, transitions, moves = {}, [], {name: [] for name in names}
         for name in names:
@@ -872,7 +875,11 @@ class GeneratedRun:
                 moves[name].append((f"[Scroll] [{direction}]", transitions[-1]["to"]))
         self.spec = _spec(states | {CRASH_STATE: {"tree": _CRASH_DIALOG}}, transitions, names[0])
         texts, state, length = [], names[0], rng.randint(1, 6)
-        while state != CRASH_STATE and moves[state] and len(texts) < length:
+        while len(texts) < length:
+            if state == CRASH_STATE and past_crash:
+                state = past_rng.choice(names)
+            if state == CRASH_STATE or not moves[state]:
+                break
             text, state = rng.choice(moves[state])
             if text.startswith("[Input]"):
                 text += f' ["{rng.choice(VALUE_POOL)}"]'

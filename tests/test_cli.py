@@ -18,8 +18,9 @@ from bugreplay.device import SimulatedApp, SimulatedDevice
 from bugreplay.exemplars import ExemplarCorpus
 from bugreplay.extraction import build_extraction_prompt
 from bugreplay.gui import encode_gui, parse_dump, screen_digest
+from bugreplay.guidance import build_guidance_prompt
 from bugreplay.llm import LlmClient, prompt_digest
-from bugreplay.steps import BugReport
+from bugreplay.steps import BugReport, parse_step_text
 
 from helpers import CallLog, scenario_single_step
 
@@ -253,6 +254,10 @@ class TestReplay:
         artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
         assert artifact["runs"] == []
 
+    def test_seed_recorded(self, ws):
+        assert main(["replay", "crash.txt", "--app", "app.json", "--seed", "7", *targs(ws, [EXTRACTION])]) == 0
+        assert json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))["seed"] == 7
+
     def test_sequential_runs_stop_at_first_bug(self, ws):
         args = ["replay", "crash.txt", "--app", "app.json",
                 *targs(ws, [EXTRACTION, SCROLL], runs=2)]
@@ -345,6 +350,7 @@ class _Pilot(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.seen(body)
         content = body["messages"][0]["content"]
         text = GUIDANCE if "If I need to " in content else EXTRACTION
         payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
@@ -353,6 +359,9 @@ class _Pilot(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    def seen(self, body):
+        """A subclass notes the request here."""
 
     def log_message(self, *args):
         pass
@@ -385,6 +394,23 @@ class TestHttpThroughCli:
                 "--endpoint", pilot_endpoint, "--runs", "1"]
         assert main(args) == 0
         assert capsys.readouterr().out == EXTRACTION + "\n"
+
+    def test_model_settings_reach_the_request(self, ws, serve, monkeypatch):
+        requests = []
+
+        class Recorder(_Pilot):
+            def seen(self, body):
+                requests.append((self.headers["Authorization"], body))
+
+        endpoint = f"http://127.0.0.1:{serve(Recorder)}/v1/chat/completions"
+        monkeypatch.setenv("ORG_TOKEN", "sk-org")
+        monkeypatch.setenv(cli.DEFAULT_API_KEY_ENV, "sk-default")
+        args = ["extract", "crash.txt", "--endpoint", endpoint, "--runs", "1",
+                "--model", "model-7", "--temperature", "0.4", "--api-key-env", "ORG_TOKEN"]
+        assert main(args) == 0
+        [(authorization, body)] = requests
+        assert authorization == "Bearer sk-org"
+        assert (body["model"], body["temperature"]) == ("model-7", 0.4)
 
     def test_a_payload_nested_too_deep_fails_the_run(self, ws, serve, capsys):
         endpoint = f"http://127.0.0.1:{serve(_Deep)}/v1/chat/completions"
@@ -471,6 +497,21 @@ class TestConcurrentExtraction:
         assert [r["steps"][0]["component"] for r in artifact["runs"]] == ["Run 1", "Run 2", "Run 3"]
         # a three-way tie still goes to the earliest run
         assert capsys.readouterr().out == first + "\n"
+
+    def test_a_sequence_transcript_answers_the_runs_in_run_order(self, ws, monkeypatch):
+        # run 1 asks late; one run at a time, it still takes the first answer
+        calls, extract_steps = itertools.count(), cli.extract_steps
+
+        def first_late(*args):
+            if next(calls) == 0:
+                time.sleep(0.2)
+            return extract_steps(*args)
+
+        monkeypatch.setattr(cli, "extract_steps", first_late)
+        answers = [f'1. [Tap] ["Run {k}"]' for k in (1, 2, 3)]
+        assert main(["extract", "crash.txt", *targs(ws, answers, runs=3)]) == 0
+        artifact = json.loads((ws / "crash.steps.json").read_text(encoding="utf-8"))
+        assert [r["steps"][0]["component"] for r in artifact["runs"]] == ["Run 1", "Run 2", "Run 3"]
 
     def test_runs_in_flight_are_capped(self, ws, gauge):
         runs = 3 * cli.EXTRACTION_WORKERS
@@ -631,6 +672,15 @@ class TestVotesOnDemand:
             [r | {"wall_time": None} for r in eager["runs"]]
         assert [r["steps"] for r in artifact["runs"]] == [[SCROLL], [SCROLL_UP], [EXTRACTION]]
         assert artifact["winner"] == 2
+
+    def test_a_sequence_transcript_votes_every_run_before_the_replay(self, ws):
+        # a bare majority would settle on the first list and take the third
+        # run's answer for the guidance answer
+        answers = [UNMATCHED, UNMATCHED, SCROLL, GUIDANCE]
+        assert main(["replay", "crash.txt", "--app", "app.json", *targs(ws, answers, runs=3)]) == 0
+        artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+        assert [r["steps"][0]["text"] for r in artifact["extraction_runs"]] == [a[3:] for a in answers[:3]]
+        assert artifact["runs"][0]["outcome"] == "bug_triggered"
 
     def test_a_failed_fresh_start_sends_no_second_wave(self, ws, monkeypatch, capsys):
         llm = _Votes([EXTRACTION] * 3)
@@ -1229,6 +1279,62 @@ def test_the_precedence_table_names_every_setting():
     keys = [row[0] for row in SETTINGS]
     assert len(keys) == len(set(keys))
     assert set(keys) == args.config_keys
+
+
+# a budget that holds the crash report's extraction prompt and a guidance
+# prompt on the crash app, each with fewer exemplars than the default allows
+SMALL_TOKEN_BUDGET = 360
+
+
+def _keyed_at(budget):
+    """A keyed transcript's responses for the crash report on the crash app:
+    UNMATCHED to its extraction prompt, and GUIDANCE to its one guidance
+    prompt, each built under budget."""
+    corpus = ExemplarCorpus.builtin()
+    extraction = build_extraction_prompt(BugReport(id="crash", raw_text=REPORT), corpus, budget)
+    screen = encode_gui(SimulatedDevice(SimulatedApp(scenario_single_step().spec)).dump_hierarchy())
+    guidance, _ = build_guidance_prompt(parse_step_text(UNMATCHED[3:]), screen, corpus, budget)
+    return {prompt_digest(extraction.rendered): UNMATCHED, prompt_digest(guidance.rendered): GUIDANCE}
+
+
+TWO_STEPS = '1. [Tap] ["Crash me"]\n2. [Tap] ["the crash button"]'
+NO_ANSWER = "I cannot locate any suitable component on this screen."
+
+# one replay setting each: its flags, the app, the transcript's responses,
+# the exit code, each replay's (outcome, error detail) and each extraction
+# run's ok; the setting's default would give another trace
+RUN_SETTINGS = {
+    "actions": (["--actions-budget", "0"], "app.json", [EXTRACTION], 1,
+                [("budget_exhausted", "action budget exhausted")], [True]),
+    # with no backtrack to spend, no screen is kept to go back to
+    "backtracks": (["--backtracks-budget", "0"], "calm.json", [TWO_STEPS, NO_ANSWER], 1,
+                   [("budget_exhausted", "nowhere left to backtrack")], [True]),
+    "wall": (["--wall-budget", "0"], "app.json", [EXTRACTION], 1,
+             [("budget_exhausted", "wall clock budget exhausted")], [True]),
+    # a [MISSING] answer backtracks instead of hopping to the crash
+    "missing-depth": (["--max-missing-depth", "0"], "app.json", [UNMATCHED, "[MISSING] [id=2]"], 1,
+                      [("budget_exhausted", "nowhere left to backtrack")], [True]),
+    # 300 tokens hold no extraction prompt of the crash report
+    "tokens-extraction": (["--token-budget", "300", "--runs", "3"], "app.json", [EXTRACTION] * 3, 3,
+                          [], [False] * 3),
+    "tokens-guidance": (["--token-budget", str(SMALL_TOKEN_BUDGET)], "app.json", _keyed_at(SMALL_TOKEN_BUDGET), 0,
+                        [("bug_triggered", None)], [True]),
+}
+
+
+@pytest.mark.parametrize("flags, app, responses, code, runs, extracted", RUN_SETTINGS.values(),
+                         ids=RUN_SETTINGS.keys())
+def test_every_run_setting_reaches_the_run(ws, calm, flags, app, responses, code, runs, extracted):
+    assert main(["replay", "crash.txt", "--app", app, *targs(ws, responses), *flags]) == code
+    artifact = json.loads((ws / "crash.trace.json").read_text(encoding="utf-8"))
+    assert [(r["outcome"], r["error_detail"]) for r in artifact["runs"]] == runs
+    assert [r["ok"] for r in artifact["extraction_runs"]] == extracted
+
+
+def test_the_small_token_budget_tells_its_prompts_from_the_defaults():
+    # the tokens-guidance case can tell its budget from the default's only
+    # while the prompts built under each differ
+    assert _keyed_at(SMALL_TOKEN_BUDGET).keys().isdisjoint(_keyed_at(cli.Budgets.tokens))
 
 
 @pytest.mark.parametrize("env, config, source", [

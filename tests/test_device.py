@@ -787,6 +787,18 @@ def test_a_crash_with_steps_to_go_is_found_before_its_dialog_is_tapped(seed, cor
     assert len(trace["events"]) < len(run.steps)
 
 
+@pytest.mark.parametrize("seed", range(300))
+def test_a_generated_walk_past_a_crash_replays_alike_over_adb(seed, corpus):
+    # a walk that reaches the crash goes on, so the run crashes with steps to
+    # go, and the fast path's owed check and its own-window rule decide
+    # whether a gesture lands on the crash dialog
+    for back_into_crash in (False, True):
+        run = GeneratedRun(seed, back_into_crash=back_into_crash, past_crash=True)
+        for fast_path in (run.fast_path, not run.fast_path):
+            replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets,
+                             fast_path=fast_path)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(st.integers(min_value=300))
 def test_a_generated_app_beyond_the_fixed_seeds(corpus, seed):
