@@ -17,21 +17,21 @@ the set it was taken with, a backtrack brings it back with the departed
 id added, and any executed action, an advance or an exploratory hop,
 starts the next screen with none.
 
-Scroll steps execute directly: no model call, and no dump unless the run
-has none yet; the swipe crosses the root of the last dump encoded. App
-state is restored after a pop by pressing system back, up to three times,
-until the screen digest matches the snapshot. A Back that leaves the digest
-unchanged ends the presses, since that screen ignores Back, except the
-first one after typed text, which may only have closed the keyboard. If
-Back does not get there, the app restarts and replays verbatim the
-gestures logged since the snapshot's prefix last restarted it (the whole
-prefix if it holds no restart). A restore starts from the dump the loop
-already holds, since no gesture has happened since it was taken, and
-hands the dump of the restored screen to the next iteration, so a screen
-is never dumped twice; the caller may hand over the first screen the
+The loop dumps in one place, atop an iteration with no dump in hand and an
+action left: for a lexical pick's check, a guided step, or a run's first
+Scroll. A Scroll step needs no model call; it swipes across the root of the
+last dump encoded. App state is restored after a pop by pressing system
+back, up to three times, until the screen digest matches the snapshot. A
+Back that leaves the digest unchanged ends the presses, since that screen
+ignores Back, except the first one after typed text, which may only have
+closed the keyboard. If Back does not get there, the app restarts and
+replays verbatim the gestures logged since the snapshot's prefix last
+restarted it (the whole prefix if it holds no restart). A restore starts
+from the dump in hand and leaves the restored screen's dump in hand, so a
+screen is never dumped twice; the caller may hand over the first screen the
 same way. A restore checks for a crash after a Back that shows a new
-screen, before a restart's `logcat -c` could erase it, and before it
-gives up; a crash it finds ends the run as triggered. Outside a prompt,
+screen, before a restart's `logcat -c` could erase it, and before it gives
+up; a crash it finds ends the run as triggered. Outside a prompt,
 a node's id is its id in the screen's full encoding, stable for the
 screen's digest; a prompt that elides wrapper divs numbers its nodes
 anew, and the id an answer cites there becomes a full id once, through
@@ -348,26 +348,14 @@ def replay(
         prompt, enc_used = build_guidance_prompt(step, encoded, corpus, budgets.tokens, excluded)
         return enc_used, llm.complete(prompt)
 
-    def check_crash() -> bool:
-        nonlocal unchecked
-        unchecked = False
-        return device.crashed()
-
     def own(root: ViewNode) -> bool:
         return device.package is not None and root.package == device.package
-
-    def dump() -> bool:
-        """Dump the screen in hand. A check the fast path owes runs next unless
-        the dump shows the app's own window; True if it finds a crash."""
-        nonlocal screen
-        screen = _dump_screen(device)
-        return unchecked and fast_path and not own(screen[0].index[0]) and check_crash()
 
     def finish(outcome: Outcome, detail: str | None = None) -> ReplayTrace:
         # a crash the last gesture caused outranks what came after it
         if unchecked:
             try:
-                if check_crash():
+                if device.crashed():
                     outcome, detail = Outcome.BUG_TRIGGERED, None
             except BugReplayError as exc:
                 outcome, detail = Outcome.ERROR, f"{type(exc).__name__}: {exc}"
@@ -384,12 +372,20 @@ def replay(
         while True:
             if time.monotonic() - started > budgets.wall_seconds:
                 return finish(Outcome.BUDGET_EXHAUSTED, "wall clock budget exhausted")
-            # a dump checks a lexical pick before anything else happens, if
-            # an action is left to redo the step with; a swipe first could
-            # change the screen and hide a pick that changed nothing
-            if pending is not None and trace.actions_used < budgets.actions:
-                if dump():
-                    return finish(Outcome.BUG_TRIGGERED)
+            # the loop's one dump, while an action is left: for a lexical pick to
+            # check before anything else happens (a swipe first could hide a pick
+            # that changed nothing), for a guided step, or for a first Scroll's window
+            if screen is None and trace.actions_used < budgets.actions and (
+                pending is not None
+                or cursor < len(steps) and (steps[cursor].action is not ActionType.SCROLL or window is None)
+            ):
+                screen = _dump_screen(device)
+                # a check the fast path owes runs now unless the dump shows the app's own window
+                if unchecked and fast_path and not own(screen[0].index[0]):
+                    unchecked = False
+                    if device.crashed():
+                        return finish(Outcome.BUG_TRIGGERED)
+            if pending is not None and screen is not None:
                 if screen[1] == pending.screen[1]:
                     logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
                     cursor, missing_depth, excluded = pending.cursor, pending.missing_depth, pending.excluded
@@ -407,12 +403,8 @@ def replay(
             if step.action is ActionType.SCROLL:
                 # a swipe crosses the window of the dump in hand, else of the
                 # last one, and is logged against the dump in hand, if any
-                if screen is None and window is None:
-                    screen = _dump_screen(device)
                 digest, node = (screen[1], screen[0].index[0]) if screen else (None, window)
             else:
-                if screen is None and dump():
-                    return finish(Outcome.BUG_TRIGGERED)
                 encoded, digest = screen
                 # every backtrack follows a model call, which has turned the
                 # fast path off, so a lexical pick never meets an exclusion
@@ -423,8 +415,10 @@ def replay(
                     if asked is None:
                         asked = pool.submit(guide, step, encoded, excluded)
                     # the last gesture's crash check runs while the model answers
-                    if unchecked and check_crash():
-                        return finish(Outcome.BUG_TRIGGERED)
+                    if unchecked:
+                        unchecked = False
+                        if device.crashed():
+                            return finish(Outcome.BUG_TRIGGERED)
                     call, asked = asked, None
                     enc_used, answer = call.result()
                     redo, pending = pending, None
@@ -489,9 +483,9 @@ def replay(
             # a check put off waits for the next dump, or the finish if the actions
             # run out: off the fast path until the model's next call is out, on it
             # while the dumps show the app's own window
-            unchecked = True
             dumps_next = cursor < len(steps) and (pending is not None or steps[cursor].action is not ActionType.SCROLL)
-            if not (dumps_next and (not fast_path or own(window))) and check_crash():
+            unchecked = dumps_next and (not fast_path or own(window))
+            if not unchecked and device.crashed():
                 return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:
         logger.warning("replay aborted: %s", exc)

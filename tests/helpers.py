@@ -667,11 +667,18 @@ class AdbFront:
     and no `logcat -c` arrives before the next crash-buffer read. The
     gestures of one step or of a restore's prefix go out with no dump
     between, so a dump is where the crash is first seen.
+
+    With settle, the screen settles only when `uiautomator dump` waits for
+    it, as on a device where a gesture returns before the screen it opens
+    is drawn: a gesture that changes the app's state, or the launch, leaves
+    the screen unsettled until the next dump, and a gesture sent meanwhile
+    does nothing. `lost` lists each such gesture beside the one that left
+    the screen unsettled.
     """
 
     LONG_PRESS_MS = 500
 
-    def __init__(self, device, package, launch_command):
+    def __init__(self, device, package, launch_command, settle=False):
         self.device = device
         self.package = package
         self.launch = self.words(["adb", "shell", launch_command])
@@ -679,6 +686,9 @@ class AdbFront:
         self.pending = None
         # whether a dump has shown a crash state since the last crash-buffer read
         self.crash_shown = False
+        self.settle, self.lost = settle, []
+        # the gesture that left the screen unsettled, in settle mode, until the next dump
+        self.unsettled_by = None
 
     @staticmethod
     def words(argv):
@@ -727,6 +737,7 @@ class AdbFront:
                 return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
                         f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
         elif words[:3] == ["shell", "uiautomator", "dump"]:
+            self.unsettled_by = None
             self.crash_shown = self.device.crashed()
             self.files[words[3]] = dump_xml(self.device.dump_hierarchy(), self.window_package())
             return f"UI hierchary dumped to: {words[3]}\n"
@@ -748,7 +759,14 @@ class AdbFront:
 
     def _perform(self, gesture):
         assert not self.crash_shown, f"{gesture} reached a crash a dump showed and no crash-buffer read saw"
+        restart = gesture == ("restart",)
+        if self.unsettled_by and not restart:
+            self.lost.append((gesture, self.unsettled_by))
+            return
+        before = self.device.current
         self.device.perform([gesture])
+        if self.settle and (restart or self.device.current != before):
+            self.unsettled_by = gesture
 
 
 # the app the adb runs address, and the command that starts it again
@@ -756,15 +774,16 @@ PACKAGE, LAUNCH = "com.example.app", "am start -n com.example.app/.Main"
 
 
 def replay_both_ways(spec, steps, llm, adb_llm, corpus, budgets=None, report_id="", fast_path=False,
-                     package=PACKAGE, launch=LAUNCH, device=None):
+                     package=PACKAGE, launch=LAUNCH, device=None, settle=False):
     """Replay a run on `device` (a SimulatedDevice or a CallLog around one)
-    with `llm`, then with `adb_llm` over AdbDevice and an AdbFront, with no
-    double-tap gap; assert what the README promises of every run; return
-    its trace, less wall_time, and the argv of each adb call."""
+    with `llm`, then with `adb_llm` over AdbDevice and an AdbFront, in
+    settle mode if `settle`, with no double-tap gap; assert what the README
+    promises of every run; return its trace, less wall_time, and the argv
+    of each adb call."""
     app, budgets = SimulatedApp(spec), budgets or Budgets()
     caller, argv_log = threading.get_ident(), []
     log = device if isinstance(device, CallLog) else CallLog(device or SimulatedDevice(app))
-    front = AdbFront(SimulatedDevice(app), package, launch)
+    front = AdbFront(SimulatedDevice(app), package, launch, settle)
 
     def runner(argv):
         assert threading.get_ident() == caller, "an adb call ran off the calling thread"

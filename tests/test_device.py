@@ -817,6 +817,78 @@ def test_an_undone_lexical_pick_ends_the_run_as_the_paper_loop_does(seed, corpus
     # the gesture already sent is the step's action, so the fast path spends no extra one
     assert (fast.outcome, fast.actions_used) == (paper.outcome, paper.actions_used)
 
+
+SETTLE_REASON = ("ROADMAP item 21: a gesture sent with no dump since a gesture that changed the screen "
+                 "meets a screen that has not settled, and the adb front drops it")
+# the hand-built scenarios that settle mode breaks, by name and fast path
+SETTLE_BREAKS_SCENARIOS = {("mixed_all", False), ("double_trap", False)}
+# for each cause of a dropped gesture, the two lowest seeds of GeneratedRun(seed)
+# on which settle mode drops one of that cause and the run breaks, each with
+# every fast path value on which it breaks
+SETTLE_BREAKS = {
+    # a restore's prefix, right after its restart
+    "prefix": [(20, False), (97, False), (97, True)],
+    # a swipe right after another gesture, with no dump between
+    "swipe": [(20, False), (75, False), (75, True)],
+    # a tap right after a tap that changed the screen
+    "tap": [(711, False), (711, True), (717, False), (717, True)],
+    # typed text right after a tap that changed the screen
+    "text": [(549, False), (710, False), (710, True)],
+}
+
+
+class TestSettleMode:
+    """AdbFront(settle=True): a screen that a gesture or the launch changed
+    settles only at the next dump, and a gesture sent before then is lost."""
+
+    BACK = "shell input keyevent KEYCODE_BACK"
+
+    def setup_method(self):
+        # the tap at "Alpha" on s0, which opens s1, whose "Bravo" has the same
+        # bounds; Back does nothing on either screen
+        self.tap = ("tap", *center_of(SimulatedDevice(app_from(scenario_linear_taps_3())), "Alpha"))
+        [self.tap_line] = tap_words([self.tap])
+
+    def send(self, *lines, settle=True):
+        """The state the app is in after `lines`, and the gestures lost."""
+        device = SimulatedDevice(app_from(scenario_linear_taps_3()))
+        front = AdbFront(device, PACKAGE, LAUNCH, settle=settle)
+        for line in lines:
+            front(["adb", *line.split()])
+        return device.current, front.lost
+
+    def test_a_gesture_before_the_next_dump_does_nothing(self):
+        lines = self.tap_line, self.tap_line, self.BACK
+        assert self.send(*lines) == ("s1", [(self.tap, self.tap), (("back",), self.tap)])
+        assert self.send(*lines, settle=False) == ("s2", [])
+
+    def test_a_dump_settles_the_screen(self):
+        assert self.send(self.tap_line, LOOK[0], self.tap_line, CHECK) == ("s2", [])
+
+    def test_the_launch_unsettles_and_a_gesture_that_changes_nothing_does_not(self):
+        assert self.send(self.BACK, self.tap_line, CHECK) == ("s1", [])
+        assert self.send(f"shell {LAUNCH}", self.tap_line, CHECK) == ("s0", [(self.tap, ("restart",))])
+
+
+@FAST_PATHS
+def test_a_scenario_with_screens_that_settle_late_replays_alike_over_adb(scenario, corpus, fast_path, request):
+    if (scenario.name, fast_path) in SETTLE_BREAKS_SCENARIOS:
+        request.applymarker(pytest.mark.xfail(strict=True, raises=AssertionError, reason=SETTLE_REASON))
+    trace, _ = replay_both_ways(scenario.spec, scenario.steps, scenario.oracle(), scenario.oracle(), corpus,
+                                report_id=scenario.name, fast_path=fast_path, settle=True)
+    assert trace["outcome"] == "bug_triggered"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SETTLE_REASON)
+@pytest.mark.parametrize("seed, fast_path", [
+    pytest.param(seed, fast, id=f"{cause}-{seed}-{'fast-path' if fast else 'paper-loop'}")
+    for cause, runs in SETTLE_BREAKS.items() for seed, fast in runs])
+def test_a_generated_app_with_screens_that_settle_late_replays_alike_over_adb(seed, fast_path, corpus):
+    run = GeneratedRun(seed)
+    replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets, fast_path=fast_path,
+                     settle=True)
+
+
 def test_dump_xml_round_trips_through_parse_dump():
     rng = random.Random(11)
     for _ in range(30):
