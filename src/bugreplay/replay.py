@@ -18,24 +18,24 @@ id added, and any executed action, an advance or an exploratory hop,
 starts the next screen with none.
 
 The loop dumps in one place, atop an iteration with no dump in hand and an
-action left: for a lexical pick's check, a guided step, or a run's first
-Scroll. A Scroll step needs no model call; it swipes across the root of the
-last dump encoded. App state is restored after a pop by pressing system
-back, up to three times, until the screen digest matches the snapshot. A
-Back that leaves the digest unchanged ends the presses, since that screen
-ignores Back, except the first one after typed text, which may only have
-closed the keyboard. If Back does not get there, the app restarts and
-replays verbatim the gestures logged since the snapshot's prefix last
-restarted it (the whole prefix if it holds no restart). A restore starts
-from the dump in hand and leaves the restored screen's dump in hand, so a
-screen is never dumped twice; the caller may hand over the first screen the
-same way. A restore checks for a crash after a Back that shows a new
-screen, before a restart's `logcat -c` could erase it, and before it gives
-up; a crash it finds ends the run as triggered. Outside a prompt,
-a node's id is its id in the screen's full encoding, stable for the
-screen's digest; a prompt that elides wrapper divs numbers its nodes
-anew, and the id an answer cites there becomes a full id once, through
-the encoding's full_ids.
+action left, so every step acts on the screen it sees; only a lexical pick
+on the last step takes a dump for its check alone. A Scroll step needs no
+model call; it swipes across the root of the dump. App state is restored
+after a pop by pressing system back, up to three times, until the screen
+digest matches the snapshot. A Back that leaves the digest unchanged ends
+the presses, since that screen ignores Back, except the first one after
+typed text, which may only have closed the keyboard. If Back does not get
+there, the app restarts and replays verbatim the gestures logged since the
+snapshot's prefix last restarted it (the whole prefix if it holds no
+restart). A restore starts from the dump in hand and leaves the restored
+screen's dump in hand, so a screen is never dumped twice; the caller may
+hand over the first screen the same way. A restore checks for a crash
+after a Back that shows a new screen, before a restart's `logcat -c` could
+erase it, and before it gives up; a crash it finds ends the run as
+triggered. Outside a prompt, a node's id is its id in the screen's full
+encoding, stable for the screen's digest; a prompt that elides wrapper
+divs numbers its nodes anew, and the id an answer cites there becomes a
+full id once, through the encoding's full_ids.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
 
@@ -65,17 +65,18 @@ restore or the restore fails.
 With fast_path on, a guided step whose component, normalised (casefolded,
 `_` read as a space, whitespace collapsed), equals the normalised text,
 content-desc or resource-id leaf of exactly one node of the screen's full
-encoding, acts on that node with no model call. Two guards keep it
-honest. A dump right after such a lexical pick checks it, before a Scroll
-step swipes too: if the screen's digest is unchanged, the pick is undone
-(no backtrack counted, no exclusion added) and the model is asked on that
-screen, with the prompt the paper would have sent; an answer that cites the
-undone node with no [MISSING] takes the gesture already sent as the step's
-action, and its snapshot joins history. And the fast path stays
-on only while it is right: it goes off for the rest of the run once the
-model is asked for any reason or a pick is undone. A wrong lexical pick
-that does change the screen, typed text included, is caught only by
-ordinary backtracking. With fast_path off, the loop is the paper's.
+encoding, acts on that node with no model call. Two guards keep it honest.
+The next step's dump, a Scroll's included, checks such a pick, and a pick
+on the last step gets a dump for the check: if the screen's digest is
+unchanged, the pick is undone (no backtrack counted, no exclusion added)
+and the model is asked on that screen, with the prompt the paper would
+have sent; an answer that cites the undone node with no [MISSING] takes
+the gesture already sent as the step's action, and its snapshot joins
+history. And the fast path stays on only while it is right: it goes off
+for the rest of the run once the model is asked for any reason or a pick
+is undone. A wrong lexical pick that does change the screen, typed text
+included, is caught only by ordinary backtracking. With fast_path off, the
+loop is the paper's.
 """
 from __future__ import annotations
 
@@ -143,8 +144,7 @@ class ReplayEvent:
     # screen_digest names, even if the prompt elided wrappers
     resolved_id: int | None
     exploratory: bool
-    # None for a Scroll step that had no dump in hand
-    screen_digest: str | None
+    screen_digest: str
     # "lexical", "model", or None for a Scroll step
     resolved_by: str | None
 
@@ -330,8 +330,6 @@ def replay(
     missing_depth = 0
     # the dump of the current screen when no gesture has happened since
     screen: _Screen | None = None
-    # the root of the last dump encoded, the window a Scroll swipes across
-    window: ViewNode | None = None
     # the snapshot of a lexical pick that no dump has checked yet; it joins
     # history once a dump shows the pick changed the screen, and once Guard 1
     # undoes the pick, it stays until the model answers on the unchanged screen
@@ -372,13 +370,9 @@ def replay(
         while True:
             if time.monotonic() - started > budgets.wall_seconds:
                 return finish(Outcome.BUDGET_EXHAUSTED, "wall clock budget exhausted")
-            # the loop's one dump, while an action is left: for a lexical pick to
-            # check before anything else happens (a swipe first could hide a pick
-            # that changed nothing), for a guided step, or for a first Scroll's window
-            if screen is None and trace.actions_used < budgets.actions and (
-                pending is not None
-                or cursor < len(steps) and (steps[cursor].action is not ActionType.SCROLL or window is None)
-            ):
+            # the loop's one dump, while an action is left: for the next step, or
+            # for a lexical pick on the last step to check
+            if screen is None and trace.actions_used < budgets.actions and (pending is not None or cursor < len(steps)):
                 screen = _dump_screen(device)
                 # a check the fast path owes runs now unless the dump shows the app's own window
                 if unchecked and fast_path and not own(screen[0].index[0]):
@@ -399,13 +393,12 @@ def replay(
                 return finish(Outcome.BUDGET_EXHAUSTED, "action budget exhausted")
 
             step = steps[cursor]
-            node, full_id, exploratory, resolved_by = None, None, False, None
+            encoded, digest = screen
+            full_id, exploratory, resolved_by = None, False, None
             if step.action is ActionType.SCROLL:
-                # a swipe crosses the window of the dump in hand, else of the
-                # last one, and is logged against the dump in hand, if any
-                digest, node = (screen[1], screen[0].index[0]) if screen else (None, window)
+                # a swipe crosses the window the dump shows
+                node = encoded.index[0]
             else:
-                encoded, digest = screen
                 # every backtrack follows a model call, which has turned the
                 # fast path off, so a lexical pick never meets an exclusion
                 full_id = _lexical_pick(step.component, encoded) if fast_path else None
@@ -467,7 +460,6 @@ def replay(
                 else:
                     history.append(snap)
 
-            window = screen[0].index[0] if screen else window
             screen, excluded = None, frozenset()
             # an exploratory hop is a plain tap toward where the missing
             # step may hide; the step itself stays pending
@@ -482,9 +474,10 @@ def replay(
                 missing_depth = 0
             # a check put off waits for the next dump, or the finish if the actions
             # run out: off the fast path until the model's next call is out, on it
-            # while the dumps show the app's own window
+            # while the dumps show the app's own window; a Scroll asks no model, so
+            # a gesture before one is checked at once
             dumps_next = cursor < len(steps) and (pending is not None or steps[cursor].action is not ActionType.SCROLL)
-            unchecked = dumps_next and (not fast_path or own(window))
+            unchecked = dumps_next and (not fast_path or own(encoded.index[0]))
             if not unchecked and device.crashed():
                 return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:

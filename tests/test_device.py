@@ -821,20 +821,21 @@ def test_an_undone_lexical_pick_ends_the_run_as_the_paper_loop_does(seed, corpus
 SETTLE_REASON = ("ROADMAP item 21: a gesture sent with no dump since a gesture that changed the screen "
                  "meets a screen that has not settled, and the adb front drops it")
 # the hand-built scenarios that settle mode breaks, by name and fast path
-SETTLE_BREAKS_SCENARIOS = {("mixed_all", False), ("double_trap", False)}
+SETTLE_BREAKS_SCENARIOS = {("double_trap", False)}
 # for each cause of a dropped gesture, the two lowest seeds of GeneratedRun(seed)
 # on which settle mode drops one of that cause and the run breaks, each with
 # every fast path value on which it breaks
 SETTLE_BREAKS = {
     # a restore's prefix, right after its restart
-    "prefix": [(20, False), (97, False), (97, True)],
-    # a swipe right after another gesture, with no dump between
-    "swipe": [(20, False), (75, False), (75, True)],
+    "prefix": [(97, False), (97, True), (106, False), (106, True)],
     # a tap right after a tap that changed the screen
     "tap": [(711, False), (711, True), (717, False), (717, True)],
     # typed text right after a tap that changed the screen
-    "text": [(549, False), (710, False), (710, True)],
+    "text": [(286, False), (286, True), (549, False)],
 }
+# runs that settle mode broke while a Scroll swiped across an older dump's
+# window, with no dump since the gesture before it; a Scroll now dumps first
+SETTLE_MENDED = [(20, False), (75, False), (75, True)]
 
 
 class TestSettleMode:
@@ -879,14 +880,40 @@ def test_a_scenario_with_screens_that_settle_late_replays_alike_over_adb(scenari
     assert trace["outcome"] == "bug_triggered"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=SETTLE_REASON)
+def _fast_path_id(fast_path):
+    return "fast-path" if fast_path else "paper-loop"
+
+
 @pytest.mark.parametrize("seed, fast_path", [
-    pytest.param(seed, fast, id=f"{cause}-{seed}-{'fast-path' if fast else 'paper-loop'}")
-    for cause, runs in SETTLE_BREAKS.items() for seed, fast in runs])
+    *(pytest.param(seed, fast, id=f"{cause}-{seed}-{_fast_path_id(fast)}",
+                   marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=SETTLE_REASON))
+      for cause, runs in SETTLE_BREAKS.items() for seed, fast in runs),
+    *(pytest.param(seed, fast, id=f"scroll-{seed}-{_fast_path_id(fast)}") for seed, fast in SETTLE_MENDED)])
 def test_a_generated_app_with_screens_that_settle_late_replays_alike_over_adb(seed, fast_path, corpus):
     run = GeneratedRun(seed)
     replay_both_ways(run.spec, run.steps, run.oracle(), run.oracle(), corpus, run.budgets, fast_path=fast_path,
                      settle=True)
+
+
+def test_no_scroll_step_swipes_a_screen_that_has_not_settled(corpus):
+    # a Scroll step's swipe always follows a dump, so in settle mode only a
+    # restore's prefix, sent right after its restart, may lose a swipe
+    runs = [(s.name, s.spec, s.steps, s.oracle, Budgets(), fast)
+            for s in all_scenarios() for fast in (False, True)]
+    for seed in range(300):
+        for back_into_crash in (False, True):
+            run = GeneratedRun(seed, back_into_crash=back_into_crash)
+            runs += [(f"{seed}-{back_into_crash}", run.spec, run.steps, run.oracle, run.budgets, fast)
+                     for fast in (run.fast_path, not run.fast_path)]
+    lost = []
+    for name, spec, steps, oracle, budgets, fast_path in runs:
+        front = AdbFront(SimulatedDevice(SimulatedApp(spec)), PACKAGE, LAUNCH, settle=True)
+        device = AdbDevice(runner=front, package=PACKAGE, launch_command=LAUNCH)
+        device.DOUBLE_TAP_GAP_SECONDS = 0
+        replay(steps, device, oracle(), corpus, budgets, fast_path=fast_path)
+        lost += [(name, fast_path, gesture, by) for gesture, by in front.lost
+                 if gesture[0] == "swipe" and by != ("restart",)]
+    assert lost == []
 
 
 def test_dump_xml_round_trips_through_parse_dump():

@@ -137,9 +137,13 @@ class TestExecuteStep:
         assert device.performed == []
 
 
+def digest_of(app, state):
+    return screen_digest(encode_gui(app.states[state]).html)
+
+
 class TestScrollWindow:
-    """A Scroll crosses the root of the last dump the run encoded, and
-    dumps for itself only when the run has no dump yet."""
+    """A Scroll crosses the root of the dump in hand, and dumps first when
+    it has none."""
 
     def test_a_scroll_after_a_guided_tap_crosses_the_last_dumps_window(self):
         # a landscape app: the swipe's coordinates can only come from the dump
@@ -155,8 +159,36 @@ class TestScrollWindow:
         trace = replay_on(device, scenario, scenario.oracle())
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert device.calls == ["dump_hierarchy", ("tap", 540, 245), "crashed",
-                                ("swipe", 960, 216, 960, 864), "crashed"]
-        assert trace.events[1].screen_digest is None
+                                "dump_hierarchy", ("swipe", 960, 216, 960, 864), "crashed"]
+        assert trace.events[1].screen_digest == digest_of(SimulatedApp(spec), "s1")
+
+    def test_a_scroll_after_a_scroll_crosses_the_window_the_first_opened(self):
+        # the first swipe opens a sheet that covers part of the feed; a swipe
+        # across the whole screen would start below the sheet
+        sheet = {"class": "android.widget.FrameLayout", "bounds": [100, 600, 980, 1400],
+                 "children": [text_view("Sheet", 700)]}
+        spec = _spec({"feed": {"tree": stacked("Feed", [])}, "sheet": {"tree": sheet}},
+                     [{"from": "feed", "action": "scroll", "direction": "up", "to": "sheet"},
+                      {"from": "sheet", "action": "scroll", "direction": "up", "to": CRASH_STATE}], "feed")
+        scenario = Scenario("sheet", spec, ["[Scroll] [up]", "[Scroll] [up]"])
+        device = CallLog(fresh_device(scenario))
+        trace = replay_on(device, scenario, scenario.oracle())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert device.calls == ["dump_hierarchy", ("swipe", 540, 1536, 540, 384), "crashed",
+                                "dump_hierarchy", ("swipe", 540, 1240, 540, 760), "crashed"]
+        assert trace.events[1].screen_digest == digest_of(SimulatedApp(spec), "sheet")
+
+    def test_a_scroll_after_a_gesture_dumps_right_before_its_swipe(self):
+        scenario = scenario_mixed_all()
+        device = CallLog(fresh_device(scenario))
+        trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
+                       report_id=scenario.name)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        seen = dumps_and_gestures(device)
+        swipe = seen.index("swipe")
+        assert seen[swipe - 2:swipe] == ["tap", "dump_hierarchy"]
+        [scroll] = [e for e in trace.events if e.step.action is ActionType.SCROLL]
+        assert scroll.screen_digest == digest_of(SimulatedApp(scenario.spec), "m2")
 
     def test_a_first_scroll_dumps_once_unless_given_the_first_screen(self):
         scenario = scenario_with_scroll()
@@ -316,20 +348,8 @@ class TestDumpReuse:
 
 
 class TestScrollWithoutDump:
-    """A Scroll step swipes whatever is on screen: no dump is taken for it,
-    and its event carries the digest of the dump in hand, if any."""
-
-    def test_no_dump_between_the_previous_gesture_and_the_swipe(self):
-        scenario = scenario_mixed_all()
-        device = CallLog(fresh_device(scenario))
-        trace = replay(scenario.steps, device, scenario.oracle(), CORPUS,
-                       report_id=scenario.name)
-        assert trace.outcome is Outcome.BUG_TRIGGERED
-        seen = dumps_and_gestures(device)
-        swipe = seen.index("swipe")
-        assert seen[swipe - 1] != "dump_hierarchy"
-        [scroll] = [e for e in trace.events if e.step.action is ActionType.SCROLL]
-        assert scroll.screen_digest is None
+    """A Scroll step with a dump in hand takes no other, and its event
+    carries that dump's digest."""
 
     def test_first_screen_is_the_dump_in_hand(self):
         scenario = scenario_with_scroll()
