@@ -39,28 +39,27 @@ full id once, through the encoding's full_ids.
 Every run ends in one of four outcomes: the crash fired, the steps ran
 out without it, a budget ran out, or the pipeline itself failed.
 
-Guidance calls run on one worker thread, one at a time and in the order
-the loop needs them, while the calling thread, the only one that touches
-the device, does the device work the answer does not decide. A re-ask
-after a pop goes out as soon as the snapshot is popped, built from the
-snapshot's own dump, while the screen is restored: the restore ends on
-that very screen, so the prompt is the one the paper sends after it, and
-the cited node is acted on at the bounds of the restored dump. With the
-fast path off, a gesture that the model's answer for a guided step must
-follow gets its crash check after the next dump, while that call is out;
-the answer is acted on only once the check finds no crash. With it on, a
-gesture aimed at the app's own window (a dump whose root names the
-device's package) has its check wait for the next dump if one comes before
-any gesture, and on past dumps of that window; any other dump runs it at
-once. The crash buffer keeps a crash until a restart's logcat -c, which
-follows only a model answer or the run's end, so one check covers every
-gesture since. Every other gesture, the last step's among them, is
-checked at once. A finish runs a check still owed first, so a crash
-outranks a budget or a failure after it. Two costs come with this: a
-gesture that crashes the app while steps remain costs one dump (and, fast
-path off, one model call whose answer is dropped) before the check, and a
-re-ask already sent is dropped when the wall budget runs out during its
-restore or the restore fails.
+Guidance calls run on one worker thread, one at a time, in the order the
+loop needs them, while the calling thread, the only one that touches the
+device, does the device work the answer does not decide. A re-ask after a
+pop goes out as soon as the snapshot is popped, built from the snapshot's
+own dump, while the screen is restored: the restore ends on that very
+screen, so the prompt is the one the paper sends after it, and the cited
+node is acted on at the bounds of the restored dump. With the fast path
+off, a gesture that the model's answer for a guided step must follow gets
+its crash check after the next dump, while that call is out; the answer
+is acted on only once the check finds no crash. With it on, a gesture
+aimed at the app's own window (a dump whose root names the device's
+package) has its check wait for the next dump, whatever the next step is,
+and on past dumps of it; any other dump runs it at once. The crash buffer
+keeps a crash until a restart's logcat -c, which follows only a model
+answer or the run's end, so one check covers every gesture since. Every
+other gesture, the last step's among them, is checked at once. A finish
+runs a check still owed first, so a crash outranks a budget or a failure
+after it. Two costs come with this: a gesture that crashes the app while
+steps remain costs one dump (and, fast path off, one model call whose
+answer is dropped) before the check, and a re-ask already sent is dropped
+when the wall budget runs out during its restore or the restore fails.
 
 With fast_path on, a guided step whose component, normalised (casefolded,
 `_` read as a space, whitespace collapsed), equals the normalised text,
@@ -356,7 +355,8 @@ def replay(
                 if device.crashed():
                     outcome, detail = Outcome.BUG_TRIGGERED, None
             except BugReplayError as exc:
-                outcome, detail = Outcome.ERROR, f"{type(exc).__name__}: {exc}"
+                if outcome is not Outcome.ERROR:
+                    outcome, detail = Outcome.ERROR, f"{type(exc).__name__}: {exc}"
         # the run outlives a call still in flight, whose answer is dropped
         pool.shutdown()
         trace.outcome = outcome
@@ -472,12 +472,11 @@ def replay(
             else:
                 cursor += 1
                 missing_depth = 0
-            # a check put off waits for the next dump, or the finish if the actions
-            # run out: off the fast path until the model's next call is out, on it
-            # while the dumps show the app's own window; a Scroll asks no model, so
-            # a gesture before one is checked at once
-            dumps_next = cursor < len(steps) and (pending is not None or steps[cursor].action is not ActionType.SCROLL)
-            unchecked = dumps_next and (not fast_path or own(encoded.index[0]))
+            # with a step left, a check waits for the next dump, or the finish: on the fast
+            # path, whatever the next step is, when the dump the action was aimed at showed
+            # the app's own window; off it, when the next step asks the model (no Scroll does)
+            unchecked = cursor < len(steps) and (
+                own(encoded.index[0]) if fast_path else steps[cursor].action is not ActionType.SCROLL)
             if not unchecked and device.crashed():
                 return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:

@@ -362,6 +362,20 @@ def scenario_back_into_crash():
                     decoys={"Open": [3]}, crash_on_back=True)
 
 
+def scenario_two_scrolls():
+    # a Scroll right after a Scroll: on the fast path the first swipe's
+    # crash check waits for the dump the second one swipes across
+    scroll = {"action": "scroll", "direction": "down"}
+    spec = _spec(
+        {"s0": {"tree": stacked("Article top", [])},
+         "s1": {"tree": stacked("Article middle", [])},
+         "s2": {"tree": stacked("Article end", [lambda y: button("Share", y)])}},
+        [{"from": "s0", **scroll, "to": "s1"}, {"from": "s1", **scroll, "to": "s2"},
+         _tap("s2", 2, CRASH_STATE)],
+        "s0")
+    return Scenario("two_scrolls", spec, ["[Scroll] [down]", "[Scroll] [down]", '[Tap] ["Share"]'])
+
+
 SCENARIO_BUILDERS = [
     scenario_single_step,
     scenario_linear_taps_3,
@@ -380,6 +394,7 @@ SCENARIO_BUILDERS = [
     scenario_hop_after_backtrack,
     scenario_long_inbox,
     scenario_back_into_crash,
+    scenario_two_scrolls,
 ]
 
 

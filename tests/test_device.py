@@ -1029,6 +1029,36 @@ class TestOwedCrashCheck:
         assert trace["outcome"] == "bug_triggered" and len(trace["gestures"]) == 1
         assert adb_words(argv_log) == [*LOOK, "shell input swipe 540 384 540 1536 300", *LOOK, CHECK]
 
+    def scroll_scroll_go(self, go_crashes):
+        """Two Scrolls down and a tap on "Go": the tap crashes the app, or
+        the first swipe does and its crash dialog holds "Go"."""
+        scroll = {"action": "scroll", "direction": "down"}
+        if go_crashes:
+            spec = _spec({"s0": {"tree": page("Feed top")}, "s1": {"tree": page("Feed middle")},
+                          "s2": {"tree": page("Feed end", (button, "Go"))}},
+                         [{"from": "s0", **scroll, "to": "s1"}, {"from": "s1", **scroll, "to": "s2"},
+                          _tap("s2", 2, CRASH_STATE)], "s0")
+        else:
+            spec = _spec({"s0": {"tree": page("Feed top")},
+                          CRASH_STATE: {"tree": page("Feed has stopped", (button, "Go"))}},
+                         [{"from": "s0", **scroll, "to": CRASH_STATE}], "s0")
+        steps = [parse_step_text(text) for text in ("[Scroll] [down]", "[Scroll] [down]", '[Tap] ["Go"]')]
+        return spec, steps
+
+    def test_a_scroll_before_a_scroll_in_the_apps_own_window_is_checked_with_the_next(self, corpus):
+        # neither swipe is checked on its own: the one check, after the tap, covers all three actions
+        trace, words = fast_path_over_adb(*self.scroll_scroll_go(go_crashes=True), corpus)
+        swipe = "shell input swipe 540 384 540 1536 300"
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert words == [*LOOK, swipe, *LOOK, swipe, *LOOK, *tap_words(trace.gestures[2:]), CHECK]
+
+    def test_a_scroll_into_a_crash_before_a_scroll_is_found_by_the_next_scrolls_dump(self, corpus):
+        # the dump taken for the second Scroll shows the crash dialog, so the
+        # check runs before its swipe, and before the dialog's "Go" is tapped
+        trace, words = fast_path_over_adb(*self.scroll_scroll_go(go_crashes=False), corpus)
+        assert trace.outcome is Outcome.BUG_TRIGGERED and len(trace.gestures) == 1
+        assert words == [*LOOK, "shell input swipe 540 384 540 1536 300", *LOOK, CHECK]
+
     @pytest.mark.parametrize("front, package", [(AdbFront, None), (BareFront, PACKAGE), (TwoWindowFront, PACKAGE)],
                              ids=["no-package", "root-without-package", "two-windows"])
     def test_without_the_apps_window_every_gesture_is_checked_at_once(self, front, package, corpus):

@@ -678,6 +678,28 @@ class TestErrorPath:
         assert trace.error_detail == "DeviceError: logcat -d -b crash exited 1"
         assert trace.actions_used == 1
 
+    def test_a_crash_check_that_fails_after_a_failure_keeps_the_first_detail(self):
+        # the second dump fails with the first action's check still owed, and
+        # the check, run at the finish, fails too
+        class LostDevice(SimulatedDevice):
+            dumps = 0
+
+            def dump_hierarchy(self):
+                self.dumps += 1
+                if self.dumps == 2:
+                    raise DeviceError("uiautomator dump exited 1")
+                return super().dump_hierarchy()
+
+            def crashed(self):
+                raise DeviceError("logcat -d -b crash exited 1")
+
+        scenario = scenario_linear_taps_5()
+        trace = replay(scenario.steps, LostDevice(SimulatedApp(scenario.spec)), scenario.oracle(), CORPUS,
+                       report_id=scenario.name)
+        assert trace.outcome is Outcome.ERROR
+        assert trace.error_detail == "DeviceError: uiautomator dump exited 1"
+        assert trace.actions_used == 1
+
 
 class TestTraceShape:
     def test_to_dict_round_trips_to_json(self):
