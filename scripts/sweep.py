@@ -35,8 +35,10 @@ committed golden.
 
     python3 scripts/sweep.py --compact > tests/data/sweep.jsonl
 
---diff takes full or compact sweeps, prints for each field how many runs
-differ and names them, and exits 1 if any field other than
+--diff takes full or compact sweeps. It names the runs only one sweep
+holds, compares the runs both hold, prints for each field how many of
+them differ and names them, and exits 1 if a run is in one sweep only,
+the shared runs come in another order, or any field other than
 `device_order` and `adb_order` differs.
 """
 from __future__ import annotations
@@ -129,16 +131,28 @@ def compact(record: dict) -> dict:
 
 
 def diff(a_path: str, b_path: str) -> int:
-    a, b = ([compact(json.loads(line)) for line in Path(path).read_text(encoding="utf-8").splitlines()]
-            for path in (a_path, b_path))
-    if [r["run"] for r in a] != [r["run"] for r in b]:
-        print("the two sweeps cover different runs")
-        return 1
+    def load(path):
+        records = map(compact, map(json.loads, Path(path).read_text(encoding="utf-8").splitlines()))
+        return {record["run"]: record for record in records}
+
+    def named(runs):
+        shown = ", ".join(runs[:5]) + (f" and {len(runs) - 5} more" if len(runs) > 5 else "")
+        return f": {shown}" if runs else ""
+
+    a, b = load(a_path), load(b_path)
     failed = False
-    for field in a[0]:
-        differ = [x["run"] for x, y in zip(a, b) if x[field] != y.get(field)]
-        named = ", ".join(differ[:5]) + (f" and {len(differ) - 5} more" if len(differ) > 5 else "")
-        print(f"{field}: {len(differ)} of {len(a)} runs differ" + (f": {named}" if differ else ""))
+    for path, one, other in ((a_path, a, b), (b_path, b, a)):
+        only = [run for run in one if run not in other]
+        if only:
+            print(f"only in {path}: {len(only)} runs{named(only)}")
+            failed = True
+    shared = [run for run in a if run in b]
+    if shared != [run for run in b if run in a]:
+        print("the shared runs come in a different order")
+        failed = True
+    for field in dict.fromkeys(field for record in a.values() for field in record):
+        differ = [run for run in shared if a[run].get(field) != b[run].get(field)]
+        print(f"{field}: {len(differ)} of {len(shared)} shared runs differ{named(differ)}")
         failed |= bool(differ) and field not in ORDER_FIELDS
     return 1 if failed else 0
 

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BudgetUnsatisfiable
 from .llm import estimate_tokens
@@ -46,7 +46,7 @@ class Prompt:
 
     @property
     def rendered(self) -> str:
-        return SEGMENT_SEP.join(s.text for s in self.segments)
+        return SEGMENT_SEP.join([s.text for s in self.segments])
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,6 @@ class ExemplarCorpus:
         return cls.from_dict(json.loads(text))
 
 
-def exemplar_cost(segments: Iterable[PromptSegment]) -> int:
-    """Estimated tokens one exemplar's blocks add to a prompt, separator included."""
-    return estimate_tokens(SEGMENT_SEP.join(s.text for s in segments) + SEGMENT_SEP)
-
-
 def fit_prompt(
     head: list[PromptSegment],
     pool: Sequence,
@@ -137,37 +132,34 @@ def fit_prompt(
     """The few-shot prompt: head, then 1..3 exemplars from pool, then tail.
 
     segments_of expands one exemplar into its blocks. Exemplars are taken
-    greedily in pool order, at most MAX_EXEMPLARS, each kept while head,
-    tail and the kept exemplars estimate within budget; none is reordered
-    or truncated. Raises ValueError for an empty pool, and
-    BudgetUnsatisfiable when head and tail alone fill the budget, when not
-    even one exemplar fits, or when the assembled prompt still estimates
-    over budget.
+    greedily in pool order, at most MAX_EXEMPLARS, each kept when the
+    prompt with it (head, the exemplars kept so far, its blocks and tail)
+    estimates within budget; none is reordered or truncated. Raises
+    ValueError for an empty pool, and BudgetUnsatisfiable in two cases:
+    head and tail alone estimate the whole budget or more, or no single
+    exemplar fits beside them.
     """
     if not pool:
         raise ValueError("exemplar corpus slice is empty")
-    fixed_size = estimate_tokens(SEGMENT_SEP.join(s.text for s in head + tail))
+
+    def assemble(chosen: list[list[PromptSegment]]) -> tuple[Prompt, int]:
+        prompt = Prompt(tuple(head + [s for blocks in chosen for s in blocks] + tail), len(chosen))
+        return prompt, estimate_tokens(prompt.rendered)
+
+    prompt, fixed_size = assemble([])
     if budget <= fixed_size:
         raise BudgetUnsatisfiable(f"test prompt alone estimates {fixed_size} tokens of a {budget} budget")
     chosen: list[list[PromptSegment]] = []
-    total = fixed_size
     for exemplar in pool:
         if len(chosen) == MAX_EXEMPLARS:
             break
-        blocks = segments_of(exemplar)
-        cost = exemplar_cost(blocks)
-        if total + cost <= budget:
-            chosen.append(blocks)
-            total += cost
+        candidate, size = assemble(trial := chosen + [segments_of(exemplar)])
+        if size <= budget:
+            prompt, chosen = candidate, trial
     if not chosen:
-        cheapest = min(exemplar_cost(segments_of(e)) for e in pool)
+        cheapest = min(assemble([segments_of(e)])[1] for e in pool) - fixed_size
         raise BudgetUnsatisfiable(
             f"smallest exemplar ({cheapest} tokens) plus test prompt "
             f"({fixed_size} tokens) exceeds the {budget} token budget"
         )
-    segments = head + [s for blocks in chosen for s in blocks] + tail
-    prompt = Prompt(tuple(segments), exemplar_count=len(chosen))
-    used = estimate_tokens(prompt.rendered)
-    if used > budget:
-        raise BudgetUnsatisfiable(f"prompt estimates {used} tokens of a {budget} budget")
     return prompt

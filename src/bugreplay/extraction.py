@@ -41,8 +41,8 @@ def _exemplar_segments(exemplar: ExtractionExemplar) -> list[PromptSegment]:
 def build_extraction_prompt(report: BugReport, corpus: ExemplarCorpus, budget: int) -> Prompt:
     """Deterministic prompt for one report under a token budget.
 
-    Greedy in-order exemplar selection; raises BudgetUnsatisfiable when
-    not even one exemplar fits alongside the fixed blocks and the report.
+    fit_prompt picks the exemplars; BudgetUnsatisfiable when the fixed
+    blocks and the report fill the budget or no single exemplar fits too.
     """
     head = [
         PromptSegment("actions_spec", ACTIONS_SPEC),

@@ -3,10 +3,13 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugreplay.errors import BudgetUnsatisfiable
 from bugreplay.exemplars import (
     MAX_EXEMPLARS,
+    SEGMENT_SEP,
     ExemplarCorpus,
     ExtractionExemplar,
     GuidanceExemplar,
@@ -14,6 +17,7 @@ from bugreplay.exemplars import (
     fit_prompt,
 )
 from bugreplay.guidance import parse_guidance_response
+from bugreplay.llm import estimate_tokens
 from bugreplay.steps import parse_step_text
 
 
@@ -160,6 +164,43 @@ class TestSelectExemplars:
 
     def test_boundary_exact_fit(self):
         assert fit(["abc"], budget=13, fixed_size=10) == ["abc"]
+
+
+texts = st.text(alphabet="ab ", min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(texts, max_size=2), st.lists(st.lists(texts, min_size=1, max_size=3), min_size=1, max_size=6),
+       st.lists(texts, max_size=2), st.integers(1, 120))
+def test_fit_prompt_keeps_an_exemplar_only_if_the_prompt_it_would_send_fits(head, pool, tail, budget):
+    # exemplar i is its index in pool, and its blocks are labelled e<i>
+    def size(kept):
+        return estimate_tokens(SEGMENT_SEP.join(head + [t for i in kept for t in pool[i]] + tail))
+
+    def call():
+        return fit_prompt([PromptSegment("head", t) for t in head], range(len(pool)),
+                          lambda i: [PromptSegment(f"e{i}", t) for t in pool[i]],
+                          [PromptSegment("tail", t) for t in tail], budget)
+
+    if size([]) >= budget:
+        with pytest.raises(BudgetUnsatisfiable, match=f"^test prompt alone estimates {size([])} tokens"):
+            call()
+        return
+    if all(size([i]) > budget for i in range(len(pool))):
+        cheapest = min(size([i]) for i in range(len(pool))) - size([])
+        with pytest.raises(BudgetUnsatisfiable, match=re.escape(f"smallest exemplar ({cheapest} tokens)")):
+            call()
+        return
+    prompt = call()
+    kept = [int(kind[1:]) for kind in dict.fromkeys(s.kind for s in prompt.segments if s.kind[0] == "e")]
+    assert [s.text for s in prompt.segments] == head + [t for i in kept for t in pool[i]] + tail
+    assert estimate_tokens(prompt.rendered) == size(kept) <= budget
+    assert kept == sorted(kept) and 1 <= len(kept) == prompt.exemplar_count <= MAX_EXEMPLARS
+    for i in range(len(pool)):
+        before = [k for k in kept if k < i]
+        if len(before) == MAX_EXEMPLARS:
+            break
+        assert i in kept or size(before + [i]) > budget, f"exemplar {i} fits but was skipped"
 
 
 def test_corpus_file_errors_surface(tmp_path):

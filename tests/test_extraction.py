@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bugreplay.errors import BudgetUnsatisfiable, MalformedStep, NoStepsFound
+from bugreplay.exemplars import Prompt
 from bugreplay.extraction import (
     ACTIONS_SPEC,
     OUTPUT_PREFACE,
@@ -71,12 +72,14 @@ class TestPromptAssembly:
         with pytest.raises(BudgetUnsatisfiable):
             build_extraction_prompt(REPORT, corpus, 60)
 
-    def test_over_budget_prompt_raises_typed_error(self, corpus, monkeypatch):
-        # with every exemplar costed at nothing, selection overfills the
-        # prompt; the final check must hold under python -O as well
-        monkeypatch.setattr("bugreplay.exemplars.exemplar_cost", lambda segments: 0)
-        with pytest.raises(BudgetUnsatisfiable):
-            build_extraction_prompt(REPORT, corpus, 700)
+    def test_over_budget_prompt_raises_typed_error(self, corpus):
+        # one token over the spec blocks and report leaves every prompt
+        # with an exemplar over budget; the raise must hold under python -O
+        full = build_extraction_prompt(REPORT, corpus, 4096)
+        fixed = [s for s in full.segments if s.kind in ("actions_spec", "primitives_spec", "test_input")]
+        budget = estimate_tokens(Prompt(tuple(fixed), 0).rendered) + 1
+        with pytest.raises(BudgetUnsatisfiable, match="smallest exemplar"):
+            build_extraction_prompt(REPORT, corpus, budget)
 
     def test_deterministic(self, corpus):
         a = build_extraction_prompt(REPORT, corpus, 4096)

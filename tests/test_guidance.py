@@ -2,7 +2,7 @@
 import pytest
 
 from bugreplay.errors import BudgetUnsatisfiable, NoActionableAnswer
-from bugreplay.exemplars import ExemplarCorpus, GuidanceExemplar
+from bugreplay.exemplars import ExemplarCorpus, GuidanceExemplar, Prompt
 from bugreplay.extraction import build_extraction_prompt
 from bugreplay.guidance import (
     EXCLUSION_CLAUSE,
@@ -145,13 +145,15 @@ class TestPromptAssembly:
             build_guidance_prompt(parse_step_text("[Scroll] [down]"),
                                   encode_gui(SCREEN), corpus, 4096)
 
-    def test_over_budget_prompt_raises_typed_error(self, corpus, monkeypatch):
-        # with every exemplar costed at nothing, selection overfills the
-        # prompt; the final check must hold under python -O as well
-        monkeypatch.setattr("bugreplay.exemplars.exemplar_cost", lambda segments: 0)
-        with pytest.raises(BudgetUnsatisfiable):
-            build_guidance_prompt(parse_step_text('[Tap] ["Log in"]'),
-                                  encode_gui(SCREEN), corpus, 200)
+    def test_over_budget_prompt_raises_typed_error(self, corpus):
+        # one token over the screen and query leaves every prompt with an
+        # exemplar over budget, elided or not; the raise must hold under
+        # python -O as well
+        step = parse_step_text('[Tap] ["Log in"]')
+        full, _ = build_guidance_prompt(step, encode_gui(SCREEN), corpus, 4096)
+        budget = estimate_tokens(Prompt(full.segments[-2:], 0).rendered) + 1
+        with pytest.raises(BudgetUnsatisfiable, match="smallest exemplar"):
+            build_guidance_prompt(step, encode_gui(SCREEN), corpus, budget)
 
     def test_deterministic(self, corpus):
         step = parse_step_text('[Input] ["Username"] ["bob"]')

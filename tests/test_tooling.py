@@ -42,6 +42,45 @@ def test_sweep_matches_its_golden(tmp_path):
     assert diff.returncode == 0, diff.stdout
 
 
+
+def sweep_diff(tmp_path, a, b):
+    """scripts/sweep.py --diff on two hand-written compact sweeps, each a
+    list of (run, outcome, device_order)."""
+    paths = []
+    for name, runs in (("a.jsonl", a), ("b.jsonl", b)):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps({"run": run, "trace": "t", "outcome": outcome, "device_order": order}) + "\n"
+                                for run, outcome, order in runs), encoding="utf-8")
+        paths.append(path)
+    return run(ROOT / "scripts" / "sweep.py", "--diff", *paths)
+
+
+def test_sweep_diff_compares_the_runs_both_sweeps_hold(tmp_path):
+    done = sweep_diff(tmp_path, [("r1", "ok", "x"), ("r2", "ok", "y")], [("r1", "ok", "x"), ("r2", "ok", "z")])
+    assert done.returncode == 0, done.stdout
+    assert "outcome: 0 of 2 shared runs differ\n" in done.stdout
+    assert "device_order: 1 of 2 shared runs differ: r2\n" in done.stdout
+    assert "only in" not in done.stdout
+
+
+def test_sweep_diff_names_the_runs_one_sweep_holds(tmp_path):
+    done = sweep_diff(tmp_path, [("r1", "ok", "x"), ("r2", "ok", "x")], [("r1", "ok", "x"), ("r3", "ok", "x")])
+    assert done.returncode == 1
+    assert f"only in {tmp_path / 'a.jsonl'}: 1 runs: r2\n" in done.stdout
+    assert f"only in {tmp_path / 'b.jsonl'}: 1 runs: r3\n" in done.stdout
+    assert "outcome: 0 of 1 shared runs differ\n" in done.stdout
+
+
+@pytest.mark.parametrize("b,line", [
+    ([("r1", "ok", "x"), ("r2", "bug", "x")], "outcome: 1 of 2 shared runs differ: r2\n"),
+    ([("r2", "ok", "x"), ("r1", "ok", "x")], "the shared runs come in a different order\n"),
+], ids=["field-differs", "order-differs"])
+def test_sweep_diff_fails_on_shared_runs_that_differ(tmp_path, b, line):
+    done = sweep_diff(tmp_path, [("r1", "ok", "x"), ("r2", "ok", "x")], b)
+    assert done.returncode == 1
+    assert line in done.stdout
+    assert "only in" not in done.stdout
+
 def test_shipped_corpus_is_what_gen_corpus_writes(tmp_path, monkeypatch):
     # the guidance exemplars' HTML comes from the encoder, so a change to
     # the encoding must come with the corpus the script writes from it
