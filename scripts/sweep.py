@@ -39,7 +39,9 @@ committed golden.
 holds, compares the runs both hold, prints for each field how many of
 them differ and names them, and exits 1 if a run is in one sweep only,
 the shared runs come in another order, or any field other than
-`device_order` and `adb_order` differs.
+`device_order` and `adb_order` differs. Where both sweeps hold a run's
+full trace, a line per trace key (`trace.error_detail: ...`) says how
+many of those runs differ in it.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ def compact(record: dict) -> dict:
 
 def diff(a_path: str, b_path: str) -> int:
     def load(path):
-        records = map(compact, map(json.loads, Path(path).read_text(encoding="utf-8").splitlines()))
+        records = map(json.loads, Path(path).read_text(encoding="utf-8").splitlines())
         return {record["run"]: record for record in records}
 
     def named(runs):
@@ -150,10 +152,18 @@ def diff(a_path: str, b_path: str) -> int:
     if shared != [run for run in b if run in a]:
         print("the shared runs come in a different order")
         failed = True
+    # the runs whose trace both sweeps hold in full, compared key by key as well
+    traces = {run: (a[run]["trace"], b[run]["trace"]) for run in shared
+              if isinstance(a[run]["trace"], dict) and isinstance(b[run]["trace"], dict)}
+    a, b = ({run: compact(record) for run, record in records.items()} for records in (a, b))
     for field in dict.fromkeys(field for record in a.values() for field in record):
         differ = [run for run in shared if a[run].get(field) != b[run].get(field)]
         print(f"{field}: {len(differ)} of {len(shared)} shared runs differ{named(differ)}")
         failed |= bool(differ) and field not in ORDER_FIELDS
+        if field == "trace":
+            for key in dict.fromkeys(key for pair in traces.values() for trace in pair for key in trace):
+                differ = [run for run, (x, y) in traces.items() if x.get(key) != y.get(key)]
+                print(f"trace.{key}: {len(differ)} of {len(traces)} shared runs differ{named(differ)}")
     return 1 if failed else 0
 
 

@@ -70,9 +70,9 @@ class HttpLlm(LlmClient):
 
     def __init__(self, endpoint: str, *, model: str = "", api_key: str | None = None,
                  max_tokens: int = 4096, temperature: float = 0.0):
-        if max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-        if not 0 <= temperature < math.inf:
+        if type(max_tokens) is not int or max_tokens <= 0:
+            raise ValueError(f"max_tokens must be a positive integer, got {max_tokens!r}")
+        if type(temperature) not in (int, float) or not 0 <= temperature < math.inf:
             raise ValueError(f"temperature must be a finite non-negative number, got {temperature!r}")
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:

@@ -9,8 +9,8 @@ acts on the answer:
   same step, and try again on the new screen (bounded depth);
 * an unusable answer (nothing actionable, a hallucinated or already
   excluded id, or exploration depth exhausted) pops the history stack,
-  adds the id tried from that earlier screen to its exclusion set, and
-  retries guidance there.
+  which holds a snapshot per guided action, adds the id tried from that
+  earlier screen to its exclusion set, and retries guidance there.
 
 An exclusion set belongs to the screen it was made on: a snapshot keeps
 the set it was taken with, a backtrack brings it back with the departed
@@ -65,23 +65,22 @@ With fast_path on, a guided step whose component, normalised (casefolded,
 `_` read as a space, whitespace collapsed), equals the normalised text,
 content-desc or resource-id leaf of exactly one node of the screen's full
 encoding, acts on that node with no model call. Two guards keep it honest.
-The next step's dump, a Scroll's included, checks such a pick, and a pick
-on the last step gets a dump for the check: if the screen's digest is
-unchanged, the pick is undone (no backtrack counted, no exclusion added)
-and the model is asked on that screen, with the prompt the paper would
-have sent; an answer that cites the undone node with no [MISSING] takes
-the gesture already sent as the step's action, and its snapshot joins
-history. And the fast path stays on only while it is right: it goes off
-for the rest of the run once the model is asked for any reason or a pick
-is undone. A wrong lexical pick that does change the screen, typed text
-included, is caught only by ordinary backtracking. With fast_path off, the
-loop is the paper's.
+The pick's snapshot joins the history when it is taken, and the first dump
+after it, a Scroll's or the last step's own, checks it: if the screen's
+digest is unchanged, the pick is undone (its snapshot taken off, no
+backtrack counted, no exclusion added) and the model is asked on that
+screen, with the prompt the paper would have sent; an answer that cites
+the undone node with no [MISSING] takes the gesture already sent as the
+step's action and puts the snapshot back. And the fast path stays on only
+while it is right: it goes off for the rest of the run once the model is
+asked for any reason or a pick is undone. A wrong lexical pick that does
+change the screen, typed text included, is caught only by ordinary
+backtracking. With fast_path off, the loop is the paper's.
 """
 from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -320,7 +319,8 @@ def replay(
     """
     budgets = budgets or Budgets()
     trace = ReplayTrace(report_id=report_id, steps=list(steps))
-    history: deque[_Snapshot] = deque(maxlen=budgets.backtracks)
+    # one snapshot per guided action still standing, the last on top
+    history: list[_Snapshot] = []
     # the ids excluded for the current step on the current screen, in its
     # full encoding: the prompt's may elide wrappers; any executed action
     # starts the next screen with none
@@ -329,10 +329,6 @@ def replay(
     missing_depth = 0
     # the dump of the current screen when no gesture has happened since
     screen: _Screen | None = None
-    # the snapshot of a lexical pick that no dump has checked yet; it joins
-    # history once a dump shows the pick changed the screen, and once Guard 1
-    # undoes the pick, it stays until the model answers on the unchanged screen
-    pending: _Snapshot | None = None
     # the guidance call in flight
     asked: Future | None = None
     # whether the last gesture still awaits its crash check
@@ -370,23 +366,24 @@ def replay(
         while True:
             if time.monotonic() - started > budgets.wall_seconds:
                 return finish(Outcome.BUDGET_EXHAUSTED, "wall clock budget exhausted")
+            # the snapshot of a lexical pick Guard 1 undoes, until the model answers
+            undone = None
+            lexical = bool(trace.events) and trace.events[-1].resolved_by == "lexical"
             # the loop's one dump, while an action is left: for the next step, or
-            # for a lexical pick on the last step to check
-            if screen is None and trace.actions_used < budgets.actions and (pending is not None or cursor < len(steps)):
+            # for Guard 1 to check a lexical pick, the last step's too
+            if screen is None and trace.actions_used < budgets.actions and (lexical or cursor < len(steps)):
                 screen = _dump_screen(device)
                 # a check the fast path owes runs now unless the dump shows the app's own window
                 if unchecked and fast_path and not own(screen[0].index[0]):
                     unchecked = False
                     if device.crashed():
                         return finish(Outcome.BUG_TRIGGERED)
-            if pending is not None and screen is not None:
-                if screen[1] == pending.screen[1]:
-                    logger.debug("step %d: lexical pick changed nothing; undone", pending.cursor + 1)
-                    cursor, missing_depth, excluded = pending.cursor, pending.missing_depth, pending.excluded
+                # the pick's snapshot is the top of history until this first dump after it
+                if lexical and screen[1] == trace.events[-1].screen_digest:
+                    undone = history.pop()
+                    logger.debug("step %d: lexical pick changed nothing; undone", undone.cursor + 1)
+                    cursor, missing_depth, excluded = undone.cursor, undone.missing_depth, undone.excluded
                     fast_path = False
-                else:
-                    history.append(pending)
-                    pending = None
             if cursor >= len(steps):
                 return finish(Outcome.STEPS_EXHAUSTED_NO_BUG)
             if trace.actions_used >= budgets.actions:
@@ -414,7 +411,6 @@ def replay(
                             return finish(Outcome.BUG_TRIGGERED)
                     call, asked = asked, None
                     enc_used, answer = call.result()
-                    redo, pending = pending, None
                     try:
                         result = parse_guidance_response(answer)
                         # a bare [MISSING] cites no id, which resolves to none
@@ -445,20 +441,16 @@ def replay(
                         logger.debug("backtracked to step %d excluding %s", cursor + 1, sorted(excluded))
                         continue
                     exploratory = result.missing
-                    if redo is not None and full_id == redo.departed_id and not exploratory:
-                        history.append(redo)
+                    if undone is not None and full_id == undone.departed_id and not exploratory:
+                        history.append(undone)
                         cursor += 1
                         continue
                 # a re-ask was built on the snapshot's dump of this screen,
                 # whose full ids its digest shares; the tap takes live bounds
                 node = encoded.index[full_id]
 
-                snap = _Snapshot(cursor=cursor, missing_depth=missing_depth, screen=screen, excluded=excluded,
-                                 departed_id=full_id, gesture_prefix=len(trace.gestures))
-                if resolved_by == "lexical":
-                    pending = snap
-                else:
-                    history.append(snap)
+                history.append(_Snapshot(cursor=cursor, missing_depth=missing_depth, screen=screen, excluded=excluded,
+                                         departed_id=full_id, gesture_prefix=len(trace.gestures)))
 
             screen, excluded = None, frozenset()
             # an exploratory hop is a plain tap toward where the missing

@@ -1306,9 +1306,9 @@ NO_ANSWER = "I cannot locate any suitable component on this screen."
 RUN_SETTINGS = {
     "actions": (["--actions-budget", "0"], "app.json", [EXTRACTION], 1,
                 [("budget_exhausted", "action budget exhausted")], [True]),
-    # with no backtrack to spend, no screen is kept to go back to
+    # the lexical step's screen is kept, but no backtrack may be spent to go back to it
     "backtracks": (["--backtracks-budget", "0"], "calm.json", [TWO_STEPS, NO_ANSWER], 1,
-                   [("budget_exhausted", "nowhere left to backtrack")], [True]),
+                   [("budget_exhausted", "backtrack budget exhausted")], [True]),
     "wall": (["--wall-budget", "0"], "app.json", [EXTRACTION], 1,
              [("budget_exhausted", "wall clock budget exhausted")], [True]),
     # a [MISSING] answer backtracks instead of hopping to the crash

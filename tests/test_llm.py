@@ -59,6 +59,21 @@ class TestLlmConfig:
         with pytest.raises(ValueError, match="temperature"):
             HttpLlm("http://e", temperature=temperature)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("max_tokens", float("nan")), ("max_tokens", True), ("max_tokens", 2.5), ("max_tokens", "5"),
+        ("temperature", True), ("temperature", "0.5"),
+    ])
+    def test_rejects_a_setting_of_the_wrong_type(self, setting, value):
+        # NaN would go out as a bare NaN, which is not JSON; a bool or a string is no number here
+        with pytest.raises(ValueError, match=f"^{setting} must be"):
+            HttpLlm("http://e", **{setting: value})
+
+    def test_a_whole_temperature_is_sent_as_given(self, http_endpoint):
+        _Script.script = [(200, _chat_payload("ok"))]
+        HttpLlm(http_endpoint, max_tokens=5, temperature=1).complete(make_prompt("q"))
+        sent = _Script.requests[0]["json"]
+        assert (sent["max_tokens"], sent["temperature"]) == (5, 1)
+
     def test_api_key_hidden_from_repr(self):
         llm = HttpLlm("http://e", api_key="sk-sensitive-123")
         assert "sk-sensitive-123" not in repr(llm)

@@ -604,11 +604,15 @@ class TestBudgets:
         assert trace.outcome is Outcome.BUDGET_EXHAUSTED
         assert "action budget" in trace.error_detail
 
-    def test_zero_backtracks_keeps_no_history(self):
+    def test_a_run_that_cannot_backtrack_says_whether_a_screen_was_kept(self):
+        # the decoy's dead end: its screen is kept, and the budget stops the way back
         trace = run(scenario_two_branch(), budgets=Budgets(backtracks=0))
-        assert trace.outcome is Outcome.BUDGET_EXHAUSTED
-        assert trace.error_detail == "nowhere left to backtrack"
-        assert trace.backtracks_used == 0
+        assert (trace.outcome, trace.error_detail) == (Outcome.BUDGET_EXHAUSTED, "backtrack budget exhausted")
+        assert (len(trace.events), trace.backtracks_used) == (1, 0)
+        # an unusable answer on the first guided step has no screen behind it
+        trace = run(scenario_two_branch(), llm=ScriptedLlm(["I have no idea."]), budgets=Budgets(backtracks=0))
+        assert (trace.outcome, trace.error_detail) == (Outcome.BUDGET_EXHAUSTED, "nowhere left to backtrack")
+        assert (len(trace.events), trace.backtracks_used) == (0, 0)
 
     def test_backtrack_budget_exhausts_mid_recovery(self):
         # two navigating traps in a row; budget 1 covers only the first
@@ -855,6 +859,24 @@ class TestFastPath:
         assert [(e.step_index, e.resolved_id, e.resolved_by) for e in trace.events] == [
             (1, 2, "lexical"), (2, 3, "model")]
         assert len(llm.prompts) == 2
+
+    def test_a_pick_the_model_names_again_can_be_backtracked_to(self):
+        # the tap on "Save" changes nothing and is undone, and the model names
+        # "Save" again; "Finish" is not on that screen, so the run goes back to
+        # it, excludes "Save" and takes "Go" instead
+        s0 = stacked("Note", [lambda y: button("Save", y), lambda y: button("Go", y)])
+        s1 = stacked("Sent", [lambda y: button("Finish", y)])
+        spec = _spec({"s0": {"tree": s0}, "s1": {"tree": s1}},
+                     [_tap("s0", 3, "s1"), _tap("s1", 2, CRASH_STATE)], "s0")
+        scenario = Scenario("save_then_finish", spec, ['[Tap] ["Save"]', '[Tap] ["Finish"]'])
+        llm = ScriptedLlm(["[id=2]", "I have no idea.", "[id=3]", "[id=2]"])
+        trace = run(scenario, llm=llm, fast_path=True)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert trace.backtracks_used == 1
+        assert [(e.step_index, e.resolved_id, e.resolved_by) for e in trace.events] == [
+            (1, 2, "lexical"), (1, 3, "model"), (2, 2, "model")]
+        assert trace.gestures == [("tap", 540, 245), ("tap", 540, 375), ("tap", 540, 245)]
+        assert "excluding components [id=2]" in llm.prompts[2].rendered
 
     @pytest.mark.parametrize("build", [
         lambda: scenario_filler_bridge("tap"), lambda: scenario_filler_bridge("none"),

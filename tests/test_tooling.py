@@ -81,6 +81,35 @@ def test_sweep_diff_fails_on_shared_runs_that_differ(tmp_path, b, line):
     assert line in done.stdout
     assert "only in" not in done.stdout
 
+
+def test_sweep_diff_says_which_part_of_a_full_trace_moved(tmp_path):
+    def write(name, details, full=True):
+        """A hand-written sweep of (run, error_detail); a compact one holds each trace as a digest."""
+        path = tmp_path / name
+        path.write_text("".join(json.dumps({"run": run, "outcome": "budget_exhausted", "trace": {
+            "outcome": "budget_exhausted", "error_detail": detail, "events": []} if full else detail[:8]}) + "\n"
+                                for run, detail in details), encoding="utf-8")
+        return path
+
+    a = write("a.jsonl", [("r1", "action budget exhausted"), ("r2", "nowhere left to backtrack")])
+    b = [("r1", "action budget exhausted"), ("r2", "backtrack budget exhausted")]
+    done = run(ROOT / "scripts" / "sweep.py", "--diff", a, write("b.jsonl", b))
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "run: 0 of 2 shared runs differ",
+        "outcome: 0 of 2 shared runs differ",
+        "trace: 1 of 2 shared runs differ: r2",
+        "trace.outcome: 0 of 2 shared runs differ",
+        "trace.error_detail: 1 of 2 shared runs differ: r2",
+        "trace.events: 0 of 2 shared runs differ",
+    ]
+    # a compact sweep holds no trace to look into
+    done = run(ROOT / "scripts" / "sweep.py", "--diff", a, write("compact.jsonl", b, full=False))
+    assert done.returncode == 1
+    assert "trace: 2 of 2 shared runs differ: r1, r2\n" in done.stdout
+    assert "trace." not in done.stdout
+
+
 def test_shipped_corpus_is_what_gen_corpus_writes(tmp_path, monkeypatch):
     # the guidance exemplars' HTML comes from the encoder, so a change to
     # the encoding must come with the corpus the script writes from it
