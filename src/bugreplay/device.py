@@ -33,9 +33,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-import select
 import shlex
 import subprocess
 import time
@@ -236,58 +234,22 @@ def _run_subprocess(argv: list[str]) -> str:
     UTF-8 with replacement characters and universal newlines, and its stderr,
     which adb fills with daemon notices, as the text's .stderr.
 
-    Waits for both the child's exit and the end of its output under one
-    deadline of ADB_TIMEOUT_SECONDS: one poll covers its two pipes and a
-    pidfd of the child, so the exit is awaited, not polled for. Where
-    os.pidfd_open is missing or fails (not Linux, kernels before 5.3, some
-    sandboxes), Popen.wait awaits the exit once the output has ended. A
-    child still running at the deadline is killed and reaped. select.poll
-    makes this POSIX only.
+    One subprocess.run waits for the exit and the end of the output under
+    one deadline of ADB_TIMEOUT_SECONDS; a child still running at it is
+    killed and reaped.
     """
     try:
-        proc = subprocess.Popen(argv, bufsize=0, stdin=subprocess.DEVNULL,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True,
+                              timeout=ADB_TIMEOUT_SECONDS)
     except OSError as exc:
         raise DeviceError(f"cannot run {argv[0]}: {exc}") from exc
-    deadline = time.monotonic() + ADB_TIMEOUT_SECONDS
-    chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
-    waiting = set(chunks)
-    try:
-        exit_fd = os.pidfd_open(proc.pid)
-        waiting.add(exit_fd)
-    except (AttributeError, OSError):
-        exit_fd = None
-    poller = select.poll()
-    for fd in waiting:
-        poller.register(fd, select.POLLIN)
-    with proc:
-        try:
-            while waiting:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise subprocess.TimeoutExpired(argv, ADB_TIMEOUT_SECONDS)
-                for fd, _ in poller.poll(remaining * 1000):
-                    data = os.read(fd, 65536) if fd in chunks else b""
-                    if data:
-                        chunks[fd].append(data)
-                    else:
-                        poller.unregister(fd)
-                        waiting.discard(fd)
-            # with a pidfd the child has exited, so this reaps it at once
-            returncode = proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired as exc:
-            proc.kill()  # leaving the with block reaps it
-            raise DeviceError(f"{' '.join(argv)} timed out after {ADB_TIMEOUT_SECONDS} s") from exc
-        except BaseException:
-            proc.kill()
-            raise
-        finally:
-            if exit_fd is not None:
-                os.close(exit_fd)
-    out, err = (b"".join(parts).decode("utf-8", errors="replace")
-                .replace("\r\n", "\n").replace("\r", "\n") for parts in chunks.values())
-    if returncode != 0:
-        raise DeviceError(f"{' '.join(argv)} exited {returncode}: {err.strip()}")
+    except subprocess.TimeoutExpired as exc:
+        # exc.timeout can be the time left in the last wait, not the deadline
+        raise DeviceError(f"{' '.join(argv)} timed out after {ADB_TIMEOUT_SECONDS} s") from exc
+    out, err = (data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+                for data in (proc.stdout, proc.stderr))
+    if proc.returncode != 0:
+        raise DeviceError(f"{' '.join(argv)} exited {proc.returncode}: {err.strip()}")
     result = _Output(out)
     result.stderr = err
     return result

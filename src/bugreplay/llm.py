@@ -74,6 +74,10 @@ class HttpLlm(LlmClient):
             raise ValueError(f"max_tokens must be a positive integer, got {max_tokens!r}")
         if type(temperature) not in (int, float) or not 0 <= temperature < math.inf:
             raise ValueError(f"temperature must be a finite non-negative number, got {temperature!r}")
+        if not isinstance(model, str):
+            raise ValueError(f"model must be a string, got {model!r}")
+        if api_key is not None and not isinstance(api_key, str):
+            raise ValueError(f"api_key must be a string or None, got a {type(api_key).__name__}")
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError("the endpoint must be an absolute http:// or https:// URL")

@@ -2,6 +2,7 @@
 import itertools
 import os
 import random
+import signal
 import sys
 import time
 
@@ -1093,8 +1094,8 @@ def _refuse_pidfd(pid):
 
 
 class TestRunSubprocess:
-    """The default runner against real child processes, with a pidfd of the
-    child, with os.pidfd_open missing, and with it failing."""
+    """The default runner against real child processes. It never needs
+    os.pidfd_open: each case passes with it present, missing or failing."""
 
     @pytest.fixture(autouse=True, params=["pidfd", "no-pidfd", "pidfd-fails"])
     def pidfd(self, request, monkeypatch):
@@ -1167,6 +1168,22 @@ class TestRunSubprocess:
         assert time.monotonic() - started < 10
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
+
+    def test_one_deadline_covers_the_exit_and_the_output(self, tmp_path, monkeypatch):
+        # the child exits at once, but a grandchild keeps its stdout open
+        pid_file = tmp_path / "pids"
+        adb = self.script(tmp_path, f"#!/bin/sh\nsleep 30 &\necho $$ $! > '{pid_file}'\nexit 0\n")
+        monkeypatch.setattr(device_module, "ADB_TIMEOUT_SECONDS", 0.3)
+        started = time.monotonic()
+        try:
+            with pytest.raises(DeviceError, match=r"timed out after 0\.3 s"):
+                device_module._run_subprocess([adb])
+            assert time.monotonic() - started < 10
+        finally:
+            child, grandchild = map(int, pid_file.read_text(encoding="utf-8").split())
+            os.kill(grandchild, signal.SIGKILL)
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
 
 
 def test_apply_gestures_round_trip():

@@ -62,9 +62,11 @@ class TestLlmConfig:
     @pytest.mark.parametrize("setting, value", [
         ("max_tokens", float("nan")), ("max_tokens", True), ("max_tokens", 2.5), ("max_tokens", "5"),
         ("temperature", True), ("temperature", "0.5"),
+        ("model", None), ("model", 5), ("api_key", 5), ("api_key", b"k"),
     ])
     def test_rejects_a_setting_of_the_wrong_type(self, setting, value):
-        # NaN would go out as a bare NaN, which is not JSON; a bool or a string is no number here
+        # NaN would go out as a bare NaN, which is not JSON; a bool or a string is no number here,
+        # and a model or key that is no string cannot go in the request
         with pytest.raises(ValueError, match=f"^{setting} must be"):
             HttpLlm("http://e", **{setting: value})
 
