@@ -41,7 +41,10 @@ them differ and names them, and exits 1 if a run is in one sweep only,
 the shared runs come in another order, or any field other than
 `device_order` and `adb_order` differs. Where both sweeps hold a run's
 full trace, a line per trace key (`trace.error_detail: ...`) says how
-many of those runs differ in it.
+many of those runs differ in it. Where both hold a count as an integer
+(`model_calls`, `dumps`, `crash_checks` and `adb_calls` in full sweeps),
+its line adds the net change and each run's change, from the least to
+the most: `adb_calls: 65 of 1640 shared runs differ (net -65, each -1)`.
 """
 from __future__ import annotations
 
@@ -141,6 +144,15 @@ def diff(a_path: str, b_path: str) -> int:
         shown = ", ".join(runs[:5]) + (f" and {len(runs) - 5} more" if len(runs) > 5 else "")
         return f": {shown}" if runs else ""
 
+    def change(field, runs):
+        """The net and per-run change in `field` over runs, if each sweep holds it as an integer."""
+        pairs = [(a[run].get(field), b[run].get(field)) for run in runs]
+        if not pairs or any(type(value) is not int for pair in pairs for value in pair):
+            return ""
+        deltas = [y - x for x, y in pairs]
+        low, high = min(deltas), max(deltas)
+        return f" (net {sum(deltas):+d}, each {low:+d}{f' to {high:+d}' if high != low else ''})"
+
     a, b = load(a_path), load(b_path)
     failed = False
     for path, one, other in ((a_path, a, b), (b_path, b, a)):
@@ -155,10 +167,10 @@ def diff(a_path: str, b_path: str) -> int:
     # the runs whose trace both sweeps hold in full, compared key by key as well
     traces = {run: (a[run]["trace"], b[run]["trace"]) for run in shared
               if isinstance(a[run]["trace"], dict) and isinstance(b[run]["trace"], dict)}
-    a, b = ({run: compact(record) for run, record in records.items()} for records in (a, b))
-    for field in dict.fromkeys(field for record in a.values() for field in record):
-        differ = [run for run in shared if a[run].get(field) != b[run].get(field)]
-        print(f"{field}: {len(differ)} of {len(shared)} shared runs differ{named(differ)}")
+    short_a, short_b = ({run: compact(record) for run, record in records.items()} for records in (a, b))
+    for field in dict.fromkeys(field for record in short_a.values() for field in record):
+        differ = [run for run in shared if short_a[run].get(field) != short_b[run].get(field)]
+        print(f"{field}: {len(differ)} of {len(shared)} shared runs differ{change(field, differ)}{named(differ)}")
         failed |= bool(differ) and field not in ORDER_FIELDS
         if field == "trace":
             for key in dict.fromkeys(key for pair in traces.values() for trace in pair for key in trace):

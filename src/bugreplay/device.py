@@ -138,6 +138,8 @@ class SimulatedApp:
                 subject = None
             else:
                 raise ValueError(f"unknown gesture kind {kind!r}")
+            if (state, kind, subject) in self.transitions:
+                raise ValueError(f"transition {(state, kind, subject)} is given twice")
             self.transitions[(state, kind, subject)] = target
 
     @classmethod

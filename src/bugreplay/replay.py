@@ -45,21 +45,21 @@ device, does the device work the answer does not decide. A re-ask after a
 pop goes out as soon as the snapshot is popped, built from the snapshot's
 own dump, while the screen is restored: the restore ends on that very
 screen, so the prompt is the one the paper sends after it, and the cited
-node is acted on at the bounds of the restored dump. With the fast path
-off, a gesture that the model's answer for a guided step must follow gets
-its crash check after the next dump, while that call is out; the answer
-is acted on only once the check finds no crash. With it on, a gesture
-aimed at the app's own window (a dump whose root names the device's
-package) has its check wait for the next dump, whatever the next step is,
-and on past dumps of it; any other dump runs it at once. The crash buffer
-keeps a crash until a restart's logcat -c, which follows only a model
-answer or the run's end, so one check covers every gesture since. Every
-other gesture, the last step's among them, is checked at once. A finish
-runs a check still owed first, so a crash outranks a budget or a failure
-after it. Two costs come with this: a gesture that crashes the app while
-steps remain costs one dump (and, fast path off, one model call whose
-answer is dropped) before the check, and a re-ask already sent is dropped
-when the wall budget runs out during its restore or the restore fails.
+node is acted on at the bounds of the restored dump. An action's crash
+check runs right after its gestures, except on a fast-path run with a
+step left, where it waits while the dumps, from the one the action was
+aimed at on, show the app's own window (a root that names the device's
+package); it then runs at the next dump that does not, while the next
+model call is out (its answer acted on only once the check finds no
+crash), or at the finish. The crash buffer keeps a crash until a
+restart's logcat -c, which follows only a model answer or the run's end,
+so one check covers every gesture since. A finish runs a check still
+owed first, so a crash outranks a budget or a failure after it. Two
+costs come with this: on the fast path, a gesture that crashes the app
+into its own window while steps remain costs a dump, and at times a
+model call whose answer is dropped, before the check; and a re-ask
+already sent is dropped when the wall budget runs out during its restore
+or the restore fails.
 
 With fast_path on, a guided step whose component, normalised (casefolded,
 `_` read as a space, whitespace collapsed), equals the normalised text,
@@ -71,11 +71,12 @@ digest is unchanged, the pick is undone (its snapshot taken off, no
 backtrack counted, no exclusion added) and the model is asked on that
 screen, with the prompt the paper would have sent; an answer that cites
 the undone node with no [MISSING] takes the gesture already sent as the
-step's action and puts the snapshot back. And the fast path stays on only
-while it is right: it goes off for the rest of the run once the model is
-asked for any reason or a pick is undone. A wrong lexical pick that does
-change the screen, typed text included, is caught only by ordinary
-backtracking. With fast_path off, the loop is the paper's.
+step's action and puts the snapshot back. And lexical picks last only
+while they are right: they stop for the rest of the run once the model is
+asked for any reason or a pick is undone, while the crash check keeps the
+fast path's rule. A wrong lexical pick that does change the screen, typed
+text included, is caught only by ordinary backtracking. With fast_path
+off, the loop is the paper's.
 """
 from __future__ import annotations
 
@@ -333,6 +334,8 @@ def replay(
     asked: Future | None = None
     # whether the last gesture still awaits its crash check
     unchecked = False
+    # Guard 2: whether lexical picks are still on, until the model is asked or a pick is undone
+    picking = fast_path
     pool = ThreadPoolExecutor(max_workers=1)
     started = time.monotonic()
 
@@ -373,8 +376,8 @@ def replay(
             # for Guard 1 to check a lexical pick, the last step's too
             if screen is None and trace.actions_used < budgets.actions and (lexical or cursor < len(steps)):
                 screen = _dump_screen(device)
-                # a check the fast path owes runs now unless the dump shows the app's own window
-                if unchecked and fast_path and not own(screen[0].index[0]):
+                # a check still owed runs now unless the dump shows the app's own window
+                if unchecked and not own(screen[0].index[0]):
                     unchecked = False
                     if device.crashed():
                         return finish(Outcome.BUG_TRIGGERED)
@@ -383,7 +386,7 @@ def replay(
                     undone = history.pop()
                     logger.debug("step %d: lexical pick changed nothing; undone", undone.cursor + 1)
                     cursor, missing_depth, excluded = undone.cursor, undone.missing_depth, undone.excluded
-                    fast_path = False
+                    picking = False
             if cursor >= len(steps):
                 return finish(Outcome.STEPS_EXHAUSTED_NO_BUG)
             if trace.actions_used >= budgets.actions:
@@ -396,15 +399,15 @@ def replay(
                 # a swipe crosses the window the dump shows
                 node = encoded.index[0]
             else:
-                # every backtrack follows a model call, which has turned the
-                # fast path off, so a lexical pick never meets an exclusion
-                full_id = _lexical_pick(step.component, encoded) if fast_path else None
+                # every backtrack follows a model call, which has stopped
+                # lexical picks, so a lexical pick never meets an exclusion
+                full_id = _lexical_pick(step.component, encoded) if picking else None
                 resolved_by = "model" if full_id is None else "lexical"
                 if full_id is None:
-                    fast_path = False
+                    picking = False
                     if asked is None:
                         asked = pool.submit(guide, step, encoded, excluded)
-                    # the last gesture's crash check runs while the model answers
+                    # a crash check still owed runs while the model answers
                     if unchecked:
                         unchecked = False
                         if device.crashed():
@@ -464,11 +467,9 @@ def replay(
             else:
                 cursor += 1
                 missing_depth = 0
-            # with a step left, a check waits for the next dump, or the finish: on the fast
-            # path, whatever the next step is, when the dump the action was aimed at showed
-            # the app's own window; off it, when the next step asks the model (no Scroll does)
-            unchecked = cursor < len(steps) and (
-                own(encoded.index[0]) if fast_path else steps[cursor].action is not ActionType.SCROLL)
+            # only on the fast path, with a step left, does a check wait: while the dumps,
+            # from the one the action was aimed at on, show the app's own window
+            unchecked = fast_path and cursor < len(steps) and own(encoded.index[0])
             if not unchecked and device.crashed():
                 return finish(Outcome.BUG_TRIGGERED)
     except BugReplayError as exc:

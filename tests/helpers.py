@@ -749,8 +749,7 @@ class AdbFront:
         elif words == ["logcat", "-d", "-b", "crash"]:
             self.crash_shown = False
             if self.device.crashed():
-                return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
-                        f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
+                return self.crash_log()
         elif words[:3] == ["shell", "uiautomator", "dump"]:
             self.unsettled_by = None
             self.crash_shown = self.device.crashed()
@@ -765,6 +764,11 @@ class AdbFront:
     def window_package(self):
         """The package of the window in front: the crash dialog's in a crash state, else the app's."""
         return "android" if self.device.crashed() else self.package
+
+    def crash_log(self):
+        """What the crash buffer holds once the app has crashed."""
+        return (f"--------- beginning of crash\nE AndroidRuntime: FATAL EXCEPTION: main\n"
+                f"E AndroidRuntime: Process: {self.package}, PID: 4242\n")
 
     def _flush(self, pending=None):
         """Make the gesture waiting for the next command, and hold `pending` instead."""
@@ -784,8 +788,49 @@ class AdbFront:
             self.unsettled_by = gesture
 
 
+class RelaunchFront(AdbFront):
+    """An app that a crash relaunches in its own window, so its crash state
+    shows the package's window; the crash buffer keeps the crash until
+    `logcat -c`, as logcat's does, and gestures go on reaching the app."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.crash_logged = False
+
+    def window_package(self):
+        return self.package
+
+    def _perform(self, gesture):
+        self.device.perform([gesture])
+        self.crash_logged = self.crash_logged or self.device.crashed()
+
+    def __call__(self, argv):
+        words = self.words(argv)
+        if words[:1] != ["logcat"]:
+            return super().__call__(argv)
+        self._flush()
+        if words == ["logcat", "-c"]:
+            self.crash_logged = False
+            return ""
+        return self.crash_log() if self.crash_logged else ""
+
+
 # the app the adb runs address, and the command that starts it again
 PACKAGE, LAUNCH = "com.example.app", "am start -n com.example.app/.Main"
+
+
+def adb_device(spec, front=AdbFront, package=PACKAGE):
+    """An AdbDevice, with no double-tap gap, over `front` around the spec's
+    app, and the list of the argv of each adb call it makes."""
+    front, argv_log = front(SimulatedDevice(SimulatedApp(spec)), PACKAGE, LAUNCH), []
+
+    def runner(argv):
+        argv_log.append(argv)
+        return front(argv)
+
+    device = AdbDevice(runner=runner, package=package, launch_command=LAUNCH)
+    device.DOUBLE_TAP_GAP_SECONDS = 0
+    return device, argv_log
 
 
 def replay_both_ways(spec, steps, llm, adb_llm, corpus, budgets=None, report_id="", fast_path=False,

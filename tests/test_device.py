@@ -23,10 +23,12 @@ from helpers import (
     PACKAGE,
     AdbFront,
     GeneratedRun,
+    RelaunchFront,
     Scenario,
     ScriptedLlm,
     _spec,
     _tap,
+    adb_device,
     all_scenarios,
     button,
     dump_xml,
@@ -126,6 +128,8 @@ class TestSimulatedAppValidation:
                      "transition ('s0', 'tap', True) cites id outside 0..2", id="id-as-a-bool"),
         pytest.param(_with(crash_states="boom"), ValueError, "crash_states must be a list, not 'boom'",
                      id="crash-states-a-string"),
+        pytest.param(_with(transitions=lambda ts: [*ts, _tap("s0", 2, "s2")]), ValueError,
+                     "transition ('s0', 'tap', 2) is given twice", id="transition-twice"),
         pytest.param(_tree(content_desc=3), ValueError,
                      "tree field 'content_desc' must be a string, not 3", id="content-desc-number"),
         pytest.param(_tree(text=["Main"]), ValueError,
@@ -954,44 +958,10 @@ class TwoWindowFront(AdbFront):
         return out
 
 
-class RelaunchFront(AdbFront):
-    """An app that a crash relaunches in its own window, so its crash state
-    shows the package's window; the crash buffer keeps the crash until
-    `logcat -c`, as logcat's does, and gestures go on reaching the app."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.crash_logged = False
-
-    def window_package(self):
-        return self.package
-
-    def _perform(self, gesture):
-        self.device.perform([gesture])
-        self.crash_logged = self.crash_logged or self.device.crashed()
-
-    def __call__(self, argv):
-        words = self.words(argv)
-        if words[:1] != ["logcat"]:
-            return super().__call__(argv)
-        self._flush()
-        if words == ["logcat", "-c"]:
-            self.crash_logged = False
-            return ""
-        return FATAL.format(process=self.package) if self.crash_logged else ""
-
-
 def fast_path_over_adb(spec, steps, corpus, front=AdbFront, package=PACKAGE, llm=None, budgets=None):
     """Replay with the fast path over AdbDevice and `front` around the spec's
     app; returns the trace and the words of each adb call."""
-    front, argv_log = front(SimulatedDevice(SimulatedApp(spec)), PACKAGE, LAUNCH), []
-
-    def runner(argv):
-        argv_log.append(argv)
-        return front(argv)
-
-    device = AdbDevice(runner=runner, package=package, launch_command=LAUNCH)
-    device.DOUBLE_TAP_GAP_SECONDS = 0
+    device, argv_log = adb_device(spec, front, package)
     trace = replay(steps, device, llm or ScriptedLlm([]), corpus, budgets, fast_path=True)
     return trace, adb_words(argv_log)
 
@@ -1059,6 +1029,22 @@ class TestOwedCrashCheck:
         trace, words = fast_path_over_adb(*self.scroll_scroll_go(go_crashes=False), corpus)
         assert trace.outcome is Outcome.BUG_TRIGGERED and len(trace.gestures) == 1
         assert words == [*LOOK, "shell input swipe 540 384 540 1536 300", *LOOK, CHECK]
+
+    def test_once_the_model_is_asked_one_check_still_covers_an_action_and_the_scroll_after_it(self, corpus):
+        # "Open the feed" is no label on the screen, so the model is asked and
+        # lexical picks stop; the tap and the swipe cross the app's own window,
+        # so one check, run while the model is asked for "Go", covers both
+        spec = _spec({"s0": {"tree": page("Home", (button, "Open"))}, "s1": {"tree": page("Feed top")},
+                      "s2": {"tree": page("Feed end", (button, "Go"))}},
+                     [_tap("s0", 2, "s1"), {"from": "s1", "action": "scroll", "direction": "down", "to": "s2"},
+                      _tap("s2", 2, CRASH_STATE)], "s0")
+        steps = [parse_step_text(text) for text in ('[Tap] ["Open the feed"]', "[Scroll] [down]", '[Tap] ["Go"]')]
+        trace, words = fast_path_over_adb(spec, steps, corpus, llm=ScriptedLlm(["[id=2]", "[id=2]"]))
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert [e.resolved_by for e in trace.events] == ["model", None, "model"]
+        first, _, last = trace.gestures
+        assert words == [*LOOK, *tap_words([first]), *LOOK, "shell input swipe 540 384 540 1536 300",
+                         *LOOK, CHECK, *tap_words([last]), CHECK]
 
     @pytest.mark.parametrize("front, package", [(AdbFront, None), (BareFront, PACKAGE), (TwoWindowFront, PACKAGE)],
                              ids=["no-package", "root-without-package", "two-windows"])

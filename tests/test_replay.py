@@ -26,13 +26,16 @@ from bugreplay.steps import ActionType, parse_step_text
 
 from helpers import (
     CRASH_STATE,
+    PACKAGE,
     AlwaysMissingLlm,
     CallLog,
     GuidanceOracle,
+    RelaunchFront,
     Scenario,
     ScriptedLlm,
     _spec,
     _tap,
+    adb_device,
     all_scenarios,
     button,
     screen_tree,
@@ -658,6 +661,20 @@ class TestBudgets:
         assert "BudgetUnsatisfiable" in trace.error_detail
 
 
+class NoCrashBuffer(SimulatedDevice):
+    """A device of PACKAGE whose every dump shows the app's own window, so
+    on the fast path each check with a step left waits; reading the crash
+    buffer fails."""
+
+    package = PACKAGE
+
+    def dump_hierarchy(self):
+        return dataclasses.replace(super().dump_hierarchy(), package=self.package)
+
+    def crashed(self):
+        raise DeviceError("logcat -d -b crash exited 1")
+
+
 class TestErrorPath:
     def test_transport_errors_become_error_outcome(self):
         class Flaky(LlmClient):
@@ -669,23 +686,20 @@ class TestErrorPath:
         assert trace.error_detail == "TransportError: endpoint unreachable"
 
     def test_a_crash_check_that_fails_at_the_finish_ends_the_run_as_error(self):
-        # off the fast path, the check after the one action waits for the
-        # next step's model call, which the spent action budget never makes
-        class NoCrashBuffer(SimulatedDevice):
-            def crashed(self):
-                raise DeviceError("logcat -d -b crash exited 1")
-
+        # on the fast path, the check after the one action waits past the
+        # app's own window, for the next step's dump, which the spent action
+        # budget never takes
         scenario = scenario_linear_taps_5()
         trace = replay(scenario.steps, NoCrashBuffer(SimulatedApp(scenario.spec)), scenario.oracle(),
-                       CORPUS, Budgets(actions=1), scenario.name)
+                       CORPUS, Budgets(actions=1), scenario.name, fast_path=True)
         assert trace.outcome is Outcome.ERROR
         assert trace.error_detail == "DeviceError: logcat -d -b crash exited 1"
         assert trace.actions_used == 1
 
     def test_a_crash_check_that_fails_after_a_failure_keeps_the_first_detail(self):
-        # the second dump fails with the first action's check still owed, and
-        # the check, run at the finish, fails too
-        class LostDevice(SimulatedDevice):
+        # on the fast path, the second dump fails with the first action's
+        # check still owed, and the check, run at the finish, fails too
+        class LostDevice(NoCrashBuffer):
             dumps = 0
 
             def dump_hierarchy(self):
@@ -694,12 +708,9 @@ class TestErrorPath:
                     raise DeviceError("uiautomator dump exited 1")
                 return super().dump_hierarchy()
 
-            def crashed(self):
-                raise DeviceError("logcat -d -b crash exited 1")
-
         scenario = scenario_linear_taps_5()
         trace = replay(scenario.steps, LostDevice(SimulatedApp(scenario.spec)), scenario.oracle(), CORPUS,
-                       report_id=scenario.name)
+                       report_id=scenario.name, fast_path=True)
         assert trace.outcome is Outcome.ERROR
         assert trace.error_detail == "DeviceError: uiautomator dump exited 1"
         assert trace.actions_used == 1
@@ -955,10 +966,23 @@ def replay_on(device, scenario, llm, budgets=None, **kw):
     return replay(scenario.steps, device, llm, CORPUS, budgets, scenario.name, **kw)
 
 
+def scenario_open_scroll_load():
+    """"Open" leads to a feed, a Scroll down to its end, and "Load more"
+    there crashes the app; the report names neither button as it reads."""
+    s0 = stacked("Home", [lambda y: button("Open", y)])
+    s1 = stacked("Feed top", [])
+    s2 = stacked("Feed bottom", [lambda y: button("Load more", y)])
+    spec = _spec({"s0": {"tree": s0}, "s1": {"tree": s1}, "s2": {"tree": s2}},
+                 [_tap("s0", 2, "s1"), _scroll("s1", "s2"), _tap("s2", 2, CRASH_STATE)], "s0")
+    return Scenario("open_scroll_load", spec,
+                    ['[Tap] ["Open the feed"]', "[Scroll] [down]", '[Tap] ["Load more items"]'])
+
+
 class TestOverlap:
     """Guidance calls run on a worker thread: the re-ask goes out during
-    the restore, and a gesture's crash check runs while the next call is
-    out; what the run does stays the paper's."""
+    the restore, and on the fast path a crash check still owed while the
+    app's own window shows runs while the next call is out; what the run
+    does stays the paper's. The paper's loop checks after every action."""
 
     def test_reask_is_out_during_the_restore(self):
         scenario = scenario_two_branch()
@@ -972,15 +996,41 @@ class TestOverlap:
         assert [(e.step_index, e.resolved_id) for e in trace.events] == [(1, 3), (1, 2), (2, 2)]
 
     def test_crash_check_runs_while_the_model_answers(self):
-        scenario = scenario_with_scroll()
-        llm = HeldLlm(scenario.oracle())
-        device = Probe(fresh_device(scenario), llm, "crashed")
-        trace = replay_on(device, scenario, llm)
-        # the swipe's check runs during the call; the last tap's at once
+        # on the fast path over dumps of the app's own window, once the model
+        # has been asked, the first tap and the swipe owe one check: it runs
+        # during the next call, and the last tap's runs at once
+        scenario = scenario_open_scroll_load()
+        llm = HeldLlm(ScriptedLlm(["[id=2]", "[id=2]"]), hold=lambda rendered: "Load more items" in rendered)
+        device = Probe(adb_device(scenario.spec)[0], llm, "crashed")
+        trace = replay_on(device, scenario, llm, fast_path=True)
         assert device.seen == [True, False]
-        assert device.kinds() == ["dump_hierarchy", "swipe", "dump_hierarchy", "crashed", "tap", "crashed"]
+        assert device.kinds() == ["dump_hierarchy", "tap", "dump_hierarchy", "swipe",
+                                  "dump_hierarchy", "crashed", "tap", "crashed"]
         assert device.threads == {threading.get_ident()}
         assert trace.outcome is Outcome.BUG_TRIGGERED
+
+    @pytest.mark.parametrize("over_adb", [False, True], ids=["simulated", "adb-own-window"])
+    def test_the_papers_loop_checks_for_the_crash_after_every_action(self, over_adb):
+        scenario = scenario_mixed_all()
+        device = CallLog(adb_device(scenario.spec)[0] if over_adb else fresh_device(scenario))
+        trace = replay_on(device, scenario, scenario.oracle())
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert [e.resolved_by for e in trace.events].count("model") > 1
+        calls = device.calls
+        # each action's check comes right after its gestures, before any dump
+        assert calls.count("crashed") == trace.actions_used
+        assert all(isinstance(calls[i - 1], tuple) for i, c in enumerate(calls) if c == "crashed")
+
+    def test_a_mid_run_crash_ends_the_papers_loop_at_once(self):
+        # the crash leaves the app's own window in front, and still no dump
+        # and no model call follow the check that finds it
+        scenario = scenario_crash_midway()
+        llm = ScriptedLlm(["[id=2]", "[id=0]"])
+        device = CallLog(adb_device(scenario.spec, RelaunchFront)[0])
+        trace = replay_on(device, scenario, llm)
+        assert trace.outcome is Outcome.BUG_TRIGGERED
+        assert device.kinds() == ["dump_hierarchy", "tap", "crashed"]
+        assert len(llm.prompts) == 1
 
     def test_fast_path_checks_for_the_crash_at_once(self):
         scenario = scenario_mixed_all()
@@ -1015,16 +1065,18 @@ class TestOverlap:
         assert device.kinds() == ["dump_hierarchy", "tap", "crashed"]
 
     def test_mid_run_crash_drops_the_answer_it_overlapped(self):
+        # on the fast path, "Crash me" is picked with no model call, and the
+        # crash leaves the app's own window in front
         scenario = scenario_crash_midway()
-        llm = SlowScriptedLlm(["[id=2]", "[id=0]"], delay=0.05)
-        device = CallLog(fresh_device(scenario))
-        trace = replay_on(device, scenario, llm)
+        llm = SlowScriptedLlm(["[id=0]"], delay=0.05)
+        device = CallLog(adb_device(scenario.spec, RelaunchFront)[0])
+        trace = replay_on(device, scenario, llm, fast_path=True)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert [(e.step_index, e.resolved_id) for e in trace.events] == [(1, 2)]
         # the check waited for the call to go out on the crash screen,
         # and the run waited for its answer before returning
         assert device.kinds() == ["dump_hierarchy", "tap", "dump_hierarchy", "crashed"]
-        assert len(llm.prompts) == llm.answered == 2
+        assert len(llm.prompts) == llm.answered == 1
 
     def test_crash_outranks_a_failed_dump_after_it(self):
         class FailingDump(CallLog):
@@ -1033,11 +1085,14 @@ class TestOverlap:
                     raise DeviceError("uiautomator dump failed")
                 super().note(call)
 
+        # on the fast path, the crash leaves the app's own window in front, so
+        # the tap's check is still owed when the dump after it fails
         scenario = scenario_crash_midway()
-        device = FailingDump(fresh_device(scenario))
-        trace = replay_on(device, scenario, ScriptedLlm(["[id=2]"]))
+        device = FailingDump(adb_device(scenario.spec, RelaunchFront)[0])
+        trace = replay_on(device, scenario, ScriptedLlm([]), fast_path=True)
         assert trace.outcome is Outcome.BUG_TRIGGERED
         assert trace.error_detail is None
+        assert device.kinds() == ["dump_hierarchy", "tap", "crashed"]
 
     def test_crash_outranks_the_wall_budget(self):
         class SlowTap(CallLog):
@@ -1046,11 +1101,13 @@ class TestOverlap:
                 if self.kinds()[-1] == "tap":
                     time.sleep(0.3)
 
+        # on the fast path, the crash leaves the app's own window in front, so
+        # the tap's check is still owed when the wall budget runs out
         scenario = scenario_crash_midway()
-        device = SlowTap(fresh_device(scenario))
-        trace = replay_on(device, scenario, ScriptedLlm(["[id=2]"]), Budgets(wall_seconds=0.2))
+        device = SlowTap(adb_device(scenario.spec, RelaunchFront)[0])
+        trace = replay_on(device, scenario, ScriptedLlm([]), Budgets(wall_seconds=0.2), fast_path=True)
         assert trace.outcome is Outcome.BUG_TRIGGERED
-        assert device.kinds()[-2:] == ["tap", "crashed"]
+        assert device.kinds() == ["dump_hierarchy", "tap", "crashed"]
 
     def test_runs_stay_deterministic_under_rapid_thread_switching(self):
         def once(scenario):

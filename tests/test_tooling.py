@@ -110,6 +110,31 @@ def test_sweep_diff_says_which_part_of_a_full_trace_moved(tmp_path):
     assert "trace." not in done.stdout
 
 
+def test_sweep_diff_gives_the_change_in_a_count(tmp_path):
+    def write(name, runs, full=True):
+        """A hand-written sweep of (run, adb_calls, dumps); a compact one holds each field as a digest."""
+        path = tmp_path / name
+        path.write_text("".join(json.dumps({"run": run, "trace": {"events": []}, "adb_calls": calls, "dumps": dumps}
+                                           if full else {"run": run, "trace": "t", "adb_calls": str(calls),
+                                                         "dumps": str(dumps)}) + "\n"
+                                for run, calls, dumps in runs), encoding="utf-8")
+        return path
+
+    a = [("r1", 10, 2), ("r2", 12, 3), ("r3", 5, 1)]
+    b = [("r1", 9, 2), ("r2", 10, 4), ("r3", 5, 1)]
+    done = run(ROOT / "scripts" / "sweep.py", "--diff", write("a.jsonl", a), write("b.jsonl", b))
+    assert done.returncode == 1
+    assert "adb_calls: 2 of 3 shared runs differ (net -3, each -2 to -1): r1, r2\n" in done.stdout
+    assert "dumps: 1 of 3 shared runs differ (net +1, each +1): r2\n" in done.stdout
+    assert "trace: 0 of 3 shared runs differ\n" in done.stdout
+    # a compact sweep holds no count, and its lines are as they were
+    done = run(ROOT / "scripts" / "sweep.py", "--diff", write("a.jsonl", a, full=False),
+               write("b.jsonl", b, full=False))
+    assert done.returncode == 1
+    assert "adb_calls: 2 of 3 shared runs differ: r1, r2\n" in done.stdout
+    assert "(net" not in done.stdout
+
+
 def test_shipped_corpus_is_what_gen_corpus_writes(tmp_path, monkeypatch):
     # the guidance exemplars' HTML comes from the encoder, so a change to
     # the encoding must come with the corpus the script writes from it
